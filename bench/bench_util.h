@@ -1,6 +1,8 @@
 #ifndef MULTIGRAIN_BENCH_BENCH_UTIL_H_
 #define MULTIGRAIN_BENCH_BENCH_UTIL_H_
 
+#include <charconv>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -241,12 +243,12 @@ report_plan_cache()
 }
 
 // ---- Shared CLI plumbing -------------------------------------------------
-// The tools (mgserve, mgtrace, mgmem, mgperf, mgcost) repeat the same
-// three rituals: comma-list parsing, resolving artifact paths against
-// --out-dir, and looking up preset/device names with unknown names
-// surfaced as ValidationError (exit 2) instead of a runtime fault. They
-// live here so every tool resolves paths and classifies bad input the
-// same way.
+// The tools (mgserve, mgtrace, mgplan, mgperf, mgcost, mgcluster) repeat
+// the same rituals: comma-list and number parsing, resolving artifact
+// paths against --out-dir, and looking up preset/device names with
+// unknown names surfaced as ValidationError (exit 2) instead of a
+// runtime fault. They live here so every tool resolves paths and
+// classifies bad input the same way.
 
 /// Splits "a,b,c" into {"a","b","c"}; empty items are rejected.
 inline std::vector<std::string>
@@ -267,6 +269,23 @@ split_csv(const std::string &s)
         pos = comma + 1;
     }
     return out;
+}
+
+/// Parses the value of `flag` as a non-negative decimal integer. Anything
+/// else (empty, signed, trailing junk, out of range) throws Error, so a
+/// bad number exits 1 like any other bad invocation instead of escaping
+/// main() as std::invalid_argument.
+inline std::uint64_t
+parse_unsigned(const std::string &flag, const std::string &text)
+{
+    std::uint64_t value = 0;
+    const char *end = text.data() + text.size();
+    const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+    if (text.empty() || ec != std::errc() || ptr != end) {
+        throw Error(flag + " needs a non-negative integer, got \"" + text +
+                    "\"");
+    }
+    return value;
 }
 
 /// Directory for a tool's default ("-") artifact paths: an explicit
@@ -358,7 +377,7 @@ run_preset_matrix(const std::vector<std::string> &presets, RunOne &&run_one)
 }
 
 /// Shared matrix driver for the model × device × mode cross products
-/// (mgmem's planning sweep): runs `body(model, device, mode)` for every
+/// (mgplan's plan sweep): runs `body(model, device, mode)` for every
 /// combination and clears the process-wide PlanCache after each combo so
 /// one-shot plans don't accumulate across the full matrix.
 template <typename Body>

@@ -781,15 +781,12 @@ AttentionEngine::forward_graphs(const sim::DeviceSpec &device) const
         enforce_capture_lint(graphs->sddmm, device, key + " (sddmm)");
         enforce_capture_lint(graphs->softmax, device, key + " (softmax)");
         enforce_capture_lint(graphs->spmm, device, key + " (spmm)");
-        enforce_capture_lint(graphs->forward, device, key);
-        // Plan (and alias-validate) the footprint while the graph is
-        // fresh; the phase fragments are not planned — composers account
-        // them through the composed graph they are appended into.
-        const auto memplan = memplan_for(key, graphs->forward);
-        // Definedness + arena-aliasing proof (core/check.h). Only the
-        // composed graph: a phase fragment standalone legitimately reads
-        // scores a sibling fragment writes.
-        enforce_capture_check(graphs->forward, memplan.get(), key);
+        // Hazards, memory plan and definedness of the composed graph
+        // (core/check.h). The phase fragments are neither planned nor
+        // checked: standalone, a fragment legitimately reads scores a
+        // sibling fragment writes, and composers account them through
+        // the composed graph they are appended into.
+        verify_capture(graphs->forward, device, key);
         return graphs;
     });
 }
@@ -817,9 +814,7 @@ AttentionEngine::backward_graph(const sim::DeviceSpec &device) const
         auto graph = std::make_shared<LaunchGraph>();
         const Streams s = capture_streams(*graph);
         build_backward(*graph, device, s, "");
-        enforce_capture_lint(*graph, device, key);
-        const auto memplan = memplan_for(key, *graph);
-        enforce_capture_check(*graph, memplan.get(), key);
+        verify_capture(*graph, device, key);
         return graph;
     });
 }

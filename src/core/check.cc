@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdlib>
-#include <map>
 #include <sstream>
 #include <utility>
 
@@ -14,114 +13,7 @@ namespace multigrain {
 
 namespace {
 
-// ---- Per-buffer access collection ---------------------------------------
-
-enum class Mode { kRead, kAccum, kWrite };
-
-/// One annotated access: the node, how it touches the buffer, the
-/// annotated byte size, and the definedness declaration flags.
-struct AccessRef {
-    int node = -1;
-    Mode mode = Mode::kRead;
-    std::uint64_t bytes = 0;
-    unsigned flags = 0;
-};
-
-/// Everything check_graph knows about one buffer, gathered in capture
-/// order. `flags` is the union of the declarations on every access —
-/// a declaration anywhere in the graph covers the whole buffer.
-struct BufferInfo {
-    sim::BufferId id = sim::kNoBuffer;
-    std::string name;
-    bool plan_local = false;
-    unsigned flags = 0;
-    std::vector<AccessRef> accesses;
-
-    bool declared(unsigned flag) const { return (flags & flag) != 0; }
-};
-
-/// Entry i of `v`, or `fallback` when the parallel vector is shorter
-/// than the id vector (hand-built launches may omit bytes/flags).
-template <typename T>
-T
-parallel_entry(const std::vector<T> &v, std::size_t i, T fallback)
-{
-    return i < v.size() ? v[i] : fallback;
-}
-
-std::vector<BufferInfo>
-collect_buffers(const std::vector<LaunchGraphNode> &nodes)
-{
-    std::map<sim::BufferId, BufferInfo> by_id;
-    const auto add = [&](sim::BufferId id, AccessRef ref) {
-        BufferInfo &info = by_id[id];
-        if (info.accesses.empty()) {
-            info.id = id;
-            info.name = sim::buffer_name(id);
-            info.plan_local = sim::buffer_is_plan_local(id);
-        }
-        info.flags |= ref.flags;
-        info.accesses.push_back(ref);
-    };
-    for (std::size_t n = 0; n < nodes.size(); ++n) {
-        const sim::KernelLaunch &l = nodes[n].launch;
-        for (std::size_t i = 0; i < l.reads.size(); ++i) {
-            add(l.reads[i],
-                {static_cast<int>(n), Mode::kRead,
-                 parallel_entry<std::uint64_t>(l.read_bytes, i, 0),
-                 parallel_entry<unsigned>(l.read_flags, i, 0)});
-        }
-        for (std::size_t i = 0; i < l.accums.size(); ++i) {
-            add(l.accums[i],
-                {static_cast<int>(n), Mode::kAccum,
-                 parallel_entry<std::uint64_t>(l.accum_bytes, i, 0),
-                 parallel_entry<unsigned>(l.accum_flags, i, 0)});
-        }
-        for (std::size_t i = 0; i < l.writes.size(); ++i) {
-            add(l.writes[i],
-                {static_cast<int>(n), Mode::kWrite,
-                 parallel_entry<std::uint64_t>(l.write_bytes, i, 0),
-                 parallel_entry<unsigned>(l.write_flags, i, 0)});
-        }
-    }
-    std::vector<BufferInfo> buffers;
-    buffers.reserve(by_id.size());
-    for (auto &[id, info] : by_id) {
-        buffers.push_back(std::move(info));
-    }
-    // Name order, not interning order: the interning table is process-
-    // global, so id order depends on what ran earlier in the process.
-    std::sort(buffers.begin(), buffers.end(),
-              [](const BufferInfo &a, const BufferInfo &b) {
-                  return a.name < b.name;
-              });
-    return buffers;
-}
-
 // ---- Rendering ----------------------------------------------------------
-
-std::string
-node_str(const std::vector<LaunchGraphNode> &nodes, int i)
-{
-    std::ostringstream os;
-    const LaunchGraphNode &node = nodes[static_cast<std::size_t>(i)];
-    os << "#" << i << " " << node.launch.name << " @s" << node.stream;
-    return os.str();
-}
-
-std::string
-chain_str(const std::vector<LaunchGraphNode> &nodes,
-          const std::vector<int> &chain)
-{
-    std::ostringstream os;
-    for (std::size_t i = 0; i < chain.size(); ++i) {
-        if (i > 0) {
-            os << " -> ";
-        }
-        os << node_str(nodes, chain[i]);
-    }
-    return os.str();
-}
 
 std::string
 human_bytes(std::uint64_t bytes)
@@ -146,11 +38,11 @@ human_bytes(std::uint64_t bytes)
 /// contents: the in-place softmax reads scores the SDDMM wrote, not its
 /// own output).
 bool
-defined_at(const BufferInfo &info, const HappensBefore &hb, int at)
+defined_at(const BufferFacts &info, const PlanFacts &facts, int at)
 {
-    for (const AccessRef &a : info.accesses) {
-        if (a.mode == Mode::kWrite && a.node != at &&
-            hb.ordered(a.node, at)) {
+    for (const BufferAccess &a : info.accesses) {
+        if (a.mode == AccessMode::kWrite && a.node != at &&
+            facts.ordered(a.node, at)) {
             return true;
         }
     }
@@ -160,17 +52,17 @@ defined_at(const BufferInfo &info, const HappensBefore &hb, int at)
 /// True iff some read (or, for plain writes, accumulate) access is
 /// ordered after node `at` — the store transitions to `consumed`.
 bool
-consumed_after(const BufferInfo &info, const HappensBefore &hb, int at,
-               Mode store_mode)
+consumed_after(const BufferFacts &info, const PlanFacts &facts, int at,
+               AccessMode store_mode)
 {
-    for (const AccessRef &a : info.accesses) {
+    for (const BufferAccess &a : info.accesses) {
         if (a.node == at) {
             continue;
         }
         const bool consumer =
-            a.mode == Mode::kRead ||
-            (store_mode == Mode::kWrite && a.mode == Mode::kAccum);
-        if (consumer && hb.ordered(at, a.node)) {
+            a.mode == AccessMode::kRead ||
+            (store_mode == AccessMode::kWrite && a.mode == AccessMode::kAccum);
+        if (consumer && facts.ordered(at, a.node)) {
             return true;
         }
     }
@@ -245,17 +137,13 @@ CheckReport::summary() const
 }
 
 CheckReport
-check_graph(const LaunchGraph &graph, const CheckOptions &options)
+check_graph(const PlanFacts &facts, const CheckOptions &options)
 {
-    graph.validate();
-    const std::vector<LaunchGraphNode> &nodes = graph.nodes();
-
-    const HappensBefore hb(nodes);
-    const std::vector<BufferInfo> buffers = collect_buffers(nodes);
+    const std::vector<LaunchGraphNode> &nodes = facts.nodes();
 
     CheckReport report;
     report.num_nodes = nodes.size();
-    report.num_buffers = buffers.size();
+    report.num_buffers = facts.buffers().size();
 
     const auto emit = [&](CheckKind kind, int node_a, int node_b,
                           const std::string &buffer,
@@ -267,25 +155,25 @@ check_graph(const LaunchGraph &graph, const CheckOptions &options)
         f.node_b = node_b;
         f.buffer = buffer;
         if (node_a >= 0) {
-            f.witness_a = dependency_witness(nodes, node_a);
+            f.witness_a = facts.witness(node_a);
         }
         if (node_b >= 0) {
-            f.witness_b = dependency_witness(nodes, node_b);
+            f.witness_b = facts.witness(node_b);
         }
         std::ostringstream os;
         os << to_string(kind) << " on buffer " << buffer << ": " << detail;
         if (!f.witness_a.empty()) {
-            os << ". Witness: [" << chain_str(nodes, f.witness_a) << "]";
+            os << ". Witness: [" << facts.chain_str(f.witness_a) << "]";
             if (!f.witness_b.empty()) {
                 os << " runs unordered against ["
-                   << chain_str(nodes, f.witness_b) << "]";
+                   << facts.chain_str(f.witness_b) << "]";
             }
         }
         f.message = os.str();
         report.findings.push_back(std::move(f));
     };
 
-    for (const BufferInfo &info : buffers) {
+    for (const BufferFacts &info : facts.buffers()) {
         // ---- use-before-def: a plan-local read of contents nothing
         // ordered-before wrote. Shared (unprefixed) tensors are defined
         // by the embedding interface convention; plan-local buffers that
@@ -293,13 +181,13 @@ check_graph(const LaunchGraph &graph, const CheckOptions &options)
         // must say so via kBufInput / kBufZeroInit.
         if (info.plan_local &&
             !info.declared(sim::kBufInput | sim::kBufZeroInit)) {
-            for (const AccessRef &a : info.accesses) {
-                if (a.mode != Mode::kRead) {
+            for (const BufferAccess &a : info.accesses) {
+                if (a.mode != AccessMode::kRead) {
                     continue;
                 }
-                if (!defined_at(info, hb, a.node)) {
+                if (!defined_at(info, facts, a.node)) {
                     emit(CheckKind::kUseBeforeDef, a.node, -1, info.name,
-                         node_str(nodes, a.node) +
+                         facts.node_str(a.node) +
                              " reads it, but no ordered predecessor ever"
                              " writes it and it is not declared an input"
                              " or zero-initialized — the value read is"
@@ -313,13 +201,13 @@ check_graph(const LaunchGraph &graph, const CheckOptions &options)
         // Applies to shared tensors too ("o", dq/dk/dv): an accumulator
         // needs a zero-filled (or written) start everywhere.
         if (!info.declared(sim::kBufInput | sim::kBufZeroInit)) {
-            for (const AccessRef &a : info.accesses) {
-                if (a.mode != Mode::kAccum) {
+            for (const BufferAccess &a : info.accesses) {
+                if (a.mode != AccessMode::kAccum) {
                     continue;
                 }
-                if (!defined_at(info, hb, a.node)) {
+                if (!defined_at(info, facts, a.node)) {
                     emit(CheckKind::kUninitAccum, a.node, -1, info.name,
-                         node_str(nodes, a.node) +
+                         facts.node_str(a.node) +
                              " accumulates into it, but no ordered"
                              " predecessor initializes it and it is not"
                              " declared zero-initialized — the"
@@ -331,15 +219,15 @@ check_graph(const LaunchGraph &graph, const CheckOptions &options)
 
         // ---- dead-store / leaked-temp: a store nothing ever drains.
         if (options.liveness_lints && !info.declared(sim::kBufOutput)) {
-            for (const AccessRef &a : info.accesses) {
-                if (a.mode == Mode::kRead) {
+            for (const BufferAccess &a : info.accesses) {
+                if (a.mode == AccessMode::kRead) {
                     continue;
                 }
-                if (!consumed_after(info, hb, a.node, a.mode)) {
+                if (!consumed_after(info, facts, a.node, a.mode)) {
                     emit(info.plan_local ? CheckKind::kLeakedTemp
                                          : CheckKind::kDeadStore,
                          a.node, -1, info.name,
-                         node_str(nodes, a.node) +
+                         facts.node_str(a.node) +
                              " stores it, but no ordered successor ever"
                              " reads it and it is not declared a graph"
                              " output — the store is dead");
@@ -360,8 +248,7 @@ check_graph(const LaunchGraph &graph, const CheckOptions &options)
             const auto account = [&](const std::vector<sim::BufferId> &ids,
                                      const std::vector<std::uint64_t> &bs) {
                 for (std::size_t i = 0; i < ids.size(); ++i) {
-                    const std::uint64_t b =
-                        parallel_entry<std::uint64_t>(bs, i, 0);
+                    const std::uint64_t b = i < bs.size() ? bs[i] : 0;
                     annotated += b;
                     if (b > largest) {
                         largest = b;
@@ -389,7 +276,7 @@ check_graph(const LaunchGraph &graph, const CheckOptions &options)
                 continue;
             }
             std::ostringstream os;
-            os << node_str(nodes, static_cast<int>(n)) << " annotates "
+            os << facts.node_str(static_cast<int>(n)) << " annotates "
                << human_bytes(annotated) << " of buffers but models "
                << human_bytes(static_cast<std::uint64_t>(modeled))
                << " of memory traffic (ratio " << ratio
@@ -418,20 +305,16 @@ check_graph(const LaunchGraph &graph, const CheckOptions &options)
                      std::to_string(nodes.size()) +
                      " — the plan does not belong to this graph");
         } else {
-            std::map<sim::BufferId, const BufferInfo *> by_id;
-            for (const BufferInfo &info : buffers) {
-                by_id[info.id] = &info;
-            }
             // All accesses of `a` strictly before all accesses of `b`
             // (or vice versa) — the aliasing licence.
-            const auto strictly_ordered = [&](const BufferInfo &a,
-                                              const BufferInfo &b,
+            const auto strictly_ordered = [&](const BufferFacts &a,
+                                              const BufferFacts &b,
                                               int *bad_a, int *bad_b) {
-                const auto before = [&](const BufferInfo &x,
-                                        const BufferInfo &y) {
-                    for (const AccessRef &u : x.accesses) {
-                        for (const AccessRef &v : y.accesses) {
-                            if (!hb.ordered(u.node, v.node)) {
+                const auto before = [&](const BufferFacts &x,
+                                        const BufferFacts &y) {
+                    for (const BufferAccess &u : x.accesses) {
+                        for (const BufferAccess &v : y.accesses) {
+                            if (!facts.ordered(u.node, v.node)) {
                                 *bad_a = u.node;
                                 *bad_b = v.node;
                                 return false;
@@ -456,19 +339,18 @@ check_graph(const LaunchGraph &graph, const CheckOptions &options)
                         b.offset + b.bytes <= a.offset) {
                         continue;  // Disjoint arena intervals.
                     }
-                    const auto ia = by_id.find(a.id);
-                    const auto ib = by_id.find(b.id);
-                    if (ia == by_id.end() || ib == by_id.end()) {
+                    const BufferFacts *fa = facts.find(a.id);
+                    const BufferFacts *fb = facts.find(b.id);
+                    if (fa == nullptr || fb == nullptr) {
                         emit(CheckKind::kArenaAlias, -1, -1,
-                             ia == by_id.end() ? a.name : b.name,
+                             fa == nullptr ? a.name : b.name,
                              "memplan pools a buffer the graph never"
                              " accesses");
                         continue;
                     }
                     int bad_a = -1;
                     int bad_b = -1;
-                    if (strictly_ordered(*ia->second, *ib->second, &bad_a,
-                                         &bad_b)) {
+                    if (strictly_ordered(*fa, *fb, &bad_a, &bad_b)) {
                         continue;
                     }
                     std::ostringstream os;
@@ -476,9 +358,9 @@ check_graph(const LaunchGraph &graph, const CheckOptions &options)
                        << " share arena bytes [" << b.offset << ", "
                        << b.offset + b.bytes << ") overlapping ["
                        << a.offset << ", " << a.offset + a.bytes
-                       << "), but " << node_str(nodes, bad_a)
+                       << "), but " << facts.node_str(bad_a)
                        << " touching " << a.name << " is unordered"
-                       << " against " << node_str(nodes, bad_b)
+                       << " against " << facts.node_str(bad_b)
                        << " touching " << b.name
                        << " — replay can corrupt the slot";
                     emit(CheckKind::kArenaAlias, bad_a, bad_b, b.name,
@@ -512,22 +394,27 @@ capture_check_enabled()
 }
 
 void
-enforce_capture_check(const LaunchGraph &graph, const MemPlan *memplan,
-                      const std::string &what)
+verify_capture(const LaunchGraph &graph, const sim::DeviceSpec &device,
+               const std::string &key)
 {
+    const PlanFacts facts(graph);
+    if (capture_lint_enabled()) {
+        require_hazard_free(facts, device, key);
+    }
+    const auto memplan = memplan_for(key, graph, &facts);
     if (!capture_check_enabled()) {
         return;
     }
     CheckOptions options;
-    options.memplan = memplan;
+    options.memplan = memplan.get();
     options.size_check = false;      // Tolerance heuristic; advisory.
     options.liveness_lints = false;  // Warnings never block capture.
-    const CheckReport report = check_graph(graph, options);
+    const CheckReport report = check_graph(facts, options);
     if (report.errors() == 0) {
         return;
     }
     std::ostringstream os;
-    os << what << ": captured plan is ill-defined (" << report.errors()
+    os << key << ": captured plan is ill-defined (" << report.errors()
        << " definedness error(s)) and cannot be cached:";
     for (const CheckFinding &f : report.findings) {
         if (f.severity == CheckSeverity::kError) {

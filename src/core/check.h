@@ -6,12 +6,13 @@
 #include <vector>
 
 #include "common/error.h"
-#include "core/launch_graph.h"
 #include "core/memplan.h"
+#include "core/plan_facts.h"
+#include "gpusim/device.h"
 
-/// mgcheck: a plan-level abstract interpreter over the LaunchGraph IR.
+/// Plan check: an abstract interpreter over the LaunchGraph IR.
 ///
-/// mglint (core/lint.h) proves a captured plan is race-free and the
+/// Lint (core/lint.h) proves a captured plan is race-free and the
 /// memory planner (core/memplan.h) pools dead intermediates into an
 /// arena, but neither proves the plan is *well-defined*: a kernel can
 /// read a buffer no ordered predecessor ever wrote, an accumulator can
@@ -22,7 +23,8 @@
 ///
 ///     undef ──write──▶ defined ──read──▶ consumed
 ///
-/// along the same happens-before relation the hazard analysis computes,
+/// along the same happens-before relation the hazard analysis reads
+/// (core/plan_facts.h),
 /// interpreting each buffer abstractly instead of executing the kernels:
 ///
 ///  * use-before-def (error): a plan-local read with no ordered
@@ -46,7 +48,7 @@
 ///    access of the other), so a planner bug can never silently corrupt
 ///    replay.
 ///
-/// Every definedness finding carries the same witness chains mglint
+/// Every definedness finding carries the same witness chains lint
 /// hazards carry: a concrete dependency chain to each endpoint proving
 /// the offending schedule is reachable.
 namespace multigrain {
@@ -89,7 +91,7 @@ struct CheckFinding {
 
 struct CheckOptions {
     /// When set, runs the arena-aliasing soundness proof against this
-    /// plan (typically memplan_for's result for the same graph).
+    /// plan (typically the memory plan of the same graph).
     const MemPlan *memplan = nullptr;
     /// Per-kernel modeled-vs-annotated byte reconciliation.
     bool size_check = true;
@@ -117,7 +119,7 @@ struct CheckReport {
     std::vector<CheckFinding> findings;
 
     std::size_t count(CheckSeverity severity) const;
-    /// Error-severity findings — the gate mgcheck and capture
+    /// Error-severity findings — the gate mgplan and capture
     /// enforcement fail on.
     std::size_t errors() const;
     bool clean() const { return findings.empty(); }
@@ -125,16 +127,16 @@ struct CheckReport {
     std::string summary() const;
 };
 
-/// Abstractly interprets `graph` (validating it first) and returns every
+/// Abstractly interprets the plan `facts` describes and returns every
 /// finding, errors first. Deterministic: buffers are analyzed in name
 /// order, so findings come out in a fixed order for a given graph.
-CheckReport check_graph(const LaunchGraph &graph,
+CheckReport check_graph(const PlanFacts &facts,
                         const CheckOptions &options = {});
 
-/// Thrown by enforce_capture_check when a freshly captured plan is
-/// ill-defined. Raised *inside* the PlanCache builder, so such a plan
-/// never enters the cache. Derives from ValidationError so the CLIs'
-/// exit-2 contract applies.
+/// Thrown by verify_capture when a freshly captured plan is ill-defined.
+/// Raised *inside* the PlanCache builder, so such a plan never enters
+/// the cache. Derives from ValidationError so the CLIs' exit-2 contract
+/// applies.
 struct PlanCheckError : ValidationError {
     using ValidationError::ValidationError;
 };
@@ -145,13 +147,19 @@ struct PlanCheckError : ValidationError {
 /// in release builds — the same policy as MULTIGRAIN_LINT.
 bool capture_check_enabled();
 
-/// Checks `graph` for definedness errors (use-before-def, uninit-accum,
-/// and — when `memplan` is non-null — the arena-aliasing proof; the
-/// size band and liveness warnings are advisory and never block capture)
-/// and throws PlanCheckError naming `what` when any are found. No-op
-/// when capture_check_enabled() is false.
-void enforce_capture_check(const LaunchGraph &graph, const MemPlan *memplan,
-                           const std::string &what);
+/// The capture gate every PlanCache builder of a standalone plan runs
+/// before returning `graph` into the cache under `key`. It derives the
+/// graph's PlanFacts once and reads them for all three verifiers:
+///  1. hazards (require_hazard_free), when capture_lint_enabled();
+///  2. the memory plan, planned and alias-validated into the cache under
+///     `key + "|mem"` (memplan_for), always;
+///  3. definedness errors — use-before-def, uninit-accum, and the
+///     arena-aliasing proof against that memory plan — when
+///     capture_check_enabled(). The size band and liveness warnings are
+///     advisory and never block capture.
+/// Throws PlanLintError, MemPlanError or PlanCheckError naming `key`.
+void verify_capture(const LaunchGraph &graph, const sim::DeviceSpec &device,
+                    const std::string &key);
 
 }  // namespace multigrain
 

@@ -140,7 +140,7 @@ class LaunchGraph final : public LaunchSink {
     /// duplicated node indices) that capture itself can never produce.
     void set_ops_for_test(std::vector<int> ops) { ops_ = std::move(ops); }
     /// Mutable access to a node's launch, bypassing capture. Used by the
-    /// mgcheck seeded-defect hooks (and its tests) to corrupt a copied
+    /// mgplan seeded-defect hooks (and the tests) to corrupt a copied
     /// graph's annotations — dropping an init write, shrinking a
     /// SizedBuffer — and prove the analyzer catches it.
     sim::KernelLaunch &launch_for_test(int node)

@@ -11,113 +11,44 @@
 
 namespace multigrain {
 
-// ---- Happens-before -----------------------------------------------------
-
-HappensBefore::HappensBefore(const std::vector<LaunchGraphNode> &nodes,
-                             const std::set<std::pair<int, int>> *skip)
-    : n_(nodes.size()), words_((nodes.size() + 63) / 64),
-      bits_(n_ * words_, 0)
-{
-    for (std::size_t j = 0; j < n_; ++j) {
-        std::uint64_t *row = &bits_[j * words_];
-        for (const int dep : nodes[j].deps) {
-            if (skip != nullptr &&
-                skip->count({dep, static_cast<int>(j)}) > 0) {
-                continue;
-            }
-            const std::uint64_t *dep_row =
-                &bits_[static_cast<std::size_t>(dep) * words_];
-            for (std::size_t w = 0; w < words_; ++w) {
-                row[w] |= dep_row[w];
-            }
-            row[static_cast<std::size_t>(dep) / 64] |=
-                std::uint64_t{1} << (static_cast<std::size_t>(dep) % 64);
-        }
-    }
-}
-
 namespace {
 
 // ---- Buffer accesses ----------------------------------------------------
-
-enum class Access { kRead = 0, kAccum = 1, kWrite = 2 };
 
 /// Two accesses conflict unless both only read or both only accumulate
 /// (commutative read-modify-write: the coarse ∥ fine ∥ special SpMMs all
 /// accumulating into the output commute, as do the dQ/dK/dV backward
 /// accumulations).
 bool
-conflicting(Access a, Access b)
+conflicting(AccessMode a, AccessMode b)
 {
-    if (a == Access::kRead && b == Access::kRead) {
-        return false;
-    }
-    if (a == Access::kAccum && b == Access::kAccum) {
-        return false;
-    }
-    return true;
+    return a != b || a == AccessMode::kWrite;
 }
 
-/// Per-node merged access modes: a kernel that both reads and writes a
-/// buffer (in-place softmax) counts as a writer.
-std::vector<std::map<sim::BufferId, Access>>
-collect_accesses(const std::vector<LaunchGraphNode> &nodes)
+/// One entry per node touching `buffer`, in capture order, with the
+/// node's accesses merged: a kernel that both reads and writes a buffer
+/// (in-place softmax) counts as a writer.
+std::vector<std::pair<int, AccessMode>>
+merged_users(const BufferFacts &buffer)
 {
-    std::vector<std::map<sim::BufferId, Access>> accesses(nodes.size());
-    const auto merge = [](std::map<sim::BufferId, Access> &m,
-                          sim::BufferId id, Access mode) {
-        const auto [it, inserted] = m.emplace(id, mode);
-        if (!inserted && static_cast<int>(mode) > static_cast<int>(it->second)) {
-            it->second = mode;
-        }
-    };
-    for (std::size_t i = 0; i < nodes.size(); ++i) {
-        const sim::KernelLaunch &launch = nodes[i].launch;
-        for (const sim::BufferId id : launch.reads) {
-            merge(accesses[i], id, Access::kRead);
-        }
-        for (const sim::BufferId id : launch.accums) {
-            merge(accesses[i], id, Access::kAccum);
-        }
-        for (const sim::BufferId id : launch.writes) {
-            merge(accesses[i], id, Access::kWrite);
+    std::vector<std::pair<int, AccessMode>> users;
+    for (const BufferAccess &a : buffer.accesses) {
+        if (!users.empty() && users.back().first == a.node) {
+            users.back().second = std::max(users.back().second, a.mode);
+        } else {
+            users.emplace_back(a.node, a.mode);
         }
     }
-    return accesses;
-}
-
-// ---- Rendering ----------------------------------------------------------
-
-std::string
-node_str(const LaunchGraph &graph, int i)
-{
-    std::ostringstream os;
-    const LaunchGraphNode &node =
-        graph.nodes()[static_cast<std::size_t>(i)];
-    os << "#" << i << " " << node.launch.name << " @s" << node.stream;
-    return os.str();
-}
-
-std::string
-chain_str(const LaunchGraph &graph, const std::vector<int> &chain)
-{
-    std::ostringstream os;
-    for (std::size_t i = 0; i < chain.size(); ++i) {
-        if (i > 0) {
-            os << " -> ";
-        }
-        os << node_str(graph, chain[i]);
-    }
-    return os.str();
+    return users;
 }
 
 const char *
-access_str(Access mode)
+access_str(AccessMode mode)
 {
     switch (mode) {
-      case Access::kRead: return "reads";
-      case Access::kAccum: return "accumulates into";
-      case Access::kWrite: return "writes";
+      case AccessMode::kRead: return "reads";
+      case AccessMode::kAccum: return "accumulates into";
+      case AccessMode::kWrite: return "writes";
     }
     return "?";
 }
@@ -248,19 +179,6 @@ reconstruct_joins(const LaunchGraph &graph)
 
 // ---- Public surface -----------------------------------------------------
 
-std::vector<int>
-dependency_witness(const std::vector<LaunchGraphNode> &nodes, int n)
-{
-    std::vector<int> chain{n};
-    int cur = n;
-    while (!nodes[static_cast<std::size_t>(cur)].deps.empty()) {
-        cur = nodes[static_cast<std::size_t>(cur)].deps.back();
-        chain.push_back(cur);
-    }
-    std::reverse(chain.begin(), chain.end());
-    return chain;
-}
-
 const char *
 to_string(LintKind kind)
 {
@@ -349,9 +267,9 @@ LintReport::summary() const
 }
 
 LintReport
-lint_graph(const LaunchGraph &graph, const LintOptions &options)
+lint_graph(const PlanFacts &facts, const LintOptions &options)
 {
-    graph.validate();
+    const LaunchGraph &graph = facts.graph();
     const std::vector<LaunchGraphNode> &nodes = graph.nodes();
     const std::size_t n = nodes.size();
 
@@ -362,21 +280,11 @@ lint_graph(const LaunchGraph &graph, const LintOptions &options)
         report.num_edges += node.deps.size();
     }
 
-    const HappensBefore reach(nodes);
-    const std::vector<std::map<sim::BufferId, Access>> accesses =
-        collect_accesses(nodes);
-
-    // Per-buffer access lists, in capture order.
-    std::map<sim::BufferId, std::vector<std::pair<int, Access>>> by_buffer;
-    for (std::size_t i = 0; i < n; ++i) {
-        for (const auto &[id, mode] : accesses[i]) {
-            by_buffer[id].emplace_back(static_cast<int>(i), mode);
-        }
-    }
-
     // ---- Hazards, and the ordered conflicts the join analysis protects.
     std::vector<std::pair<int, int>> ordered_conflicts;
-    for (const auto &[id, users] : by_buffer) {
+    for (const BufferFacts &buffer : facts.buffers()) {
+        const std::vector<std::pair<int, AccessMode>> users =
+            merged_users(buffer);
         for (std::size_t a = 0; a < users.size(); ++a) {
             for (std::size_t b = a + 1; b < users.size(); ++b) {
                 const auto [i, mode_i] = users[a];
@@ -384,14 +292,14 @@ lint_graph(const LaunchGraph &graph, const LintOptions &options)
                 if (!conflicting(mode_i, mode_j)) {
                     continue;
                 }
-                if (reach.ordered(i, j)) {
+                if (facts.ordered(i, j)) {
                     ordered_conflicts.emplace_back(i, j);
                     continue;
                 }
                 LintFinding f;
-                if (mode_j == Access::kRead) {
+                if (mode_j == AccessMode::kRead) {
                     f.kind = LintKind::kRawHazard;
-                } else if (mode_i == Access::kRead) {
+                } else if (mode_i == AccessMode::kRead) {
                     f.kind = LintKind::kWarHazard;
                 } else {
                     f.kind = LintKind::kWawHazard;
@@ -399,153 +307,153 @@ lint_graph(const LaunchGraph &graph, const LintOptions &options)
                 f.severity = LintSeverity::kError;
                 f.node_a = i;
                 f.node_b = j;
-                f.buffer = sim::buffer_name(id);
-                f.witness_a = dependency_witness(nodes, i);
-                f.witness_b = dependency_witness(nodes, j);
+                f.buffer = buffer.name;
+                f.witness_a = facts.witness(i);
+                f.witness_b = facts.witness(j);
                 std::ostringstream os;
                 os << to_string(f.kind) << " on buffer " << f.buffer
-                   << ": " << node_str(graph, i) << " "
-                   << access_str(mode_i) << " it, "
-                   << node_str(graph, j) << " " << access_str(mode_j)
+                   << ": " << facts.node_str(i) << " "
+                   << access_str(mode_i) << " it, " << facts.node_str(j)
+                   << " " << access_str(mode_j)
                    << " it, and no dependency path orders them. Witness: ["
-                   << chain_str(graph, f.witness_a) << "] runs unordered"
-                   << " against [" << chain_str(graph, f.witness_b)
-                   << "]";
+                   << facts.chain_str(f.witness_a) << "] runs unordered"
+                   << " against [" << facts.chain_str(f.witness_b) << "]";
                 f.message = os.str();
                 report.findings.push_back(std::move(f));
             }
         }
     }
 
-    if (options.schedule_lints) {
-        // ---- Dead streams (stream 0 is implicit and may sit unused).
-        std::vector<int> per_stream(
-            static_cast<std::size_t>(graph.num_streams()), 0);
-        for (const LaunchGraphNode &node : nodes) {
-            ++per_stream[static_cast<std::size_t>(node.stream)];
+    if (options.hazards_only) {
+        return report;  // Hazards are the only findings; already ordered.
+    }
+
+    // ---- Dead streams (stream 0 is implicit and may sit unused).
+    std::vector<int> per_stream(
+        static_cast<std::size_t>(graph.num_streams()), 0);
+    for (const LaunchGraphNode &node : nodes) {
+        ++per_stream[static_cast<std::size_t>(node.stream)];
+    }
+    for (int s = 1; s < graph.num_streams(); ++s) {
+        if (per_stream[static_cast<std::size_t>(s)] == 0) {
+            LintFinding f;
+            f.kind = LintKind::kDeadStream;
+            f.severity = severity_of(f.kind);
+            f.node_a = s;
+            f.message = "stream s" + std::to_string(s) +
+                        " was created but no kernel ever launches on"
+                        " it";
+            report.findings.push_back(std::move(f));
         }
-        for (int s = 1; s < graph.num_streams(); ++s) {
-            if (per_stream[static_cast<std::size_t>(s)] == 0) {
+    }
+
+    // ---- Transitively redundant edges.
+    for (std::size_t j = 0; j < n; ++j) {
+        for (const int d : nodes[j].deps) {
+            bool redundant = false;
+            for (const int d2 : nodes[j].deps) {
+                if (d2 != d && facts.ordered(d, d2)) {
+                    redundant = true;
+                    break;
+                }
+            }
+            if (redundant) {
                 LintFinding f;
-                f.kind = LintKind::kDeadStream;
+                f.kind = LintKind::kRedundantEdge;
                 f.severity = severity_of(f.kind);
-                f.node_a = s;
-                f.message = "stream s" + std::to_string(s) +
-                            " was created but no kernel ever launches on"
-                            " it";
+                f.node_a = d;
+                f.node_b = static_cast<int>(j);
+                f.message =
+                    "edge " + facts.node_str(d) + " -> " +
+                    facts.node_str(static_cast<int>(j)) +
+                    " is implied by another dep and can be dropped";
                 report.findings.push_back(std::move(f));
             }
         }
+    }
 
-        // ---- Transitively redundant edges.
-        for (std::size_t j = 0; j < n; ++j) {
-            for (const int d : nodes[j].deps) {
-                bool redundant = false;
-                for (const int d2 : nodes[j].deps) {
-                    if (d2 != d && reach.ordered(d, d2)) {
-                        redundant = true;
-                        break;
-                    }
-                }
-                if (redundant) {
-                    LintFinding f;
-                    f.kind = LintKind::kRedundantEdge;
-                    f.severity = severity_of(f.kind);
-                    f.node_a = d;
-                    f.node_b = static_cast<int>(j);
-                    f.message =
-                        "edge " + node_str(graph, d) + " -> " +
-                        node_str(graph, static_cast<int>(j)) +
-                        " is implied by another dep and can be dropped";
-                    report.findings.push_back(std::move(f));
-                }
-            }
+    // ---- Join barriers: empty, and over-serializing ones.
+    int last_node_pos = -1;
+    const std::vector<int> &ops = graph.ops();
+    for (std::size_t pos = 0; pos < ops.size(); ++pos) {
+        if (ops[pos] != LaunchGraph::kJoin) {
+            last_node_pos = static_cast<int>(pos);
         }
-
-        // ---- Join barriers: empty, and over-serializing ones.
-        int last_node_pos = -1;
-        const std::vector<int> &ops = graph.ops();
-        for (std::size_t pos = 0; pos < ops.size(); ++pos) {
-            if (ops[pos] != LaunchGraph::kJoin) {
-                last_node_pos = static_cast<int>(pos);
-            }
+    }
+    for (const JoinMark &join : reconstruct_joins(graph)) {
+        if (join.op_pos > last_node_pos) {
+            continue;  // Trailing barrier: composition contract.
         }
-        for (const JoinMark &join : reconstruct_joins(graph)) {
-            if (join.op_pos > last_node_pos) {
-                continue;  // Trailing barrier: composition contract.
-            }
-            if (join.tails.empty()) {
-                LintFinding f;
-                f.kind = LintKind::kEmptyJoin;
-                f.severity = severity_of(f.kind);
-                f.node_a = join.op_pos;
-                f.message = "join_streams() at op " +
-                            std::to_string(join.op_pos) +
-                            " has no pending work to wait on";
-                report.findings.push_back(std::move(f));
+        if (join.tails.empty()) {
+            LintFinding f;
+            f.kind = LintKind::kEmptyJoin;
+            f.severity = severity_of(f.kind);
+            f.node_a = join.op_pos;
+            f.message = "join_streams() at op " +
+                        std::to_string(join.op_pos) +
+                        " has no pending work to wait on";
+            report.findings.push_back(std::move(f));
+            continue;
+        }
+        if (join.tails.size() < 2) {
+            continue;  // Already a single event edge.
+        }
+        // A tail is load-bearing iff removing the barrier edges it
+        // contributed leaves some conflicting pair unordered.
+        std::vector<int> necessary;
+        for (const int t : join.tails) {
+            const auto it = join.edges.find(t);
+            if (it == join.edges.end()) {
                 continue;
             }
-            if (join.tails.size() < 2) {
-                continue;  // Already a single event edge.
+            std::set<std::pair<int, int>> skip;
+            for (const int c : it->second) {
+                skip.insert({t, c});
             }
-            // A tail is load-bearing iff removing the barrier edges it
-            // contributed leaves some conflicting pair unordered.
-            std::vector<int> necessary;
-            for (const int t : join.tails) {
-                const auto it = join.edges.find(t);
-                if (it == join.edges.end()) {
-                    continue;
-                }
-                std::set<std::pair<int, int>> skip;
-                for (const int c : it->second) {
-                    skip.insert({t, c});
-                }
-                const HappensBefore without(nodes, &skip);
-                for (const auto &[u, v] : ordered_conflicts) {
-                    if (!without.ordered(u, v)) {
-                        necessary.push_back(t);
-                        break;
-                    }
+            const HappensBefore without(nodes, &skip);
+            for (const auto &[u, v] : ordered_conflicts) {
+                if (!without.ordered(u, v)) {
+                    necessary.push_back(t);
+                    break;
                 }
             }
-            if (necessary.size() <= 1) {
-                LintFinding f;
-                f.kind = LintKind::kOverSerializingJoin;
-                f.severity = severity_of(f.kind);
-                f.node_a = join.op_pos;
-                f.node_b = necessary.empty() ? -1 : necessary.front();
-                std::ostringstream os;
-                os << "join_streams() at op " << join.op_pos
-                   << " serializes " << join.tails.size()
-                   << " stream tails but ";
-                if (necessary.empty()) {
-                    os << "none is load-bearing for the annotated"
-                          " dataflow";
-                } else {
-                    os << "only " << node_str(graph, necessary.front())
-                       << " is load-bearing; a single event edge"
-                          " suffices";
-                }
-                f.message = os.str();
-                report.findings.push_back(std::move(f));
+        }
+        if (necessary.size() <= 1) {
+            LintFinding f;
+            f.kind = LintKind::kOverSerializingJoin;
+            f.severity = severity_of(f.kind);
+            f.node_a = join.op_pos;
+            f.node_b = necessary.empty() ? -1 : necessary.front();
+            std::ostringstream os;
+            os << "join_streams() at op " << join.op_pos
+               << " serializes " << join.tails.size()
+               << " stream tails but ";
+            if (necessary.empty()) {
+                os << "none is load-bearing for the annotated"
+                      " dataflow";
+            } else {
+                os << "only " << facts.node_str(necessary.front())
+                   << " is load-bearing; a single event edge"
+                      " suffices";
             }
+            f.message = os.str();
+            report.findings.push_back(std::move(f));
         }
     }
 
     // ---- Per-node lints.
     for (std::size_t i = 0; i < n; ++i) {
         const sim::KernelLaunch &launch = nodes[i].launch;
-        if (options.kernel_lints &&
-            (launch.num_tbs() == 0 || launch.total_work().empty())) {
+        if (launch.num_tbs() == 0 || launch.total_work().empty()) {
             LintFinding f;
             f.kind = LintKind::kEmptyKernel;
             f.severity = severity_of(f.kind);
             f.node_a = static_cast<int>(i);
-            f.message = "kernel " + node_str(graph, static_cast<int>(i)) +
+            f.message = "kernel " + facts.node_str(static_cast<int>(i)) +
                         " launches no thread blocks / does no work";
             report.findings.push_back(std::move(f));
         }
-        if (options.kernel_lints && options.device != nullptr) {
+        if (options.device != nullptr) {
             const sim::DeviceSpec &dev = *options.device;
             const sim::TbShape &shape = launch.shape;
             std::string over;
@@ -569,26 +477,24 @@ lint_graph(const LaunchGraph &graph, const LintOptions &options)
                 f.severity = severity_of(f.kind);
                 f.node_a = static_cast<int>(i);
                 f.message = "kernel " +
-                            node_str(graph, static_cast<int>(i)) +
+                            facts.node_str(static_cast<int>(i)) +
                             " exceeds " + dev.name + " per-SM limits (" +
                             over + "); occupancy_per_sm silently clamps"
                             " it to 1 block per SM";
                 report.findings.push_back(std::move(f));
             }
         }
-        if (options.phase_name_lint) {
-            const std::string problem = phase_name_problem(launch.name);
-            if (!problem.empty()) {
-                LintFinding f;
-                f.kind = LintKind::kPhaseName;
-                f.severity = severity_of(f.kind);
-                f.node_a = static_cast<int>(i);
-                f.message = "kernel " +
-                            node_str(graph, static_cast<int>(i)) +
-                            " breaks the mgprof phase-carving convention:"
-                            " " + problem;
-                report.findings.push_back(std::move(f));
-            }
+        const std::string problem = phase_name_problem(launch.name);
+        if (!problem.empty()) {
+            LintFinding f;
+            f.kind = LintKind::kPhaseName;
+            f.severity = severity_of(f.kind);
+            f.node_a = static_cast<int>(i);
+            f.message = "kernel " +
+                        facts.node_str(static_cast<int>(i)) +
+                        " breaks the mgprof phase-carving convention:"
+                        " " + problem;
+            report.findings.push_back(std::move(f));
         }
     }
 
@@ -617,18 +523,13 @@ capture_lint_enabled()
 }
 
 void
-enforce_capture_lint(const LaunchGraph &graph,
-                     const sim::DeviceSpec &device, const std::string &what)
+require_hazard_free(const PlanFacts &facts, const sim::DeviceSpec &device,
+                    const std::string &what)
 {
-    if (!capture_lint_enabled()) {
-        return;
-    }
     LintOptions options;
     options.device = &device;
-    options.schedule_lints = false;  // Advisory; never block capture.
-    options.phase_name_lint = false;
-    options.kernel_lints = false;
-    const LintReport report = lint_graph(graph, options);
+    options.hazards_only = true;  // Schedule lints never block capture.
+    const LintReport report = lint_graph(facts, options);
     if (report.clean()) {
         return;
     }
@@ -641,6 +542,15 @@ enforce_capture_lint(const LaunchGraph &graph,
         }
     }
     throw PlanLintError(os.str());
+}
+
+void
+enforce_capture_lint(const LaunchGraph &graph,
+                     const sim::DeviceSpec &device, const std::string &what)
+{
+    if (capture_lint_enabled()) {
+        require_hazard_free(graph, device, what);
+    }
 }
 
 }  // namespace multigrain

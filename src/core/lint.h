@@ -2,18 +2,14 @@
 #define MULTIGRAIN_CORE_LINT_H_
 
 #include <cstddef>
-#include <cstdint>
-#include <set>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "common/error.h"
-#include "core/launch_graph.h"
+#include "core/plan_facts.h"
 #include "gpusim/device.h"
-#include "gpusim/launch.h"
 
-/// mglint: plan-level static analysis over the LaunchGraph IR.
+/// Plan lint: hazard and schedule analysis over the LaunchGraph IR.
 ///
 /// The paper's whole argument rests on correctly overlapping fine- and
 /// coarse-grained kernels on independent streams (§3.2), and the capture/
@@ -37,43 +33,6 @@
 ///    silently clamp to occupancy 1, empty-work kernels, and kernel names
 ///    that the mgprof phase carver cannot classify.
 namespace multigrain {
-
-/// Per-node ancestor bitsets: ordered(i, j) iff node i happens-before
-/// node j through the dep edges (which capture derives from stream order
-/// and join barriers). Built in one pass over the (topologically ordered)
-/// nodes; `skip` removes specific edges, which is how the join analysis
-/// asks "would the schedule still be ordered without this barrier edge?".
-/// Shared by the hazard analysis here and the static memory planner
-/// (core/memplan.h), whose live ranges are defined under this relation.
-class HappensBefore {
-  public:
-    explicit HappensBefore(
-        const std::vector<LaunchGraphNode> &nodes,
-        const std::set<std::pair<int, int>> *skip = nullptr);
-
-    /// i →hb j (strict; requires i < j in capture order, which is the
-    /// only direction an edge can point).
-    bool ordered(int i, int j) const
-    {
-        return (bits_[static_cast<std::size_t>(j) * words_ +
-                      static_cast<std::size_t>(i) / 64] >>
-                (static_cast<std::size_t>(i) % 64)) &
-               1;
-    }
-
-  private:
-    std::size_t n_ = 0;
-    std::size_t words_ = 0;
-    std::vector<std::uint64_t> bits_;
-};
-
-/// Dependency chain from a root to `n`, oldest-first, following each
-/// node's newest dep. Used for hazard witnesses here and for the
-/// definedness witnesses in core/check.h: because the endpoints of an
-/// unordered pair are unordered, the chain to one endpoint can never pass
-/// through the other.
-std::vector<int> dependency_witness(const std::vector<LaunchGraphNode> &nodes,
-                                    int n);
 
 enum class LintSeverity { kInfo, kWarning, kError };
 
@@ -122,12 +81,9 @@ struct LintFinding {
 struct LintOptions {
     /// Enables the occupancy-clamp lint when set.
     const sim::DeviceSpec *device = nullptr;
-    /// Dead streams, redundant edges, join analysis.
-    bool schedule_lints = true;
-    /// Kernel-name convention (mgprof phase carving).
-    bool phase_name_lint = true;
-    /// Empty-kernel / occupancy per-node lints.
-    bool kernel_lints = true;
+    /// Report hazards only, skipping the advisory schedule and per-node
+    /// lints (the capture gate).
+    bool hazards_only = false;
 };
 
 struct LintReport {
@@ -137,7 +93,7 @@ struct LintReport {
     std::vector<LintFinding> findings;
 
     std::size_t count(LintSeverity severity) const;
-    /// Number of RAW/WAR/WAW findings — the gate mglint and capture
+    /// Number of RAW/WAR/WAW findings — the gate mgplan and capture
     /// enforcement fail on.
     std::size_t hazards() const;
     bool clean() const { return hazards() == 0; }
@@ -145,15 +101,16 @@ struct LintReport {
     std::string summary() const;
 };
 
-/// Analyzes `graph` (validating it first) and returns every finding,
-/// hazards first. Deterministic: findings come out in a fixed order for a
-/// given graph.
-LintReport lint_graph(const LaunchGraph &graph,
+/// Analyzes the plan `facts` describes and returns every finding,
+/// hazards first. Deterministic: buffers are analyzed in name order, so
+/// findings come out in a fixed order for a given graph whatever the
+/// process interned before it.
+LintReport lint_graph(const PlanFacts &facts,
                       const LintOptions &options = {});
 
-/// Thrown by enforce_capture_lint when a freshly captured plan races.
-/// Raised *inside* the PlanCache builder, so a hazardous plan never
-/// enters the cache.
+/// Thrown when a freshly captured plan races. Raised *inside* the
+/// PlanCache builder (verify_capture, enforce_capture_lint), so a
+/// hazardous plan never enters the cache.
 struct PlanLintError : Error {
     using Error::Error;
 };
@@ -163,9 +120,16 @@ struct PlanLintError : Error {
 /// defaults to on in debug (!NDEBUG) builds and off in release builds.
 bool capture_lint_enabled();
 
-/// Lints `graph` for hazards only (schedule lints are advisory and never
+/// Lints `facts` for hazards only (schedule lints are advisory and never
 /// block capture) and throws PlanLintError naming `what` when any are
-/// found. No-op when capture_lint_enabled() is false.
+/// found. The lint gate of verify_capture (core/check.h).
+void require_hazard_free(const PlanFacts &facts,
+                         const sim::DeviceSpec &device,
+                         const std::string &what);
+
+/// require_hazard_free when capture_lint_enabled(), else a no-op that
+/// derives nothing. For the per-phase fragments, which verify_capture
+/// does not see because they are not standalone plans.
 void enforce_capture_lint(const LaunchGraph &graph,
                           const sim::DeviceSpec &device,
                           const std::string &what);

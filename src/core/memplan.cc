@@ -1,83 +1,22 @@
 #include "core/memplan.h"
 
 #include <algorithm>
-#include <map>
+#include <optional>
 #include <sstream>
 #include <utility>
 
-#include "core/lint.h"
 #include "core/plan_cache.h"
 
 namespace multigrain {
 
 namespace {
 
-/// Per-buffer facts gathered in one pass over the nodes.
-struct BufferUses {
-    std::vector<int> uses;          ///< Ascending capture-order indices.
-    std::uint64_t bytes = 0;        ///< Max annotated size across uses.
-    bool first_use_reads = false;   ///< First-use node reads or accums it.
-};
-
-std::uint64_t
-size_at(const std::vector<std::uint64_t> &bytes, std::size_t i)
-{
-    // A launch assembled without annotate() has empty size vectors;
-    // treat every entry as unsized rather than assuming parallelism.
-    return i < bytes.size() ? bytes[i] : 0;
-}
-
-std::map<sim::BufferId, BufferUses>
-collect_uses(const std::vector<LaunchGraphNode> &nodes)
-{
-    std::map<sim::BufferId, BufferUses> uses;
-    const auto touch = [&uses](sim::BufferId id, int node,
-                               std::uint64_t bytes, bool reads) {
-        BufferUses &u = uses[id];
-        if (u.uses.empty()) {
-            u.first_use_reads = reads;
-        }
-        else if (u.uses.back() == node) {
-            // Same node touching the buffer through another access list
-            // (in-place read+write): the read classifies the first use
-            // regardless of list order.
-            if (node == u.uses.front()) {
-                u.first_use_reads = u.first_use_reads || reads;
-            }
-        }
-        if (u.uses.empty() || u.uses.back() != node) {
-            u.uses.push_back(node);
-        }
-        u.bytes = std::max(u.bytes, bytes);
-    };
-    for (std::size_t i = 0; i < nodes.size(); ++i) {
-        const sim::KernelLaunch &launch = nodes[i].launch;
-        const int node = static_cast<int>(i);
-        for (std::size_t r = 0; r < launch.reads.size(); ++r) {
-            touch(launch.reads[r], node, size_at(launch.read_bytes, r),
-                  true);
-        }
-        // Accumulation is a read-modify-write: first-use-accum means the
-        // buffer's prior contents (zero-fill or an inbound partial) are
-        // observable, so it classifies like a read.
-        for (std::size_t a = 0; a < launch.accums.size(); ++a) {
-            touch(launch.accums[a], node, size_at(launch.accum_bytes, a),
-                  true);
-        }
-        for (std::size_t w = 0; w < launch.writes.size(); ++w) {
-            touch(launch.writes[w], node, size_at(launch.write_bytes, w),
-                  false);
-        }
-    }
-    return uses;
-}
-
 /// Whether every use of `a` happens-before every use of `b` — the only
 /// way two buffers' live ranges provably never overlap. Capture order is
 /// topological, so this is possible only when a's range ends before b's
 /// begins; the caller checks both directions.
 bool
-all_ordered(const HappensBefore &hb, const std::vector<int> &a,
+all_ordered(const PlanFacts &facts, const std::vector<int> &a,
             const std::vector<int> &b)
 {
     if (a.back() >= b.front()) {
@@ -85,7 +24,7 @@ all_ordered(const HappensBefore &hb, const std::vector<int> &a,
     }
     for (const int i : a) {
         for (const int j : b) {
-            if (!hb.ordered(i, j)) {
+            if (!facts.ordered(i, j)) {
                 return false;
             }
         }
@@ -94,11 +33,10 @@ all_ordered(const HappensBefore &hb, const std::vector<int> &a,
 }
 
 bool
-interfere(const HappensBefore &hb, const MemPlanBuffer &a,
-          const MemPlanBuffer &b)
+interfere(const PlanFacts &facts, const std::vector<int> &a,
+          const std::vector<int> &b)
 {
-    return !all_ordered(hb, a.uses, b.uses) &&
-           !all_ordered(hb, b.uses, a.uses);
+    return !all_ordered(facts, a, b) && !all_ordered(facts, b, a);
 }
 
 std::uint64_t
@@ -135,26 +73,23 @@ MemPlan::pooling_savings() const
 }
 
 MemPlan
-plan_memory(const LaunchGraph &graph)
+plan_memory(const PlanFacts &facts)
 {
-    graph.validate();
-    const std::vector<LaunchGraphNode> &nodes = graph.nodes();
-
     MemPlan plan;
-    plan.num_nodes = nodes.size();
+    plan.num_nodes = facts.num_nodes();
 
-    for (auto &[id, u] : collect_uses(nodes)) {
+    for (const BufferFacts &b : facts.buffers()) {
         MemPlanBuffer buf;
-        buf.id = id;
-        buf.name = sim::buffer_name(id);
-        buf.bytes = u.bytes;
-        buf.first_use = u.uses.front();
-        buf.last_use = u.uses.back();
-        buf.uses = std::move(u.uses);
-        if (buf.name.front() != '%') {
+        buf.id = b.id;
+        buf.name = b.name;
+        buf.bytes = b.bytes;
+        buf.first_use = b.first_use();
+        buf.last_use = b.last_use();
+        buf.uses = b.uses;
+        if (!b.plan_local) {
             buf.cls = BufferClass::kShared;
         }
-        else if (u.first_use_reads) {
+        else if (b.first_use_reads) {
             buf.cls = BufferClass::kInput;
         }
         else {
@@ -170,8 +105,6 @@ plan_memory(const LaunchGraph &graph)
                   }
                   return a.name < b.name;
               });
-
-    const HappensBefore hb(nodes);
 
     // Greedy first-fit: in deterministic order, place each pooled buffer
     // at the lowest aligned offset clear of every interfering buffer
@@ -190,7 +123,7 @@ plan_memory(const LaunchGraph &graph)
         std::vector<std::pair<std::uint64_t, std::uint64_t>> blockers;
         for (const std::size_t p : placed) {
             const MemPlanBuffer &other = plan.buffers[p];
-            if (interfere(hb, buf, other)) {
+            if (interfere(facts, buf.uses, other.uses)) {
                 blockers.emplace_back(other.offset,
                                       other.offset + other.bytes);
             }
@@ -214,20 +147,14 @@ plan_memory(const LaunchGraph &graph)
 }
 
 void
-validate_memplan(const LaunchGraph &graph, const MemPlan &plan)
+validate_memplan(const PlanFacts &facts, const MemPlan &plan)
 {
-    const std::vector<LaunchGraphNode> &nodes = graph.nodes();
-    if (plan.num_nodes != nodes.size()) {
+    if (plan.num_nodes != facts.num_nodes()) {
         std::ostringstream os;
         os << "memplan covers " << plan.num_nodes << " nodes but graph has "
-           << nodes.size();
+           << facts.num_nodes();
         throw MemPlanError(os.str());
     }
-
-    // Re-derive uses independently of whatever the plan recorded, so a
-    // stale or hand-perturbed plan cannot vouch for itself.
-    std::map<sim::BufferId, BufferUses> uses = collect_uses(nodes);
-    const HappensBefore hb(nodes);
 
     std::vector<const MemPlanBuffer *> pooled;
     for (const MemPlanBuffer &buf : plan.buffers) {
@@ -247,8 +174,7 @@ validate_memplan(const LaunchGraph &graph, const MemPlan &plan)
                << plan.arena_bytes << " bytes";
             throw MemPlanError(os.str());
         }
-        const auto it = uses.find(buf.id);
-        if (it == uses.end()) {
+        if (facts.find(buf.id) == nullptr) {
             throw MemPlanError("memplan buffer " + buf.name +
                                " never used by the graph");
         }
@@ -259,10 +185,8 @@ validate_memplan(const LaunchGraph &graph, const MemPlan &plan)
         for (std::size_t j = i + 1; j < pooled.size(); ++j) {
             const MemPlanBuffer &a = *pooled[i];
             const MemPlanBuffer &b = *pooled[j];
-            const std::vector<int> &ua = uses[a.id].uses;
-            const std::vector<int> &ub = uses[b.id].uses;
-            const bool disjoint_life = all_ordered(hb, ua, ub) ||
-                                       all_ordered(hb, ub, ua);
+            const bool disjoint_life = !interfere(
+                facts, facts.find(a.id)->uses, facts.find(b.id)->uses);
             const bool disjoint_span = a.offset + a.bytes <= b.offset ||
                                        b.offset + b.bytes <= a.offset;
             if (!disjoint_life && !disjoint_span) {
@@ -279,12 +203,16 @@ validate_memplan(const LaunchGraph &graph, const MemPlan &plan)
 }
 
 std::shared_ptr<const MemPlan>
-memplan_for(const std::string &graph_key, const LaunchGraph &graph)
+memplan_for(const std::string &graph_key, const LaunchGraph &graph,
+            const PlanFacts *facts)
 {
     return PlanCache::instance().get_or_build<MemPlan>(
-        graph_key + "|mem", [&graph]() {
-            auto plan = std::make_shared<MemPlan>(plan_memory(graph));
-            validate_memplan(graph, *plan);
+        graph_key + "|mem", [&]() {
+            std::optional<PlanFacts> derived;
+            const PlanFacts &f =
+                facts != nullptr ? *facts : derived.emplace(graph);
+            auto plan = std::make_shared<MemPlan>(plan_memory(f));
+            validate_memplan(f, *plan);
             return plan;
         });
 }

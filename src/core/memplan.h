@@ -8,16 +8,16 @@
 #include <vector>
 
 #include "common/error.h"
-#include "core/launch_graph.h"
+#include "core/plan_facts.h"
 #include "gpusim/launch.h"
 
 /// Static memory planner over the LaunchGraph IR.
 ///
 /// A captured plan is a pure data structure, so its device-memory
-/// footprint is decidable at capture time, the same way mglint decides
-/// its races: every kernel's annotated reads/writes/accums now carry
-/// byte sizes (sim::SizedBuffer), and the happens-before relation the
-/// hazard analysis already builds gives each buffer a live range. Two
+/// footprint is decidable at capture time, the same way lint decides its
+/// races: every kernel's annotated reads/writes/accums carry byte sizes
+/// (sim::SizedBuffer), and the happens-before relation in PlanFacts
+/// (core/plan_facts.h) gives each buffer a live range. Two
 /// plan-local intermediates whose live ranges cannot overlap under any
 /// legal schedule — e.g. the %s.* score fragments (dead once the SpMMs
 /// drain them) and the FFN activations written afterwards — can share
@@ -66,7 +66,7 @@ struct MemPlanBuffer {
 };
 
 /// The planner's result: a deterministic arena layout plus the footprint
-/// ledger mgmem / mgprof / the byte-budget serving scheduler read.
+/// ledger mgplan / mgprof / the byte-budget serving scheduler read.
 struct MemPlan {
     /// Deterministic order: ascending first_use, ties by name.
     std::vector<MemPlanBuffer> buffers;
@@ -100,24 +100,28 @@ struct MemPlanError : ValidationError {
     using ValidationError::ValidationError;
 };
 
-/// Plans `graph` (validating it first): derives live ranges under the
-/// happens-before bitsets, classifies buffers, and greedily packs the
-/// pooled ones into the arena (first-fit at the lowest kArenaAlign-
-/// aligned offset, in deterministic order). Pure function of the graph.
-MemPlan plan_memory(const LaunchGraph &graph);
+/// Plans the graph `facts` describes: live ranges under its
+/// happens-before bitsets, buffer classes from its access lists, and a
+/// greedy first-fit packing of the pooled buffers into the arena (at the
+/// lowest kArenaAlign-aligned offset, in deterministic order). Pure
+/// function of the graph.
+MemPlan plan_memory(const PlanFacts &facts);
 
-/// Independently re-derives interference from `graph` and checks that no
-/// two live-overlapping pooled buffers in `plan` alias, that offsets are
-/// aligned, and that the arena high-water mark is consistent. Throws
-/// MemPlanError on any violation (mgmem exits 2 on it).
-void validate_memplan(const LaunchGraph &graph, const MemPlan &plan);
+/// Checks that no two live-overlapping pooled buffers in `plan` alias,
+/// that offsets are aligned, and that the arena high-water mark is
+/// consistent. Interference is re-derived from the graph's facts, never
+/// read from the plan, so a stale or hand-perturbed plan cannot vouch for
+/// itself. Throws MemPlanError on any violation (mgplan exits 2 on it).
+void validate_memplan(const PlanFacts &facts, const MemPlan &plan);
 
 /// Cached planner: stores the validated MemPlan in the process-wide
 /// PlanCache under `graph_key + "|mem"`, beside the graph it describes,
 /// so replay-path consumers (bench rows, the serving scheduler) get
-/// footprints without re-planning.
+/// footprints without re-planning. On a miss it plans from `facts` when
+/// given (they must describe `graph`), else derives them from `graph`.
 std::shared_ptr<const MemPlan> memplan_for(const std::string &graph_key,
-                                           const LaunchGraph &graph);
+                                           const LaunchGraph &graph,
+                                           const PlanFacts *facts = nullptr);
 
 }  // namespace multigrain
 

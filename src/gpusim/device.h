@@ -26,7 +26,7 @@ struct DeviceSpec {
     double cuda_tflops = 0;    ///< Peak FP16 CUDA-core TFLOPS.
     double dram_gbps = 0;      ///< Peak device-memory bandwidth, GB/s.
     /// Device-memory (HBM/GDDR) capacity, GB. Not a timing input: the
-    /// byte-budget serving scheduler and mgmem read it to pack plans
+    /// byte-budget serving scheduler and mgplan read it to pack plans
     /// against what the board can actually hold. Presets use the largest
     /// shipping variants (A100 80 GB SXM, RTX 3090 24 GB).
     double hbm_gbytes = 0;

@@ -60,7 +60,7 @@ struct TbGroup {
     index_t count = 1;
 };
 
-// ---- Dataflow annotations (the mglint hazard model's vocabulary) --------
+// ---- Dataflow annotations (the plan lint hazard model's vocabulary) -----
 
 /// Interned handle for a logical tensor a kernel touches ("q", "%s.fine",
 /// "dv", ...). The table is process-wide and append-only; ids are stable
@@ -84,8 +84,8 @@ bool buffer_is_plan_local(BufferId id);
 
 // Definedness declarations a plan site can attach to an annotated buffer
 // reference. They state dataflow facts the graph itself cannot express —
-// mgcheck (src/core/check.h) consumes them; lint and the memory planner
-// ignore them.
+// the plan checker (src/core/check.h) consumes them; lint and the memory
+// planner ignore them.
 
 /// The buffer is defined before the graph starts (an inbound tensor: a
 /// stashed forward activation read by the backward graph, a mask built at

@@ -6,7 +6,6 @@
 #include "common/error.h"
 #include "common/timer.h"
 #include "core/check.h"
-#include "core/lint.h"
 #include "core/plan_cache.h"
 #include "kernels/dense.h"
 
@@ -352,12 +351,9 @@ TransformerRunner::layer_graph(const sim::DeviceSpec &device,
     return PlanCache::instance().get_or_build<LaunchGraph>(key, [&] {
         auto graph = std::make_shared<const LaunchGraph>(
             build_layer_graph(device, kind));
-        // Throwing here keeps a racy composed plan out of the cache.
-        enforce_capture_lint(*graph, device, key);
-        // Plan (and alias-validate) the footprint beside the graph.
-        const auto memplan = memplan_for(key, *graph);
-        // Definedness + arena-aliasing proof (core/check.h).
-        enforce_capture_check(*graph, memplan.get(), key);
+        // Throwing here keeps a racy or ill-defined composed plan out of
+        // the cache; the validated memory plan is cached beside it.
+        verify_capture(*graph, device, key);
         return graph;
     });
 }

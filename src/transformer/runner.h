@@ -76,7 +76,7 @@ class TransformerRunner {
     /// so each kind is captured once per device — dense ops on logical
     /// stream 0, every engine's phase graphs appended with its own
     /// logical-stream block — PlanCache'd, and replayed once per layer
-    /// with the "L%02d."/"F%02d."/"B%02d." prefix. Public so mglint can
+    /// with the "L%02d."/"F%02d."/"B%02d." prefix. Public so mgplan can
     /// analyze the exact composed plans the runner replays.
     enum class LayerKind { kInference, kTrainForward, kTrainBackward };
     std::shared_ptr<const LaunchGraph>

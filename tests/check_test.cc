@@ -1,4 +1,4 @@
-// mgcheck abstract-interpreter tests. The load-bearing pair of
+// Plan-check abstract-interpreter tests. The load-bearing pair of
 // properties, mirroring lint_test.cc:
 //
 //  * Sensitivity: seeding a definedness defect into an otherwise-correct
@@ -14,12 +14,15 @@
 // capture-time enforcement that keeps an ill-defined plan out of the
 // PlanCache.
 
+#include <algorithm>
 #include <cstdlib>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
+
+#include "plan_test_util.h"
 
 #include "common/error.h"
 #include "common/rng.h"
@@ -39,30 +42,14 @@
 namespace multigrain {
 namespace {
 
-sim::KernelLaunch
-toy_launch(const std::string &name)
-{
-    sim::KernelLaunch launch;
-    launch.name = name;
-    sim::TbWork work;
-    work.cuda_flops = 1024;
-    work.dram_read_bytes = 1024;
-    launch.add_tb(work, 4);
-    return launch;
-}
+using fixtures::tiny_forward_graph;
+using fixtures::toy_launch;
 
 /// Pins MULTIGRAIN_CHECK for one scope so the tests behave identically
 /// in release (default off) and debug (default on) builds.
-struct ScopedCheckEnv {
+struct ScopedCheckEnv : fixtures::ScopedEnv {
     explicit ScopedCheckEnv(const char *value)
-    {
-        if (value == nullptr) {
-            unsetenv("MULTIGRAIN_CHECK");
-        } else {
-            setenv("MULTIGRAIN_CHECK", value, 1);
-        }
-    }
-    ~ScopedCheckEnv() { unsetenv("MULTIGRAIN_CHECK"); }
+        : ScopedEnv("MULTIGRAIN_CHECK", value) {}
 };
 
 /// The single finding of `report` (copied out, so temporaries are fine
@@ -73,18 +60,6 @@ only_finding(const CheckReport &report)
     EXPECT_EQ(report.findings.size(), 1u) << report.summary();
     return report.findings.empty() ? CheckFinding{}
                                    : report.findings.front();
-}
-
-LaunchGraph
-tiny_forward_graph(const sim::DeviceSpec &device)
-{
-    const ModelConfig model = ModelConfig::tiny_test();
-    Rng rng(2022);
-    const WorkloadSample sample = sample_for_model(rng, model);
-    const TransformerRunner runner(model, SliceMode::kMultigrain, sample,
-                                   /*batch=*/1);
-    // Copy out of the cache: the tests below mutate the graph.
-    return runner.attention().forward_graphs(device)->forward;
 }
 
 // ---------------------------------------------------------------------------
@@ -407,7 +382,7 @@ TEST(CheckArena, ForeignMemPlanIsRejected)
 }
 
 // ---------------------------------------------------------------------------
-// Sensitivity on a real plan: the drop-init corruption mgcheck seeds.
+// Sensitivity on a real plan: the drop-init corruption mgplan seeds.
 
 TEST(CheckSensitivity, ErasedInitWriteOnRealPlanIsCaught)
 {
@@ -420,55 +395,21 @@ TEST(CheckSensitivity, ErasedInitWriteOnRealPlanIsCaught)
         ASSERT_TRUE(check_graph(graph, options).clean());
     }
 
-    // Erase one init: find a plan-local buffer with a writer ordered
-    // before a reader and no inbound declaration, and strip that write
-    // from the writer's annotation via the test hook.
-    const HappensBefore hb(graph.nodes());
-    std::string corrupted;
-    for (std::size_t w = 0; w < graph.nodes().size() && corrupted.empty();
-         ++w) {
-        const sim::KernelLaunch &wl = graph.nodes()[w].launch;
-        for (std::size_t i = 0; i < wl.writes.size(); ++i) {
-            const sim::BufferId id = wl.writes[i];
-            const unsigned flags =
-                i < wl.write_flags.size() ? wl.write_flags[i] : 0;
-            if (!sim::buffer_is_plan_local(id) ||
-                (flags & (sim::kBufInput | sim::kBufZeroInit)) != 0) {
-                continue;
-            }
-            bool read_later = false;
-            for (std::size_t r = w + 1; r < graph.nodes().size(); ++r) {
-                const sim::KernelLaunch &rl = graph.nodes()[r].launch;
-                for (const sim::BufferId rid : rl.reads) {
-                    if (rid == id && hb.ordered(static_cast<int>(w),
-                                                static_cast<int>(r))) {
-                        read_later = true;
-                    }
-                }
-            }
-            if (!read_later) {
-                continue;
-            }
-            sim::KernelLaunch &mutated =
-                graph.launch_for_test(static_cast<int>(w));
-            mutated.writes.erase(mutated.writes.begin() +
-                                 static_cast<std::ptrdiff_t>(i));
-            if (i < mutated.write_bytes.size()) {
-                mutated.write_bytes.erase(
-                    mutated.write_bytes.begin() +
-                    static_cast<std::ptrdiff_t>(i));
-            }
-            if (i < mutated.write_flags.size()) {
-                mutated.write_flags.erase(
-                    mutated.write_flags.begin() +
-                    static_cast<std::ptrdiff_t>(i));
-            }
-            corrupted = sim::buffer_name(id);
-            break;
+    // Erase one init: sddmm.fine is the only write of the fine scores
+    // ordered before the compound softmax reads them.
+    const std::string corrupted = "%s.fine";
+    const sim::BufferId id = sim::intern_buffer(corrupted);
+    for (std::size_t n = 0; n < graph.size(); ++n) {
+        sim::KernelLaunch &l = graph.launch_for_test(static_cast<int>(n));
+        const auto it = std::find(l.writes.begin(), l.writes.end(), id);
+        if (l.name != "sddmm.fine" || it == l.writes.end()) {
+            continue;
         }
+        const auto i = it - l.writes.begin();
+        l.writes.erase(it);
+        l.write_bytes.erase(l.write_bytes.begin() + i);
+        l.write_flags.erase(l.write_flags.begin() + i);
     }
-    ASSERT_FALSE(corrupted.empty())
-        << "no candidate init write in the tiny forward plan";
 
     const CheckReport report = check_graph(graph);
     bool caught = false;
@@ -543,8 +484,8 @@ TEST(CheckEnforcement, CleanPlanPassesWithEnforcementOn)
 {
     const ScopedCheckEnv env("1");
     const LaunchGraph graph = sequential_temps_graph();
-    const MemPlan plan = plan_memory(graph);
-    EXPECT_NO_THROW(enforce_capture_check(graph, &plan, "seq temps"));
+    EXPECT_NO_THROW(verify_capture(graph, sim::DeviceSpec::a100(),
+                                   "check_test|seq temps|v1"));
 }
 
 TEST(CheckEnforcement, WarningsDoNotBlockCapture)
@@ -553,12 +494,14 @@ TEST(CheckEnforcement, WarningsDoNotBlockCapture)
     LaunchGraph graph;
     graph.launch(0, sim::annotate(toy_launch("gemm.w"), {}, {"t"}));
     // A dead store is a warning; enforcement gates on errors only.
-    EXPECT_NO_THROW(enforce_capture_check(graph, nullptr, "dead store"));
+    EXPECT_NO_THROW(verify_capture(graph, sim::DeviceSpec::a100(),
+                                   "check_test|dead store|v1"));
 }
 
 TEST(CheckEnforcement, IllDefinedPlanNeverEntersTheCache)
 {
     const ScopedCheckEnv env("1");
+    const sim::DeviceSpec device = sim::DeviceSpec::a100();
     const std::string key = "check_test|ill-defined|v1";
     int builds = 0;
     const auto build = [&]() {
@@ -567,7 +510,7 @@ TEST(CheckEnforcement, IllDefinedPlanNeverEntersTheCache)
         graph->launch(0,
                       sim::annotate(toy_launch("gemm.r"), {"%t"}, {}));
         // The builders call this right before returning into the cache.
-        enforce_capture_check(*graph, nullptr, key);
+        verify_capture(*graph, device, key);
         return graph;
     };
     EXPECT_THROW(PlanCache::instance().get_or_build<LaunchGraph>(key, build),
@@ -578,12 +521,28 @@ TEST(CheckEnforcement, IllDefinedPlanNeverEntersTheCache)
     // plan out of the cache entirely.
     EXPECT_EQ(builds, 2);
 
-    // With enforcement off the same plan caches fine (mgcheck reports
-    // it instead).
+    // With enforcement off the same plan caches fine (mgplan reports it
+    // instead).
     const ScopedCheckEnv off("0");
     EXPECT_NO_THROW(
         PlanCache::instance().get_or_build<LaunchGraph>(key, build));
     EXPECT_EQ(builds, 3);
+}
+
+TEST(CheckEnforcement, VerifyCaptureCachesTheValidatedMemPlan)
+{
+    const ScopedCheckEnv env("1");
+    const std::string key = "check_test|cached memplan|v1";
+    const LaunchGraph graph = sequential_temps_graph();
+    verify_capture(graph, sim::DeviceSpec::a100(), key);
+    // The plan sits beside the graph's key: a lookup never re-plans.
+    const auto cached = PlanCache::instance().get_or_build<MemPlan>(
+        key + "|mem", []() -> std::shared_ptr<MemPlan> {
+            ADD_FAILURE() << "verify_capture did not cache the memory plan";
+            return std::make_shared<MemPlan>();
+        });
+    EXPECT_EQ(cached->num_nodes, graph.size());
+    EXPECT_EQ(cached->peak_hbm_bytes(), plan_memory(graph).peak_hbm_bytes());
 }
 
 TEST(CheckReportApi, SummaryAndCounts)

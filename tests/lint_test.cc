@@ -1,4 +1,4 @@
-// mglint analyzer tests. The load-bearing pair of properties:
+// Plan lint tests. The load-bearing pair of properties:
 //
 //  * Sensitivity: seeding a missing-edge hazard into an otherwise-correct
 //    captured plan (dropping one dep via the test hook) is detected, with
@@ -20,9 +20,12 @@
 
 #include <gtest/gtest.h>
 
+#include "plan_test_util.h"
+
 #include "common/error.h"
 #include "common/rng.h"
 #include "core/attention.h"
+#include "core/check.h"
 #include "core/launch_graph.h"
 #include "core/lint.h"
 #include "core/plan_cache.h"
@@ -35,30 +38,13 @@
 namespace multigrain {
 namespace {
 
-sim::KernelLaunch
-toy_launch(const std::string &name)
-{
-    sim::KernelLaunch launch;
-    launch.name = name;
-    sim::TbWork work;
-    work.cuda_flops = 1024;
-    work.dram_read_bytes = 1024;
-    launch.add_tb(work, 4);
-    return launch;
-}
+using fixtures::tiny_forward_graph;
+using fixtures::toy_launch;
 
-/// Ensures capture-time enforcement stays off for tests that lint
-/// explicitly (release builds default off, debug builds default on).
-struct ScopedLintEnv {
+/// Pins capture-time lint enforcement for tests that lint explicitly.
+struct ScopedLintEnv : fixtures::ScopedEnv {
     explicit ScopedLintEnv(const char *value)
-    {
-        if (value == nullptr) {
-            unsetenv("MULTIGRAIN_LINT");
-        } else {
-            setenv("MULTIGRAIN_LINT", value, 1);
-        }
-    }
-    ~ScopedLintEnv() { unsetenv("MULTIGRAIN_LINT"); }
+        : ScopedEnv("MULTIGRAIN_LINT", value) {}
 };
 
 int
@@ -97,18 +83,6 @@ check_witness(const LaunchGraph &graph, const std::vector<int> &chain,
     EXPECT_EQ(std::find(chain.begin(), chain.end(), other), chain.end())
         << "witness for node " << endpoint
         << " passes through the other endpoint " << other;
-}
-
-LaunchGraph
-tiny_forward_graph(const sim::DeviceSpec &device)
-{
-    const ModelConfig model = ModelConfig::tiny_test();
-    Rng rng(2022);
-    const WorkloadSample sample = sample_for_model(rng, model);
-    const TransformerRunner runner(model, SliceMode::kMultigrain, sample,
-                                   /*batch=*/1);
-    // Copy out of the cache: the tests below mutate the graph.
-    return runner.attention().forward_graphs(device)->forward;
 }
 
 // ---------------------------------------------------------------------------
@@ -164,6 +138,83 @@ TEST(LintHazards, DroppedSddmmToSoftmaxEdgeIsHazard)
     EXPECT_EQ(f.buffer, "%s.fine");
     check_witness(graph, f.witness_a, sddmm, softmax);
     check_witness(graph, f.witness_b, softmax, sddmm);
+}
+
+TEST(LintHazards, HazardsComeOutInBufferNameOrder)
+{
+    // Intern "b" before "a": the interning table is process-global, so
+    // ordering hazards by buffer id would report b's race first.
+    const sim::BufferId b = sim::intern_buffer("%lint_order.b");
+    const sim::BufferId a = sim::intern_buffer("%lint_order.a");
+    ASSERT_LT(b, a);
+    LaunchGraph graph;
+    const int s1 = graph.create_stream();
+    for (const char *buffer : {"%lint_order.b", "%lint_order.a"}) {
+        graph.launch(0, sim::annotate(toy_launch("gemm.w"), {}, {buffer}));
+        graph.launch(s1, sim::annotate(toy_launch("gemm.r"), {buffer}, {}));
+    }
+    const LintReport report = lint_graph(graph);
+    ASSERT_EQ(report.hazards(), 2u);
+    EXPECT_EQ(report.findings[0].buffer, "%lint_order.a");
+    EXPECT_EQ(report.findings[1].buffer, "%lint_order.b");
+}
+
+TEST(LintHazards, FragmentHazardSurfacesOnComposedLayer)
+{
+    // A race between two streams of one phase fragment survives
+    // composition: layer.infer appends the fragments stream-for-stream,
+    // so linting the composed plan finds it. This is why the standalone
+    // fragments need no lint run of their own beyond capture's.
+    const ScopedLintEnv env("0");
+    const fixtures::ScopedEnv check_env("MULTIGRAIN_CHECK", "0");
+    const sim::DeviceSpec device = sim::DeviceSpec::a100();
+    const ModelConfig model = ModelConfig::tiny_test();
+    Rng rng(2022);
+    const WorkloadSample sample = sample_for_model(rng, model);
+    const TransformerRunner runner(model, SliceMode::kMultigrain, sample,
+                                   /*batch=*/1);
+    const AttentionEngine &engine = runner.attention();
+
+    // Make the first kernel accumulating into "o" in the SpMM fragment
+    // also write it: it now races the other streams' accumulations.
+    auto corrupted = std::make_shared<AttentionEngine::AttentionGraphs>(
+        *engine.forward_graphs(device));
+    const sim::BufferId o = sim::intern_buffer("o");
+    std::string writer;
+    for (std::size_t n = 0; n < corrupted->spmm.size() && writer.empty();
+         ++n) {
+        sim::KernelLaunch &l =
+            corrupted->spmm.launch_for_test(static_cast<int>(n));
+        if (std::find(l.accums.begin(), l.accums.end(), o) !=
+            l.accums.end()) {
+            l.writes.push_back(o);
+            writer = l.name;
+        }
+    }
+    ASSERT_FALSE(writer.empty()) << "no accumulation of o in the fragment";
+    const LintReport fragment = lint_graph(corrupted->spmm);
+    ASSERT_GT(fragment.hazards(), 0u);
+    EXPECT_EQ(fragment.findings.front().buffer, "o");
+
+    // Serve the corrupted fragments from the cache, then compose.
+    PlanCache::instance().clear();
+    const std::string key =
+        engine.plan_key() + "|fwd|" + device_plan_key(device);
+    PlanCache::instance().get_or_build<AttentionEngine::AttentionGraphs>(
+        key, [&] { return corrupted; });
+    ASSERT_EQ(engine.forward_graphs(device).get(), corrupted.get());
+    const LintReport layer = lint_graph(*runner.layer_graph(
+        device, TransformerRunner::LayerKind::kInference));
+    EXPECT_EQ(layer.hazards(), fragment.hazards());
+    bool found = false;
+    for (const LintFinding &f : layer.findings) {
+        found = found || (is_hazard(f.kind) && f.buffer == "o" &&
+                          f.message.find("attn." + writer) !=
+                              std::string::npos);
+    }
+    EXPECT_TRUE(found) << "the fragment's race on o is missing from"
+                          " layer.infer";
+    PlanCache::instance().clear();
 }
 
 // ---------------------------------------------------------------------------
@@ -665,7 +716,7 @@ TEST(LintEnforcement, HazardousPlanNeverEntersTheCache)
         graph->launch(0, sim::annotate(toy_launch("gemm.w"), {}, {"hz"}));
         graph->launch(s1, sim::annotate(toy_launch("gemm.r"), {"hz"}, {}));
         // The builders call this right before returning into the cache.
-        enforce_capture_lint(*graph, device, key);
+        verify_capture(*graph, device, key);
         return graph;
     };
     EXPECT_THROW(PlanCache::instance().get_or_build<LaunchGraph>(key, build),
@@ -676,7 +727,7 @@ TEST(LintEnforcement, HazardousPlanNeverEntersTheCache)
     // out of the cache entirely.
     EXPECT_EQ(builds, 2);
 
-    // With enforcement off the same plan caches fine (mglint reports it
+    // With enforcement off the same plan caches fine (mgplan reports it
     // instead).
     const ScopedLintEnv off("0");
     EXPECT_NO_THROW(
@@ -702,134 +753,6 @@ TEST(LintReportApi, SummaryAndCounts)
     EXPECT_EQ(report.summary(), "1 error(s), 1 warning(s), 0 info(s)");
     // Hazards sort first regardless of discovery order.
     EXPECT_TRUE(is_hazard(report.findings.front().kind));
-}
-
-// ---------------------------------------------------------------------------
-// HappensBefore vs a naive per-node BFS oracle. The bitset implementation
-// packs ancestors into 64-bit words; these shapes are chosen to stress the
-// packing (chains longer than one word, fan-out wider than one word) and
-// the transitive closure (diamonds, randomized join schedules).
-
-/// Reference implementation: reach[j] = ancestors of j, via backward BFS
-/// over the dep edges — O(V * E), obviously correct.
-std::vector<std::vector<bool>>
-bfs_ancestors(const LaunchGraph &graph)
-{
-    const std::vector<LaunchGraphNode> &nodes = graph.nodes();
-    std::vector<std::vector<bool>> reach(nodes.size());
-    for (std::size_t j = 0; j < nodes.size(); ++j) {
-        reach[j].assign(nodes.size(), false);
-        std::vector<int> frontier = nodes[j].deps;
-        while (!frontier.empty()) {
-            const int i = frontier.back();
-            frontier.pop_back();
-            if (reach[j][static_cast<std::size_t>(i)]) {
-                continue;
-            }
-            reach[j][static_cast<std::size_t>(i)] = true;
-            const std::vector<int> &deps =
-                nodes[static_cast<std::size_t>(i)].deps;
-            frontier.insert(frontier.end(), deps.begin(), deps.end());
-        }
-    }
-    return reach;
-}
-
-void
-expect_matches_oracle(const LaunchGraph &graph)
-{
-    const HappensBefore hb(graph.nodes());
-    const std::vector<std::vector<bool>> oracle = bfs_ancestors(graph);
-    for (std::size_t j = 0; j < graph.nodes().size(); ++j) {
-        for (std::size_t i = 0; i < graph.nodes().size(); ++i) {
-            ASSERT_EQ(hb.ordered(static_cast<int>(i), static_cast<int>(j)),
-                      oracle[j][i])
-                << "ordered(" << i << ", " << j << ") disagrees with the"
-                << " BFS oracle";
-        }
-    }
-}
-
-TEST(HappensBeforeOracle, DeepChainCrossesWordBoundaries)
-{
-    // 150 nodes on one stream: every pair is ordered, and the ancestor
-    // bitsets span three 64-bit words.
-    LaunchGraph graph;
-    for (int i = 0; i < 150; ++i) {
-        graph.launch(0, toy_launch("chain"));
-    }
-    expect_matches_oracle(graph);
-    const HappensBefore hb(graph.nodes());
-    EXPECT_TRUE(hb.ordered(0, 149));
-    EXPECT_TRUE(hb.ordered(63, 64));   // Word-boundary neighbors.
-    EXPECT_TRUE(hb.ordered(64, 128));
-    EXPECT_FALSE(hb.ordered(149, 0));
-}
-
-TEST(HappensBeforeOracle, WideFanOutIsMutuallyUnordered)
-{
-    // One producer, a join barrier, then 70 single-node streams: each
-    // consumer is ordered after the producer but unordered against its
-    // 69 siblings.
-    LaunchGraph graph;
-    graph.launch(0, toy_launch("produce"));
-    graph.join_streams();
-    std::vector<int> streams;
-    for (int i = 0; i < 69; ++i) {
-        streams.push_back(graph.create_stream());
-    }
-    graph.launch(0, toy_launch("consume"));
-    for (const int s : streams) {
-        graph.launch(s, toy_launch("consume"));
-    }
-    expect_matches_oracle(graph);
-    const HappensBefore hb(graph.nodes());
-    EXPECT_TRUE(hb.ordered(0, 35));
-    EXPECT_FALSE(hb.ordered(35, 36));
-    EXPECT_FALSE(hb.ordered(1, 69));
-}
-
-TEST(HappensBeforeOracle, DiamondJoins)
-{
-    // a -> {b, c} -> d: the classic shape where naive "dep of dep"
-    // reasoning breaks and transitive closure is required.
-    LaunchGraph graph;
-    const int s1 = graph.create_stream();
-    graph.launch(0, toy_launch("a"));
-    graph.join_streams();
-    graph.launch(0, toy_launch("b"));
-    graph.launch(s1, toy_launch("c"));
-    graph.join_streams();
-    graph.launch(0, toy_launch("d"));
-    expect_matches_oracle(graph);
-    const HappensBefore hb(graph.nodes());
-    EXPECT_TRUE(hb.ordered(0, 3));   // a -> d through either arm.
-    EXPECT_FALSE(hb.ordered(1, 2));  // The arms stay unordered.
-    EXPECT_FALSE(hb.ordered(2, 1));
-}
-
-TEST(HappensBeforeOracle, RandomizedSchedulesMatchOracle)
-{
-    // Adversarial soup: random stream choices and join barriers across
-    // enough nodes to exercise multi-word bitsets, pinned seeds so a
-    // failure reproduces.
-    for (const std::uint64_t seed : {1ull, 2022ull, 0xdecafull}) {
-        Rng rng(seed);
-        LaunchGraph graph;
-        std::vector<int> streams = {0};
-        for (int i = 0; i < 4; ++i) {
-            streams.push_back(graph.create_stream());
-        }
-        for (int i = 0; i < 90; ++i) {
-            if (rng.next_below(8) == 0) {
-                graph.join_streams();
-            }
-            const std::size_t s = static_cast<std::size_t>(
-                rng.next_below(streams.size()));
-            graph.launch(streams[s], toy_launch("rnd"));
-        }
-        expect_matches_oracle(graph);
-    }
 }
 
 }  // namespace

@@ -20,6 +20,8 @@
 
 #include <gtest/gtest.h>
 
+#include "plan_test_util.h"
+
 #include "common/error.h"
 #include "common/rng.h"
 #include "core/attention.h"
@@ -35,17 +37,7 @@
 namespace multigrain {
 namespace {
 
-sim::KernelLaunch
-toy_launch(const std::string &name)
-{
-    sim::KernelLaunch launch;
-    launch.name = name;
-    sim::TbWork work;
-    work.cuda_flops = 1024;
-    work.dram_read_bytes = 1024;
-    launch.add_tb(work, 4);
-    return launch;
-}
+using fixtures::toy_launch;
 
 const MemPlanBuffer &
 find_buffer(const MemPlan &plan, const std::string &name)
