@@ -35,9 +35,9 @@ const std::vector<index_t> kBatches = {1, 2, 4, 8};
 double
 simulate_one(sim::KernelLaunch launch)
 {
-    sim::GpuSim sim(sim::DeviceSpec::a100());
-    sim.launch(0, std::move(launch));
-    return sim.run().total_us;
+    LaunchGraph graph;
+    graph.launch(0, std::move(launch));
+    return sim::simulate(sim::DeviceSpec::a100(), graph).total_us;
 }
 
 struct Ratios {

@@ -58,9 +58,10 @@ run_local(index_t window)
         AttentionEngine(pattern, config(), SliceMode::kCoarseOnly)
             .simulate(sim::DeviceSpec::a100())
             .total_us;
-    sim::GpuSim sim(sim::DeviceSpec::a100());
-    kernels::plan_sliding_chunk(sim, kSeqLen, window, kHeadDim, kHeads);
-    const sim::SimResult r = sim.run();
+    const sim::DeviceSpec device = sim::DeviceSpec::a100();
+    const sim::SimResult r = sim::simulate(
+        device, kernels::plan_sliding_chunk(device, kSeqLen, window,
+                                            kHeadDim, kHeads));
     row.chunked_us = r.total_us;
     row.chunked_copy_gb = r.dram_bytes_for("chunk.copy") / 1e9;
     return row;
@@ -81,9 +82,10 @@ run_blocked(index_t block)
         AttentionEngine(pattern, config(), SliceMode::kCoarseOnly)
             .simulate(sim::DeviceSpec::a100())
             .total_us;
-    sim::GpuSim sim(sim::DeviceSpec::a100());
-    kernels::plan_blockify(sim, kSeqLen, block, kHeadDim, kHeads);
-    const sim::SimResult r = sim.run();
+    const sim::DeviceSpec device = sim::DeviceSpec::a100();
+    const sim::SimResult r = sim::simulate(
+        device,
+        kernels::plan_blockify(device, kSeqLen, block, kHeadDim, kHeads));
     row.chunked_us = r.total_us;
     row.chunked_copy_gb = r.dram_bytes_for("blockify.copy") / 1e9;
     return row;

@@ -25,6 +25,15 @@ struct Roofline {
     double cuda_tflops = 0;
 };
 
+/// One kernel recorded into a graph, simulated alone on `device`.
+sim::SimResult
+simulate_one(const sim::DeviceSpec &device, sim::KernelLaunch launch)
+{
+    LaunchGraph graph;
+    graph.launch(0, std::move(launch));
+    return sim::simulate(device, graph);
+}
+
 Roofline
 measure(const sim::DeviceSpec &device)
 {
@@ -32,18 +41,17 @@ measure(const sim::DeviceSpec &device)
     {
         // 8192^3 FP16 GEMM.
         const double flops = 2.0 * 8192 * 8192 * 8192;
-        sim::GpuSim sim(device);
-        sim.launch(0, kernels::plan_dense_gemm(device, 8192, 8192, 8192, 1,
-                                               "gemm"));
-        r.gemm_tflops = flops / sim.run().total_us / 1e6;
+        const sim::SimResult res = simulate_one(
+            device,
+            kernels::plan_dense_gemm(device, 8192, 8192, 8192, 1, "gemm"));
+        r.gemm_tflops = flops / res.total_us / 1e6;
     }
     {
         // 1 GiB element-wise stream (1 read + 1 write).
         const index_t elements = 256ll << 20;
-        sim::GpuSim sim(device);
-        sim.launch(0, kernels::plan_elementwise(device, elements, 1, 1.0,
-                                                "stream"));
-        const sim::SimResult res = sim.run();
+        const sim::SimResult res = simulate_one(
+            device,
+            kernels::plan_elementwise(device, elements, 1, 1.0, "stream"));
         r.stream_gbps = res.work.dram_bytes() / res.total_us / 1e3;
     }
     {
@@ -54,10 +62,9 @@ measure(const sim::DeviceSpec &device)
         sim::TbWork w;
         w.cuda_flops = 1e8;
         launch.add_tb(w, device.num_sms * 32);
-        sim::GpuSim sim(device);
         const double flops = launch.total_work().cuda_flops;
-        sim.launch(0, std::move(launch));
-        r.cuda_tflops = flops / sim.run().total_us / 1e6;
+        r.cuda_tflops =
+            flops / simulate_one(device, std::move(launch)).total_us / 1e6;
     }
     return r;
 }

@@ -2,12 +2,14 @@
 #define MULTIGRAIN_BENCH_BENCH_UTIL_H_
 
 #include <charconv>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -271,19 +273,54 @@ split_csv(const std::string &s)
     return out;
 }
 
-/// Parses the value of `flag` as a non-negative decimal integer. Anything
-/// else (empty, signed, trailing junk, out of range) throws Error, so a
-/// bad number exits 1 like any other bad invocation instead of escaping
-/// main() as std::invalid_argument.
-inline std::uint64_t
-parse_unsigned(const std::string &flag, const std::string &text)
+namespace detail {
+
+/// Parses all of `text` as one T with std::from_chars; anything else
+/// (empty, trailing junk, out of T's range) throws Error naming `flag`.
+template <typename T>
+T
+parse_number(const std::string &flag, const std::string &text,
+             const char *expected)
 {
-    std::uint64_t value = 0;
+    T value{};
     const char *end = text.data() + text.size();
     const auto [ptr, ec] = std::from_chars(text.data(), end, value);
     if (text.empty() || ec != std::errc() || ptr != end) {
-        throw Error(flag + " needs a non-negative integer, got \"" + text +
-                    "\"");
+        throw Error(flag + " needs " + expected + ", got \"" + text + "\"");
+    }
+    return value;
+}
+
+}  // namespace detail
+
+/// Parses the value of `flag` as a non-negative decimal integer that fits
+/// T. Anything else (empty, signed, trailing junk, out of range) throws
+/// Error, so a bad number exits 1 like any other bad invocation instead of
+/// escaping main() as std::invalid_argument or wrapping around.
+template <typename T = std::uint64_t>
+T
+parse_unsigned(const std::string &flag, const std::string &text)
+{
+    static_assert(std::is_unsigned_v<T>);
+    return detail::parse_number<T>(flag, text, "a non-negative integer");
+}
+
+/// parse_unsigned for a signed decimal integer that fits T.
+template <typename T = std::int64_t>
+T
+parse_signed(const std::string &flag, const std::string &text)
+{
+    static_assert(std::is_signed_v<T>);
+    return detail::parse_number<T>(flag, text, "an integer");
+}
+
+/// parse_unsigned for a finite decimal floating-point number.
+inline double
+parse_double(const std::string &flag, const std::string &text)
+{
+    const double value = detail::parse_number<double>(flag, text, "a number");
+    if (!std::isfinite(value)) {
+        throw Error(flag + " needs a finite number, got \"" + text + "\"");
     }
     return value;
 }
@@ -507,9 +544,9 @@ preset_fig11(const sim::DeviceSpec &device)
     constexpr index_t kHeadDim = 64;
     constexpr index_t kHeads = 4;
     const auto simulate_one = [&device](sim::KernelLaunch launch) {
-        sim::GpuSim sim(device);
-        sim.launch(0, std::move(launch));
-        return sim.run().total_us;
+        LaunchGraph graph;
+        graph.launch(0, std::move(launch));
+        return sim::simulate(device, graph).total_us;
     };
 
     prof::BenchRun run;

@@ -1,7 +1,6 @@
 #include "core/attention.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <cstdio>
 #include <limits>
@@ -23,14 +22,6 @@
 namespace multigrain {
 
 namespace {
-
-/// Process-unique ids for stream-binding slots (see GpuSim::stream_binding).
-std::uint64_t
-next_binding_key()
-{
-    static std::atomic<std::uint64_t> counter{1};
-    return counter.fetch_add(1, std::memory_order_relaxed);
-}
 
 std::string
 attention_meta_key(std::uint64_t pattern_fp, const AttentionConfig &config,
@@ -103,9 +94,7 @@ AttentionEngine::AttentionEngine(const CompoundPattern &pattern,
                                  const AttentionConfig &config,
                                  SliceMode mode)
     : config_(config),
-      pattern_fp_(pattern.fingerprint()),
-      replay_key_(next_binding_key()),
-      direct_key_(next_binding_key())
+      pattern_fp_(pattern.fingerprint())
 {
     MG_CHECK(config.head_dim > 0 && config.num_heads > 0 &&
              config.batch > 0)
@@ -242,36 +231,25 @@ AttentionEngine::run(const HalfMatrix &q, const HalfMatrix &k,
 // Stream assignment.
 
 AttentionEngine::Streams
-AttentionEngine::capture_streams(LaunchSink &sink) const
+AttentionEngine::capture_streams(LaunchGraph &graph) const
 {
     // Each engine gets its own streams so several engines' phases can
     // co-schedule (heterogeneous batches). Baselines and the single-stream
     // ablation use one stream; Multigrain uses three (§3.1). Creation
-    // order (coarse, fine, special) is part of the replay contract: it is
-    // what makes replayed stream numbering match the direct path's.
+    // order (coarse, fine, special) is part of the replay contract: every
+    // graph of one engine numbers its logical streams alike, so one
+    // binding or stream map serves all of them.
     Streams s;
-    s.coarse = sink.create_stream();
+    s.coarse = graph.create_stream();
     const bool multi = plan_.mode == SliceMode::kMultigrain &&
                        config_.multi_stream;
-    s.fine = multi ? sink.create_stream() : s.coarse;
-    s.special = multi ? sink.create_stream() : s.coarse;
+    s.fine = multi ? graph.create_stream() : s.coarse;
+    s.special = multi ? graph.create_stream() : s.coarse;
     return s;
 }
 
-AttentionEngine::Streams
-AttentionEngine::direct_streams(sim::GpuSim &sim) const
-{
-    std::vector<int> &binding = sim.stream_binding(direct_key_);
-    if (binding.empty()) {
-        GpuSimSink sink(sim);
-        const Streams s = capture_streams(sink);
-        binding = {s.coarse, s.fine, s.special};
-    }
-    return Streams{binding[0], binding[1], binding[2]};
-}
-
 // ---------------------------------------------------------------------------
-// Phase bodies, written once over LaunchSink.
+// Phase bodies, recorded into a capture graph.
 
 namespace {
 
@@ -285,124 +263,116 @@ constexpr unsigned kInbound = sim::kBufInput;
 }  // namespace
 
 void
-AttentionEngine::build_sddmm(LaunchSink &sink, const sim::DeviceSpec &dev,
-                             const Streams &streams,
-                             const std::string &name_prefix) const
+AttentionEngine::build_sddmm(LaunchGraph &graph, const sim::DeviceSpec &dev,
+                             const Streams &streams) const
 {
     const index_t dh = config_.head_dim;
     const index_t replicas = config_.batch * config_.num_heads;
     const index_t g = static_cast<index_t>(plan_.global_rows.size());
     const AttnBufferBytes bb = attn_buffer_bytes(plan_, config_);
-    const auto named = [&name_prefix](const char *base) {
-        return name_prefix + base;
-    };
 
     switch (plan_.mode) {
       case SliceMode::kCoarseOnly: {
         // SDDMM uses BCOO while SpMM uses BSR (§2.4's format duplication).
         const BcooLayout bcoo = bcoo_from_bsr(*plan_.coarse);
-        sink.launch(streams.coarse,
-                    sim::annotate(kernels::plan_triton_sddmm(
-                                      dev, bcoo, dh, replicas,
-                                      named("sddmm.triton")),
-                                  {{"q", bb.qkv}, {"k", bb.qkv}},
-                                  {{"%s.coarse", bb.coarse}}));
+        graph.launch(streams.coarse,
+                     sim::annotate(kernels::plan_triton_sddmm(
+                                       dev, bcoo, dh, replicas,
+                                       "sddmm.triton"),
+                                   {{"q", bb.qkv}, {"k", bb.qkv}},
+                                   {{"%s.coarse", bb.coarse}}));
         return;
       }
       case SliceMode::kFineOnly:
-        sink.launch(streams.coarse,
-                    sim::annotate(kernels::plan_fine_sddmm(
-                                      dev, *plan_.fine, dh, replicas,
-                                      config_.fine_scheme,
-                                      named("sddmm.sputnik")),
-                                  {{"q", bb.qkv}, {"k", bb.qkv}},
-                                  {{"%s.fine", bb.fine}}));
+        graph.launch(streams.coarse,
+                     sim::annotate(kernels::plan_fine_sddmm(
+                                       dev, *plan_.fine, dh, replicas,
+                                       config_.fine_scheme,
+                                       "sddmm.sputnik"),
+                                   {{"q", bb.qkv}, {"k", bb.qkv}},
+                                   {{"%s.fine", bb.fine}}));
         return;
       case SliceMode::kDense:
-        sink.launch(streams.coarse,
-                    sim::annotate(kernels::plan_dense_gemm(
-                                      dev, plan_.seq_len, plan_.seq_len, dh,
-                                      replicas, named("sddmm.dense")),
-                                  {{"q", bb.qkv}, {"k", bb.qkv}},
-                                  {{"%s.full", bb.full}}));
+        graph.launch(streams.coarse,
+                     sim::annotate(kernels::plan_dense_gemm(
+                                       dev, plan_.seq_len, plan_.seq_len, dh,
+                                       replicas, "sddmm.dense"),
+                                   {{"q", bb.qkv}, {"k", bb.qkv}},
+                                   {{"%s.full", bb.full}}));
         return;
       case SliceMode::kMultigrain:
         break;
     }
 
     if (plan_.has_coarse()) {
-        sink.launch(streams.coarse,
-                    sim::annotate(kernels::plan_coarse_sddmm(
-                                      dev, *plan_.coarse, dh, replicas,
-                                      named("sddmm.coarse")),
-                                  {{"q", bb.qkv}, {"k", bb.qkv}},
-                                  {{"%s.coarse", bb.coarse}}));
+        graph.launch(streams.coarse,
+                     sim::annotate(kernels::plan_coarse_sddmm(
+                                       dev, *plan_.coarse, dh, replicas,
+                                       "sddmm.coarse"),
+                                   {{"q", bb.qkv}, {"k", bb.qkv}},
+                                   {{"%s.coarse", bb.coarse}}));
     }
     if (plan_.has_fine()) {
-        sink.launch(streams.fine,
-                    sim::annotate(kernels::plan_fine_sddmm(
-                                      dev, *plan_.fine, dh, replicas,
-                                      config_.fine_scheme,
-                                      named("sddmm.fine")),
-                                  {{"q", bb.qkv}, {"k", bb.qkv}},
-                                  {{"%s.fine", bb.fine}}));
+        graph.launch(streams.fine,
+                     sim::annotate(kernels::plan_fine_sddmm(
+                                       dev, *plan_.fine, dh, replicas,
+                                       config_.fine_scheme,
+                                       "sddmm.fine"),
+                                   {{"q", bb.qkv}, {"k", bb.qkv}},
+                                   {{"%s.fine", bb.fine}}));
     }
     if (plan_.has_special()) {
-        sink.launch(streams.special,
-                    sim::annotate(kernels::plan_dense_gemm(
-                                      dev, g, plan_.valid_len, dh, replicas,
-                                      named("sddmm.global")),
-                                  {{"q", bb.qkv}, {"k", bb.qkv}},
-                                  {{"%s.global", bb.global}}));
+        graph.launch(streams.special,
+                     sim::annotate(kernels::plan_dense_gemm(
+                                       dev, g, plan_.valid_len, dh, replicas,
+                                       "sddmm.global"),
+                                   {{"q", bb.qkv}, {"k", bb.qkv}},
+                                   {{"%s.global", bb.global}}));
     }
 }
 
 void
-AttentionEngine::build_softmax(LaunchSink &sink, const sim::DeviceSpec &dev,
-                               const Streams &streams,
-                               const std::string &name_prefix) const
+AttentionEngine::build_softmax(LaunchGraph &graph, const sim::DeviceSpec &dev,
+                               const Streams &streams) const
 {
     const index_t replicas = config_.batch * config_.num_heads;
     const index_t g = static_cast<index_t>(plan_.global_rows.size());
     const AttnBufferBytes bb = attn_buffer_bytes(plan_, config_);
-    const auto named = [&name_prefix](const char *base) {
-        return name_prefix + base;
-    };
 
     switch (plan_.mode) {
       case SliceMode::kCoarseOnly:
-        sink.launch(streams.coarse,
-                    sim::annotate(kernels::plan_triton_softmax(
-                                      dev, *plan_.coarse, replicas,
-                                      named("softmax.triton")),
-                                  {{"%s.coarse", bb.coarse}},
-                                  {{"%s.coarse", bb.coarse}}));
+        graph.launch(streams.coarse,
+                     sim::annotate(kernels::plan_triton_softmax(
+                                       dev, *plan_.coarse, replicas,
+                                       "softmax.triton"),
+                                   {{"%s.coarse", bb.coarse}},
+                                   {{"%s.coarse", bb.coarse}}));
         return;
       case SliceMode::kFineOnly:
-        sink.launch(streams.coarse,
-                    sim::annotate(kernels::plan_fine_softmax(
-                                      dev, *plan_.fine, replicas,
-                                      named("softmax.sputnik")),
-                                  {{"%s.fine", bb.fine}},
-                                  {{"%s.fine", bb.fine}}));
+        graph.launch(streams.coarse,
+                     sim::annotate(kernels::plan_fine_softmax(
+                                       dev, *plan_.fine, replicas,
+                                       "softmax.sputnik"),
+                                   {{"%s.fine", bb.fine}},
+                                   {{"%s.fine", bb.fine}}));
         return;
       case SliceMode::kDense:
         // Additive-mask pass (read S + mask, write S), then dense softmax.
-        sink.launch(streams.coarse,
-                    sim::annotate(kernels::plan_elementwise(
-                                      dev,
-                                      plan_.seq_len * plan_.seq_len *
-                                          replicas,
-                                      2, 2.0, named("softmax.dense.mask")),
-                                  {{"%s.full", bb.full},
-                                   {"%mask", bb.mask, kInbound}},
-                                  {{"%s.full", bb.full}}));
-        sink.launch(streams.coarse,
-                    sim::annotate(kernels::plan_dense_softmax(
-                                      dev, plan_.seq_len, plan_.seq_len,
-                                      replicas, named("softmax.dense")),
-                                  {{"%s.full", bb.full}},
-                                  {{"%s.full", bb.full}}));
+        graph.launch(streams.coarse,
+                     sim::annotate(kernels::plan_elementwise(
+                                       dev,
+                                       plan_.seq_len * plan_.seq_len *
+                                           replicas,
+                                       2, 2.0, "softmax.dense.mask"),
+                                   {{"%s.full", bb.full},
+                                    {"%mask", bb.mask, kInbound}},
+                                   {{"%s.full", bb.full}}));
+        graph.launch(streams.coarse,
+                     sim::annotate(kernels::plan_dense_softmax(
+                                       dev, plan_.seq_len, plan_.seq_len,
+                                       replicas, "softmax.dense"),
+                                   {{"%s.full", bb.full}},
+                                   {{"%s.full", bb.full}}));
         return;
       case SliceMode::kMultigrain:
         break;
@@ -417,7 +387,7 @@ AttentionEngine::build_softmax(LaunchSink &sink, const sim::DeviceSpec &dev,
         sim::KernelLaunch softmax = kernels::plan_compound_softmax(
             dev, plan_.has_coarse() ? plan_.coarse.get() : nullptr,
             plan_.has_fine() ? plan_.fine.get() : nullptr, replicas,
-            named("softmax.compound"));
+            "softmax.compound");
         if (plan_.has_coarse() && plan_.has_fine()) {
             softmax = sim::annotate(std::move(softmax),
                                     {{"%s.coarse", bb.coarse},
@@ -433,55 +403,51 @@ AttentionEngine::build_softmax(LaunchSink &sink, const sim::DeviceSpec &dev,
                                     {{"%s.fine", bb.fine}},
                                     {{"%s.fine", bb.fine}});
         }
-        sink.launch(streams.coarse, std::move(softmax));
+        graph.launch(streams.coarse, std::move(softmax));
     }
     if (plan_.has_special()) {
-        sink.launch(streams.special,
-                    sim::annotate(kernels::plan_dense_softmax(
-                                      dev, g, plan_.valid_len, replicas,
-                                      named("softmax.global")),
-                                  {{"%s.global", bb.global}},
-                                  {{"%s.global", bb.global}}));
+        graph.launch(streams.special,
+                     sim::annotate(kernels::plan_dense_softmax(
+                                       dev, g, plan_.valid_len, replicas,
+                                       "softmax.global"),
+                                   {{"%s.global", bb.global}},
+                                   {{"%s.global", bb.global}}));
     }
 }
 
 void
-AttentionEngine::build_spmm(LaunchSink &sink, const sim::DeviceSpec &dev,
-                            const Streams &streams,
-                            const std::string &name_prefix) const
+AttentionEngine::build_spmm(LaunchGraph &graph, const sim::DeviceSpec &dev,
+                            const Streams &streams) const
 {
     const index_t dh = config_.head_dim;
     const index_t replicas = config_.batch * config_.num_heads;
     const index_t g = static_cast<index_t>(plan_.global_rows.size());
     const AttnBufferBytes bb = attn_buffer_bytes(plan_, config_);
-    const auto named = [&name_prefix](const char *base) {
-        return name_prefix + base;
-    };
 
     switch (plan_.mode) {
       case SliceMode::kCoarseOnly:
-        sink.launch(streams.coarse,
-                    sim::annotate(kernels::plan_triton_spmm(
-                                      dev, *plan_.coarse, dh, replicas,
-                                      named("spmm.triton")),
-                                  {{"%s.coarse", bb.coarse}, {"v", bb.qkv}},
-                                  {}, {{"o", bb.qkv, kAccumOut}}));
+        graph.launch(streams.coarse,
+                     sim::annotate(kernels::plan_triton_spmm(
+                                       dev, *plan_.coarse, dh, replicas,
+                                       "spmm.triton"),
+                                   {{"%s.coarse", bb.coarse}, {"v", bb.qkv}},
+                                   {}, {{"o", bb.qkv, kAccumOut}}));
         return;
       case SliceMode::kFineOnly:
-        sink.launch(streams.coarse,
-                    sim::annotate(kernels::plan_fine_spmm(
-                                      dev, *plan_.fine, dh, replicas,
-                                      named("spmm.sputnik")),
-                                  {{"%s.fine", bb.fine}, {"v", bb.qkv}},
-                                  {}, {{"o", bb.qkv, kAccumOut}}));
+        graph.launch(streams.coarse,
+                     sim::annotate(kernels::plan_fine_spmm(
+                                       dev, *plan_.fine, dh, replicas,
+                                       "spmm.sputnik"),
+                                   {{"%s.fine", bb.fine}, {"v", bb.qkv}},
+                                   {}, {{"o", bb.qkv, kAccumOut}}));
         return;
       case SliceMode::kDense:
-        sink.launch(streams.coarse,
-                    sim::annotate(kernels::plan_dense_gemm(
-                                      dev, plan_.seq_len, dh, plan_.seq_len,
-                                      replicas, named("spmm.dense")),
-                                  {{"%s.full", bb.full}, {"v", bb.qkv}},
-                                  {}, {{"o", bb.qkv, kAccumOut}}));
+        graph.launch(streams.coarse,
+                     sim::annotate(kernels::plan_dense_gemm(
+                                       dev, plan_.seq_len, dh, plan_.seq_len,
+                                       replicas, "spmm.dense"),
+                                   {{"%s.full", bb.full}, {"v", bb.qkv}},
+                                   {}, {{"o", bb.qkv, kAccumOut}}));
         return;
       case SliceMode::kMultigrain:
         break;
@@ -490,81 +456,77 @@ AttentionEngine::build_spmm(LaunchSink &sink, const sim::DeviceSpec &dev,
     // Coarse, fine, and global parts all accumulate into the shared output
     // rows — a commutative RMW, so the three streams may overlap freely.
     if (plan_.has_coarse()) {
-        sink.launch(streams.coarse,
-                    sim::annotate(kernels::plan_coarse_spmm(
-                                      dev, *plan_.coarse, dh, replicas,
-                                      named("spmm.coarse")),
-                                  {{"%s.coarse", bb.coarse}, {"v", bb.qkv}},
-                                  {}, {{"o", bb.qkv, kAccumOut}}));
+        graph.launch(streams.coarse,
+                     sim::annotate(kernels::plan_coarse_spmm(
+                                       dev, *plan_.coarse, dh, replicas,
+                                       "spmm.coarse"),
+                                   {{"%s.coarse", bb.coarse}, {"v", bb.qkv}},
+                                   {}, {{"o", bb.qkv, kAccumOut}}));
     }
     if (plan_.has_fine()) {
-        sink.launch(streams.fine,
-                    sim::annotate(kernels::plan_fine_spmm(
-                                      dev, *plan_.fine, dh, replicas,
-                                      named("spmm.fine")),
-                                  {{"%s.fine", bb.fine}, {"v", bb.qkv}},
-                                  {}, {{"o", bb.qkv, kAccumOut}}));
+        graph.launch(streams.fine,
+                     sim::annotate(kernels::plan_fine_spmm(
+                                       dev, *plan_.fine, dh, replicas,
+                                       "spmm.fine"),
+                                   {{"%s.fine", bb.fine}, {"v", bb.qkv}},
+                                   {}, {{"o", bb.qkv, kAccumOut}}));
     }
     if (plan_.has_special()) {
-        sink.launch(streams.special,
-                    sim::annotate(kernels::plan_dense_gemm(
-                                      dev, g, dh, plan_.valid_len, replicas,
-                                      named("spmm.global")),
-                                  {{"%s.global", bb.global}, {"v", bb.qkv}},
-                                  {}, {{"o", bb.qkv, kAccumOut}}));
+        graph.launch(streams.special,
+                     sim::annotate(kernels::plan_dense_gemm(
+                                       dev, g, dh, plan_.valid_len, replicas,
+                                       "spmm.global"),
+                                   {{"%s.global", bb.global}, {"v", bb.qkv}},
+                                   {}, {{"o", bb.qkv, kAccumOut}}));
     }
 }
 
 void
-AttentionEngine::build_backward(LaunchSink &sink, const sim::DeviceSpec &dev,
-                                const Streams &streams,
-                                const std::string &name_prefix) const
+AttentionEngine::build_backward(LaunchGraph &graph, const sim::DeviceSpec &dev,
+                                const Streams &streams) const
 {
     const index_t dh = config_.head_dim;
     const index_t replicas = config_.batch * config_.num_heads;
     const index_t g = static_cast<index_t>(plan_.global_rows.size());
     const AttnBufferBytes bb = attn_buffer_bytes(plan_, config_);
-    const auto named = [&name_prefix](const char *base) {
-        return name_prefix + base;
-    };
 
     if (plan_.mode == SliceMode::kDense) {
         const index_t L = plan_.seq_len;
-        sink.launch(streams.coarse,
-                    sim::annotate(kernels::plan_dense_gemm(
-                                      dev, L, L, dh, replicas,
-                                      named("bwd.sddmm.dp.dense")),
-                                  {{"d_out", bb.qkv}, {"v", bb.qkv}},
-                                  {{"%dp.full", bb.full}}));
-        sink.launch(streams.coarse,
-                    sim::annotate(kernels::plan_dense_gemm(
-                                      dev, L, dh, L, replicas,
-                                      named("bwd.spmm_t.dv.dense")),
-                                  {{"%p.full", bb.full, kInbound},
-                                   {"d_out", bb.qkv}},
-                                  {}, {{"dv", bb.qkv, kAccumOut}}));
-        sink.join_streams();
-        sink.launch(streams.coarse,
-                    sim::annotate(kernels::plan_elementwise(
-                                      dev, L * L * replicas, 2, 6.0,
-                                      named("bwd.softmax.dense")),
-                                  {{"%p.full", bb.full, kInbound},
-                                   {"%dp.full", bb.full}},
-                                  {{"%dp.full", bb.full}}));
-        sink.join_streams();
-        sink.launch(streams.coarse,
-                    sim::annotate(kernels::plan_dense_gemm(
-                                      dev, L, dh, L, replicas,
-                                      named("bwd.spmm.dq.dense")),
-                                  {{"%dp.full", bb.full}, {"k", bb.qkv}},
-                                  {}, {{"dq", bb.qkv, kAccumOut}}));
-        sink.launch(streams.coarse,
-                    sim::annotate(kernels::plan_dense_gemm(
-                                      dev, L, dh, L, replicas,
-                                      named("bwd.spmm_t.dk.dense")),
-                                  {{"%dp.full", bb.full}, {"q", bb.qkv}},
-                                  {}, {{"dk", bb.qkv, kAccumOut}}));
-        sink.join_streams();
+        graph.launch(streams.coarse,
+                     sim::annotate(kernels::plan_dense_gemm(
+                                       dev, L, L, dh, replicas,
+                                       "bwd.sddmm.dp.dense"),
+                                   {{"d_out", bb.qkv}, {"v", bb.qkv}},
+                                   {{"%dp.full", bb.full}}));
+        graph.launch(streams.coarse,
+                     sim::annotate(kernels::plan_dense_gemm(
+                                       dev, L, dh, L, replicas,
+                                       "bwd.spmm_t.dv.dense"),
+                                   {{"%p.full", bb.full, kInbound},
+                                    {"d_out", bb.qkv}},
+                                   {}, {{"dv", bb.qkv, kAccumOut}}));
+        graph.join_streams();
+        graph.launch(streams.coarse,
+                     sim::annotate(kernels::plan_elementwise(
+                                       dev, L * L * replicas, 2, 6.0,
+                                       "bwd.softmax.dense"),
+                                   {{"%p.full", bb.full, kInbound},
+                                    {"%dp.full", bb.full}},
+                                   {{"%dp.full", bb.full}}));
+        graph.join_streams();
+        graph.launch(streams.coarse,
+                     sim::annotate(kernels::plan_dense_gemm(
+                                       dev, L, dh, L, replicas,
+                                       "bwd.spmm.dq.dense"),
+                                   {{"%dp.full", bb.full}, {"k", bb.qkv}},
+                                   {}, {{"dq", bb.qkv, kAccumOut}}));
+        graph.launch(streams.coarse,
+                     sim::annotate(kernels::plan_dense_gemm(
+                                       dev, L, dh, L, replicas,
+                                       "bwd.spmm_t.dk.dense"),
+                                   {{"%dp.full", bb.full}, {"q", bb.qkv}},
+                                   {}, {{"dk", bb.qkv, kAccumOut}}));
+        graph.join_streams();
         return;
     }
 
@@ -576,76 +538,76 @@ AttentionEngine::build_backward(LaunchSink &sink, const sim::DeviceSpec &dev,
     if (has_coarse) {
         if (coarse_only) {
             const BcooLayout bcoo = bcoo_from_bsr(*plan_.coarse);
-            sink.launch(streams.coarse,
-                        sim::annotate(kernels::plan_triton_sddmm(
-                                          dev, bcoo, dh, replicas,
-                                          named("bwd.sddmm.dp")),
-                                      {{"d_out", bb.qkv}, {"v", bb.qkv}},
-                                      {{"%dp.coarse", bb.coarse}}));
-            sink.launch(streams.coarse,
-                        sim::annotate(kernels::plan_triton_spmm(
-                                          dev, coarse_transposed(), dh,
-                                          replicas,
-                                          named("bwd.spmm_t.dv")),
-                                      {{"%p.coarse", bb.coarse, kInbound},
-                                       {"d_out", bb.qkv}},
-                                      {}, {{"dv", bb.qkv, kAccumOut}}));
+            graph.launch(streams.coarse,
+                         sim::annotate(kernels::plan_triton_sddmm(
+                                           dev, bcoo, dh, replicas,
+                                           "bwd.sddmm.dp"),
+                                       {{"d_out", bb.qkv}, {"v", bb.qkv}},
+                                       {{"%dp.coarse", bb.coarse}}));
+            graph.launch(streams.coarse,
+                         sim::annotate(kernels::plan_triton_spmm(
+                                           dev, coarse_transposed(), dh,
+                                           replicas,
+                                           "bwd.spmm_t.dv"),
+                                       {{"%p.coarse", bb.coarse, kInbound},
+                                        {"d_out", bb.qkv}},
+                                       {}, {{"dv", bb.qkv, kAccumOut}}));
         } else {
-            sink.launch(streams.coarse,
-                        sim::annotate(kernels::plan_coarse_sddmm(
-                                          dev, *plan_.coarse, dh, replicas,
-                                          named("bwd.sddmm.dp")),
-                                      {{"d_out", bb.qkv}, {"v", bb.qkv}},
-                                      {{"%dp.coarse", bb.coarse}}));
-            sink.launch(streams.coarse,
-                        sim::annotate(kernels::plan_coarse_spmm(
-                                          dev, coarse_transposed(), dh,
-                                          replicas,
-                                          named("bwd.spmm_t.dv")),
-                                      {{"%p.coarse", bb.coarse, kInbound},
-                                       {"d_out", bb.qkv}},
-                                      {}, {{"dv", bb.qkv, kAccumOut}}));
+            graph.launch(streams.coarse,
+                         sim::annotate(kernels::plan_coarse_sddmm(
+                                           dev, *plan_.coarse, dh, replicas,
+                                           "bwd.sddmm.dp"),
+                                       {{"d_out", bb.qkv}, {"v", bb.qkv}},
+                                       {{"%dp.coarse", bb.coarse}}));
+            graph.launch(streams.coarse,
+                         sim::annotate(kernels::plan_coarse_spmm(
+                                           dev, coarse_transposed(), dh,
+                                           replicas,
+                                           "bwd.spmm_t.dv"),
+                                       {{"%p.coarse", bb.coarse, kInbound},
+                                        {"d_out", bb.qkv}},
+                                       {}, {{"dv", bb.qkv, kAccumOut}}));
         }
     }
     if (has_fine) {
-        sink.launch(streams.fine,
-                    sim::annotate(kernels::plan_fine_sddmm(
-                                      dev, *plan_.fine, dh, replicas,
-                                      config_.fine_scheme,
-                                      named("bwd.sddmm.dp.fine")),
-                                  {{"d_out", bb.qkv}, {"v", bb.qkv}},
-                                  {{"%dp.fine", bb.fine}}));
-        sink.launch(streams.fine,
-                    sim::annotate(kernels::plan_fine_spmm(
-                                      dev, fine_transposed(), dh, replicas,
-                                      named("bwd.spmm_t.dv.fine")),
-                                  {{"%p.fine", bb.fine, kInbound},
-                                   {"d_out", bb.qkv}},
-                                  {}, {{"dv", bb.qkv, kAccumOut}}));
+        graph.launch(streams.fine,
+                     sim::annotate(kernels::plan_fine_sddmm(
+                                       dev, *plan_.fine, dh, replicas,
+                                       config_.fine_scheme,
+                                       "bwd.sddmm.dp.fine"),
+                                   {{"d_out", bb.qkv}, {"v", bb.qkv}},
+                                   {{"%dp.fine", bb.fine}}));
+        graph.launch(streams.fine,
+                     sim::annotate(kernels::plan_fine_spmm(
+                                       dev, fine_transposed(), dh, replicas,
+                                       "bwd.spmm_t.dv.fine"),
+                                   {{"%p.fine", bb.fine, kInbound},
+                                    {"d_out", bb.qkv}},
+                                   {}, {{"dv", bb.qkv, kAccumOut}}));
     }
     if (plan_.has_special()) {
-        sink.launch(streams.special,
-                    sim::annotate(kernels::plan_dense_gemm(
-                                      dev, g, plan_.valid_len, dh, replicas,
-                                      named("bwd.sddmm.dp.global")),
-                                  {{"d_out", bb.qkv}, {"v", bb.qkv}},
-                                  {{"%dp.global", bb.global}}));
-        sink.launch(streams.special,
-                    sim::annotate(kernels::plan_dense_gemm(
-                                      dev, plan_.valid_len, dh, g, replicas,
-                                      named("bwd.spmm_t.dv.global")),
-                                  {{"%p.global", bb.global, kInbound},
-                                   {"d_out", bb.qkv}},
-                                  {}, {{"dv", bb.qkv, kAccumOut}}));
+        graph.launch(streams.special,
+                     sim::annotate(kernels::plan_dense_gemm(
+                                       dev, g, plan_.valid_len, dh, replicas,
+                                       "bwd.sddmm.dp.global"),
+                                   {{"d_out", bb.qkv}, {"v", bb.qkv}},
+                                   {{"%dp.global", bb.global}}));
+        graph.launch(streams.special,
+                     sim::annotate(kernels::plan_dense_gemm(
+                                       dev, plan_.valid_len, dh, g, replicas,
+                                       "bwd.spmm_t.dv.global"),
+                                   {{"%p.global", bb.global, kInbound},
+                                    {"d_out", bb.qkv}},
+                                   {}, {{"dv", bb.qkv, kAccumOut}}));
     }
-    sink.join_streams();
+    graph.join_streams();
 
     // ---- Phase B2: fused softmax backward (plus the dense global rows).
     if (has_coarse || has_fine) {
         sim::KernelLaunch softmax_bwd = kernels::plan_compound_softmax_backward(
             dev, has_coarse ? plan_.coarse.get() : nullptr,
             has_fine ? plan_.fine.get() : nullptr, replicas,
-            named("bwd.softmax.compound"));
+            "bwd.softmax.compound");
         if (has_coarse && has_fine) {
             softmax_bwd = sim::annotate(
                 std::move(softmax_bwd),
@@ -664,86 +626,86 @@ AttentionEngine::build_backward(LaunchSink &sink, const sim::DeviceSpec &dev,
                                          {"%dp.fine", bb.fine}},
                                         {{"%dp.fine", bb.fine}});
         }
-        sink.launch(streams.coarse, std::move(softmax_bwd));
+        graph.launch(streams.coarse, std::move(softmax_bwd));
     }
     if (plan_.has_special()) {
-        sink.launch(streams.special,
-                    sim::annotate(kernels::plan_dense_softmax(
-                                      dev, g, plan_.valid_len, replicas,
-                                      named("bwd.softmax.global")),
-                                  {{"%p.global", bb.global, kInbound},
-                                   {"%dp.global", bb.global}},
-                                  {{"%dp.global", bb.global}}));
+        graph.launch(streams.special,
+                     sim::annotate(kernels::plan_dense_softmax(
+                                       dev, g, plan_.valid_len, replicas,
+                                       "bwd.softmax.global"),
+                                   {{"%p.global", bb.global, kInbound},
+                                    {"%dp.global", bb.global}},
+                                   {{"%dp.global", bb.global}}));
     }
-    sink.join_streams();
+    graph.join_streams();
 
     // ---- Phase B3: dQ SpMMs and the dK transposed SpMMs.
     if (has_coarse) {
         if (coarse_only) {
-            sink.launch(streams.coarse,
-                        sim::annotate(kernels::plan_triton_spmm(
-                                          dev, *plan_.coarse, dh, replicas,
-                                          named("bwd.spmm.dq")),
-                                      {{"%dp.coarse", bb.coarse},
-                                       {"k", bb.qkv}},
-                                      {}, {{"dq", bb.qkv, kAccumOut}}));
-            sink.launch(streams.coarse,
-                        sim::annotate(kernels::plan_triton_spmm(
-                                          dev, coarse_transposed(), dh,
-                                          replicas,
-                                          named("bwd.spmm_t.dk")),
-                                      {{"%dp.coarse", bb.coarse},
-                                       {"q", bb.qkv}},
-                                      {}, {{"dk", bb.qkv, kAccumOut}}));
+            graph.launch(streams.coarse,
+                         sim::annotate(kernels::plan_triton_spmm(
+                                           dev, *plan_.coarse, dh, replicas,
+                                           "bwd.spmm.dq"),
+                                       {{"%dp.coarse", bb.coarse},
+                                        {"k", bb.qkv}},
+                                       {}, {{"dq", bb.qkv, kAccumOut}}));
+            graph.launch(streams.coarse,
+                         sim::annotate(kernels::plan_triton_spmm(
+                                           dev, coarse_transposed(), dh,
+                                           replicas,
+                                           "bwd.spmm_t.dk"),
+                                       {{"%dp.coarse", bb.coarse},
+                                        {"q", bb.qkv}},
+                                       {}, {{"dk", bb.qkv, kAccumOut}}));
         } else {
-            sink.launch(streams.coarse,
-                        sim::annotate(kernels::plan_coarse_spmm(
-                                          dev, *plan_.coarse, dh, replicas,
-                                          named("bwd.spmm.dq")),
-                                      {{"%dp.coarse", bb.coarse},
-                                       {"k", bb.qkv}},
-                                      {}, {{"dq", bb.qkv, kAccumOut}}));
-            sink.launch(streams.coarse,
-                        sim::annotate(kernels::plan_coarse_spmm(
-                                          dev, coarse_transposed(), dh,
-                                          replicas,
-                                          named("bwd.spmm_t.dk")),
-                                      {{"%dp.coarse", bb.coarse},
-                                       {"q", bb.qkv}},
-                                      {}, {{"dk", bb.qkv, kAccumOut}}));
+            graph.launch(streams.coarse,
+                         sim::annotate(kernels::plan_coarse_spmm(
+                                           dev, *plan_.coarse, dh, replicas,
+                                           "bwd.spmm.dq"),
+                                       {{"%dp.coarse", bb.coarse},
+                                        {"k", bb.qkv}},
+                                       {}, {{"dq", bb.qkv, kAccumOut}}));
+            graph.launch(streams.coarse,
+                         sim::annotate(kernels::plan_coarse_spmm(
+                                           dev, coarse_transposed(), dh,
+                                           replicas,
+                                           "bwd.spmm_t.dk"),
+                                       {{"%dp.coarse", bb.coarse},
+                                        {"q", bb.qkv}},
+                                       {}, {{"dk", bb.qkv, kAccumOut}}));
         }
     }
     if (has_fine) {
-        sink.launch(streams.fine,
-                    sim::annotate(kernels::plan_fine_spmm(
-                                      dev, *plan_.fine, dh, replicas,
-                                      named("bwd.spmm.dq.fine")),
-                                  {{"%dp.fine", bb.fine}, {"k", bb.qkv}},
-                                  {}, {{"dq", bb.qkv, kAccumOut}}));
-        sink.launch(streams.fine,
-                    sim::annotate(kernels::plan_fine_spmm(
-                                      dev, fine_transposed(), dh, replicas,
-                                      named("bwd.spmm_t.dk.fine")),
-                                  {{"%dp.fine", bb.fine}, {"q", bb.qkv}},
-                                  {}, {{"dk", bb.qkv, kAccumOut}}));
+        graph.launch(streams.fine,
+                     sim::annotate(kernels::plan_fine_spmm(
+                                       dev, *plan_.fine, dh, replicas,
+                                       "bwd.spmm.dq.fine"),
+                                   {{"%dp.fine", bb.fine}, {"k", bb.qkv}},
+                                   {}, {{"dq", bb.qkv, kAccumOut}}));
+        graph.launch(streams.fine,
+                     sim::annotate(kernels::plan_fine_spmm(
+                                       dev, fine_transposed(), dh, replicas,
+                                       "bwd.spmm_t.dk.fine"),
+                                   {{"%dp.fine", bb.fine}, {"q", bb.qkv}},
+                                   {}, {{"dk", bb.qkv, kAccumOut}}));
     }
     if (plan_.has_special()) {
-        sink.launch(streams.special,
-                    sim::annotate(kernels::plan_dense_gemm(
-                                      dev, g, dh, plan_.valid_len, replicas,
-                                      named("bwd.spmm.dq.global")),
-                                  {{"%dp.global", bb.global},
-                                   {"k", bb.qkv}},
-                                  {}, {{"dq", bb.qkv, kAccumOut}}));
-        sink.launch(streams.special,
-                    sim::annotate(kernels::plan_dense_gemm(
-                                      dev, plan_.valid_len, dh, g, replicas,
-                                      named("bwd.spmm_t.dk.global")),
-                                  {{"%dp.global", bb.global},
-                                   {"q", bb.qkv}},
-                                  {}, {{"dk", bb.qkv, kAccumOut}}));
+        graph.launch(streams.special,
+                     sim::annotate(kernels::plan_dense_gemm(
+                                       dev, g, dh, plan_.valid_len, replicas,
+                                       "bwd.spmm.dq.global"),
+                                   {{"%dp.global", bb.global},
+                                    {"k", bb.qkv}},
+                                   {}, {{"dq", bb.qkv, kAccumOut}}));
+        graph.launch(streams.special,
+                     sim::annotate(kernels::plan_dense_gemm(
+                                       dev, plan_.valid_len, dh, g, replicas,
+                                       "bwd.spmm_t.dk.global"),
+                                   {{"%dp.global", bb.global},
+                                    {"q", bb.qkv}},
+                                   {}, {{"dk", bb.qkv, kAccumOut}}));
     }
-    sink.join_streams();
+    graph.join_streams();
 }
 
 // ---------------------------------------------------------------------------
@@ -758,23 +720,23 @@ AttentionEngine::forward_graphs(const sim::DeviceSpec &device) const
         auto graphs = std::make_shared<AttentionGraphs>();
         {
             const Streams s = capture_streams(graphs->sddmm);
-            build_sddmm(graphs->sddmm, device, s, "");
+            build_sddmm(graphs->sddmm, device, s);
         }
         {
             const Streams s = capture_streams(graphs->softmax);
-            build_softmax(graphs->softmax, device, s, "");
+            build_softmax(graphs->softmax, device, s);
         }
         {
             const Streams s = capture_streams(graphs->spmm);
-            build_spmm(graphs->spmm, device, s, "");
+            build_spmm(graphs->spmm, device, s);
         }
         {
             const Streams s = capture_streams(graphs->forward);
-            build_sddmm(graphs->forward, device, s, "");
+            build_sddmm(graphs->forward, device, s);
             graphs->forward.join_streams();
-            build_softmax(graphs->forward, device, s, "");
+            build_softmax(graphs->forward, device, s);
             graphs->forward.join_streams();
-            build_spmm(graphs->forward, device, s, "");
+            build_spmm(graphs->forward, device, s);
             graphs->forward.join_streams();
         }
         // Throwing here keeps a racy plan out of the cache entirely.
@@ -813,104 +775,10 @@ AttentionEngine::backward_graph(const sim::DeviceSpec &device) const
         const ScopedTimer timer("plan.capture");
         auto graph = std::make_shared<LaunchGraph>();
         const Streams s = capture_streams(*graph);
-        build_backward(*graph, device, s, "");
+        build_backward(*graph, device, s);
         verify_capture(*graph, device, key);
         return graph;
     });
-}
-
-// ---------------------------------------------------------------------------
-// Replay wrappers — the public planning API.
-
-void
-AttentionEngine::plan_into(sim::GpuSim &sim,
-                           const std::string &name_prefix) const
-{
-    forward_graphs(sim.device())
-        ->forward.replay_into(sim, sim.stream_binding(replay_key_),
-                              name_prefix);
-}
-
-void
-AttentionEngine::plan_sddmm_phase(sim::GpuSim &sim,
-                                  const std::string &name_prefix) const
-{
-    forward_graphs(sim.device())
-        ->sddmm.replay_into(sim, sim.stream_binding(replay_key_),
-                            name_prefix);
-}
-
-void
-AttentionEngine::plan_softmax_phase(sim::GpuSim &sim,
-                                    const std::string &name_prefix) const
-{
-    forward_graphs(sim.device())
-        ->softmax.replay_into(sim, sim.stream_binding(replay_key_),
-                              name_prefix);
-}
-
-void
-AttentionEngine::plan_spmm_phase(sim::GpuSim &sim,
-                                 const std::string &name_prefix) const
-{
-    forward_graphs(sim.device())
-        ->spmm.replay_into(sim, sim.stream_binding(replay_key_),
-                           name_prefix);
-}
-
-void
-AttentionEngine::plan_backward_into(sim::GpuSim &sim,
-                                    const std::string &name_prefix) const
-{
-    backward_graph(sim.device())
-        ->replay_into(sim, sim.stream_binding(replay_key_), name_prefix);
-}
-
-// ---------------------------------------------------------------------------
-// Direct (pre-IR) path: the replay-equivalence reference.
-
-void
-AttentionEngine::plan_into_direct(sim::GpuSim &sim,
-                                  const std::string &name_prefix) const
-{
-    plan_sddmm_phase_direct(sim, name_prefix);
-    sim.join_streams();
-    plan_softmax_phase_direct(sim, name_prefix);
-    sim.join_streams();
-    plan_spmm_phase_direct(sim, name_prefix);
-    sim.join_streams();
-}
-
-void
-AttentionEngine::plan_sddmm_phase_direct(sim::GpuSim &sim,
-                                         const std::string &name_prefix) const
-{
-    GpuSimSink sink(sim);
-    build_sddmm(sink, sim.device(), direct_streams(sim), name_prefix);
-}
-
-void
-AttentionEngine::plan_softmax_phase_direct(
-    sim::GpuSim &sim, const std::string &name_prefix) const
-{
-    GpuSimSink sink(sim);
-    build_softmax(sink, sim.device(), direct_streams(sim), name_prefix);
-}
-
-void
-AttentionEngine::plan_spmm_phase_direct(sim::GpuSim &sim,
-                                        const std::string &name_prefix) const
-{
-    GpuSimSink sink(sim);
-    build_spmm(sink, sim.device(), direct_streams(sim), name_prefix);
-}
-
-void
-AttentionEngine::plan_backward_into_direct(
-    sim::GpuSim &sim, const std::string &name_prefix) const
-{
-    GpuSimSink sink(sim);
-    build_backward(sink, sim.device(), direct_streams(sim), name_prefix);
 }
 
 double
@@ -1100,9 +968,7 @@ AttentionEngine::run_backward(const HalfMatrix &q, const HalfMatrix &k,
 sim::SimResult
 AttentionEngine::simulate(const sim::DeviceSpec &device) const
 {
-    sim::GpuSim sim(device);
-    plan_into(sim);
-    return sim.run();
+    return sim::simulate(device, forward_graphs(device)->forward);
 }
 
 }  // namespace multigrain

@@ -5,11 +5,11 @@
 #include <memory>
 #include <string>
 
-#include "core/launch_graph.h"
 #include "core/memplan.h"
 #include "core/plan_cache.h"
 #include "formats/matrix.h"
 #include "gpusim/engine.h"
+#include "gpusim/launch_graph.h"
 #include "kernels/fine.h"
 #include "patterns/slice.h"
 
@@ -26,18 +26,17 @@
 ///    CUDA kernels honor. All three methods produce the same result (up to
 ///    FP16 accumulation-order noise); tests pin this against an FP64 dense
 ///    reference.
-///  * plan_into(): records the method's exact kernel sequence — including
-///    the multi-stream coarse ∥ fine ∥ special overlap — into a GpuSim for
-///    timing and DRAM-traffic measurement.
+///  * forward_graphs() / backward_graph(): the method's exact kernel
+///    sequence — including the multi-stream coarse ∥ fine ∥ special
+///    overlap — captured into LaunchGraphs, which callers replay into a
+///    GpuSim for timing and DRAM-traffic measurement.
 ///
 /// Planning is capture-then-replay: the kernel sequence for a given
 /// (pattern fingerprint, config, mode, device) is captured once into
-/// LaunchGraphs held by the process-wide PlanCache, and every plan_*()
-/// call replays the cached graph into the target simulator. Slice-and-dice
-/// metadata is likewise memoized: two engines over the same pattern/config
-/// share one CachedPlanState. The pre-IR imperative path survives as the
-/// plan_*_direct() methods, which the replay-equivalence tests pin the
-/// capture/replay machinery against.
+/// LaunchGraphs held by the process-wide PlanCache, and every caller
+/// replays (or appends) the cached graph. Slice-and-dice metadata is
+/// likewise memoized: two engines over the same pattern/config share one
+/// CachedPlanState.
 namespace multigrain {
 
 struct AttentionConfig {
@@ -103,53 +102,28 @@ class AttentionEngine {
     Grads run_backward(const HalfMatrix &q, const HalfMatrix &k,
                        const HalfMatrix &v, const HalfMatrix &d_out) const;
 
-    /// Records one backward attention into `sim`: dP SDDMMs and the dV
-    /// transposed SpMMs, then the fused softmax backward, then the dQ/dK
-    /// SpMMs — each phase with the method's coarse ∥ fine ∥ special
-    /// streams, over metadata (including the transposed layouts) built
-    /// offline. Leaves all streams joined.
-    void plan_backward_into(sim::GpuSim &sim,
-                            const std::string &name_prefix = "") const;
-
-    /// Records one forward attention (batch x num_heads replicas) into
-    /// `sim`. Uses up to three streams for Multigrain; baselines use one.
-    /// The caller owns stream-join points before/after if it appends more
-    /// work (this method leaves all streams joined). `name_prefix` is
-    /// prepended to every kernel name (e.g. "L07." for layer 7) so
-    /// SimResult phases can be carved per call site.
-    void plan_into(sim::GpuSim &sim,
-                   const std::string &name_prefix = "") const;
-
-    /// Per-phase planning, for callers that co-schedule several engines
-    /// (e.g. a heterogeneous batch where every sample has its own
-    /// metadata): launch one phase of every engine, then join once.
-    /// plan_into() is exactly sddmm; join; softmax; join; spmm; join.
-    /// Streams are allocated lazily per engine on first use and reused by
-    /// later phases (the logical→real map lives in the simulator's
-    /// stream-binding slot, so one engine can plan into two simulators
-    /// concurrently).
-    void plan_sddmm_phase(sim::GpuSim &sim,
-                          const std::string &name_prefix = "") const;
-    void plan_softmax_phase(sim::GpuSim &sim,
-                            const std::string &name_prefix = "") const;
-    void plan_spmm_phase(sim::GpuSim &sim,
-                         const std::string &name_prefix = "") const;
-
-    /// The captured execution plans for `device`, built (and PlanCache'd)
-    /// on first use. Callers that compose several engines into one graph
-    /// (TransformerRunner) append these with per-engine stream maps.
+    /// The captured forward plans for `device`, built (and PlanCache'd)
+    /// on first use: one attention over batch x num_heads replicas, on up
+    /// to three streams for Multigrain and one for the baselines. Callers
+    /// that compose several engines into one graph (TransformerRunner)
+    /// append the phases with per-engine stream maps, launching one phase
+    /// of every engine and then joining once; all of one engine's graphs
+    /// share a logical-stream numbering, so one map serves them all.
     struct AttentionGraphs {
         LaunchGraph sddmm;    ///< One phase, no trailing join.
         LaunchGraph softmax;  ///< One phase, no trailing join.
         LaunchGraph spmm;     ///< One phase, no trailing join.
-        /// sddmm; join; softmax; join; spmm; join — what plan_into replays.
+        /// sddmm; join; softmax; join; spmm; join — one whole attention.
         LaunchGraph forward;
     };
     std::shared_ptr<const AttentionGraphs>
     forward_graphs(const sim::DeviceSpec &device) const;
-    /// The captured backward plan (internally joined phases B1–B3).
-    /// Built lazily so forward-only workloads never pay for transposed
-    /// metadata.
+    /// The captured backward plan: dP SDDMMs and the dV transposed SpMMs,
+    /// then the fused softmax backward, then the dQ/dK SpMMs — each phase
+    /// with the method's coarse ∥ fine ∥ special streams over metadata
+    /// (including the transposed layouts) built offline, and a join after
+    /// each. Built lazily so forward-only workloads never pay for
+    /// transposed metadata.
     std::shared_ptr<const LaunchGraph>
     backward_graph(const sim::DeviceSpec &device) const;
 
@@ -163,22 +137,7 @@ class AttentionEngine {
     std::shared_ptr<const MemPlan>
     backward_memplan(const sim::DeviceSpec &device) const;
 
-    /// The pre-LaunchGraph imperative planning path: records kernels
-    /// straight into `sim` with no capture, no replay, and no plan cache.
-    /// Kept as the reference the replay-equivalence tests compare
-    /// against; semantically identical to the non-_direct methods.
-    void plan_into_direct(sim::GpuSim &sim,
-                          const std::string &name_prefix = "") const;
-    void plan_backward_into_direct(sim::GpuSim &sim,
-                                   const std::string &name_prefix = "") const;
-    void plan_sddmm_phase_direct(sim::GpuSim &sim,
-                                 const std::string &name_prefix = "") const;
-    void plan_softmax_phase_direct(
-        sim::GpuSim &sim, const std::string &name_prefix = "") const;
-    void plan_spmm_phase_direct(sim::GpuSim &sim,
-                                const std::string &name_prefix = "") const;
-
-    /// Convenience: fresh simulator, one attention, run it.
+    /// Convenience: the forward graph replayed into a fresh simulator, run.
     sim::SimResult simulate(const sim::DeviceSpec &device) const;
 
     /// Device-memory footprint of the attention intermediates under this
@@ -196,29 +155,19 @@ class AttentionEngine {
         int fine = 0;
         int special = 0;
     };
-    /// Allocates the method's streams on a capture sink (logical streams,
-    /// created eagerly in coarse → fine → special order so replay stream
-    /// numbering matches the imperative path's).
-    Streams capture_streams(LaunchSink &sink) const;
-    /// Allocates (or reuses, via the simulator's stream-binding slot) this
-    /// engine's real streams on `sim` — the direct path's analogue of the
-    /// replay binding.
-    Streams direct_streams(sim::GpuSim &sim) const;
+    /// Allocates the method's logical streams on a capture graph, eagerly
+    /// in coarse → fine → special order.
+    Streams capture_streams(LaunchGraph &graph) const;
 
-    /// The phase bodies, written once over LaunchSink so capture and the
-    /// direct reference path share one definition.
-    void build_sddmm(LaunchSink &sink, const sim::DeviceSpec &dev,
-                     const Streams &streams,
-                     const std::string &name_prefix) const;
-    void build_softmax(LaunchSink &sink, const sim::DeviceSpec &dev,
-                       const Streams &streams,
-                       const std::string &name_prefix) const;
-    void build_spmm(LaunchSink &sink, const sim::DeviceSpec &dev,
-                    const Streams &streams,
-                    const std::string &name_prefix) const;
-    void build_backward(LaunchSink &sink, const sim::DeviceSpec &dev,
-                        const Streams &streams,
-                        const std::string &name_prefix) const;
+    /// The phase bodies, recorded into a capture graph.
+    void build_sddmm(LaunchGraph &graph, const sim::DeviceSpec &dev,
+                     const Streams &streams) const;
+    void build_softmax(LaunchGraph &graph, const sim::DeviceSpec &dev,
+                       const Streams &streams) const;
+    void build_spmm(LaunchGraph &graph, const sim::DeviceSpec &dev,
+                    const Streams &streams) const;
+    void build_backward(LaunchGraph &graph, const sim::DeviceSpec &dev,
+                        const Streams &streams) const;
 
     /// Transposed metadata for the backward SpMMs, shared through the
     /// cached plan state (offline in the §3.1 sense: once per input
@@ -231,11 +180,6 @@ class AttentionEngine {
     std::shared_ptr<const CachedPlanState> state_;
     std::uint64_t pattern_fp_ = 0;
     std::string meta_key_;
-    /// Process-unique ids naming this engine's stream-binding slots in
-    /// target simulators (one for replay, one for the direct path, so the
-    /// two never alias inside one simulator).
-    std::uint64_t replay_key_ = 0;
-    std::uint64_t direct_key_ = 0;
 };
 
 }  // namespace multigrain

@@ -119,12 +119,13 @@ phase_name_problem(const std::string &name)
            "ew)";
 }
 
-// ---- Join reconstruction ------------------------------------------------
+// ---- Join barriers ------------------------------------------------------
 
-/// One join_streams() barrier, reconstructed by mirroring capture's
-/// bookkeeping over the op stream: the tails it snapshot, and the
-/// cross-stream edges it actually contributed (a join dep equal to the
-/// consumer's own stream tail is stream order, not a barrier edge).
+/// One join_streams() barrier, read off the captured graph: the stream
+/// tails it covered, and the cross-stream edges it contributed. Capture
+/// gives a node a cross-stream dep only from the last join before it, so
+/// those edges are exactly the cross-stream deps of the nodes between the
+/// join and the next one.
 struct JoinMark {
     int op_pos = 0;
     std::vector<int> tails;
@@ -132,45 +133,34 @@ struct JoinMark {
 };
 
 std::vector<JoinMark>
-reconstruct_joins(const LaunchGraph &graph)
+join_marks(const LaunchGraph &graph)
 {
     const std::vector<LaunchGraphNode> &nodes = graph.nodes();
     std::vector<int> tail(static_cast<std::size_t>(graph.num_streams()),
                           -1);
-    std::vector<bool> applied(
-        static_cast<std::size_t>(graph.num_streams()), false);
-    std::vector<int> join_set;
     std::vector<JoinMark> joins;
-    int current = -1;
     const std::vector<int> &ops = graph.ops();
     for (std::size_t pos = 0; pos < ops.size(); ++pos) {
         const int op = ops[pos];
         if (op == LaunchGraph::kJoin) {
-            join_set.clear();
+            JoinMark join;
+            join.op_pos = static_cast<int>(pos);
             for (const int t : tail) {
                 if (t >= 0) {
-                    join_set.push_back(t);
+                    join.tails.push_back(t);
                 }
             }
-            std::fill(applied.begin(), applied.end(), false);
-            joins.push_back({static_cast<int>(pos), join_set, {}});
-            current = static_cast<int>(joins.size()) - 1;
+            joins.push_back(std::move(join));
             continue;
         }
-        const std::size_t s =
-            static_cast<std::size_t>(nodes[static_cast<std::size_t>(op)]
-                                         .stream);
-        if (!join_set.empty() && !applied[s]) {
-            for (const int t : join_set) {
-                if (t != tail[s]) {
-                    joins[static_cast<std::size_t>(current)]
-                        .edges[t]
-                        .push_back(op);
-                }
+        const LaunchGraphNode &node = nodes[static_cast<std::size_t>(op)];
+        for (const int dep : node.deps) {
+            if (!joins.empty() &&
+                nodes[static_cast<std::size_t>(dep)].stream != node.stream) {
+                joins.back().edges[dep].push_back(op);
             }
-            applied[s] = true;
         }
-        tail[s] = op;
+        tail[static_cast<std::size_t>(node.stream)] = op;
     }
     return joins;
 }
@@ -380,7 +370,7 @@ lint_graph(const PlanFacts &facts, const LintOptions &options)
             last_node_pos = static_cast<int>(pos);
         }
     }
-    for (const JoinMark &join : reconstruct_joins(graph)) {
+    for (const JoinMark &join : join_marks(graph)) {
         if (join.op_pos > last_node_pos) {
             continue;  // Trailing barrier: composition contract.
         }

@@ -9,8 +9,8 @@
 #include <utility>
 #include <vector>
 
-#include "core/launch_graph.h"
 #include "gpusim/launch.h"
+#include "gpusim/launch_graph.h"
 
 /// What a captured plan implies, derived once and shared by every
 /// plan-level analyzer.

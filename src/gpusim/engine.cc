@@ -79,57 +79,6 @@ SimResult::find(const std::string &name) const
 GpuSim::GpuSim(DeviceSpec device) : device_(std::move(device))
 {
     MG_CHECK(device_.num_sms > 0) << "device needs at least one SM";
-    static std::uint64_t next_id = 0;
-    id_ = ++next_id;
-    stream_tail_.assign(1, -1);
-}
-
-int
-GpuSim::create_stream()
-{
-    stream_tail_.push_back(-1);
-    return num_streams_++;
-}
-
-void
-GpuSim::launch(int stream, KernelLaunch launch)
-{
-    MG_CHECK(stream >= 0 && stream < num_streams_)
-        << "unknown stream " << stream;
-    MG_CHECK(!ran_) << "GpuSim::run() was already called";
-
-    KernelNode node;
-    node.launch = std::move(launch);
-    node.stream = stream;
-    if (stream_tail_[static_cast<std::size_t>(stream)] >= 0) {
-        node.deps.push_back(stream_tail_[static_cast<std::size_t>(stream)]);
-    }
-    if (static_cast<std::size_t>(stream) >= join_applied_.size()) {
-        join_applied_.resize(static_cast<std::size_t>(num_streams_), false);
-    }
-    if (!join_set_.empty() &&
-        !join_applied_[static_cast<std::size_t>(stream)]) {
-        // First kernel on this stream since the last join: wait for every
-        // stream tail recorded at join time (duplicates are removed later).
-        node.deps.insert(node.deps.end(), join_set_.begin(),
-                         join_set_.end());
-        join_applied_[static_cast<std::size_t>(stream)] = true;
-    }
-    const int id = static_cast<int>(kernels_.size());
-    kernels_.push_back(std::move(node));
-    stream_tail_[static_cast<std::size_t>(stream)] = id;
-}
-
-void
-GpuSim::join_streams()
-{
-    join_set_.clear();
-    for (int s = 0; s < num_streams_; ++s) {
-        if (stream_tail_[static_cast<std::size_t>(s)] >= 0) {
-            join_set_.push_back(stream_tail_[static_cast<std::size_t>(s)]);
-        }
-    }
-    join_applied_.assign(static_cast<std::size_t>(num_streams_), false);
 }
 
 namespace {
@@ -244,7 +193,8 @@ GpuSim::run()
     ran_ = true;
 
     const int num_sms = device_.num_sms;
-    const int num_kernels = static_cast<int>(kernels_.size());
+    const std::vector<LaunchGraphNode> &nodes = program_.nodes();
+    const int num_kernels = static_cast<int>(nodes.size());
 
     // ---- Clocks: [0] global DRAM, [1] global L2;
     //      per SM s at 2+3s: tensor pipe, CUDA pipe, SM memory burst.
@@ -273,16 +223,15 @@ GpuSim::run()
     // ---- Kernel runtime state.
     std::vector<KernelRun> runs(static_cast<std::size_t>(num_kernels));
     std::vector<int> unresolved(static_cast<std::size_t>(num_kernels), 0);
+    std::vector<std::vector<int>> children(
+        static_cast<std::size_t>(num_kernels));
     for (int k = 0; k < num_kernels; ++k) {
-        KernelNode &node = kernels_[static_cast<std::size_t>(k)];
-        std::sort(node.deps.begin(), node.deps.end());
-        node.deps.erase(std::unique(node.deps.begin(), node.deps.end()),
-                        node.deps.end());
+        const LaunchGraphNode &node = nodes[static_cast<std::size_t>(k)];
         unresolved[static_cast<std::size_t>(k)] =
             static_cast<int>(node.deps.size());
         for (const int dep : node.deps) {
             MG_CHECK(dep >= 0 && dep < k) << "kernel dependency cycle";
-            kernels_[static_cast<std::size_t>(dep)].children.push_back(k);
+            children[static_cast<std::size_t>(dep)].push_back(k);
         }
         KernelRun &run = runs[static_cast<std::size_t>(k)];
         run.total_tbs = node.launch.num_tbs();
@@ -345,7 +294,7 @@ GpuSim::run()
             const std::size_t pos =
                 (issue_cursor + step) % issuable.size();
             const int k = issuable[pos];
-            KernelNode &node = kernels_[static_cast<std::size_t>(k)];
+            const LaunchGraphNode &node = nodes[static_cast<std::size_t>(k)];
             KernelRun &run = runs[static_cast<std::size_t>(k)];
             // Respect the per-kernel occupancy bound on this SM as well:
             // count resident units of this kernel.
@@ -443,8 +392,7 @@ GpuSim::run()
             run.start_t = now;  // Empty kernel: zero-duration at ready time.
         }
         ++kernels_done;
-        for (const int child : kernels_[static_cast<std::size_t>(k)]
-                                   .children) {
+        for (const int child : children[static_cast<std::size_t>(k)]) {
             if (--unresolved[static_cast<std::size_t>(child)] == 0) {
                 events.push({now + device_.kernel_launch_us, seq++, 1, child,
                              0});
@@ -455,7 +403,7 @@ GpuSim::run()
     const auto complete_unit = [&](int unit_id, double now) {
         Unit &unit = units[static_cast<std::size_t>(unit_id)];
         const int k = unit.kernel;
-        KernelNode &node = kernels_[static_cast<std::size_t>(k)];
+        const LaunchGraphNode &node = nodes[static_cast<std::size_t>(k)];
         KernelRun &run = runs[static_cast<std::size_t>(k)];
         SmState &sm = sms[static_cast<std::size_t>(unit.sm)];
         sm.slots -= 1;
@@ -486,8 +434,8 @@ GpuSim::run()
         // a fixed per-component deadline at the capped private rate; the
         // component is done when both the shared progress clock crosses
         // *and* the private deadline passes.
-        const KernelNode &node =
-            kernels_[static_cast<std::size_t>(unit.kernel)];
+        const LaunchGraphNode &node =
+            nodes[static_cast<std::size_t>(unit.kernel)];
         double cap = 1.0;
         if (device_.unit_saturation > 0) {
             cap = std::min(1.0, device_.unit_saturation *
@@ -623,7 +571,7 @@ GpuSim::run()
     SimResult result;
     result.kernels.reserve(static_cast<std::size_t>(num_kernels));
     for (int k = 0; k < num_kernels; ++k) {
-        const KernelNode &node = kernels_[static_cast<std::size_t>(k)];
+        const LaunchGraphNode &node = nodes[static_cast<std::size_t>(k)];
         const KernelRun &run = runs[static_cast<std::size_t>(k)];
         KernelStats stats;
         stats.name = node.launch.name;
@@ -634,7 +582,7 @@ GpuSim::run()
         stats.start_us = run.start_t;
         stats.end_us = run.end_t;
         stats.work = node.launch.total_work();
-        stats.deps = node.deps;  // Sorted/deduplicated before simulation.
+        stats.deps = node.deps;  // Sorted and deduplicated at capture.
         stats.avg_concurrency =
             run.end_t > run.start_t
                 ? run.unit_busy / (run.end_t - run.start_t)
@@ -644,6 +592,14 @@ GpuSim::run()
         result.kernels.push_back(std::move(stats));
     }
     return result;
+}
+
+SimResult
+simulate(const DeviceSpec &device, const LaunchGraph &graph)
+{
+    GpuSim sim(device);
+    graph.replay_into(sim);
+    return sim.run();
 }
 
 }  // namespace multigrain::sim

@@ -1,13 +1,12 @@
 #ifndef MULTIGRAIN_GPUSIM_ENGINE_H_
 #define MULTIGRAIN_GPUSIM_ENGINE_H_
 
-#include <cstdint>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "gpusim/device.h"
 #include "gpusim/launch.h"
+#include "gpusim/launch_graph.h"
 
 /// The GPU execution engine: a deterministic processor-sharing (fluid)
 /// event simulator.
@@ -22,6 +21,10 @@
 /// per-block prologue. Kernels in one stream serialize; kernels in
 /// different streams co-schedule on the same SM array — this is exactly the
 /// mechanism by which Multigrain's coarse ∥ fine multi-stream split wins.
+///
+/// Input: one LaunchGraph program per simulator, built by replaying
+/// captured graphs into it (LaunchGraph::replay_into). A kernel becomes
+/// ready when every node in its captured deps has finished.
 ///
 /// Implementation: per-resource progress clocks. A clock advances at
 /// R / N(t) where N is its live consumer count; a block's component
@@ -45,9 +48,9 @@ struct KernelStats {
     /// imbalance discussion (§5.2.1).
     double avg_concurrency = 0;
     /// Indices (into SimResult::kernels) of the kernels this one waited
-    /// for: the previous kernel on its stream plus any join_streams()
-    /// barrier tails. Sorted, deduplicated. Cross-stream entries are the
-    /// edges the trace exporter renders as flow arrows.
+    /// for: its program node's deps (the previous kernel on its stream
+    /// plus any join barrier tails). Sorted, deduplicated. Cross-stream
+    /// entries are the edges the trace exporter renders as flow arrows.
     std::vector<int> deps;
 
     double duration_us() const { return end_us - start_us; }
@@ -83,57 +86,22 @@ class GpuSim {
 
     const DeviceSpec &device() const { return device_; }
 
-    /// Process-unique identity of this simulator instance. Pointer
-    /// comparison is not a safe identity for caching (a new simulator can
-    /// reuse a destroyed one's address); cache against this id instead.
-    std::uint64_t id() const { return id_; }
-
-    /// Streams are small integers; stream 0 always exists.
-    int create_stream();
-
-    /// Enqueues a kernel on `stream`, ordered after everything previously
-    /// launched on that stream (plus any pending join).
-    void launch(int stream, KernelLaunch launch);
-
-    /// The next kernel launched on *any* stream will additionally wait for
-    /// every kernel submitted so far (device-wide synchronization point in
-    /// the recorded program, like an event barrier across streams).
-    void join_streams();
-
-    /// Simulates everything submitted so far. May be called once.
+    /// Simulates the program: everything replayed into this simulator,
+    /// in replay order. May be called once.
     SimResult run();
 
-    /// Stream-binding slot for capture/replay clients (core/launch_graph):
-    /// the logical→real stream map a client (keyed by an arbitrary id, e.g.
-    /// an AttentionEngine's replay key) uses when instantiating graphs into
-    /// *this* simulator. The binding lives with the simulator, so a
-    /// logically-const client can plan into two sims concurrently without
-    /// mutable per-sim state of its own aliasing between them. Returns an
-    /// empty vector on first use; the replay path fills it.
-    std::vector<int> &stream_binding(std::uint64_t client_key)
-    {
-        return stream_bindings_[client_key];
-    }
-
   private:
-    struct KernelNode {
-        KernelLaunch launch;
-        int stream = 0;
-        std::vector<int> deps;
-        int unresolved = 0;
-        std::vector<int> children;
-    };
+    friend class LaunchGraph;  // replay_into() appends to program_.
 
     DeviceSpec device_;
-    std::uint64_t id_ = 0;
-    int num_streams_ = 1;
-    std::vector<int> stream_tail_;  ///< Last kernel id per stream, -1 none.
-    std::vector<int> join_set_;     ///< Stream tails the last join covers.
-    std::vector<bool> join_applied_;  ///< Per stream: join already waited.
-    std::vector<KernelNode> kernels_;
-    std::unordered_map<std::uint64_t, std::vector<int>> stream_bindings_;
+    /// The program run() simulates. Its streams are the simulator's real
+    /// streams; stream 0 always exists.
+    LaunchGraph program_;
     bool ran_ = false;
 };
+
+/// Replays `graph` into a fresh simulator for `device` and runs it.
+SimResult simulate(const DeviceSpec &device, const LaunchGraph &graph);
 
 }  // namespace multigrain::sim
 

@@ -157,8 +157,8 @@ struct KernelLaunch {
 };
 
 /// Builder-style annotation helper for plan() call sites:
-///   sink.launch(s, annotate(plan_fine_sddmm(...), {{"q", qb}, {"k", kb}},
-///                           {{"%s.fine", sb}}));
+///   graph.launch(s, annotate(plan_fine_sddmm(...), {{"q", qb}, {"k", kb}},
+///                            {{"%s.fine", sb}}));
 /// Bare names (`{"q", "k"}`) still work and annotate at zero bytes.
 KernelLaunch annotate(KernelLaunch launch,
                       std::initializer_list<SizedBuffer> reads,

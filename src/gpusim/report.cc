@@ -28,18 +28,44 @@ to_string(Bound bound)
     return "?";
 }
 
+Roofline
+classify_roofline(const TbWork &work, double span_us,
+                  const DeviceSpec &device, double bound_threshold)
+{
+    Roofline r;
+    if (span_us > 0) {
+        const double tensor_peak =
+            device.sm_tensor_flops_per_us() * device.num_sms;
+        const double cuda_peak =
+            device.sm_cuda_flops_per_us() * device.num_sms;
+        const double dram_peak = device.dram_bytes_per_us();
+        const double l2_peak = device.l2_bytes_per_us();
+        r.tensor_util = work.tensor_flops / (tensor_peak * span_us);
+        r.cuda_util = work.cuda_flops / (cuda_peak * span_us);
+        r.dram_util = work.dram_bytes() / (dram_peak * span_us);
+        r.l2_util = work.mem_bytes() / (l2_peak * span_us);
+    }
+    const double utils[4] = {r.tensor_util, r.cuda_util, r.dram_util,
+                             r.l2_util};
+    const Bound bounds[4] = {Bound::kTensor, Bound::kCuda, Bound::kDram,
+                             Bound::kL2};
+    int best = 0;
+    for (int i = 1; i < 4; ++i) {
+        if (utils[i] > utils[best]) {
+            best = i;
+        }
+    }
+    r.bound = utils[best] >= bound_threshold ? bounds[best]
+                                             : Bound::kLatency;
+    return r;
+}
+
 WorkloadReport
 characterize(const SimResult &result, const DeviceSpec &device,
              double bound_threshold)
 {
     WorkloadReport report;
     report.total_us = result.total_us;
-
-    const double tensor_peak =
-        device.sm_tensor_flops_per_us() * device.num_sms;
-    const double cuda_peak = device.sm_cuda_flops_per_us() * device.num_sms;
-    const double dram_peak = device.dram_bytes_per_us();
-    const double l2_peak = device.l2_bytes_per_us();
 
     for (const auto &k : result.kernels) {
         KernelCharacterization c;
@@ -50,25 +76,13 @@ characterize(const SimResult &result, const DeviceSpec &device,
         c.arithmetic_intensity =
             dram > 0 ? flops / dram
                      : std::numeric_limits<double>::infinity();
-        if (c.duration_us > 0) {
-            c.tensor_util =
-                k.work.tensor_flops / (tensor_peak * c.duration_us);
-            c.cuda_util = k.work.cuda_flops / (cuda_peak * c.duration_us);
-            c.dram_util = dram / (dram_peak * c.duration_us);
-            c.l2_util = k.work.mem_bytes() / (l2_peak * c.duration_us);
-        }
-        const double utils[4] = {c.tensor_util, c.cuda_util, c.dram_util,
-                                 c.l2_util};
-        const Bound bounds[4] = {Bound::kTensor, Bound::kCuda, Bound::kDram,
-                                 Bound::kL2};
-        int best = 0;
-        for (int i = 1; i < 4; ++i) {
-            if (utils[i] > utils[best]) {
-                best = i;
-            }
-        }
-        c.bound = utils[best] >= bound_threshold ? bounds[best]
-                                                 : Bound::kLatency;
+        const Roofline r =
+            classify_roofline(k.work, c.duration_us, device, bound_threshold);
+        c.tensor_util = r.tensor_util;
+        c.cuda_util = r.cuda_util;
+        c.dram_util = r.dram_util;
+        c.l2_util = r.l2_util;
+        c.bound = r.bound;
         c.dynamic_j =
             (k.work.tensor_flops * device.pj_per_tensor_flop +
              k.work.cuda_flops * device.pj_per_cuda_flop +

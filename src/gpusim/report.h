@@ -24,6 +24,24 @@ enum class Bound {
 
 const char *to_string(Bound bound);
 
+/// A roofline reading: the achieved fraction of each achievable peak over
+/// a span, and the resource that bound the work.
+struct Roofline {
+    double tensor_util = 0;
+    double cuda_util = 0;
+    double dram_util = 0;
+    double l2_util = 0;
+    Bound bound = Bound::kLatency;
+};
+
+/// Classifies `work` done over `span_us` on `device`: each utilization is
+/// the work over peak × span (all zero when span_us <= 0), and the bound
+/// is the resource with the highest utilization if that reaches
+/// `bound_threshold`, else latency. The one classifier behind
+/// characterize()'s kernels and the profiler's phases.
+Roofline classify_roofline(const TbWork &work, double span_us,
+                           const DeviceSpec &device, double bound_threshold);
+
 struct KernelCharacterization {
     std::string name;
     double duration_us = 0;

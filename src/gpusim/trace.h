@@ -18,9 +18,9 @@
 ///  * counter tracks — DRAM bandwidth utilization and resident thread
 ///    blocks over time (piecewise-constant, sampled at kernel
 ///    boundaries);
-///  * flow arrows for every cross-stream dependency recorded by
-///    join_streams(), connecting the end of the awaited kernel to the
-///    start of the waiter;
+///  * flow arrows for every cross-stream entry of KernelStats::deps (the
+///    join edges of the simulated program), connecting the end of the
+///    awaited kernel to the start of the waiter;
 ///  * phase marker slices on a dedicated "phases" lane (the carved
 ///    sddmm/softmax/spmm spans the profiler computes).
 namespace multigrain::sim {

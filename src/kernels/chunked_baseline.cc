@@ -122,17 +122,17 @@ blockify_attention(const HalfMatrix &q, const HalfMatrix &k,
 
 namespace {
 
-/// Launches the shared kernel sequence of both chunked methods:
+/// Records the shared kernel sequence of both chunked methods:
 /// copy K/V into the duplicated chunk layout, batched chunk GEMM, masked
 /// dense softmax over the chunk scores, batched PV GEMM, copy back.
-void
-plan_chunked(sim::GpuSim &sim, index_t seq_len, index_t rows_per_chunk,
-             index_t head_dim, index_t replicas, double copy_factor,
-             const std::string &prefix)
+sim::LaunchGraph
+plan_chunked(const sim::DeviceSpec &dev, index_t seq_len,
+             index_t rows_per_chunk, index_t head_dim, index_t replicas,
+             double copy_factor, const std::string &prefix)
 {
     MG_CHECK(rows_per_chunk > 0 && seq_len % rows_per_chunk == 0)
         << "chunked plan needs seq_len divisible by the chunk";
-    const sim::DeviceSpec &dev = sim.device();
+    sim::LaunchGraph graph;
     const index_t chunks = seq_len / rows_per_chunk;
     const index_t slab = 3 * rows_per_chunk;
 
@@ -142,41 +142,44 @@ plan_chunked(sim::GpuSim &sim, index_t seq_len, index_t rows_per_chunk,
         static_cast<index_t>(copy_factor *
                              static_cast<double>(seq_len * head_dim)) *
         replicas * 2;  // K and V.
-    sim.launch(0, plan_elementwise(dev, copied, 1, 0.0, prefix + "copy_in"));
+    graph.launch(0,
+                 plan_elementwise(dev, copied, 1, 0.0, prefix + "copy_in"));
 
     // Batched chunk GEMMs: scores = Q_chunk x K_slabᵀ.
-    sim.launch(0, plan_dense_gemm(dev, rows_per_chunk, slab, head_dim,
-                                  chunks * replicas, prefix + "qk"));
+    graph.launch(0, plan_dense_gemm(dev, rows_per_chunk, slab, head_dim,
+                                    chunks * replicas, prefix + "qk"));
     // Masked softmax over every chunk score, including the ~1/3 of the
     // slab outside the band (computed then masked, as the real kernels do).
-    sim.launch(0, plan_dense_softmax(dev, rows_per_chunk * chunks, slab,
-                                     replicas, prefix + "softmax"));
+    graph.launch(0, plan_dense_softmax(dev, rows_per_chunk * chunks, slab,
+                                       replicas, prefix + "softmax"));
     // Batched PV GEMMs.
-    sim.launch(0, plan_dense_gemm(dev, rows_per_chunk, head_dim, slab,
-                                  chunks * replicas, prefix + "pv"));
-    sim.join_streams();
+    graph.launch(0, plan_dense_gemm(dev, rows_per_chunk, head_dim, slab,
+                                    chunks * replicas, prefix + "pv"));
+    graph.join_streams();
+    return graph;
 }
 
 }  // namespace
 
-void
-plan_sliding_chunk(sim::GpuSim &sim, index_t seq_len, index_t window,
-                   index_t head_dim, index_t replicas,
+sim::LaunchGraph
+plan_sliding_chunk(const sim::DeviceSpec &dev, index_t seq_len,
+                   index_t window, index_t head_dim, index_t replicas,
                    const std::string &name_prefix)
 {
     // Longformer's chunking of overlapped 2w chunks stepping w duplicates
     // each K/V row twice.
-    plan_chunked(sim, seq_len, window, head_dim, replicas, 2.0,
-                 name_prefix);
+    return plan_chunked(dev, seq_len, window, head_dim, replicas, 2.0,
+                        name_prefix);
 }
 
-void
-plan_blockify(sim::GpuSim &sim, index_t seq_len, index_t block,
+sim::LaunchGraph
+plan_blockify(const sim::DeviceSpec &dev, index_t seq_len, index_t block,
               index_t head_dim, index_t replicas,
               const std::string &name_prefix)
 {
     // BigBird stacks three rolled copies of K/V.
-    plan_chunked(sim, seq_len, block, head_dim, replicas, 3.0, name_prefix);
+    return plan_chunked(dev, seq_len, block, head_dim, replicas, 3.0,
+                        name_prefix);
 }
 
 }  // namespace multigrain::kernels

@@ -4,7 +4,8 @@
 #include <string>
 
 #include "formats/matrix.h"
-#include "gpusim/engine.h"
+#include "gpusim/device.h"
+#include "gpusim/launch_graph.h"
 
 /// The §2.4 special methods for banded patterns: Longformer's *sliding
 /// chunk* (for local patterns) and BigBird's *blockify* (for blocked local
@@ -37,17 +38,19 @@ HalfMatrix blockify_attention(const HalfMatrix &q, const HalfMatrix &k,
 
 /// Performance plan for sliding-chunk attention: chunk-copy kernels
 /// (the 2x duplication of K and V), batched chunk GEMMs, masked dense
-/// softmax over the chunk scores, batched PV GEMMs. Launches onto
-/// stream 0 of `sim` with `name_prefix` on every kernel.
-void plan_sliding_chunk(sim::GpuSim &sim, index_t seq_len, index_t window,
-                        index_t head_dim, index_t replicas,
-                        const std::string &name_prefix = "chunk.");
+/// softmax over the chunk scores, batched PV GEMMs. Recorded on stream 0
+/// with `name_prefix` on every kernel, ready to replay into a GpuSim.
+sim::LaunchGraph plan_sliding_chunk(const sim::DeviceSpec &dev,
+                                    index_t seq_len, index_t window,
+                                    index_t head_dim, index_t replicas,
+                                    const std::string &name_prefix = "chunk.");
 
 /// Performance plan for blockify attention: the 3x stack copies plus
 /// batched block GEMMs and softmax.
-void plan_blockify(sim::GpuSim &sim, index_t seq_len, index_t block,
-                   index_t head_dim, index_t replicas,
-                   const std::string &name_prefix = "blockify.");
+sim::LaunchGraph plan_blockify(const sim::DeviceSpec &dev, index_t seq_len,
+                               index_t block, index_t head_dim,
+                               index_t replicas,
+                               const std::string &name_prefix = "blockify.");
 
 }  // namespace multigrain::kernels
 

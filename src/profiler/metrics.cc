@@ -110,33 +110,13 @@ struct Accum {
         out.achieved_occupancy =
             out.busy_us > 0 ? weighted_occupancy / out.busy_us : 0;
 
-        if (out.span_us > 0) {
-            const double tensor_peak =
-                device.sm_tensor_flops_per_us() * device.num_sms;
-            const double cuda_peak =
-                device.sm_cuda_flops_per_us() * device.num_sms;
-            const double dram_peak = device.dram_bytes_per_us();
-            const double l2_peak = device.l2_bytes_per_us();
-            out.tensor_util =
-                out.work.tensor_flops / (tensor_peak * out.span_us);
-            out.cuda_util = out.work.cuda_flops / (cuda_peak * out.span_us);
-            out.dram_util =
-                out.work.dram_bytes() / (dram_peak * out.span_us);
-            out.l2_util = out.work.mem_bytes() / (l2_peak * out.span_us);
-        }
-        const double utils[4] = {out.tensor_util, out.cuda_util,
-                                 out.dram_util, out.l2_util};
-        const sim::Bound bounds[4] = {sim::Bound::kTensor,
-                                      sim::Bound::kCuda, sim::Bound::kDram,
-                                      sim::Bound::kL2};
-        int best = 0;
-        for (int i = 1; i < 4; ++i) {
-            if (utils[i] > utils[best]) {
-                best = i;
-            }
-        }
-        out.bound = utils[best] >= bound_threshold ? bounds[best]
-                                                   : sim::Bound::kLatency;
+        const sim::Roofline r = sim::classify_roofline(
+            out.work, out.span_us, device, bound_threshold);
+        out.tensor_util = r.tensor_util;
+        out.cuda_util = r.cuda_util;
+        out.dram_util = r.dram_util;
+        out.l2_util = r.l2_util;
+        out.bound = r.bound;
         return out;
     }
 };

@@ -102,10 +102,10 @@ TransformerRunner::build_layer_graph(const sim::DeviceSpec &device,
     LaunchGraph graph;
 
     // Every engine gets its own logical-stream block, allocated upfront in
-    // engine order — the same order the imperative path created real
-    // streams in — so replayed stream numbering is byte-identical to it.
-    // One map serves all of an engine's phase graphs (and its backward
-    // graph): capture_streams gives them identical logical numbering.
+    // engine order, so stream numbering depends only on the engine list,
+    // never on which phase first touches a stream. One map serves all of
+    // an engine's phase graphs (and its backward graph): capture_streams
+    // gives them identical logical numbering.
     std::vector<std::shared_ptr<const AttentionEngine::AttentionGraphs>>
         attn;
     std::vector<std::shared_ptr<const LaunchGraph>> bwd;

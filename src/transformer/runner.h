@@ -6,8 +6,8 @@
 #include <vector>
 
 #include "core/attention.h"
-#include "core/launch_graph.h"
 #include "gpusim/engine.h"
+#include "gpusim/launch_graph.h"
 #include "patterns/slice.h"
 #include "transformer/config.h"
 #include "transformer/workload.h"

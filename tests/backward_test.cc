@@ -306,9 +306,9 @@ TEST(EngineBackwardTest, PlanHasThreeOrderedPhases)
     config.num_heads = 2;
     const AttentionEngine engine(test_pattern(256), config,
                                  SliceMode::kMultigrain);
-    sim::GpuSim sim(sim::DeviceSpec::a100());
-    engine.plan_backward_into(sim);
-    const sim::SimResult r = sim.run();
+    const sim::DeviceSpec device = sim::DeviceSpec::a100();
+    const sim::SimResult r =
+        sim::simulate(device, *engine.backward_graph(device));
 
     double sddmm_end = 0, softmax_start = 1e30, softmax_end = 0,
            spmm_start = 1e30;
@@ -339,10 +339,10 @@ TEST(EngineBackwardTest, BackwardCostsMoreThanForward)
     config.num_heads = 4;
     const AttentionEngine engine(test_pattern(1024), config,
                                  SliceMode::kMultigrain);
-    const double fwd = engine.simulate(sim::DeviceSpec::a100()).total_us;
-    sim::GpuSim sim(sim::DeviceSpec::a100());
-    engine.plan_backward_into(sim);
-    const double bwd = sim.run().total_us;
+    const sim::DeviceSpec device = sim::DeviceSpec::a100();
+    const double fwd = engine.simulate(device).total_us;
+    const double bwd =
+        sim::simulate(device, *engine.backward_graph(device)).total_us;
     // Backward does roughly 2-3x the forward's sparse work.
     EXPECT_GT(bwd, fwd);
     EXPECT_LT(bwd, 4 * fwd);

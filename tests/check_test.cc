@@ -28,12 +28,12 @@
 #include "common/rng.h"
 #include "core/attention.h"
 #include "core/check.h"
-#include "core/launch_graph.h"
 #include "core/lint.h"
 #include "core/memplan.h"
 #include "core/plan_cache.h"
 #include "gpusim/device.h"
 #include "gpusim/launch.h"
+#include "gpusim/launch_graph.h"
 #include "patterns/slice.h"
 #include "transformer/config.h"
 #include "transformer/runner.h"

@@ -9,6 +9,7 @@
 
 #include "common/error.h"
 #include "gpusim/device.h"
+#include "gpusim/engine.h"
 #include "kernels/chunked_baseline.h"
 #include "kernels/reference.h"
 #include "patterns/pattern.h"
@@ -75,9 +76,9 @@ TEST(ChunkedTest, PlansCarryCopyOverheads)
 {
     const index_t seq = 4096, dh = 64, replicas = 4;
 
-    sim::GpuSim chunk_sim(sim::DeviceSpec::a100());
-    kernels::plan_sliding_chunk(chunk_sim, seq, 256, dh, replicas);
-    const sim::SimResult chunk = chunk_sim.run();
+    const sim::DeviceSpec device = sim::DeviceSpec::a100();
+    const sim::SimResult chunk = sim::simulate(
+        device, kernels::plan_sliding_chunk(device, seq, 256, dh, replicas));
     // The copy-in kernel moves 2x K + 2x V (read + write each).
     const auto *copy = chunk.find("chunk.copy_in");
     ASSERT_NE(copy, nullptr);
@@ -85,9 +86,8 @@ TEST(ChunkedTest, PlansCarryCopyOverheads)
     EXPECT_NEAR(copy->work.dram_bytes(), 2.0 * kv_bytes * 2.0,
                 0.02 * kv_bytes);
 
-    sim::GpuSim blockify_sim(sim::DeviceSpec::a100());
-    kernels::plan_blockify(blockify_sim, seq, 64, dh, replicas);
-    const sim::SimResult blockify = blockify_sim.run();
+    const sim::SimResult blockify = sim::simulate(
+        device, kernels::plan_blockify(device, seq, 64, dh, replicas));
     const auto *bcopy = blockify.find("blockify.copy_in");
     ASSERT_NE(bcopy, nullptr);
     // 3x duplication: strictly more copy traffic than sliding chunk at the
@@ -97,9 +97,9 @@ TEST(ChunkedTest, PlansCarryCopyOverheads)
 
 TEST(ChunkedTest, PlanPhasesAreOrdered)
 {
-    sim::GpuSim sim(sim::DeviceSpec::a100());
-    kernels::plan_sliding_chunk(sim, 1024, 128, 64, 1);
-    const sim::SimResult r = sim.run();
+    const sim::DeviceSpec device = sim::DeviceSpec::a100();
+    const sim::SimResult r = sim::simulate(
+        device, kernels::plan_sliding_chunk(device, 1024, 128, 64, 1));
     const auto *copy = r.find("chunk.copy_in");
     const auto *qk = r.find("chunk.qk");
     const auto *softmax = r.find("chunk.softmax");

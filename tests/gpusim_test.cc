@@ -11,6 +11,7 @@
 #include "gpusim/device.h"
 #include "gpusim/engine.h"
 #include "gpusim/launch.h"
+#include "gpusim/launch_graph.h"
 #include "gpusim/trace.h"
 
 namespace multigrain::sim {
@@ -218,96 +219,96 @@ TEST(DeviceTest, HbmCapacity)
 
 TEST(EngineTest, SingleCudaBoundBlock)
 {
-    GpuSim sim(toy_device());
+    LaunchGraph graph;
     TbWork w;
     w.cuda_flops = 1e6;
-    sim.launch(0, one_kernel("k", w, 1));
-    const SimResult r = sim.run();
+    graph.launch(0, one_kernel("k", w, 1));
+    const SimResult r = simulate(toy_device(), graph);
     // launch 1.0 + prologue 0.5 + 1e6 / 0.5e6 = 3.5 us.
     EXPECT_NEAR(r.total_us, 3.5, 1e-6);
 }
 
 TEST(EngineTest, SingleTensorBoundBlock)
 {
-    GpuSim sim(toy_device());
+    LaunchGraph graph;
     TbWork w;
     w.tensor_flops = 2e6;
-    sim.launch(0, one_kernel("k", w, 1));
-    EXPECT_NEAR(sim.run().total_us, 1.0 + 0.5 + 2.0, 1e-6);
+    graph.launch(0, one_kernel("k", w, 1));
+    EXPECT_NEAR(simulate(toy_device(), graph).total_us, 1.0 + 0.5 + 2.0, 1e-6);
 }
 
 TEST(EngineTest, SingleMemoryBoundBlock)
 {
-    GpuSim sim(toy_device());
+    LaunchGraph graph;
     TbWork w;
     w.dram_read_bytes = 1e5;
-    sim.launch(0, one_kernel("k", w, 1));
+    graph.launch(0, one_kernel("k", w, 1));
     // The per-SM cap (1e5 B/us) and DRAM rate coincide: 1 us of transfer.
-    EXPECT_NEAR(sim.run().total_us, 2.5, 1e-6);
+    EXPECT_NEAR(simulate(toy_device(), graph).total_us, 2.5, 1e-6);
 }
 
 TEST(EngineTest, ComputeAndMemoryOverlap)
 {
-    GpuSim sim(toy_device());
+    LaunchGraph graph;
     TbWork w;
     w.cuda_flops = 1e6;        // 2 us alone.
     w.dram_read_bytes = 5e4;   // 0.5 us alone.
-    sim.launch(0, one_kernel("k", w, 1));
+    graph.launch(0, one_kernel("k", w, 1));
     // Double buffering overlaps the two: max, not sum.
-    EXPECT_NEAR(sim.run().total_us, 3.5, 1e-6);
+    EXPECT_NEAR(simulate(toy_device(), graph).total_us, 3.5, 1e-6);
 }
 
 TEST(EngineTest, TwoBlocksRunOnSeparateSms)
 {
-    GpuSim sim(toy_device());
+    LaunchGraph graph;
     TbWork w;
     w.cuda_flops = 1e6;
-    sim.launch(0, one_kernel("k", w, 2));
-    EXPECT_NEAR(sim.run().total_us, 3.5, 1e-6);
+    graph.launch(0, one_kernel("k", w, 2));
+    EXPECT_NEAR(simulate(toy_device(), graph).total_us, 3.5, 1e-6);
 }
 
 TEST(EngineTest, FourBlocksShareTwoSms)
 {
-    GpuSim sim(toy_device());
+    LaunchGraph graph;
     TbWork w;
     w.cuda_flops = 1e6;
-    sim.launch(0, one_kernel("k", w, 4));
+    graph.launch(0, one_kernel("k", w, 4));
     // Two blocks per SM share the pipe: 4 us of compute.
-    EXPECT_NEAR(sim.run().total_us, 1.0 + 0.5 + 4.0, 1e-6);
+    EXPECT_NEAR(simulate(toy_device(), graph).total_us, 1.0 + 0.5 + 4.0, 1e-6);
 }
 
 TEST(EngineTest, EmptyKernelFinishesAtReadyTime)
 {
-    GpuSim sim(toy_device());
+    LaunchGraph graph;
     KernelLaunch k;
     k.name = "empty";
     k.shape = small_shape();
-    sim.launch(0, k);
-    const SimResult r = sim.run();
+    graph.launch(0, k);
+    const SimResult r = simulate(toy_device(), graph);
     EXPECT_NEAR(r.total_us, 1.0, 1e-9);
     EXPECT_EQ(r.kernels.at(0).num_tbs, 0);
 }
 
 TEST(EngineTest, ZeroWorkBlocksStillPayPrologue)
 {
-    GpuSim sim(toy_device());
-    sim.launch(0, one_kernel("k", TbWork{}, 2));
-    EXPECT_NEAR(sim.run().total_us, 1.5, 1e-6);
+    LaunchGraph graph;
+    graph.launch(0, one_kernel("k", TbWork{}, 2));
+    EXPECT_NEAR(simulate(toy_device(), graph).total_us, 1.5, 1e-6);
 }
 
 // -------------------------------------------------------- conservation ----
 
 TEST(EngineTest, WorkCountersMatchSubmission)
 {
-    GpuSim sim(toy_device());
+    LaunchGraph graph;
     TbWork w;
     w.cuda_flops = 123;
     w.tensor_flops = 456;
     w.dram_read_bytes = 789;
     w.dram_write_bytes = 10;
     w.l2_bytes = 11;
-    sim.launch(0, one_kernel("k", w, 7));
-    const SimResult r = sim.run();
+    graph.launch(0, one_kernel("k", w, 7));
+    const SimResult r = simulate(toy_device(), graph);
     EXPECT_DOUBLE_EQ(r.work.cuda_flops, 123 * 7);
     EXPECT_DOUBLE_EQ(r.work.tensor_flops, 456 * 7);
     EXPECT_DOUBLE_EQ(r.work.dram_read_bytes, 789 * 7);
@@ -318,12 +319,12 @@ TEST(EngineTest, WorkCountersMatchSubmission)
 
 TEST(EngineTest, ManyBlocksApproachRooflineThroughput)
 {
-    GpuSim sim(toy_device());
+    LaunchGraph graph;
     TbWork w;
     w.cuda_flops = 1e6;  // Large enough to amortize the 0.5 us prologue.
     const index_t n = 200;
-    sim.launch(0, one_kernel("k", w, n));
-    const SimResult r = sim.run();
+    graph.launch(0, one_kernel("k", w, n));
+    const SimResult r = simulate(toy_device(), graph);
     // Total compute 2e8 flops at 1e6 flops/us device-wide = 200 us.
     const double compute_us = 2e8 / 1e6;
     EXPECT_GT(r.total_us, compute_us);
@@ -332,7 +333,7 @@ TEST(EngineTest, ManyBlocksApproachRooflineThroughput)
 
 TEST(EngineTest, LoadImbalanceDominatesMakespan)
 {
-    GpuSim sim(toy_device());
+    LaunchGraph graph;
     KernelLaunch k;
     k.name = "imbalanced";
     k.shape = small_shape();
@@ -342,8 +343,8 @@ TEST(EngineTest, LoadImbalanceDominatesMakespan)
     light.cuda_flops = 1e5;
     k.add_tb(heavy, 1);
     k.add_tb(light, 100);
-    sim.launch(0, std::move(k));
-    const SimResult r = sim.run();
+    graph.launch(0, std::move(k));
+    const SimResult r = simulate(toy_device(), graph);
     // Balanced-work lower bound would be ~60 us; the straggler forces 100+.
     EXPECT_GT(r.total_us, 100.0);
     EXPECT_LT(r.total_us, 140.0);
@@ -353,24 +354,24 @@ TEST(EngineTest, LoadImbalanceDominatesMakespan)
 
 TEST(EngineTest, SameStreamSerializes)
 {
-    GpuSim sim(toy_device());
+    LaunchGraph graph;
     TbWork w;
     w.cuda_flops = 1e6;
-    sim.launch(0, one_kernel("a", w, 2));
-    sim.launch(0, one_kernel("b", w, 2));
-    const SimResult r = sim.run();
+    graph.launch(0, one_kernel("a", w, 2));
+    graph.launch(0, one_kernel("b", w, 2));
+    const SimResult r = simulate(toy_device(), graph);
     EXPECT_GE(r.find("b")->start_us, r.find("a")->end_us);
 }
 
 TEST(EngineTest, DifferentStreamsOverlap)
 {
-    GpuSim sim(toy_device());
-    const int s1 = sim.create_stream();
+    LaunchGraph graph;
+    const int s1 = graph.create_stream();
     TbWork w;
     w.cuda_flops = 4e6;
-    sim.launch(0, one_kernel("a", w, 2));
-    sim.launch(s1, one_kernel("b", w, 2));
-    const SimResult r = sim.run();
+    graph.launch(0, one_kernel("a", w, 2));
+    graph.launch(s1, one_kernel("b", w, 2));
+    const SimResult r = simulate(toy_device(), graph);
     EXPECT_LT(r.find("b")->start_us, r.find("a")->end_us);
     // Sharing the pipes makes both slower than alone but the makespan
     // shorter than serial execution.
@@ -382,18 +383,18 @@ TEST(EngineTest, MultiStreamFillsIdleSms)
 {
     // One block per kernel: alone, each kernel leaves an SM idle. On two
     // streams the blocks land on different SMs and fully overlap.
-    GpuSim serial(toy_device());
+    LaunchGraph serial;
     TbWork w;
     w.cuda_flops = 2e6;
     serial.launch(0, one_kernel("a", w, 1));
     serial.launch(0, one_kernel("b", w, 1));
-    const double t_serial = serial.run().total_us;
+    const double t_serial = simulate(toy_device(), serial).total_us;
 
-    GpuSim overlap(toy_device());
+    LaunchGraph overlap;
     const int s1 = overlap.create_stream();
     overlap.launch(0, one_kernel("a", w, 1));
     overlap.launch(s1, one_kernel("b", w, 1));
-    const double t_overlap = overlap.run().total_us;
+    const double t_overlap = simulate(toy_device(), overlap).total_us;
 
     // 4 us compute each + two launch latencies + two prologues.
     EXPECT_NEAR(t_serial, 2 * (1.0 + 0.5 + 4.0), 1e-6);
@@ -403,23 +404,25 @@ TEST(EngineTest, MultiStreamFillsIdleSms)
 
 TEST(EngineTest, JoinStreamsOrdersAcrossStreams)
 {
-    GpuSim sim(toy_device());
-    const int s1 = sim.create_stream();
+    LaunchGraph graph;
+    const int s1 = graph.create_stream();
     TbWork w;
     w.cuda_flops = 1e6;
-    sim.launch(0, one_kernel("a", w, 1));
-    sim.launch(s1, one_kernel("b", w, 1));
-    sim.join_streams();
-    sim.launch(s1, one_kernel("c", w, 1));
-    const SimResult r = sim.run();
+    graph.launch(0, one_kernel("a", w, 1));
+    graph.launch(s1, one_kernel("b", w, 1));
+    graph.join_streams();
+    graph.launch(s1, one_kernel("c", w, 1));
+    const SimResult r = simulate(toy_device(), graph);
     EXPECT_GE(r.find("c")->start_us,
               std::max(r.find("a")->end_us, r.find("b")->end_us));
 }
 
 TEST(EngineTest, RunTwiceThrows)
 {
+    LaunchGraph graph;
+    graph.launch(0, one_kernel("k", TbWork{}, 1));
     GpuSim sim(toy_device());
-    sim.launch(0, one_kernel("k", TbWork{}, 1));
+    graph.replay_into(sim);
     sim.run();
     EXPECT_THROW(sim.run(), Error);
 }
@@ -429,16 +432,16 @@ TEST(EngineTest, RunTwiceThrows)
 TEST(EngineTest, Deterministic)
 {
     const auto build = [] {
-        GpuSim sim(toy_device());
-        const int s1 = sim.create_stream();
+        LaunchGraph graph;
+        const int s1 = graph.create_stream();
         TbWork w;
         w.cuda_flops = 3e5;
         w.dram_read_bytes = 2e4;
-        sim.launch(0, one_kernel("a", w, 37));
-        sim.launch(s1, one_kernel("b", w, 19));
-        sim.join_streams();
-        sim.launch(0, one_kernel("c", w, 11));
-        return sim.run();
+        graph.launch(0, one_kernel("a", w, 37));
+        graph.launch(s1, one_kernel("b", w, 19));
+        graph.join_streams();
+        graph.launch(0, one_kernel("c", w, 11));
+        return simulate(toy_device(), graph);
     };
     const SimResult r1 = build();
     const SimResult r2 = build();
@@ -452,11 +455,11 @@ TEST(EngineTest, MoreComputeNeverFaster)
 {
     double prev = 0;
     for (const double flops : {1e5, 2e5, 4e5, 8e5}) {
-        GpuSim sim(toy_device());
+        LaunchGraph graph;
         TbWork w;
         w.cuda_flops = flops;
-        sim.launch(0, one_kernel("k", w, 16));
-        const double t = sim.run().total_us;
+        graph.launch(0, one_kernel("k", w, 16));
+        const double t = simulate(toy_device(), graph).total_us;
         EXPECT_GT(t, prev);
         prev = t;
     }
@@ -468,28 +471,28 @@ TEST(EngineTest, FasterDeviceNeverSlower)
     w.cuda_flops = 5e5;
     w.dram_read_bytes = 4e4;
 
-    GpuSim slow(toy_device());
+    LaunchGraph slow;
     slow.launch(0, one_kernel("k", w, 64));
-    const double t_slow = slow.run().total_us;
+    const double t_slow = simulate(toy_device(), slow).total_us;
 
     DeviceSpec fast_spec = toy_device();
     fast_spec.cuda_tflops *= 2;
     fast_spec.dram_gbps *= 2;
     fast_spec.l2_gbps *= 2;
-    GpuSim fast(fast_spec);
+    LaunchGraph fast;
     fast.launch(0, one_kernel("k", w, 64));
-    const double t_fast = fast.run().total_us;
+    const double t_fast = simulate(fast_spec, fast).total_us;
 
     EXPECT_LT(t_fast, t_slow);
 }
 
 TEST(EngineTest, ConcurrencyBoundedByOccupancy)
 {
-    GpuSim sim(toy_device());
+    LaunchGraph graph;
     TbWork w;
     w.cuda_flops = 1e6;
-    sim.launch(0, one_kernel("k", w, 64));
-    const SimResult r = sim.run();
+    graph.launch(0, one_kernel("k", w, 64));
+    const SimResult r = simulate(toy_device(), graph);
     const KernelStats &k = r.kernels.at(0);
     EXPECT_LE(k.avg_concurrency,
               static_cast<double>(k.occupancy_per_sm) * 2 + 1e-9);
@@ -498,14 +501,14 @@ TEST(EngineTest, ConcurrencyBoundedByOccupancy)
 
 TEST(EngineTest, SpanAndPrefixHelpers)
 {
-    GpuSim sim(toy_device());
+    LaunchGraph graph;
     TbWork w;
     w.cuda_flops = 1e6;
     w.dram_write_bytes = 100;
-    sim.launch(0, one_kernel("phase.a", w, 1));
-    sim.launch(0, one_kernel("phase.b", w, 1));
-    sim.launch(0, one_kernel("other", w, 1));
-    const SimResult r = sim.run();
+    graph.launch(0, one_kernel("phase.a", w, 1));
+    graph.launch(0, one_kernel("phase.b", w, 1));
+    graph.launch(0, one_kernel("other", w, 1));
+    const SimResult r = simulate(toy_device(), graph);
     EXPECT_NEAR(r.span("phase."),
                 r.find("phase.b")->end_us - r.find("phase.a")->start_us,
                 1e-9);
@@ -521,11 +524,11 @@ TEST(EngineTest, GroupedAndUngroupedSubmissionsAgree)
     w.cuda_flops = 2e5;
     w.dram_read_bytes = 1e4;
 
-    GpuSim grouped(toy_device());
+    LaunchGraph grouped;
     grouped.launch(0, one_kernel("k", w, 12));
-    const double t_grouped = grouped.run().total_us;
+    const double t_grouped = simulate(toy_device(), grouped).total_us;
 
-    GpuSim ungrouped(toy_device());
+    LaunchGraph ungrouped;
     KernelLaunch k;
     k.name = "k";
     k.shape = small_shape();
@@ -533,7 +536,7 @@ TEST(EngineTest, GroupedAndUngroupedSubmissionsAgree)
         k.tbs.push_back({w, 1});  // Bypass add_tb merging deliberately.
     }
     ungrouped.launch(0, std::move(k));
-    const double t_ungrouped = ungrouped.run().total_us;
+    const double t_ungrouped = simulate(toy_device(), ungrouped).total_us;
 
     EXPECT_NEAR(t_grouped, t_ungrouped, 1e-9);
 }
@@ -544,23 +547,23 @@ TEST(EngineTest, L2TrafficUsesItsOwnClock)
     // raise the per-SM burst cap so it does not bind here.
     DeviceSpec d = toy_device();
     d.sm_mem_burst = 20.0;
-    GpuSim sim(d);
+    LaunchGraph graph;
     TbWork w;
     w.l2_bytes = 4e5;
-    sim.launch(0, one_kernel("k", w, 1));
-    EXPECT_NEAR(sim.run().total_us, 1.0 + 0.5 + 1.0, 1e-6);
+    graph.launch(0, one_kernel("k", w, 1));
+    EXPECT_NEAR(simulate(d, graph).total_us, 1.0 + 0.5 + 1.0, 1e-6);
 }
 
 TEST(EngineTest, DramPlusL2TakesTheSlowerConstraint)
 {
     // dram 1e5 B at 1e5 B/us = 1 us; (dram+l2) = 1.4e5 B at L2 4e5 = 0.35;
     // per-SM cap: 1.4e5 at 1e5 = 1.4 us -> the SM burst bounds it.
-    GpuSim sim(toy_device());
+    LaunchGraph graph;
     TbWork w;
     w.dram_read_bytes = 1e5;
     w.l2_bytes = 4e4;
-    sim.launch(0, one_kernel("k", w, 1));
-    EXPECT_NEAR(sim.run().total_us, 1.0 + 0.5 + 1.4, 1e-6);
+    graph.launch(0, one_kernel("k", w, 1));
+    EXPECT_NEAR(simulate(toy_device(), graph).total_us, 1.0 + 0.5 + 1.4, 1e-6);
 }
 
 TEST(EngineTest, UnitSaturationCapsLoneBlocks)
@@ -569,11 +572,11 @@ TEST(EngineTest, UnitSaturationCapsLoneBlocks)
     // 128/1024 = 1/8 of the SM pipe; the same work then takes 8x longer.
     DeviceSpec capped = toy_device();
     capped.unit_saturation = 1.0;
-    GpuSim sim(capped);
+    LaunchGraph graph;
     TbWork w;
     w.cuda_flops = 1e6;  // 2 us at full pipe.
-    sim.launch(0, one_kernel("k", w, 1));
-    EXPECT_NEAR(sim.run().total_us, 1.0 + 0.5 + 16.0, 1e-6);
+    graph.launch(0, one_kernel("k", w, 1));
+    EXPECT_NEAR(simulate(capped, graph).total_us, 1.0 + 0.5 + 16.0, 1e-6);
 }
 
 TEST(EngineTest, UnitSaturationIrrelevantWhenSmIsFull)
@@ -588,41 +591,41 @@ TEST(EngineTest, UnitSaturationIrrelevantWhenSmIsFull)
 
     TbWork w;
     w.cuda_flops = 1e6;
-    GpuSim a(capped), b(uncapped);
-    a.launch(0, one_kernel("k", w, 16));
-    b.launch(0, one_kernel("k", w, 16));
-    EXPECT_NEAR(a.run().total_us, b.run().total_us, 1e-6);
+    LaunchGraph graph;
+    graph.launch(0, one_kernel("k", w, 16));
+    EXPECT_NEAR(simulate(capped, graph).total_us,
+                simulate(uncapped, graph).total_us, 1e-6);
 }
 
 TEST(EngineTest, LaunchOnUnknownStreamThrows)
 {
-    GpuSim sim(toy_device());
-    EXPECT_THROW(sim.launch(3, one_kernel("k", TbWork{}, 1)), Error);
+    LaunchGraph graph;
+    EXPECT_THROW(graph.launch(3, one_kernel("k", TbWork{}, 1)), Error);
 }
 
 TEST(EngineTest, ManySmallKernelsSerializeByLaunchLatency)
 {
-    GpuSim sim(toy_device());
+    LaunchGraph graph;
     for (int i = 0; i < 5; ++i) {
         TbWork w;
         w.cuda_flops = 1;  // Negligible work.
-        sim.launch(0, one_kernel("k", w, 1));
+        graph.launch(0, one_kernel("k", w, 1));
     }
-    const double t = sim.run().total_us;
+    const double t = simulate(toy_device(), graph).total_us;
     // Each kernel pays launch latency + prologue serially.
     EXPECT_GT(t, 5 * (1.0 + 0.5));
 }
 
 TEST(TraceTest, ChromeTraceContainsKernelsAndStreams)
 {
-    GpuSim sim(toy_device());
-    const int s1 = sim.create_stream();
+    LaunchGraph graph;
+    const int s1 = graph.create_stream();
     TbWork w;
     w.cuda_flops = 1e6;
     w.dram_write_bytes = 100;
-    sim.launch(0, one_kernel("kernel_a", w, 2));
-    sim.launch(s1, one_kernel("kernel_b", w, 1));
-    const SimResult r = sim.run();
+    graph.launch(0, one_kernel("kernel_a", w, 2));
+    graph.launch(s1, one_kernel("kernel_b", w, 1));
+    const SimResult r = simulate(toy_device(), graph);
     const std::string json = chrome_trace_json(r);
 
     EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
@@ -645,11 +648,11 @@ TEST(TraceTest, ChromeTraceContainsKernelsAndStreams)
 
 TEST(TraceTest, EscapesSpecialCharactersInNames)
 {
-    GpuSim sim(toy_device());
+    LaunchGraph graph;
     TbWork w;
     w.cuda_flops = 1;
-    sim.launch(0, one_kernel("weird\"name\\with\nstuff", w, 1));
-    const std::string json = chrome_trace_json(sim.run());
+    graph.launch(0, one_kernel("weird\"name\\with\nstuff", w, 1));
+    const std::string json = chrome_trace_json(simulate(toy_device(), graph));
     EXPECT_NE(json.find("weird\\\"name\\\\with\\nstuff"),
               std::string::npos);
 }

@@ -1,29 +1,23 @@
-// LaunchGraph capture/replay tests. The load-bearing property: replaying
-// a captured graph into a GpuSim must produce a SimResult byte-identical
-// to the pre-IR imperative path (the engine's *_direct methods) — same
-// kernel names, same stream assignments, same dependency edges, same
-// per-kernel times — for every SliceMode, forward and backward, with
-// multi-stream on and off, and through TransformerRunner's per-layer
-// graph composition.
+// LaunchGraph capture/replay tests: the stream-order and join edges
+// capture records (checked against a naive oracle over random programs),
+// append's name prefixing and stream maps, replay into a GpuSim's program
+// under a stream binding, and the errors replay raises on a simulator that
+// has run or on a binding naming a stream the simulator never created.
+// Golden digests of whole engine and runner plans live in
+// golden_digest_test.cc.
 
-#include <cstdio>
-#include <memory>
+#include <numeric>
+#include <set>
 #include <string>
-#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/error.h"
 #include "common/rng.h"
-#include "core/attention.h"
-#include "core/launch_graph.h"
 #include "gpusim/device.h"
 #include "gpusim/engine.h"
-#include "kernels/dense.h"
-#include "transformer/config.h"
-#include "transformer/runner.h"
-#include "transformer/workload.h"
+#include "gpusim/launch_graph.h"
 
 namespace multigrain {
 namespace {
@@ -38,32 +32,6 @@ toy_launch(const std::string &name, double flops)
     work.dram_read_bytes = 1024;
     launch.add_tb(work, 4);
     return launch;
-}
-
-void
-expect_identical(const sim::SimResult &direct, const sim::SimResult &replay)
-{
-    EXPECT_EQ(direct.total_us, replay.total_us);
-    ASSERT_EQ(direct.kernels.size(), replay.kernels.size());
-    for (std::size_t i = 0; i < direct.kernels.size(); ++i) {
-        const sim::KernelStats &a = direct.kernels[i];
-        const sim::KernelStats &b = replay.kernels[i];
-        EXPECT_EQ(a.name, b.name) << "kernel " << i;
-        EXPECT_EQ(a.stream, b.stream) << a.name;
-        EXPECT_EQ(a.deps, b.deps) << a.name;
-        EXPECT_EQ(a.num_tbs, b.num_tbs) << a.name;
-        EXPECT_EQ(a.occupancy_per_sm, b.occupancy_per_sm) << a.name;
-        EXPECT_EQ(a.ready_us, b.ready_us) << a.name;
-        EXPECT_EQ(a.start_us, b.start_us) << a.name;
-        EXPECT_EQ(a.end_us, b.end_us) << a.name;
-        EXPECT_EQ(a.avg_concurrency, b.avg_concurrency) << a.name;
-        EXPECT_EQ(a.work.tensor_flops, b.work.tensor_flops) << a.name;
-        EXPECT_EQ(a.work.cuda_flops, b.work.cuda_flops) << a.name;
-        EXPECT_EQ(a.work.dram_read_bytes, b.work.dram_read_bytes) << a.name;
-        EXPECT_EQ(a.work.dram_write_bytes, b.work.dram_write_bytes)
-            << a.name;
-        EXPECT_EQ(a.work.l2_bytes, b.work.l2_bytes) << a.name;
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -143,11 +111,13 @@ TEST(LaunchGraphTest, AppendWithExplicitStreamMap)
 
 TEST(LaunchGraphTest, ReplayAfterExistingWorkSerializesOnStreamZero)
 {
+    LaunchGraph before;
+    before.launch(0, toy_launch("before", 1e6));
     LaunchGraph graph;
     graph.launch(0, toy_launch("g", 1e6));
 
     sim::GpuSim sim(sim::DeviceSpec::a100());
-    sim.launch(0, toy_launch("before", 1e6));
+    before.replay_into(sim);
     graph.replay_into(sim, "step.");
     const sim::SimResult result = sim.run();
     ASSERT_EQ(result.kernels.size(), 2u);
@@ -177,335 +147,148 @@ TEST(LaunchGraphTest, BindingReuseKeepsStreamsStableAcrossReplays)
 }
 
 // ---------------------------------------------------------------------------
-// Replay equivalence against the pre-IR imperative path.
+// Replay error paths.
 
-AttentionConfig
-small_config(bool multi_stream)
+TEST(LaunchGraphReplay, ReplayAfterRunThrows)
 {
-    AttentionConfig c;
-    c.head_dim = 16;
-    c.block = 16;
-    c.num_heads = 2;
-    c.multi_stream = multi_stream;
-    return c;
+    LaunchGraph graph;
+    graph.launch(0, toy_launch("k", 1e6));
+    sim::GpuSim sim(sim::DeviceSpec::a100());
+    graph.replay_into(sim);
+    sim.run();
+    EXPECT_THROW(graph.replay_into(sim), Error);
 }
 
-CompoundPattern
-compound(index_t seq)
+TEST(LaunchGraphReplay, BindingToUnknownStreamThrows)
 {
-    CompoundPattern p;
-    p.seq_len = seq;
-    p.atoms.push_back(AtomicPattern::local(4));
-    p.atoms.push_back(AtomicPattern::selected({1, seq / 3}));
-    p.atoms.push_back(AtomicPattern::global({1, seq / 3}));
-    p.atoms.push_back(AtomicPattern::random(3, 21));
-    return p;
+    LaunchGraph graph;
+    const int s1 = graph.create_stream();
+    graph.create_stream();
+    graph.launch(s1, toy_launch("k", 1e6));
+
+    sim::GpuSim sim(sim::DeviceSpec::a100());
+    std::vector<int> past_end = {0, 1};  // The sim only has stream 0.
+    EXPECT_THROW(graph.replay_into(sim, past_end), Error);
+    std::vector<int> negative = {-1};
+    EXPECT_THROW(graph.replay_into(sim, negative), Error);
+    EXPECT_EQ(past_end, (std::vector<int>{0, 1}));
+    // A rejected binding left the program untouched: a fresh binding
+    // still gets real streams 1 and 2, and only its kernel runs.
+    graph.replay_into(sim);
+    const sim::SimResult result = sim.run();
+    ASSERT_EQ(result.kernels.size(), 1u);
+    EXPECT_EQ(result.kernels[0].stream, 1);
 }
 
-class ReplayEquivalenceTest
-    : public ::testing::TestWithParam<
-          std::tuple<SliceMode, bool /*multi_stream*/, bool /*backward*/>> {
-};
-
-TEST_P(ReplayEquivalenceTest, ReplayMatchesDirectPath)
-{
-    const auto [mode, multi_stream, backward] = GetParam();
-    const AttentionEngine engine(compound(64), small_config(multi_stream),
-                                 mode);
-    const sim::DeviceSpec device = sim::DeviceSpec::a100();
-
-    sim::GpuSim direct(device);
-    sim::GpuSim replay(device);
-    if (backward) {
-        engine.plan_backward_into_direct(direct, "T00.attn.");
-        engine.plan_backward_into(replay, "T00.attn.");
-    } else {
-        engine.plan_into_direct(direct, "T00.attn.");
-        engine.plan_into(replay, "T00.attn.");
-    }
-    expect_identical(direct.run(), replay.run());
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    AllModes, ReplayEquivalenceTest,
-    ::testing::Combine(::testing::Values(SliceMode::kMultigrain,
-                                         SliceMode::kCoarseOnly,
-                                         SliceMode::kFineOnly,
-                                         SliceMode::kDense),
-                       ::testing::Bool(), ::testing::Bool()));
-
-TEST(ReplayPhaseTest, CoScheduledPhasesMatchDirectPath)
-{
-    // Two engines with different metadata, phases interleaved the way the
-    // heterogeneous-batch runner does it.
-    const AttentionEngine e1(compound(64), small_config(true),
-                             SliceMode::kMultigrain);
-    CompoundPattern other = compound(64);
-    other.atoms.push_back(AtomicPattern::local(8));
-    const AttentionEngine e2(other, small_config(true),
-                             SliceMode::kMultigrain);
-    const sim::DeviceSpec device = sim::DeviceSpec::a100();
-
-    sim::GpuSim direct(device);
-    sim::GpuSim replay(device);
-    for (int phase = 0; phase < 3; ++phase) {
-        for (const AttentionEngine *e : {&e1, &e2}) {
-            switch (phase) {
-              case 0:
-                e->plan_sddmm_phase_direct(direct, "attn.");
-                break;
-              case 1:
-                e->plan_softmax_phase_direct(direct, "attn.");
-                break;
-              default:
-                e->plan_spmm_phase_direct(direct, "attn.");
-            }
-        }
-        direct.join_streams();
-        for (const AttentionEngine *e : {&e1, &e2}) {
-            switch (phase) {
-              case 0:
-                e->plan_sddmm_phase(replay, "attn.");
-                break;
-              case 1:
-                e->plan_softmax_phase(replay, "attn.");
-                break;
-              default:
-                e->plan_spmm_phase(replay, "attn.");
-            }
-        }
-        replay.join_streams();
-    }
-    expect_identical(direct.run(), replay.run());
-}
-
-TEST(ReplayPhaseTest, OneEngineCanPlanIntoTwoSimsConcurrently)
-{
-    // Stream bindings live with the simulator, not the engine, so
-    // interleaving one engine's phases across two simulators must give
-    // each simulator exactly what a dedicated engine would have planned.
-    const AttentionEngine engine(compound(64), small_config(true),
-                                 SliceMode::kMultigrain);
-    const sim::DeviceSpec device = sim::DeviceSpec::a100();
-
-    sim::GpuSim a(device);
-    sim::GpuSim b(device);
-    engine.plan_sddmm_phase(a);
-    engine.plan_sddmm_phase(b);
-    a.join_streams();
-    b.join_streams();
-    engine.plan_softmax_phase(a);
-    engine.plan_softmax_phase(b);
-    a.join_streams();
-    b.join_streams();
-    engine.plan_spmm_phase(a);
-    engine.plan_spmm_phase(b);
-    a.join_streams();
-    b.join_streams();
-
-    sim::GpuSim reference(device);
-    engine.plan_into_direct(reference);
-    const sim::SimResult ref = reference.run();
-    expect_identical(ref, a.run());
-    expect_identical(ref, b.run());
-}
+// (A second GpuSim::run() throwing is EngineTest.RunTwiceThrows.)
 
 // ---------------------------------------------------------------------------
-// Runner composition: per-layer graphs replayed per layer must equal the
-// seed's imperative per-layer loop (reconstructed here over the _direct
-// reference path).
+// The edge rule against a naive oracle.
 
-TEST(RunnerComposedReplayTest, InferencePassMatchesImperativeLoop)
+/// The deps of every launch of a program given as its op stream (a stream
+/// per launch, LaunchGraph::kJoin per join), computed from the rule's
+/// statement alone by scanning the history: a launch depends on the
+/// previous launch on its stream, and the first launch on a stream after a
+/// join also depends on every stream's last launch before that join.
+std::vector<std::vector<int>>
+oracle_deps(const std::vector<int> &ops, int streams)
 {
-    const ModelConfig model = ModelConfig::tiny_test();
-    Rng rng(2022);
-    const WorkloadSample sample = sample_for_model(rng, model);
-    const index_t batch = 2;
-    const sim::DeviceSpec device = sim::DeviceSpec::a100();
-
-    const TransformerRunner runner(model, SliceMode::kMultigrain, sample,
-                                   batch);
-    const EndToEndResult composed = runner.simulate(device);
-
-    AttentionConfig config;
-    config.head_dim = model.head_dim();
-    config.num_heads = model.num_heads;
-    config.batch = batch;
-    config.block = model.block;
-    const AttentionEngine engine(build_model_pattern(model, sample), config,
-                                 SliceMode::kMultigrain);
-
-    sim::GpuSim sim(device);
-    const index_t seq = model.max_seq_len;
-    const index_t d = model.d_model;
-    const index_t ffn = model.ffn_dim;
-    const index_t elems = seq * d * batch;
-    for (index_t layer = 0; layer < model.num_layers; ++layer) {
-        char prefix[16];
-        std::snprintf(prefix, sizeof prefix, "L%02d.",
-                      static_cast<int>(layer));
-        const std::string p(prefix);
-        sim.launch(0, kernels::plan_dense_gemm(device, seq, 3 * d, d,
-                                               batch, p + "gemm.qkv"));
-        sim.join_streams();
-        engine.plan_sddmm_phase_direct(sim, p + "attn.");
-        sim.join_streams();
-        engine.plan_softmax_phase_direct(sim, p + "attn.");
-        sim.join_streams();
-        engine.plan_spmm_phase_direct(sim, p + "attn.");
-        sim.join_streams();
-        sim.launch(0, kernels::plan_dense_gemm(device, seq, d, d, batch,
-                                               p + "gemm.attn_out"));
-        sim.launch(0, kernels::plan_elementwise(device, elems, 2, 8.0,
-                                                p + "ew.ln1"));
-        sim.launch(0, kernels::plan_dense_gemm(device, seq, ffn, d, batch,
-                                               p + "gemm.ffn1"));
-        sim.launch(0, kernels::plan_elementwise(device, seq * ffn * batch,
-                                                1, 12.0, p + "ew.gelu"));
-        sim.launch(0, kernels::plan_dense_gemm(device, seq, d, ffn, batch,
-                                               p + "gemm.ffn2"));
-        sim.launch(0, kernels::plan_elementwise(device, elems, 2, 8.0,
-                                                p + "ew.ln2"));
-        sim.join_streams();
-    }
-    expect_identical(sim.run(), composed.sim);
-}
-
-TEST(RunnerComposedReplayTest, TrainingPassMatchesImperativeLoop)
-{
-    const ModelConfig model = ModelConfig::tiny_test();
-    Rng rng(7);
-    const WorkloadSample sample = sample_for_model(rng, model);
-    const sim::DeviceSpec device = sim::DeviceSpec::a100();
-
-    const TransformerRunner runner(model, SliceMode::kMultigrain, sample,
-                                   /*batch=*/1);
-    const EndToEndResult composed = runner.simulate_training(device);
-
-    AttentionConfig config;
-    config.head_dim = model.head_dim();
-    config.num_heads = model.num_heads;
-    config.batch = 1;
-    config.block = model.block;
-    const AttentionEngine engine(build_model_pattern(model, sample), config,
-                                 SliceMode::kMultigrain);
-
-    sim::GpuSim sim(device);
-    const index_t seq = model.max_seq_len;
-    const index_t d = model.d_model;
-    const index_t ffn = model.ffn_dim;
-    const index_t elems = seq * d;
-    const auto dense_layer = [&](const std::string &p, double flop_scale) {
-        for (double rep = 0; rep < flop_scale; ++rep) {
-            const std::string suffix =
-                flop_scale > 1 ? (rep == 0 ? ".dx" : ".dw") : "";
-            sim.launch(0, kernels::plan_dense_gemm(device, seq, 3 * d, d, 1,
-                                                   p + "gemm.qkv" + suffix));
-            sim.launch(0,
-                       kernels::plan_dense_gemm(
-                           device, seq, d, d, 1, p + "gemm.attn_out" + suffix));
-            sim.launch(0, kernels::plan_dense_gemm(device, seq, ffn, d, 1,
-                                                   p + "gemm.ffn1" + suffix));
-            sim.launch(0, kernels::plan_dense_gemm(device, seq, d, ffn, 1,
-                                                   p + "gemm.ffn2" + suffix));
+    std::vector<int> node(ops.size(), -1);  // Node index of each launch.
+    for (std::size_t p = 0, n = 0; p < ops.size(); ++p) {
+        if (ops[p] != LaunchGraph::kJoin) {
+            node[p] = static_cast<int>(n++);
         }
-        sim.launch(0, kernels::plan_elementwise(device, elems, 2, 8.0,
-                                                p + "ew.ln"));
-        sim.launch(0, kernels::plan_elementwise(device, seq * ffn, 1, 12.0,
-                                                p + "ew.gelu"));
+    }
+    // The last launch on stream `s` before op position `end`, or -1.
+    const auto last_on = [&](int s, std::size_t end) {
+        int found = -1;
+        for (std::size_t q = 0; q < end; ++q) {
+            found = ops[q] == s ? node[q] : found;
+        }
+        return found;
     };
-    for (index_t layer = 0; layer < model.num_layers; ++layer) {
-        char prefix[16];
-        std::snprintf(prefix, sizeof prefix, "F%02d.",
-                      static_cast<int>(layer));
-        const std::string p(prefix);
-        dense_layer(p, 1.0);
-        sim.join_streams();
-        engine.plan_sddmm_phase_direct(sim, p + "attn.");
-        sim.join_streams();
-        engine.plan_softmax_phase_direct(sim, p + "attn.");
-        sim.join_streams();
-        engine.plan_spmm_phase_direct(sim, p + "attn.");
-        sim.join_streams();
+    std::vector<std::vector<int>> deps;
+    for (std::size_t p = 0; p < ops.size(); ++p) {
+        const int s = ops[p];
+        if (s == LaunchGraph::kJoin) {
+            continue;
+        }
+        std::set<int> d = {last_on(s, p)};
+        std::size_t join = p;  // The last join before p, if any.
+        for (std::size_t q = 0; q < p; ++q) {
+            join = ops[q] == LaunchGraph::kJoin ? q : join;
+        }
+        if (join < p && last_on(s, p) == last_on(s, join)) {
+            for (int t = 0; t < streams; ++t) {
+                d.insert(last_on(t, join));
+            }
+        }
+        d.erase(-1);
+        deps.emplace_back(d.begin(), d.end());
     }
-    for (index_t layer = model.num_layers; layer-- > 0;) {
-        char prefix[16];
-        std::snprintf(prefix, sizeof prefix, "B%02d.",
-                      static_cast<int>(layer));
-        const std::string p(prefix);
-        engine.plan_backward_into_direct(sim, p + "attn.");
-        dense_layer(p, 2.0);
-        sim.join_streams();
-    }
-    expect_identical(sim.run(), composed.sim);
+    return deps;
 }
 
-TEST(RunnerComposedReplayTest, HeterogeneousBatchMatchesImperativeLoop)
+class LaunchGraphOracle : public ::testing::TestWithParam<int> {};
+
+TEST_P(LaunchGraphOracle, CaptureAndReplayMatchTheNaiveEdgeRule)
 {
-    const ModelConfig model = ModelConfig::tiny_test();
-    Rng rng(5);
-    std::vector<WorkloadSample> samples;
-    samples.push_back(sample_for_model(rng, model));
-    samples.push_back(sample_for_model(rng, model));
-    const sim::DeviceSpec device = sim::DeviceSpec::a100();
+    Rng rng(static_cast<std::uint64_t>(GetParam()) * 7919u + 3);
+    const int streams = static_cast<int>(rng.next_range(2, 5));
+    const int launches = static_cast<int>(rng.next_range(50, 200));
 
-    const TransformerRunner runner(model, SliceMode::kMultigrain, samples);
-    const EndToEndResult composed = runner.simulate(device);
-
-    AttentionConfig config;
-    config.head_dim = model.head_dim();
-    config.num_heads = model.num_heads;
-    config.batch = 1;
-    config.block = model.block;
-    std::vector<std::unique_ptr<AttentionEngine>> engines;
-    for (const WorkloadSample &sample : samples) {
-        engines.push_back(std::make_unique<AttentionEngine>(
-            build_model_pattern(model, sample), config,
-            SliceMode::kMultigrain));
+    LaunchGraph graph;
+    while (graph.num_streams() < streams) {
+        graph.create_stream();
+    }
+    std::vector<int> ops;  // The calls made: a stream per launch, or kJoin.
+    for (int k = 0; k < launches; ++k) {
+        if (rng.next_float() < 0.15f) {
+            graph.join_streams();
+            ops.push_back(LaunchGraph::kJoin);
+        }
+        const int s = static_cast<int>(rng.next_range(0, streams - 1));
+        graph.launch(s, toy_launch("k" + std::to_string(k), 1e5));
+        ops.push_back(s);
     }
 
-    sim::GpuSim sim(device);
-    const index_t batch = static_cast<index_t>(samples.size());
-    const index_t seq = model.max_seq_len;
-    const index_t d = model.d_model;
-    const index_t ffn = model.ffn_dim;
-    const index_t elems = seq * d * batch;
-    for (index_t layer = 0; layer < model.num_layers; ++layer) {
-        char prefix[16];
-        std::snprintf(prefix, sizeof prefix, "L%02d.",
-                      static_cast<int>(layer));
-        const std::string p(prefix);
-        sim.launch(0, kernels::plan_dense_gemm(device, seq, 3 * d, d,
-                                               batch, p + "gemm.qkv"));
-        sim.join_streams();
-        for (const auto &engine : engines) {
-            engine->plan_sddmm_phase_direct(sim, p + "attn.");
-        }
-        sim.join_streams();
-        for (const auto &engine : engines) {
-            engine->plan_softmax_phase_direct(sim, p + "attn.");
-        }
-        sim.join_streams();
-        for (const auto &engine : engines) {
-            engine->plan_spmm_phase_direct(sim, p + "attn.");
-        }
-        sim.join_streams();
-        sim.launch(0, kernels::plan_dense_gemm(device, seq, d, d, batch,
-                                               p + "gemm.attn_out"));
-        sim.launch(0, kernels::plan_elementwise(device, elems, 2, 8.0,
-                                                p + "ew.ln1"));
-        sim.launch(0, kernels::plan_dense_gemm(device, seq, ffn, d, batch,
-                                               p + "gemm.ffn1"));
-        sim.launch(0, kernels::plan_elementwise(device, seq * ffn * batch,
-                                                1, 12.0, p + "ew.gelu"));
-        sim.launch(0, kernels::plan_dense_gemm(device, seq, d, ffn, batch,
-                                               p + "gemm.ffn2"));
-        sim.launch(0, kernels::plan_elementwise(device, elems, 2, 8.0,
-                                                p + "ew.ln2"));
-        sim.join_streams();
+    const std::vector<std::vector<int>> expected =
+        oracle_deps(ops, streams);
+    ASSERT_EQ(graph.size(), expected.size());
+    for (std::size_t i = 0; i < expected.size(); ++i) {
+        EXPECT_EQ(graph.nodes()[i].deps, expected[i]) << "node " << i;
     }
-    expect_identical(sim.run(), composed.sim);
+
+    // Replay under a non-identity binding: first give the simulator its
+    // streams through a kernel-free graph, then bind the program's
+    // logical streams to them in reverse.
+    sim::GpuSim sim(sim::DeviceSpec::a100());
+    LaunchGraph streams_only;
+    while (streams_only.num_streams() < streams) {
+        streams_only.create_stream();
+    }
+    streams_only.replay_into(sim);
+    std::vector<int> binding(static_cast<std::size_t>(streams));
+    std::iota(binding.rbegin(), binding.rend(), 0);
+    graph.replay_into(sim, binding);
+    const sim::SimResult result = sim.run();
+
+    ASSERT_EQ(result.kernels.size(), graph.size());
+    for (std::size_t i = 0; i < graph.size(); ++i) {
+        const LaunchGraphNode &node = graph.nodes()[i];
+        const sim::KernelStats &k = result.kernels[i];
+        EXPECT_EQ(k.deps, node.deps) << "kernel " << i;
+        EXPECT_EQ(k.stream, binding[static_cast<std::size_t>(node.stream)])
+            << "kernel " << i;
+        for (const int dep : k.deps) {
+            EXPECT_GE(k.ready_us,
+                      result.kernels[static_cast<std::size_t>(dep)].end_us)
+                << "kernel " << i << " ran before its dep " << dep;
+        }
+    }
 }
+
+INSTANTIATE_TEST_SUITE_P(Seeds, LaunchGraphOracle, ::testing::Range(0, 8));
 
 }  // namespace
 }  // namespace multigrain

@@ -25,10 +25,10 @@
 #include "common/error.h"
 #include "common/rng.h"
 #include "core/attention.h"
-#include "core/launch_graph.h"
 #include "core/memplan.h"
 #include "core/plan_cache.h"
 #include "gpusim/device.h"
+#include "gpusim/launch_graph.h"
 #include "patterns/slice.h"
 #include "transformer/config.h"
 #include "transformer/runner.h"

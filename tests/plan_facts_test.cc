@@ -17,9 +17,9 @@
 #include "plan_test_util.h"
 
 #include "common/rng.h"
-#include "core/launch_graph.h"
 #include "core/plan_facts.h"
 #include "gpusim/launch.h"
+#include "gpusim/launch_graph.h"
 
 namespace multigrain {
 namespace {

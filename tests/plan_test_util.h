@@ -9,9 +9,9 @@
 
 #include "common/rng.h"
 #include "core/attention.h"
-#include "core/launch_graph.h"
 #include "gpusim/device.h"
 #include "gpusim/launch.h"
+#include "gpusim/launch_graph.h"
 #include "patterns/slice.h"
 #include "transformer/config.h"
 #include "transformer/runner.h"

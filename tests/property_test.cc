@@ -264,10 +264,10 @@ TEST_P(EngineStressTest, RandomProgramsAreDeterministicAndOrdered)
 {
     const auto build = [&](sim::SimResult *out) {
         Rng rng(static_cast<std::uint64_t>(GetParam()) * 2654435761u + 7);
-        sim::GpuSim sim(sim::DeviceSpec::a100());
+        LaunchGraph graph;
         std::vector<int> streams = {0};
         for (int s = 0; s < 3; ++s) {
-            streams.push_back(sim.create_stream());
+            streams.push_back(graph.create_stream());
         }
         const int kernels = static_cast<int>(rng.next_range(3, 12));
         double expected_flops = 0;
@@ -296,14 +296,14 @@ TEST_P(EngineStressTest, RandomProgramsAreDeterministicAndOrdered)
                     (w.tensor_flops + w.cuda_flops) *
                     static_cast<double>(count);
             }
-            sim.launch(
+            graph.launch(
                 streams[static_cast<std::size_t>(rng.next_range(0, 3))],
                 std::move(launch));
             if (rng.next_float() < 0.25f) {
-                sim.join_streams();
+                graph.join_streams();
             }
         }
-        *out = sim.run();
+        *out = sim::simulate(sim::DeviceSpec::a100(), graph);
         return expected_flops;
     };
 

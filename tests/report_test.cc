@@ -23,7 +23,7 @@ shape()
 
 TEST(ReportTest, ComputeBoundKernelClassifiedTensor)
 {
-    GpuSim sim(DeviceSpec::a100());
+    LaunchGraph graph;
     KernelLaunch k;
     k.name = "gemm";
     k.shape = shape();
@@ -31,8 +31,8 @@ TEST(ReportTest, ComputeBoundKernelClassifiedTensor)
     w.tensor_flops = 1e9;
     w.dram_read_bytes = 1e3;  // Negligible memory.
     k.add_tb(w, 2000);
-    sim.launch(0, std::move(k));
-    const SimResult r = sim.run();
+    graph.launch(0, std::move(k));
+    const SimResult r = simulate(DeviceSpec::a100(), graph);
     const WorkloadReport report = characterize(r, DeviceSpec::a100());
     ASSERT_EQ(report.kernels.size(), 1u);
     EXPECT_EQ(report.kernels[0].bound, Bound::kTensor);
@@ -43,7 +43,7 @@ TEST(ReportTest, ComputeBoundKernelClassifiedTensor)
 
 TEST(ReportTest, StreamKernelClassifiedDram)
 {
-    GpuSim sim(DeviceSpec::a100());
+    LaunchGraph graph;
     KernelLaunch k;
     k.name = "stream";
     k.shape = shape();
@@ -52,9 +52,9 @@ TEST(ReportTest, StreamKernelClassifiedDram)
     w.dram_write_bytes = 2e6;
     w.cuda_flops = 10;
     k.add_tb(w, 2000);
-    sim.launch(0, std::move(k));
+    graph.launch(0, std::move(k));
     const WorkloadReport report =
-        characterize(sim.run(), DeviceSpec::a100());
+        characterize(simulate(DeviceSpec::a100(), graph), DeviceSpec::a100());
     EXPECT_EQ(report.kernels[0].bound, Bound::kDram);
     EXPECT_GT(report.kernels[0].dram_util, 0.7);
     EXPECT_LT(report.kernels[0].arithmetic_intensity, 0.01);
@@ -62,23 +62,23 @@ TEST(ReportTest, StreamKernelClassifiedDram)
 
 TEST(ReportTest, TinyKernelIsLatencyBound)
 {
-    GpuSim sim(DeviceSpec::a100());
+    LaunchGraph graph;
     KernelLaunch k;
     k.name = "tiny";
     k.shape = shape();
     TbWork w;
     w.cuda_flops = 100;
     k.add_tb(w, 1);
-    sim.launch(0, std::move(k));
+    graph.launch(0, std::move(k));
     const WorkloadReport report =
-        characterize(sim.run(), DeviceSpec::a100());
+        characterize(simulate(DeviceSpec::a100(), graph), DeviceSpec::a100());
     EXPECT_EQ(report.kernels[0].bound, Bound::kLatency);
 }
 
 TEST(ReportTest, EnergyScalesWithWork)
 {
     const auto run = [](double scale) {
-        GpuSim sim(DeviceSpec::a100());
+        LaunchGraph graph;
         KernelLaunch k;
         k.name = "k";
         k.shape = shape();
@@ -86,8 +86,9 @@ TEST(ReportTest, EnergyScalesWithWork)
         w.tensor_flops = 1e8 * scale;
         w.dram_read_bytes = 1e6 * scale;
         k.add_tb(w, 500);
-        sim.launch(0, std::move(k));
-        return characterize(sim.run(), DeviceSpec::a100());
+        graph.launch(0, std::move(k));
+        return characterize(simulate(DeviceSpec::a100(), graph),
+                            DeviceSpec::a100());
     };
     const WorkloadReport small = run(1.0);
     const WorkloadReport big = run(2.0);
@@ -101,7 +102,7 @@ TEST(ReportTest, EnergyScalesWithWork)
 TEST(ReportTest, EnergyMatchesClosedForm)
 {
     const DeviceSpec d = DeviceSpec::a100();
-    GpuSim sim(d);
+    LaunchGraph graph;
     KernelLaunch k;
     k.name = "k";
     k.shape = shape();
@@ -112,8 +113,8 @@ TEST(ReportTest, EnergyMatchesClosedForm)
     w.dram_write_bytes = 1e5;
     w.l2_bytes = 5e5;
     k.add_tb(w, 10);
-    sim.launch(0, std::move(k));
-    const WorkloadReport report = characterize(sim.run(), d);
+    graph.launch(0, std::move(k));
+    const WorkloadReport report = characterize(simulate(d, graph), d);
     const double expected =
         (1e7 * 10 * d.pj_per_tensor_flop + 2e6 * 10 * d.pj_per_cuda_flop +
          4e5 * 10 * d.pj_per_dram_byte + 5e5 * 10 * d.pj_per_l2_byte) *
@@ -140,16 +141,16 @@ TEST(ReportTest, MultigrainUsesLessEnergyThanTriton)
 
 TEST(ReportTest, PrintsTableWithTotals)
 {
-    GpuSim sim(DeviceSpec::a100());
+    LaunchGraph graph;
     KernelLaunch k;
     k.name = "my_kernel";
     k.shape = shape();
     TbWork w;
     w.cuda_flops = 1e7;
     k.add_tb(w, 100);
-    sim.launch(0, std::move(k));
+    graph.launch(0, std::move(k));
     const WorkloadReport report =
-        characterize(sim.run(), DeviceSpec::a100());
+        characterize(simulate(DeviceSpec::a100(), graph), DeviceSpec::a100());
     std::ostringstream os;
     print_report(report, os);
     const std::string text = os.str();

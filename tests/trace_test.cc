@@ -36,13 +36,13 @@ make_kernel(const std::string &name, double cuda_flops, index_t tbs)
 SimResult
 simulate_joined_program()
 {
-    GpuSim sim(DeviceSpec::a100());
-    const int s1 = sim.create_stream();
-    sim.launch(0, make_kernel("sddmm.coarse", 1e9, 256));
-    sim.launch(s1, make_kernel("sddmm.fine", 2e9, 512));
-    sim.join_streams();
-    sim.launch(0, make_kernel("softmax.compound", 1e9, 256));
-    return sim.run();
+    LaunchGraph graph;
+    const int s1 = graph.create_stream();
+    graph.launch(0, make_kernel("sddmm.coarse", 1e9, 256));
+    graph.launch(s1, make_kernel("sddmm.fine", 2e9, 512));
+    graph.join_streams();
+    graph.launch(0, make_kernel("softmax.compound", 1e9, 256));
+    return simulate(DeviceSpec::a100(), graph);
 }
 
 /// All events of a given "ph" type in document order.

@@ -126,7 +126,7 @@ parse_args(int argc, char **argv)
         } else if (arg == "--policy") {
             opt.policy = next();
         } else if (arg == "--seed") {
-            opt.seed = std::stoull(next());
+            opt.seed = bench::parse_unsigned(arg, next());
         } else if (arg == "--report") {
             opt.report_path = next();
         } else if (arg == "--trace") {
@@ -135,9 +135,9 @@ parse_args(int argc, char **argv)
             opt.out_dir = next();
             MG_CHECK(!opt.out_dir.empty()) << "--out-dir must be non-empty";
         } else if (arg == "--perturb-ledger") {
-            opt.perturb_ledger = std::stod(next());
+            opt.perturb_ledger = bench::parse_double(arg, next());
         } else if (arg == "--perturb-counter") {
-            opt.perturb_counter = std::stoll(next());
+            opt.perturb_counter = bench::parse_signed(arg, next());
         } else if (arg == "--list") {
             opt.list = true;
         } else if (arg == "--quiet") {

@@ -121,7 +121,7 @@ parse_args(int argc, char **argv)
         } else if (arg == "--device") {
             opt.device = next();
         } else if (arg == "--seed") {
-            opt.seed = std::stoull(next());
+            opt.seed = bench::parse_unsigned(arg, next());
         } else if (arg == "--report") {
             opt.report_path = next();
         } else if (arg == "--timeseries") {
@@ -132,11 +132,11 @@ parse_args(int argc, char **argv)
             opt.out_dir = next();
             MG_CHECK(!opt.out_dir.empty()) << "--out-dir must be non-empty";
         } else if (arg == "--interval-us") {
-            opt.interval_us = std::stod(next());
+            opt.interval_us = bench::parse_double(arg, next());
             MG_CHECK(opt.interval_us > 0)
                 << "--interval-us must be positive";
         } else if (arg == "--perturb-ledger") {
-            opt.perturb_ledger = std::stod(next());
+            opt.perturb_ledger = bench::parse_double(arg, next());
         } else if (arg == "--list") {
             opt.list = true;
         } else if (arg == "--quiet") {

@@ -100,6 +100,7 @@ usage(std::ostream &os)
 void
 add_perturb(Options &opt, const std::string &key, const std::string &value)
 {
+    bench::parse_double("--perturb-" + key, value);
     if (!opt.perturb.empty()) {
         opt.perturb += ",";
     }
@@ -132,7 +133,7 @@ parse_args(int argc, char **argv)
         } else if (arg == "--update-baselines") {
             opt.update_baselines = true;
         } else if (arg == "--tol-scale") {
-            opt.tol_scale = std::stod(next());
+            opt.tol_scale = bench::parse_double(arg, next());
         } else if (arg == "--perturb-dram") {
             add_perturb(opt, "dram", next());
         } else if (arg == "--perturb-tensor") {
@@ -145,6 +146,7 @@ parse_args(int argc, char **argv)
             add_perturb(opt, "launch", next());
         } else if (arg == "--perturb-mem") {
             opt.perturb_mem = next();
+            bench::parse_double(arg, opt.perturb_mem);
         } else if (arg == "--verbose-report") {
             opt.verbose_report = true;
         } else if (arg == "--list") {

@@ -114,13 +114,13 @@ parse_args(int argc, char **argv)
         } else if (arg == "--mode") {
             opt.mode = next();
         } else if (arg == "--batch") {
-            opt.batch = std::stoll(next());
+            opt.batch = bench::parse_signed<index_t>(arg, next());
         } else if (arg == "--seed") {
-            opt.seed = static_cast<unsigned>(std::stoul(next()));
+            opt.seed = bench::parse_unsigned<unsigned>(arg, next());
         } else if (arg == "--training") {
             opt.training = true;
         } else if (arg == "--steps") {
-            opt.steps = std::stoi(next());
+            opt.steps = bench::parse_signed<int>(arg, next());
         } else if (arg == "--plan-cache-stats") {
             opt.plan_cache_stats = true;
         } else if (arg == "--json") {
@@ -133,7 +133,7 @@ parse_args(int argc, char **argv)
             opt.out_dir = next();
             MG_CHECK(!opt.out_dir.empty()) << "--out-dir must be non-empty";
         } else if (arg == "--top") {
-            opt.top_kernels = std::stoi(next());
+            opt.top_kernels = bench::parse_signed<int>(arg, next());
         } else if (arg == "--quiet") {
             opt.table = false;
             opt.notes = false;

@@ -84,7 +84,7 @@ parse_args(int argc, char **argv)
         } else if (arg == "--device") {
             opt.device = next();
         } else if (arg == "--seed") {
-            opt.seed = std::stoull(next());
+            opt.seed = bench::parse_unsigned(arg, next());
         } else if (arg == "--bench") {
             opt.bench_path = next();
         } else if (arg == "--out-dir") {

@@ -123,7 +123,7 @@ parse_args(int argc, char **argv)
         } else if (arg == "--device") {
             opt.device = next();
         } else if (arg == "--seed") {
-            opt.seed = std::stoull(next());
+            opt.seed = bench::parse_unsigned(arg, next());
         } else if (arg == "--report") {
             opt.report_path = next();
         } else if (arg == "--events") {
@@ -137,15 +137,15 @@ parse_args(int argc, char **argv)
             MG_CHECK(!opt.out_dir.empty()) << "--out-dir must be non-empty";
         } else if (arg == "--ring") {
             opt.trace.ring_rounds =
-                static_cast<std::size_t>(std::stoull(next()));
+                bench::parse_unsigned<std::size_t>(arg, next());
         } else if (arg == "--shed-burst") {
-            opt.trace.shed_burst = std::stoi(next());
+            opt.trace.shed_burst = bench::parse_signed<int>(arg, next());
         } else if (arg == "--shed-window") {
-            opt.trace.shed_window_us = std::stod(next());
+            opt.trace.shed_window_us = bench::parse_double(arg, next());
         } else if (arg == "--miss-streak") {
-            opt.trace.miss_streak = std::stoi(next());
+            opt.trace.miss_streak = bench::parse_signed<int>(arg, next());
         } else if (arg == "--stall-us") {
-            opt.trace.stall_us = std::stod(next());
+            opt.trace.stall_us = bench::parse_double(arg, next());
         } else if (arg == "--list") {
             opt.list = true;
         } else if (arg == "--quiet") {
