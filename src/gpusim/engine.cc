@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "common/error.h"
+#include "common/timer.h"
 
 namespace multigrain::sim {
 
@@ -102,7 +103,6 @@ struct Clock {
     double rate = 0;  ///< Full resource rate, progress units per us.
     double value = 0;
     double last_t = 0;
-    std::uint64_t epoch = 0;
     /// Min-heap of (threshold progress value, unit*4 + component).
     std::priority_queue<std::pair<double, std::int64_t>,
                         std::vector<std::pair<double, std::int64_t>>,
@@ -165,12 +165,15 @@ struct KernelRun {
     double unit_busy = 0;
 };
 
+/// A queued event. Events pop in (t, kind, seq) order: kind 0 (clock
+/// crossing, kept in PredictionHeap) before 1 (kernel ready), 2 (unit
+/// activation) and 3 (private deadline) at one instant, then by push
+/// order. The main heap holds kinds 1-3 only.
 struct Event {
     double t = 0;
     std::uint64_t seq = 0;  ///< Tie-break for determinism.
-    int kind = 0;           ///< 0 clock, 1 kernel-ready, 2 unit-activate.
+    int kind = 0;
     int id = 0;
-    std::uint64_t epoch = 0;
 
     friend bool operator>(const Event &a, const Event &b)
     {
@@ -184,6 +187,113 @@ struct Event {
     }
 };
 
+/// Indexed binary min-heap of per-clock crossing predictions keyed by
+/// (t, seq). Each clock holds at most one prediction: setting a new one
+/// replaces the old in place, so a superseded prediction is never queued
+/// and never popped.
+class PredictionHeap {
+  public:
+    explicit PredictionHeap(std::size_t clocks)
+        : keys_(clocks), pos_(clocks, -1)
+    {
+        heap_.reserve(clocks);
+    }
+
+    bool empty() const { return heap_.empty(); }
+    std::size_t size() const { return heap_.size(); }
+    /// The clock with the earliest prediction, and that prediction's time.
+    int top() const { return heap_.front(); }
+    double top_t() const { return keys_[id(heap_.front())].t; }
+
+    /// Sets clock `c`'s prediction to (t, seq), replacing any previous one.
+    void set(int c, double t, std::uint64_t seq)
+    {
+        const Key old = keys_[id(c)];
+        keys_[id(c)] = {t, seq};
+        if (pos_[id(c)] < 0) {
+            pos_[id(c)] = static_cast<int>(heap_.size());
+            heap_.push_back(c);
+            sift_up(pos_[id(c)]);
+        } else if (less(keys_[id(c)], old)) {
+            sift_up(pos_[id(c)]);
+        } else {
+            sift_down(pos_[id(c)]);
+        }
+    }
+
+    /// Drops clock `c`'s prediction, if it has one.
+    void erase(int c)
+    {
+        const int i = pos_[id(c)];
+        if (i < 0) {
+            return;
+        }
+        pos_[id(c)] = -1;
+        const int last = heap_.back();
+        heap_.pop_back();
+        if (last == c) {
+            return;
+        }
+        place(i, last);
+        sift_up(i);
+        sift_down(pos_[id(last)]);
+    }
+
+  private:
+    struct Key {
+        double t = 0;
+        std::uint64_t seq = 0;
+    };
+
+    static std::size_t id(int c) { return static_cast<std::size_t>(c); }
+    static bool less(const Key &a, const Key &b)
+    {
+        return a.t != b.t ? a.t < b.t : a.seq < b.seq;
+    }
+    bool less_at(int i, int j) const
+    {
+        return less(keys_[id(heap_[id(i)])], keys_[id(heap_[id(j)])]);
+    }
+    void place(int i, int c)
+    {
+        heap_[id(i)] = c;
+        pos_[id(c)] = i;
+    }
+    void sift_up(int i)
+    {
+        while (i > 0 && less_at(i, (i - 1) / 2)) {
+            const int parent = (i - 1) / 2;
+            const int c = heap_[id(i)];
+            place(i, heap_[id(parent)]);
+            place(parent, c);
+            i = parent;
+        }
+    }
+    void sift_down(int i)
+    {
+        const int n = static_cast<int>(heap_.size());
+        while (true) {
+            int least = i;
+            for (const int child : {2 * i + 1, 2 * i + 2}) {
+                if (child < n && less_at(child, least)) {
+                    least = child;
+                }
+            }
+            if (least == i) {
+                return;
+            }
+            const int c = heap_[id(i)];
+            place(i, heap_[id(least)]);
+            place(least, c);
+            i = least;
+        }
+    }
+
+    std::vector<Key> keys_;  ///< By clock id; valid while pos_ >= 0.
+    std::vector<int> pos_;   ///< Heap index by clock id; -1 if none.
+    std::vector<int> heap_;  ///< Clock ids.
+};
+
 }  // namespace
 
 SimResult
@@ -191,6 +301,8 @@ GpuSim::run()
 {
     MG_CHECK(!ran_) << "GpuSim::run() may only be called once";
     ran_ = true;
+    const ScopedTimer timer("gpusim.run");
+    EngineCounters counters;
 
     const int num_sms = device_.num_sms;
     const std::vector<LaunchGraphNode> &nodes = program_.nodes();
@@ -210,13 +322,19 @@ GpuSim::run()
             device_.sm_dram_bytes_per_us();
     }
     std::priority_queue<Event, std::vector<Event>, std::greater<>> events;
+    PredictionHeap predictions(clocks.size());
     std::uint64_t seq = 0;
 
+    // Replaces the clock's prediction; the seq it consumes keeps every
+    // later tie-break where it would be had the old one stayed queued.
     const auto push_clock_prediction = [&](int clock_id) {
         Clock &c = clocks[static_cast<std::size_t>(clock_id)];
         const double t = c.next_crossing();
         if (t < kInf) {
-            events.push({t, seq++, 0, clock_id, c.epoch});
+            predictions.set(clock_id, t, seq++);
+            ++counters.predictions;
+        } else {
+            predictions.erase(clock_id);
         }
     };
 
@@ -250,9 +368,6 @@ GpuSim::run()
 
     int kernels_done = 0;
 
-    // Forward declarations as std::function-free lambdas via explicit
-    // structure: the admission path and the completion path call each
-    // other, so both capture through a small mutable struct.
     const auto fits = [&](const SmState &sm, const TbShape &shape) {
         if (sm.slots + 1 > device_.max_tb_per_sm) {
             return false;
@@ -296,8 +411,8 @@ GpuSim::run()
             const int k = issuable[pos];
             const LaunchGraphNode &node = nodes[static_cast<std::size_t>(k)];
             KernelRun &run = runs[static_cast<std::size_t>(k)];
-            // Respect the per-kernel occupancy bound on this SM as well:
-            // count resident units of this kernel.
+            // The block must fit beside everything already resident on
+            // this SM; the kernel's own occupancy follows from that.
             if (!fits(sm, node.launch.shape)) {
                 continue;
             }
@@ -319,6 +434,7 @@ GpuSim::run()
             unit.tb_count = take;
             unit.pending = 0;
             unit.admit_t = now;
+            ++counters.units;
             unit.work.tensor_flops =
                 group.work.tensor_flops * static_cast<double>(take);
             unit.work.cuda_flops =
@@ -352,7 +468,7 @@ GpuSim::run()
 
             const double activate_t =
                 now + device_.tb_overhead_us * static_cast<double>(take);
-            events.push({activate_t, seq++, 2, unit_id, 0});
+            events.push({activate_t, seq++, 2, unit_id});
             return true;
         }
         return false;
@@ -394,8 +510,7 @@ GpuSim::run()
         ++kernels_done;
         for (const int child : children[static_cast<std::size_t>(k)]) {
             if (--unresolved[static_cast<std::size_t>(child)] == 0) {
-                events.push({now + device_.kernel_launch_us, seq++, 1, child,
-                             0});
+                events.push({now + device_.kernel_launch_us, seq++, 1, child});
             }
         }
     };
@@ -433,7 +548,9 @@ GpuSim::run()
         // Latency-bound cap: a lone block cannot saturate a pipe. It adds
         // a fixed per-component deadline at the capped private rate; the
         // component is done when both the shared progress clock crosses
-        // *and* the private deadline passes.
+        // *and* the private deadline passes. Only the deadline that pops
+        // last, the (t, seq) maximum, is queued: an earlier one could
+        // never complete the unit. Each still consumes its seq.
         const LaunchGraphNode &node =
             nodes[static_cast<std::size_t>(unit.kernel)];
         double cap = 1.0;
@@ -449,14 +566,22 @@ GpuSim::run()
                 0,  // DRAM handled through the SM burst deadline below.
                 0,
                 device_.sm_dram_bytes_per_us() * cap};
+            Event last{-kInf, 0, 3, unit_id};
             for (int comp = 0; comp < kNumComponents; ++comp) {
                 if (comps[comp] <= 0 || private_rates[comp] <= 0) {
                     continue;
                 }
                 const double deadline =
                     now + comps[comp] / private_rates[comp];
+                const std::uint64_t deadline_seq = seq++;
+                if (deadline >= last.t) {
+                    last.t = deadline;
+                    last.seq = deadline_seq;
+                }
+            }
+            if (last.t > -kInf) {
                 ++unit.pending;
-                events.push({deadline, seq++, 3, unit_id, 0});
+                events.push(last);
             }
         }
         for (int comp = 0; comp < kNumComponents; ++comp) {
@@ -484,7 +609,6 @@ GpuSim::run()
                 {c.value + comps[comp],
                  static_cast<std::int64_t>(unit_id) * kNumComponents +
                      comp});
-            ++c.epoch;
             ++unit.pending;
             push_clock_prediction(clock_id);
         }
@@ -496,47 +620,72 @@ GpuSim::run()
     // ---- Seed: kernels with no dependencies become ready after launch.
     for (int k = 0; k < num_kernels; ++k) {
         if (unresolved[static_cast<std::size_t>(k)] == 0) {
-            events.push({device_.kernel_launch_us, seq++, 1, k, 0});
+            events.push({device_.kernel_launch_us, seq++, 1, k});
         }
     }
 
-    double now = 0;
-    while (!events.empty()) {
-        const Event ev = events.top();
-        events.pop();
-        MG_CHECK(ev.t >= now - 1e-6) << "simulator time went backwards";
-        now = std::max(now, ev.t);
+    // Retires the clock's smallest threshold.
+    const auto fire_top = [&](Clock &c, double now) {
+        const int unit_id =
+            static_cast<int>(c.thresholds.top().second / kNumComponents);
+        c.thresholds.pop();
+        if (--units[static_cast<std::size_t>(unit_id)].pending == 0) {
+            complete_unit(unit_id, now);
+        }
+    };
 
-        switch (ev.kind) {
-          case 0: {  // Clock crossing prediction.
-            Clock &c = clocks[static_cast<std::size_t>(ev.id)];
-            if (ev.epoch != c.epoch) {
-                break;  // Stale prediction.
-            }
-            const double t = c.next_crossing();
-            if (t > ev.t + 1e-9 * std::max(1.0, ev.t)) {
-                events.push({t, seq++, 0, ev.id, c.epoch});
-                break;
+    double now = 0;
+    while (true) {
+        counters.peak_queue =
+            std::max(counters.peak_queue,
+                     static_cast<std::int64_t>(events.size() +
+                                               predictions.size()));
+        // Kind 0 sorts first at equal t, so a prediction due no later
+        // than the main heap's top pops before it.
+        const bool crossing =
+            !predictions.empty() &&
+            (events.empty() || predictions.top_t() <= events.top().t);
+        if (!crossing && events.empty()) {
+            break;
+        }
+        const double t_due = crossing ? predictions.top_t() : events.top().t;
+        MG_CHECK(t_due >= now - 1e-6) << "simulator time went backwards";
+        now = std::max(now, t_due);
+
+        if (crossing) {
+            ++counters.crossing_events;
+            const int clock_id = predictions.top();
+            Clock &c = clocks[static_cast<std::size_t>(clock_id)];
+            // Both paths end by replacing or erasing this prediction.
+            if (c.next_crossing() > t_due + 1e-9 * std::max(1.0, t_due)) {
+                push_clock_prediction(clock_id);
+                continue;
             }
             c.advance(now);
             // Fire every threshold crossed at this instant.
             const double limit =
                 c.value + 1e-9 * std::max(1.0, std::abs(c.value));
+            const std::size_t before = c.thresholds.size();
             while (!c.thresholds.empty() &&
                    c.thresholds.top().first <= limit) {
-                const std::int64_t tag = c.thresholds.top().second;
-                c.thresholds.pop();
-                ++c.epoch;
-                const int unit_id = static_cast<int>(tag / kNumComponents);
-                Unit &unit = units[static_cast<std::size_t>(unit_id)];
-                if (--unit.pending == 0) {
-                    complete_unit(unit_id, now);
-                }
+                fire_top(c, now);
             }
-            push_clock_prediction(ev.id);
-            break;
-          }
+            // A crossing less than one ulp of `now` away can never be
+            // reached by advancing the clock; re-predicting it would
+            // return this instant forever. Fire it now.
+            if (c.thresholds.size() == before && !c.thresholds.empty() &&
+                c.next_crossing() <= now) {
+                fire_top(c, now);
+            }
+            push_clock_prediction(clock_id);
+            continue;
+        }
+
+        const Event ev = events.top();
+        events.pop();
+        switch (ev.kind) {
           case 1: {  // Kernel ready.
+            ++counters.ready_events;
             KernelRun &run = runs[static_cast<std::size_t>(ev.id)];
             run.ready = true;
             run.ready_t = now;
@@ -550,10 +699,12 @@ GpuSim::run()
             break;
           }
           case 2: {  // Unit activation after its prologue.
+            ++counters.activation_events;
             activate_unit(ev.id, now);
             break;
           }
-          case 3: {  // Private (latency-bound) component deadline passed.
+          case 3: {  // The unit's last private deadline passed.
+            ++counters.deadline_events;
             Unit &unit = units[static_cast<std::size_t>(ev.id)];
             if (--unit.pending == 0) {
                 complete_unit(ev.id, now);
@@ -591,6 +742,7 @@ GpuSim::run()
         result.total_us = std::max(result.total_us, stats.end_us);
         result.kernels.push_back(std::move(stats));
     }
+    result.engine = counters;
     return result;
 }
 

@@ -1,6 +1,7 @@
 #ifndef MULTIGRAIN_GPUSIM_ENGINE_H_
 #define MULTIGRAIN_GPUSIM_ENGINE_H_
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -28,10 +29,19 @@
 ///
 /// Implementation: per-resource progress clocks. A clock advances at
 /// R / N(t) where N is its live consumer count; a block's component
-/// finishes when the clock crosses (value-at-admission + work). Crossings
-/// are tracked with lazily-invalidated predictions in one global event
-/// heap, so simulation cost is O(blocks · log), independent of how long
-/// blocks overlap.
+/// finishes when the clock crosses (value-at-admission + work). Events pop
+/// in (t, kind, seq) order from two queues. Each clock keeps exactly one
+/// live crossing prediction in an indexed min-heap, and a new prediction
+/// overwrites it in place. Kernel-ready, activation and private-deadline
+/// events share one binary heap. A latency-capped unit queues only its
+/// last private deadline, because an earlier one could never complete it.
+/// Every dropped event still consumes its seq, so every tie-break is the
+/// one a queue holding all of them would make. The dropped events are
+/// superseded predictions and non-final deadlines; popping one changed no
+/// state except `now`, and only to a time no later than the next event
+/// that does. Results are therefore bit-identical to that queue's.
+/// Simulation cost is O(blocks · log), independent of how long blocks
+/// overlap.
 namespace multigrain::sim {
 
 struct KernelStats {
@@ -56,10 +66,25 @@ struct KernelStats {
     double duration_us() const { return end_us - start_us; }
 };
 
+/// What one GpuSim::run did: host-cost accounting, not a simulated
+/// quantity (golden digests ignore it).
+struct EngineCounters {
+    std::int64_t units = 0;  ///< Units (chunks of identical blocks) admitted.
+    std::int64_t crossing_events = 0;    ///< Clock predictions popped.
+    std::int64_t ready_events = 0;       ///< Kernel-ready events popped.
+    std::int64_t activation_events = 0;  ///< Unit activations popped.
+    std::int64_t deadline_events = 0;    ///< Private deadlines popped.
+    /// Clock predictions made; those not popped were overwritten.
+    std::int64_t predictions = 0;
+    /// Peak of queued events plus live clock predictions.
+    std::int64_t peak_queue = 0;
+};
+
 struct SimResult {
     double total_us = 0;
     TbWork work;
     std::vector<KernelStats> kernels;
+    EngineCounters engine;
 
     double dram_bytes() const { return work.dram_bytes(); }
     /// Sum of durations of kernels whose name starts with `prefix`.

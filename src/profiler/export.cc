@@ -189,6 +189,18 @@ write_json(const ProfiledRun &run, std::ostream &os)
     }
     w.end_array();
 
+    const sim::EngineCounters &e = run.engine;
+    w.key("engine");
+    w.begin_object();
+    w.field("units", e.units);
+    w.field("crossing_events", e.crossing_events);
+    w.field("ready_events", e.ready_events);
+    w.field("activation_events", e.activation_events);
+    w.field("deadline_events", e.deadline_events);
+    w.field("predictions", e.predictions);
+    w.field("peak_queue", e.peak_queue);
+    w.end_object();
+
     w.key("counters");
     w.begin_array();
     for (const ProfiledRun::Counter &c : run.counters) {

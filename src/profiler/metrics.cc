@@ -193,6 +193,7 @@ profile(const sim::SimResult &result, const sim::DeviceSpec &device,
     run.device = device.name;
     run.total_us = result.total_us;
     run.work = result.work;
+    run.engine = result.engine;
     run.report = sim::characterize(result, device, options.bound_threshold);
 
     std::map<std::string, Accum> by_op;

@@ -75,6 +75,8 @@ struct ProfiledRun {
     sim::WorkloadReport report;
     /// Snapshot of the §3.1 offline-preprocessing timers.
     std::vector<TimerStat> host_timers;
+    /// What the simulator's event loop did to produce `result`.
+    sim::EngineCounters engine;
     /// Named scalar counters attached by the caller — e.g. mgprof's
     /// plan-cache hit/miss/eviction statistics. profile() leaves this
     /// empty; the profiler stays independent of where counters come from.

@@ -8,11 +8,18 @@
 // proved, case by case, that replay produced exactly what that path
 // produced. Matching a digest therefore means matching it, which is why
 // the test names are kept.
+//
+// EngineOrderTest pins random multi-stream programs on a two-SM toy device
+// instead: ties between deadlines and threshold crossings, every occupancy
+// from 1 to the device maximum, empty work components and 0-TB kernels.
+// Its digests were computed before the engine's event queue was rewritten,
+// so they prove the rewrite pops the same events in the same order.
 
 #include <cstdint>
 #include <cstdio>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -21,6 +28,8 @@
 #include "core/attention.h"
 #include "gpusim/device.h"
 #include "gpusim/engine.h"
+#include "gpusim/launch.h"
+#include "gpusim/launch_graph.h"
 #include "transformer/config.h"
 #include "transformer/runner.h"
 #include "transformer/workload.h"
@@ -220,6 +229,123 @@ TEST(RunnerComposedReplayTest, HeterogeneousBatchMatchesImperativeLoop)
     const TransformerRunner runner(model, SliceMode::kMultigrain, samples);
     EXPECT_EQ(digest(runner.simulate(sim::DeviceSpec::a100()).sim),
               "f86dc8d0495875a0");
+}
+
+/// Two SMs with round rates (per-SM CUDA 0.5e6 flops/us, tensor 1e6
+/// flops/us, DRAM 1e5 B/us, L2 4e5 B/us), four block slots per SM, and the
+/// latency-bound cap on or off.
+sim::DeviceSpec
+toy_device(bool unit_saturation)
+{
+    sim::DeviceSpec d;
+    d.name = "toy";
+    d.num_sms = 2;
+    d.tensor_tflops = 2.0;
+    d.cuda_tflops = 1.0;
+    d.dram_gbps = 100.0;
+    d.l2_gbps = 400.0;
+    d.max_tb_per_sm = 4;
+    d.max_threads_per_sm = 1024;
+    d.regs_per_sm = 65536;
+    d.smem_per_sm_bytes = 64 * 1024;
+    d.tensor_efficiency = 1.0;
+    d.cuda_efficiency = 1.0;
+    d.dram_efficiency = 1.0;
+    d.kernel_launch_us = 1.0;
+    d.tb_overhead_us = 0.5;
+    d.sm_mem_burst = 2.0;
+    d.unit_saturation = unit_saturation ? 2.0 : 0.0;
+    return d;
+}
+
+/// A random program: 2-5 streams, 20-200 launches, a join before about one
+/// launch in eight. Shapes give occupancies 1 to 4 on the toy device, and
+/// the small menu of work values makes identical blocks (and so tied
+/// deadlines and crossings) common. About one group in eight has no work
+/// at all and one kernel in eight has no thread blocks.
+LaunchGraph
+random_program(std::uint64_t seed)
+{
+    static const sim::TbShape kShapes[] = {
+        {128, 0, 32},  {256, 0, 32},    {512, 0, 32},
+        {1024, 0, 32}, {128, 20480, 32}, {256, 0, 128}};
+    static const double kValues[] = {0, 0, 1e4, 5e4, 1e5, 1e6};
+    Rng rng(seed);
+    LaunchGraph graph;
+    const auto streams = static_cast<int>(rng.next_range(2, 5));
+    for (int s = 1; s < streams; ++s) {
+        graph.create_stream();
+    }
+    const std::int64_t launches = rng.next_range(20, 200);
+    for (std::int64_t i = 0; i < launches; ++i) {
+        if (rng.next_below(8) == 0) {
+            graph.join_streams();
+        }
+        sim::KernelLaunch launch;
+        launch.name = "k" + std::to_string(i);
+        launch.shape = kShapes[rng.next_below(6)];
+        const std::int64_t groups =
+            rng.next_below(8) == 0 ? 0 : rng.next_range(1, 3);
+        for (std::int64_t g = 0; g < groups; ++g) {
+            sim::TbWork work;
+            if (rng.next_below(8) != 0) {
+                work.tensor_flops = kValues[rng.next_below(6)];
+                work.cuda_flops = kValues[rng.next_below(6)];
+                work.dram_read_bytes = kValues[rng.next_below(6)];
+                work.dram_write_bytes = kValues[rng.next_below(6)];
+                work.l2_bytes = kValues[rng.next_below(6)];
+            }
+            launch.add_tb(work, rng.next_range(1, 40));
+        }
+        graph.launch(static_cast<int>(rng.next_below(
+                         static_cast<std::uint64_t>(streams))),
+                     std::move(launch));
+    }
+    return graph;
+}
+
+TEST(EngineOrderTest, RandomGraphsKeepTheirDigests)
+{
+    // Indexed by seed * 2 + unit_saturation.
+    static const char *const kDigests[16] = {
+        "ca066c77a2627b86", "73f4c6d8dfc52742", "a7486b068df8d2cb",
+        "b80754d218586d08", "dd3e4173d3856742", "82cc059e6e8f4104",
+        "15db0d99146699f7", "aa271edcce5a43cd", "b98cd15dcfec1373",
+        "4215cdd5c690af1d", "e14db06b8b619166", "e8ec00a6d80d33de",
+        "b40416c8bd5f5295", "20e9c0406fd2b608", "bfa1046817c9dc2c",
+        "f9b93cf438bf7402"};
+    for (std::uint64_t seed = 0; seed < 8; ++seed) {
+        const LaunchGraph graph = random_program(seed);
+        for (const bool saturation : {false, true}) {
+            SCOPED_TRACE("seed " + std::to_string(seed) +
+                         (saturation ? " saturation on" : " saturation off"));
+            EXPECT_EQ(digest(sim::simulate(toy_device(saturation), graph)),
+                      kDigests[seed * 2 + (saturation ? 1 : 0)]);
+        }
+    }
+}
+
+TEST(EngineOrderTest, CountersOfATinyRunnerPass)
+{
+    const ModelConfig model = ModelConfig::tiny_test();
+    Rng rng(2022);
+    const TransformerRunner runner(model, SliceMode::kMultigrain,
+                                   sample_for_model(rng, model),
+                                   /*batch=*/2);
+    const sim::EngineCounters c =
+        runner.simulate(sim::DeviceSpec::a100()).sim.engine;
+    EXPECT_EQ(c.units, 5204);
+    EXPECT_EQ(c.crossing_events, 3380);
+    EXPECT_EQ(c.ready_events, 30);
+    EXPECT_EQ(c.activation_events, 5204);
+    EXPECT_EQ(c.deadline_events, 5204);
+    EXPECT_EQ(c.predictions, 21284);
+    EXPECT_EQ(c.peak_queue, 1354);
+    // Every crossing popped was predicted and not overwritten since.
+    EXPECT_LE(c.crossing_events, c.predictions);
+    // Each admitted unit activates once and queues at most one deadline.
+    EXPECT_EQ(c.activation_events, c.units);
+    EXPECT_LE(c.deadline_events, c.activation_events);
 }
 
 }  // namespace

@@ -597,6 +597,30 @@ TEST(EngineTest, UnitSaturationIrrelevantWhenSmIsFull)
                 simulate(uncapped, graph).total_us, 1e-6);
 }
 
+TEST(EngineTest, CrossingBelowOneUlpOfNowStillFires)
+{
+    // A starved DRAM clock pushes the second kernel past t = 1e10 us,
+    // where one ulp of time (~2e-6 us) is worth ~1 flop of CUDA-pipe
+    // progress. A crossing can then land short of its threshold by more
+    // than the firing tolerance while its re-prediction rounds back to the
+    // same instant. The engine must fire it rather than re-predict that
+    // instant forever.
+    DeviceSpec d = toy_device();
+    d.dram_gbps = 1e-5;  // 1e-2 B/us.
+    LaunchGraph graph;
+    TbWork slow;
+    slow.dram_read_bytes = 1e8;  // 1e10 us.
+    graph.launch(0, one_kernel("slow", slow, 1));
+    TbWork fast;
+    fast.cuda_flops = 1234567.891;
+    graph.launch(0, one_kernel("fast", fast, 7));
+    const SimResult r = simulate(d, graph);
+    const KernelStats &k = r.kernels.at(1);
+    EXPECT_GT(k.start_us, 1e10);
+    // Four of the blocks share one SM's pipe after one 0.5 us prologue.
+    EXPECT_NEAR(k.duration_us(), 0.5 + 4 * 1234567.891 / 0.5e6, 1e-3);
+}
+
 TEST(EngineTest, LaunchOnUnknownStreamThrows)
 {
     LaunchGraph graph;

@@ -255,6 +255,10 @@ TEST(ProfilerTest, ProfileJsonIsValidAndCarriesPhases)
     EXPECT_EQ(doc.at("host_timers").array[0].at("name").as_string(),
               "offline.slice_and_dice");
     reset_host_timers();
+
+    // So do the engine counters, as one object.
+    ASSERT_TRUE(doc.at("engine").is_object());
+    EXPECT_EQ(doc.at("engine").at("units").as_number(), 0.0);
 }
 
 TEST(ProfilerTest, ReportJsonParses)
