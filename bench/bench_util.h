@@ -1,7 +1,6 @@
 #ifndef MULTIGRAIN_BENCH_BENCH_UTIL_H_
 #define MULTIGRAIN_BENCH_BENCH_UTIL_H_
 
-#include <charconv>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -9,7 +8,6 @@
 #include <fstream>
 #include <sstream>
 #include <string>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -241,195 +239,6 @@ report_plan_cache()
     JsonRow &row = report_row("plan_cache");
     for (const PlanCacheMetricDef &metric : plan_cache_metric_registry()) {
         row.metric(metric.key, metric.get(stats));
-    }
-}
-
-// ---- Shared CLI plumbing -------------------------------------------------
-// The tools (mgserve, mgtrace, mgplan, mgperf, mgcost, mgcluster) repeat
-// the same rituals: comma-list and number parsing, resolving artifact
-// paths against --out-dir, and looking up preset/device names with
-// unknown names surfaced as ValidationError (exit 2) instead of a
-// runtime fault. They live here so every tool resolves paths and
-// classifies bad input the same way.
-
-/// Splits "a,b,c" into {"a","b","c"}; empty items are rejected.
-inline std::vector<std::string>
-split_csv(const std::string &s)
-{
-    std::vector<std::string> out;
-    std::size_t pos = 0;
-    while (pos <= s.size()) {
-        const std::size_t comma = s.find(',', pos);
-        const std::string item = comma == std::string::npos
-                                     ? s.substr(pos)
-                                     : s.substr(pos, comma - pos);
-        MG_CHECK(!item.empty()) << "empty item in list \"" << s << "\"";
-        out.push_back(item);
-        if (comma == std::string::npos) {
-            break;
-        }
-        pos = comma + 1;
-    }
-    return out;
-}
-
-namespace detail {
-
-/// Parses all of `text` as one T with std::from_chars; anything else
-/// (empty, trailing junk, out of T's range) throws Error naming `flag`.
-template <typename T>
-T
-parse_number(const std::string &flag, const std::string &text,
-             const char *expected)
-{
-    T value{};
-    const char *end = text.data() + text.size();
-    const auto [ptr, ec] = std::from_chars(text.data(), end, value);
-    if (text.empty() || ec != std::errc() || ptr != end) {
-        throw Error(flag + " needs " + expected + ", got \"" + text + "\"");
-    }
-    return value;
-}
-
-}  // namespace detail
-
-/// Parses the value of `flag` as a non-negative decimal integer that fits
-/// T. Anything else (empty, signed, trailing junk, out of range) throws
-/// Error, so a bad number exits 1 like any other bad invocation instead of
-/// escaping main() as std::invalid_argument or wrapping around.
-template <typename T = std::uint64_t>
-T
-parse_unsigned(const std::string &flag, const std::string &text)
-{
-    static_assert(std::is_unsigned_v<T>);
-    return detail::parse_number<T>(flag, text, "a non-negative integer");
-}
-
-/// parse_unsigned for a signed decimal integer that fits T.
-template <typename T = std::int64_t>
-T
-parse_signed(const std::string &flag, const std::string &text)
-{
-    static_assert(std::is_signed_v<T>);
-    return detail::parse_number<T>(flag, text, "an integer");
-}
-
-/// parse_unsigned for a finite decimal floating-point number.
-inline double
-parse_double(const std::string &flag, const std::string &text)
-{
-    const double value = detail::parse_number<double>(flag, text, "a number");
-    if (!std::isfinite(value)) {
-        throw Error(flag + " needs a finite number, got \"" + text + "\"");
-    }
-    return value;
-}
-
-/// Directory for a tool's default ("-") artifact paths: an explicit
-/// --out-dir wins; the historical "." layout honors MULTIGRAIN_BENCH_DIR.
-inline std::string
-default_artifact_dir(const std::string &out_dir)
-{
-    if (out_dir != ".") {
-        return out_dir;
-    }
-    if (const char *env = std::getenv("MULTIGRAIN_BENCH_DIR")) {
-        if (*env != '\0') {
-            return env;
-        }
-    }
-    return ".";
-}
-
-/// Resolves a relative artifact path under --out-dir; empty paths,
-/// absolute paths, and the default layout (out_dir ".") pass through
-/// untouched.
-inline std::string
-resolve_out_path(const std::string &out_dir, const std::string &path)
-{
-    if (path.empty() || path.front() == '/' || out_dir == ".") {
-        return path;
-    }
-    return out_dir + "/" + path;
-}
-
-/// Looks up a serving preset and device by their CLI names, surfacing
-/// unknown names as ValidationError (exit 2, the convention every serve
-/// tool follows: CI probes for it). `seed` 0 keeps the preset's seed;
-/// `device` receives the resolved spec.
-inline serve::ServeConfig
-validated_serve_config(const std::string &preset,
-                       const std::string &device_name,
-                       sim::DeviceSpec *device, std::uint64_t seed = 0)
-{
-    serve::ServeConfig config;
-    try {
-        config = serve::serve_preset_by_name(preset);
-        *device = sim::device_spec_by_name(device_name);
-    } catch (const Error &e) {
-        throw ValidationError(e.what());
-    }
-    if (seed != 0) {
-        config.traffic.seed = seed;
-    }
-    return config;
-}
-
-/// The registered serving preset names, in registry order — the list the
-/// serve tools' --all and --list modes walk.
-inline std::vector<std::string>
-serve_preset_names()
-{
-    std::vector<std::string> names;
-    for (const serve::ServePresetInfo &preset : serve::serve_presets()) {
-        names.push_back(preset.name);
-    }
-    return names;
-}
-
-/// The registered cluster preset names, in registry order (mgcluster's
-/// --all and --list modes).
-inline std::vector<std::string>
-cluster_preset_names()
-{
-    std::vector<std::string> names;
-    for (const serve::ClusterPresetInfo &preset :
-         serve::cluster_presets()) {
-        names.push_back(preset.name);
-    }
-    return names;
-}
-
-/// Shared --all driver: runs `run_one(name)` over every preset name and
-/// ORs the statuses — the loop mgcost, mgtrace, and mgcluster all repeat.
-template <typename RunOne>
-inline int
-run_preset_matrix(const std::vector<std::string> &presets, RunOne &&run_one)
-{
-    int status = 0;
-    for (const std::string &name : presets) {
-        status |= run_one(name);
-    }
-    return status;
-}
-
-/// Shared matrix driver for the model × device × mode cross products
-/// (mgplan's plan sweep): runs `body(model, device, mode)` for every
-/// combination and clears the process-wide PlanCache after each combo so
-/// one-shot plans don't accumulate across the full matrix.
-template <typename Body>
-inline void
-for_each_combo(const std::vector<std::string> &models,
-               const std::vector<std::string> &devices,
-               const std::vector<std::string> &modes, Body &&body)
-{
-    for (const std::string &model : models) {
-        for (const std::string &device : devices) {
-            for (const std::string &mode : modes) {
-                body(model, device, mode);
-                PlanCache::instance().clear();
-            }
-        }
     }
 }
 
@@ -737,7 +546,7 @@ bench_presets()
         {"serve_tiny", "mgserve tiny traffic preset (serving-layer gate)",
          &detail::preset_serve_tiny},
         {"cluster_tiny",
-         "2-replica round-robin fleet of the tiny preset (mgcluster gate)",
+         "2-replica round-robin fleet of the tiny preset (fleet gate)",
          &detail::preset_cluster_tiny},
     };
     return presets;

@@ -44,14 +44,16 @@ BsrLayout::validate() const
         << "BSR dims " << rows << "x" << cols
         << " must be multiples of block size " << block
         << " (attention pads the sequence to the block size)";
-    MG_CHECK(static_cast<index_t>(row_offsets.size()) == block_rows() + 1)
+    MG_CHECK(static_cast<index_t>(row_offsets.size()) - 1 == block_rows())
         << "BSR row_offsets must have block_rows+1 entries";
     MG_CHECK(row_offsets.front() == 0) << "BSR row_offsets must start at 0";
     for (index_t br = 0; br < block_rows(); ++br) {
         const index_t begin = row_offsets[static_cast<std::size_t>(br)];
         const index_t end = row_offsets[static_cast<std::size_t>(br + 1)];
-        MG_CHECK(begin <= end)
-            << "BSR row_offsets must be non-decreasing at block row " << br;
+        MG_CHECK(begin <= end &&
+                 end <= static_cast<index_t>(col_indices.size()))
+            << "BSR row_offsets must be non-decreasing and within "
+            << "col_indices at block row " << br;
         for (index_t i = begin; i < end; ++i) {
             const index_t bc = col_indices[static_cast<std::size_t>(i)];
             MG_CHECK(bc >= 0 && bc < block_cols())

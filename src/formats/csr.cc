@@ -21,15 +21,17 @@ CsrLayout::validate() const
 {
     MG_CHECK(rows >= 0 && cols >= 0)
         << "CSR dims must be non-negative: " << rows << "x" << cols;
-    MG_CHECK(static_cast<index_t>(row_offsets.size()) == rows + 1)
+    MG_CHECK(static_cast<index_t>(row_offsets.size()) - 1 == rows)
         << "CSR row_offsets must have rows+1 entries, got "
         << row_offsets.size() << " for " << rows << " rows";
     MG_CHECK(row_offsets.front() == 0) << "CSR row_offsets must start at 0";
     for (index_t r = 0; r < rows; ++r) {
         const index_t begin = row_offsets[static_cast<std::size_t>(r)];
         const index_t end = row_offsets[static_cast<std::size_t>(r + 1)];
-        MG_CHECK(begin <= end)
-            << "CSR row_offsets must be non-decreasing at row " << r;
+        MG_CHECK(begin <= end &&
+                 end <= static_cast<index_t>(col_indices.size()))
+            << "CSR row_offsets must be non-decreasing and within "
+            << "col_indices at row " << r;
         for (index_t i = begin; i < end; ++i) {
             const index_t c = col_indices[static_cast<std::size_t>(i)];
             MG_CHECK(c >= 0 && c < cols)

@@ -54,9 +54,12 @@ get_index_vector(std::istream &is, std::uint64_t max_size)
     const std::uint64_t size = get_u64(is);
     MG_CHECK(size <= max_size)
         << "layout stream declares an implausible vector size " << size;
-    std::vector<index_t> v(size);
-    for (auto &x : v) {
-        x = static_cast<index_t>(get_u64(is));
+    // Grown entry by entry, not sized up front: a corrupted size then
+    // fails at the end of the stream instead of allocating up to
+    // max_size entries first.
+    std::vector<index_t> v;
+    for (std::uint64_t i = 0; i < size; ++i) {
+        v.push_back(static_cast<index_t>(get_u64(is)));
     }
     return v;
 }
@@ -135,9 +138,8 @@ read_bsr_layout(std::istream &is)
     layout.col_indices = get_index_vector(is, kMaxEntries);
     const std::uint64_t words = get_u64(is);
     MG_CHECK(words <= kMaxEntries) << "implausible bitmap size";
-    layout.valid_bits.resize(words);
-    for (auto &word : layout.valid_bits) {
-        word = get_u64(is);
+    for (std::uint64_t i = 0; i < words; ++i) {
+        layout.valid_bits.push_back(get_u64(is));
     }
     layout.validate();
     return layout;

@@ -65,7 +65,7 @@ void write_chrome_trace_file(const SimResult &result,
 /// "traceEvents" array, shifted forward by `offset_us` and placed under
 /// process `pid` (lane = simulated stream id). No lane-name metadata,
 /// no flows, no counters — the minimal building block a composite
-/// exporter (mgtrace's correlated serving timeline) overlays per-round
+/// exporter (mgserve's correlated serving timeline) overlays per-round
 /// replays with. `w` must be positioned inside an open JSON array.
 void append_kernel_slices(JsonWriter &w, const SimResult &result,
                           double offset_us, int pid);

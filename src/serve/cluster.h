@@ -13,7 +13,7 @@
 #include "serve/router.h"
 #include "serve/server.h"
 
-/// mgcluster: scale-out serving across simulated devices (ISSUE 9).
+/// Scale-out serving across simulated devices (mgserve's fleet presets).
 ///
 /// A Cluster drives N data-parallel replicas — each an ordinary Server
 /// over its own GpuSim/DeviceSpec, heterogeneous fleets allowed — on
@@ -34,7 +34,7 @@
 /// through the move: per replica, offered == terminal outcomes +
 /// drained; fleet-wide, arrivals == terminal outcomes + failover
 /// sheds, with the router's exact counters closing the telescope.
-/// reconcile_cluster() re-derives all of it and mgcluster turns any
+/// reconcile_cluster() re-derives all of it and mgserve turns any
 /// disagreement into a ValidationError (exit 2).
 namespace multigrain::serve {
 
@@ -157,7 +157,7 @@ CostReport merge_replica_costs(const std::vector<ServeReport> &replicas);
 std::vector<std::string> reconcile_cluster(const ClusterReport &report);
 
 /// Adds `offset` to the report's rerouted counter — the seeded
-/// corruption mgcluster's --perturb-counter flag and the tests use to
+/// corruption mgserve's --perturb-counter flag and the tests use to
 /// prove the fleet conservation gate fails closed. (Ledger corruption
 /// goes through scale_tenant_charges on report.cost.)
 void perturb_router_counter(ClusterReport &report, std::int64_t offset);

@@ -13,8 +13,8 @@
 #include "serve/admission.h"
 #include "serve/traffic.h"
 
-/// mgcost: per-tenant cost attribution + time-series telemetry for the
-/// serving layer (ISSUE 8).
+/// Per-tenant cost attribution + time-series telemetry for the serving
+/// layer (the mgcost.report document).
 ///
 /// mgtrace answers *where one request's time went*; this layer answers
 /// *who spent the device*. The TenantLedger splits every dispatched
@@ -32,8 +32,9 @@
 /// The load-bearing property is *conservation*: per-tenant charged
 /// device time telescopes back to ServeReport::busy_us by construction,
 /// and reconcile_cost() re-derives every figure it can from the
-/// ServeReport and collects any disagreement — mgcost turns a non-empty
-/// error list into a ValidationError (exit 2), exactly like mgtrace.
+/// ServeReport and collects any disagreement — mgserve turns a non-empty
+/// error list into a ValidationError (exit 2), exactly like a trace
+/// mismatch.
 ///
 /// The TelemetryRecorder is the time-series half: a fixed-interval
 /// sampler on the virtual serving clock (per-tenant queue depth,
@@ -77,7 +78,7 @@ struct CostCell {
 };
 
 /// Accumulates `cell` into `into`, field by field — how tenant totals
-/// telescope from class cells, and how mgcluster merges per-replica
+/// telescope from class cells, and how a Cluster merges per-replica
 /// ledgers into the fleet ledger.
 void add_cell(CostCell &into, const CostCell &cell);
 
@@ -204,7 +205,7 @@ struct CostRunInfo {
 };
 
 /// Writes one cost cell's fields into an open JSON object — shared by
-/// the mgcost document below and mgcluster's merged fleet ledger.
+/// the mgcost.report document below and the fleet report's merged ledger.
 void write_cost_cell(JsonWriter &w, const CostCell &cell, double busy_us);
 
 /// The validated "mgcost.report" v1 JSON document. The two-argument

@@ -8,7 +8,7 @@
 
 #include "serve/traffic.h"
 
-/// Request routing for mgcluster (ISSUE 9): which replica gets each
+/// Request routing for fleet serving: which replica gets each
 /// arrival, and where a dead replica's drained backlog goes.
 ///
 /// The router is a pure placement policy: it never holds requests and

@@ -114,7 +114,7 @@ struct ServeReport {
     std::vector<std::uint64_t> round_hbm_bytes;
     std::uint64_t peak_round_hbm_bytes = 0;
     /// Per-tenant cost attribution (serve/cost.h): every run carries its
-    /// ledger so bench rows and mgcost read the same numbers.
+    /// ledger so bench rows and the mgcost report read the same numbers.
     CostReport cost;
 };
 
@@ -144,7 +144,7 @@ class Server {
 
     // ---- Step-wise driving (ISSUE 9) --------------------------------
     // run() is a thin driver over the methods below, calling them in a
-    // fixed per-event order; mgcluster drives N replicas' servers on one
+    // fixed per-event order; a Cluster drives N replicas' servers on one
     // shared virtual clock in the same order, which is why a replica's
     // serving behavior inside a cluster matches a standalone run of the
     // same event stream operation for operation.

@@ -1081,7 +1081,7 @@ append_serve_tracks(JsonWriter &w, const TraceLog &log,
         }
     }
 
-    // ---- mgcost time-series counter tracks ----------------------------
+    // ---- Telemetry time-series counter tracks -------------------------
     // Fixed-interval samples from the TelemetryRecorder, prefixed
     // "tele." so they sit beside — not inside — the event-edge counters
     // above (the events fire at state changes, the samples on a grid).

@@ -1,0 +1,206 @@
+// Robustness guard for the readers that take bytes from outside the
+// process: every truncation and a seeded set of 3-byte garbles of a real
+// document must be either accepted or rejected with multigrain::Error —
+// never another exception type, never a crash (run it under ASan/UBSan).
+
+#include <cstdio>
+#include <functional>
+#include <sstream>
+#include <string>
+#include <vector>
+
+#include <gtest/gtest.h>
+
+#include "common/error.h"
+#include "common/json.h"
+#include "common/rng.h"
+#include "formats/serialize.h"
+#include "gpusim/device.h"
+#include "patterns/slice.h"
+#include "profiler/history.h"
+#include "serve/server.h"
+#include "serve/trace.h"
+
+namespace multigrain {
+namespace {
+
+constexpr int kGarbles = 1000;
+
+/// Every strict prefix of `doc`, then kGarbles copies with three bytes
+/// overwritten at seeded positions.
+std::vector<std::string>
+mutations(const std::string &doc, std::uint64_t seed)
+{
+    std::vector<std::string> out;
+    for (std::size_t n = 0; n < doc.size(); ++n) {
+        out.push_back(doc.substr(0, n));
+    }
+    Rng rng(seed);
+    for (int i = 0; i < kGarbles; ++i) {
+        std::string garbled = doc;
+        for (int b = 0; b < 3; ++b) {
+            garbled[rng.next_below(garbled.size())] =
+                static_cast<char>(rng.next_below(256));
+        }
+        out.push_back(std::move(garbled));
+    }
+    return out;
+}
+
+struct Outcome {
+    int accepted = 0;
+    int rejected = 0;
+};
+
+/// Feeds `doc` and its mutations to `read`; any exception other than
+/// Error fails the test. Returns how the mutations fared.
+Outcome
+feed(const std::string &doc, std::uint64_t seed,
+     const std::function<void(const std::string &)> &read)
+{
+    EXPECT_NO_THROW(read(doc)) << "the unmutated document must read";
+    Outcome outcome;
+    for (const std::string &input : mutations(doc, seed)) {
+        try {
+            read(input);
+            ++outcome.accepted;
+        } catch (const Error &) {
+            ++outcome.rejected;
+        } catch (const std::exception &e) {
+            ADD_FAILURE() << "foreign exception on a " << input.size()
+                          << "-byte input: " << e.what();
+        }
+    }
+    return outcome;
+}
+
+/// A memtight serving run — the source of the bench document and of
+/// flight-recorder incidents (it sheds on memory; the ring keeps one
+/// round so the dump stays small).
+struct ServedMemtight {
+    serve::TraceConfig trace_config;
+    serve::TraceLog log;
+    serve::ServeReport report;
+
+    ServedMemtight() : trace_config(make_trace_config()), log(trace_config)
+    {
+        const serve::ServeConfig config =
+            serve::serve_preset_by_name("memtight");
+        serve::Server server(config, sim::DeviceSpec::a100());
+        server.set_trace(&log);
+        report = server.run();
+    }
+
+    static serve::TraceConfig
+    make_trace_config()
+    {
+        serve::TraceConfig c;
+        c.ring_rounds = 1;
+        return c;
+    }
+};
+
+const ServedMemtight &
+served_memtight()
+{
+    static const ServedMemtight *run = new ServedMemtight;
+    return *run;
+}
+
+std::string
+bench_document()
+{
+    return serve::serve_bench_run(served_memtight().report, "a100").to_json();
+}
+
+SlicePlan
+small_plan()
+{
+    CompoundPattern pattern;
+    pattern.seq_len = 128;
+    pattern.atoms = {AtomicPattern::blocked_local(16, 1),
+                     AtomicPattern::random(4, 7),
+                     AtomicPattern::global({0, 77})};
+    SliceOptions options;
+    options.block = 16;
+    return slice_and_dice(pattern, options);
+}
+
+TEST(ReaderRobustnessTest, JsonParse)
+{
+    const std::string doc = bench_document();
+    const Outcome o = feed(doc, 1, [](const std::string &text) {
+        json_parse(text);
+    });
+    // A strict prefix of an object is never a complete document.
+    EXPECT_GE(o.rejected, static_cast<int>(doc.size()));
+}
+
+TEST(ReaderRobustnessTest, BenchRunFromJson)
+{
+    const std::string doc = bench_document();
+    const Outcome o = feed(doc, 2, [](const std::string &text) {
+        prof::bench_run_from_json(text);
+    });
+    EXPECT_GE(o.rejected, static_cast<int>(doc.size()));
+}
+
+TEST(ReaderRobustnessTest, LoadHistory)
+{
+    // Two lines; a bad line is skipped and counted, not thrown, so this
+    // reader is only held to "Error or nothing".
+    const std::string line = bench_document();
+    const std::string doc = line + "\n" + line + "\n";
+    const std::string path = ::testing::TempDir() + "robust_history.jsonl";
+    int corrupt = 0;
+    feed(doc, 3, [&](const std::string &text) {
+        std::FILE *f = std::fopen(path.c_str(), "wb");
+        ASSERT_NE(f, nullptr);
+        std::fwrite(text.data(), 1, text.size(), f);
+        std::fclose(f);
+        corrupt += prof::load_history(path).corrupt_lines;
+    });
+    std::remove(path.c_str());
+    EXPECT_GT(corrupt, 0);
+}
+
+TEST(ReaderRobustnessTest, IncidentFromJson)
+{
+    const ServedMemtight &run = served_memtight();
+    ASSERT_FALSE(run.log.incidents().empty());
+    const std::string doc = serve::incident_to_json(
+        run.log.incidents().front(), {"memtight", "a100", 0}, run.trace_config);
+    const Outcome o = feed(doc, 4, [](const std::string &text) {
+        serve::incident_from_json(text);
+    });
+    EXPECT_GE(o.rejected, static_cast<int>(doc.size()));
+}
+
+TEST(ReaderRobustnessTest, ReadCsrLayout)
+{
+    const SlicePlan plan = small_plan();
+    ASSERT_NE(plan.fine, nullptr);
+    std::ostringstream os;
+    write_layout(*plan.fine, os);
+    const Outcome o = feed(os.str(), 5, [](const std::string &bytes) {
+        std::istringstream is(bytes);
+        read_csr_layout(is);
+    });
+    EXPECT_GE(o.rejected, static_cast<int>(os.str().size()));
+}
+
+TEST(ReaderRobustnessTest, ReadBsrLayout)
+{
+    const SlicePlan plan = small_plan();
+    ASSERT_NE(plan.coarse, nullptr);
+    std::ostringstream os;
+    write_layout(*plan.coarse, os);
+    const Outcome o = feed(os.str(), 6, [](const std::string &bytes) {
+        std::istringstream is(bytes);
+        read_bsr_layout(is);
+    });
+    EXPECT_GE(o.rejected, static_cast<int>(os.str().size()));
+}
+
+}  // namespace
+}  // namespace multigrain

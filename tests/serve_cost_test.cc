@@ -77,7 +77,7 @@ TEST(CostLedgerTest, SeededMismatchFailsReconciliation)
     ServeReport report = run_preset("tiny", "a100");
     ASSERT_TRUE(reconcile_cost(report.cost, report).empty());
     ASSERT_FALSE(report.cost.tenants.empty());
-    // The same corruption mgcost --perturb-ledger seeds: the gate must
+    // The same corruption mgserve --perturb-ledger seeds: the gate must
     // fail closed, not absorb it.
     scale_tenant_charges(report.cost, 0, 1.5);
     EXPECT_FALSE(reconcile_cost(report.cost, report).empty());

@@ -25,6 +25,7 @@
 #include <vector>
 
 #include "bench_util.h"
+#include "cli.h"
 #include "common/error.h"
 #include "common/json.h"
 #include "common/logging.h"
@@ -57,124 +58,83 @@ struct Options {
     std::string perturb_mem;  // MULTIGRAIN_MEM_PERTURB scale.
 };
 
-void
-usage(std::ostream &os)
+/// Appends one "key=value" perturbation term once `value` checks out as
+/// a number; the value is passed on verbatim.
+cli::Flag
+perturb_flag(Options &opt, const std::string &key, const std::string &help)
 {
-    os << "usage: mgperf [options]\n"
-          "\n"
-          "  --baseline DIR     baseline directory to diff against\n"
-          "                     (default bench/baselines)\n"
-          "  --presets LIST     comma-separated preset subset (--list to"
-          " enumerate;\n"
-          "                     default: all)\n"
-          "  --devices LIST     comma-separated devices (default"
-          " a100,rtx3090)\n"
-          "  --history PATH     JSONL corpus appended per run (default\n"
-          "                     bench_history.jsonl; empty string"
-          " disables)\n"
-          "  --report PATH      machine-readable report (default\n"
-          "                     mgperf_report.json; empty string"
-          " disables)\n"
-          "  --out-dir DIR      directory for artifacts (default .;"
-          " relative\n"
-          "                     --history/--report paths land under it)\n"
-          "  --update-baselines write the current runs to the baseline"
-          " directory\n"
-          "                     instead of diffing (the documented refresh"
-          " flow)\n"
-          "  --tol-scale X      scale every regression threshold by X\n"
-          "  --perturb-dram X   scale DRAM bandwidth by X (gate"
-          " self-test);\n"
-          "                     likewise --perturb-tensor, --perturb-cuda,"
-          "\n"
-          "                     --perturb-l2, --perturb-launch\n"
-          "  --perturb-mem X    scale every annotated buffer size by X\n"
-          "                     (memory-gate self-test; trips the exact\n"
-          "                     peak_hbm_bytes policy)\n"
-          "  --verbose-report   include in-tolerance deltas in the tables\n"
-          "  --list             list registered presets and exit\n"
-          "  --quiet            summary lines only (CI logs)\n"
-          "  --help             this text\n";
+    const std::string name = "--perturb-" + key;
+    return {name, "X", help, [&opt, key, name](const std::string &value) {
+                cli::parse_number<double>(name, value);
+                opt.perturb += (opt.perturb.empty() ? "" : ",") + key + "=" +
+                               value;
+            }};
 }
 
-void
-add_perturb(Options &opt, const std::string &key, const std::string &value)
+cli::Table
+flag_table(Options &opt)
 {
-    bench::parse_double("--perturb-" + key, value);
-    if (!opt.perturb.empty()) {
-        opt.perturb += ",";
-    }
-    opt.perturb += key + "=" + value;
-}
-
-Options
-parse_args(int argc, char **argv)
-{
-    Options opt;
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        const auto next = [&]() -> std::string {
-            MG_CHECK(i + 1 < argc) << arg << " needs a value";
-            return argv[++i];
-        };
-        if (arg == "--baseline") {
-            opt.baseline_dir = next();
-        } else if (arg == "--presets") {
-            opt.presets = bench::split_csv(next());
-        } else if (arg == "--devices") {
-            opt.devices = bench::split_csv(next());
-        } else if (arg == "--history") {
-            opt.history_path = next();
-        } else if (arg == "--report") {
-            opt.report_path = next();
-        } else if (arg == "--out-dir") {
-            opt.out_dir = next();
-            MG_CHECK(!opt.out_dir.empty()) << "--out-dir must be non-empty";
-        } else if (arg == "--update-baselines") {
-            opt.update_baselines = true;
-        } else if (arg == "--tol-scale") {
-            opt.tol_scale = bench::parse_double(arg, next());
-        } else if (arg == "--perturb-dram") {
-            add_perturb(opt, "dram", next());
-        } else if (arg == "--perturb-tensor") {
-            add_perturb(opt, "tensor", next());
-        } else if (arg == "--perturb-cuda") {
-            add_perturb(opt, "cuda", next());
-        } else if (arg == "--perturb-l2") {
-            add_perturb(opt, "l2", next());
-        } else if (arg == "--perturb-launch") {
-            add_perturb(opt, "launch", next());
-        } else if (arg == "--perturb-mem") {
-            opt.perturb_mem = next();
-            bench::parse_double(arg, opt.perturb_mem);
-        } else if (arg == "--verbose-report") {
-            opt.verbose_report = true;
-        } else if (arg == "--list") {
-            opt.list = true;
-        } else if (arg == "--quiet") {
-            opt.quiet = true;
-        } else if (arg == "--verbose") {
-            set_log_level(LogLevel::kInfo);
-        } else if (arg == "--help" || arg == "-h") {
-            usage(std::cout);
-            std::exit(0);
-        } else {
-            usage(std::cerr);
-            throw Error("unknown argument \"" + arg + "\"");
-        }
-    }
-    if (opt.presets.empty()) {
-        for (const bench::BenchPreset &preset : bench::bench_presets()) {
-            opt.presets.push_back(preset.name);
-        }
-    }
-    MG_CHECK(!opt.devices.empty()) << "--devices must name a device";
-    MG_CHECK(opt.tol_scale >= 0) << "--tol-scale must be non-negative";
-    opt.history_path =
-        bench::resolve_out_path(opt.out_dir, opt.history_path);
-    opt.report_path =
-        bench::resolve_out_path(opt.out_dir, opt.report_path);
-    return opt;
+    return {
+        "mgperf",
+        "Runs the registered bench presets, appends them to the history "
+        "corpus, diffs them against the committed baselines and exits 2 "
+        "when a tracked metric regressed.",
+        {
+            cli::text("--baseline", "DIR",
+                      "baseline directory to diff against (default "
+                      "bench/baselines)",
+                      &opt.baseline_dir),
+            cli::list("--presets", "LIST",
+                      "comma-separated preset subset (--list to "
+                      "enumerate; default: all)",
+                      &opt.presets),
+            cli::list("--devices", "LIST",
+                      "comma-separated devices (default a100,rtx3090)",
+                      &opt.devices),
+            cli::text("--history", "PATH",
+                      "JSONL corpus appended per run (default "
+                      "bench_history.jsonl; empty string disables)",
+                      &opt.history_path),
+            cli::text("--report", "PATH",
+                      "machine-readable report (default mgperf_report.json; "
+                      "empty string disables)",
+                      &opt.report_path),
+            cli::out_dir(&opt.out_dir),
+            cli::toggle("--update-baselines",
+                        "write the current runs to the baseline directory "
+                        "instead of diffing (the documented refresh flow)",
+                        &opt.update_baselines),
+            cli::number("--tol-scale", "X",
+                        "scale every regression threshold by X",
+                        &opt.tol_scale),
+            perturb_flag(opt, "dram",
+                         "scale DRAM bandwidth by X (gate self-test)"),
+            perturb_flag(opt, "tensor",
+                         "scale tensor-core throughput by X (gate "
+                         "self-test)"),
+            perturb_flag(opt, "cuda",
+                         "scale CUDA-core throughput by X (gate self-test)"),
+            perturb_flag(opt, "l2",
+                         "scale L2 bandwidth by X (gate self-test)"),
+            perturb_flag(opt, "launch",
+                         "scale kernel launch overhead by X (gate "
+                         "self-test)"),
+            {"--perturb-mem", "X",
+             "scale every annotated buffer size by X (memory-gate "
+             "self-test; trips the exact peak_hbm_bytes policy)",
+             [&opt](const std::string &value) {
+                 cli::parse_number<double>("--perturb-mem", value);
+                 opt.perturb_mem = value;
+             }},
+            cli::toggle("--verbose-report",
+                        "include in-tolerance deltas in the tables",
+                        &opt.verbose_report),
+            cli::toggle("--list", "list registered presets and exit",
+                        &opt.list),
+            cli::toggle("--quiet", "summary lines only (CI logs)",
+                        &opt.quiet),
+            cli::verbose(),
+        }};
 }
 
 void
@@ -212,8 +172,17 @@ write_report_file(const Options &opt,
 }
 
 int
-run(const Options &opt)
+run(Options opt)
 {
+    if (opt.presets.empty()) {
+        for (const bench::BenchPreset &preset : bench::bench_presets()) {
+            opt.presets.push_back(preset.name);
+        }
+    }
+    MG_CHECK(opt.tol_scale >= 0) << "--tol-scale must be non-negative";
+    opt.history_path = cli::resolve_out_path(opt.out_dir, opt.history_path);
+    opt.report_path = cli::resolve_out_path(opt.out_dir, opt.report_path);
+
     if (opt.list) {
         for (const bench::BenchPreset &preset : bench::bench_presets()) {
             std::printf("%-8s %s\n", preset.name, preset.description);
@@ -338,13 +307,7 @@ run(const Options &opt)
 int
 main(int argc, char **argv)
 {
-    try {
-        return run(parse_args(argc, argv));
-    } catch (const Error &e) {
-        std::fprintf(stderr, "mgperf: %s\n", e.what());
-        return 1;
-    } catch (const std::exception &e) {
-        std::fprintf(stderr, "mgperf: %s\n", e.what());
-        return 1;
-    }
+    Options opt;
+    return cli::main(flag_table(opt), argc, argv,
+                     [&opt] { return run(opt); });
 }

@@ -32,12 +32,21 @@
 #include <string>
 #include <vector>
 
-#include "bench_util.h"
-
+#include "cli.h"
+#include "common/error.h"
+#include "common/json.h"
 #include "common/rng.h"
 #include "core/check.h"
 #include "core/lint.h"
 #include "core/memplan.h"
+#include "core/plan_cache.h"
+#include "gpusim/device.h"
+#include "patterns/slice.h"
+#include "profiler/export.h"
+#include "profiler/history.h"
+#include "transformer/config.h"
+#include "transformer/runner.h"
+#include "transformer/workload.h"
 
 namespace {
 
@@ -78,72 +87,65 @@ struct PlanResult {
     bool unpooled() const { return mem_valid() && mem.pooling_savings() == 0; }
 };
 
-void
-usage(std::ostream &os)
+cli::Table
+flag_table(Options &opt)
 {
-    os << "usage: mgplan [options]\n"
-          "\n"
-          "Lints, memory-plans and checks every captured execution plan\n"
-          "of the preset matrix (models x devices x slice modes x eight\n"
-          "composition units) and writes one report of all three.\n"
-          "\n"
-          "  --models M1,M2    comma-separated subset of: longformer |"
-          " qds | bigbird |\n"
-          "                    poolingformer | tiny (default: all)\n"
-          "  --devices D1,D2   subset of: a100 | rtx3090 (default: both)\n"
-          "  --modes P1,P2     subset of: multigrain | coarse-only |"
-          " fine-only | dense\n"
-          "                    (default: all)\n"
-          "  --seed S          workload sampling seed (default 2022)\n"
-          "  --report PATH     write the mgplan.report JSON document\n"
-          "  --defect KIND     seed one corruption into a copy of every\n"
-          "                    applicable plan and require the checker\n"
-          "                    to catch it: drop-init | shrink-size |\n"
-          "                    shift-offset\n"
-          "  --quiet           only print the summary\n"
-          "  --help            this text\n";
+    return {
+        "mgplan",
+        "Lints, memory-plans and checks every captured execution plan of "
+        "the preset matrix (models x devices x slice modes x eight "
+        "composition units) and writes one report of all three.",
+        {
+            cli::list("--models", "M1,M2",
+                      "comma-separated subset of: longformer | qds | "
+                      "bigbird | poolingformer | tiny (default: all)",
+                      &opt.models),
+            cli::list("--devices", "D1,D2",
+                      "subset of: a100 | rtx3090 (default: both)",
+                      &opt.devices),
+            cli::list("--modes", "P1,P2",
+                      "subset of: multigrain | coarse-only | fine-only | "
+                      "dense (default: all)",
+                      &opt.modes),
+            cli::number("--seed", "S", "workload sampling seed (default 2022)",
+                        &opt.seed),
+            cli::text("--report", "PATH",
+                      "write the mgplan.report JSON document",
+                      &opt.report_path),
+            {"--defect", "KIND",
+             "seed one corruption into a copy of every applicable plan and "
+             "require the checker to catch it: drop-init | shrink-size | "
+             "shift-offset",
+             [&opt](const std::string &kind) {
+                 const auto *it = std::find(std::begin(kDefectNames) + 1,
+                                            std::end(kDefectNames), kind);
+                 if (it == std::end(kDefectNames)) {
+                     throw Error("unknown --defect \"" + kind +
+                                 "\" (drop-init | shrink-size | "
+                                 "shift-offset)");
+                 }
+                 opt.defect =
+                     static_cast<Defect>(it - std::begin(kDefectNames));
+             }},
+            cli::toggle("--quiet", "only print the summary", &opt.quiet),
+        }};
 }
 
-Options
-parse_args(int argc, char **argv)
+/// Runs `body(model, device, mode)` for every combination of the matrix
+/// and clears the process-wide PlanCache after each, so one-shot plans
+/// don't accumulate across the full matrix.
+template <typename Body>
+void
+for_each_combo(const Options &opt, Body &&body)
 {
-    Options opt;
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        const auto next = [&]() -> std::string {
-            MG_CHECK(i + 1 < argc) << arg << " needs a value";
-            return argv[++i];
-        };
-        if (arg == "--models") {
-            opt.models = bench::split_csv(next());
-        } else if (arg == "--devices") {
-            opt.devices = bench::split_csv(next());
-        } else if (arg == "--modes") {
-            opt.modes = bench::split_csv(next());
-        } else if (arg == "--seed") {
-            opt.seed = bench::parse_unsigned(arg, next());
-        } else if (arg == "--report") {
-            opt.report_path = next();
-        } else if (arg == "--defect") {
-            const std::string kind = next();
-            const auto *it = std::find(std::begin(kDefectNames) + 1,
-                                       std::end(kDefectNames), kind);
-            if (it == std::end(kDefectNames)) {
-                throw Error("unknown --defect \"" + kind +
-                            "\" (drop-init | shrink-size | shift-offset)");
+    for (const std::string &model : opt.models) {
+        for (const std::string &device : opt.devices) {
+            for (const std::string &mode : opt.modes) {
+                body(model, device, mode);
+                PlanCache::instance().clear();
             }
-            opt.defect = static_cast<Defect>(it - std::begin(kDefectNames));
-        } else if (arg == "--quiet") {
-            opt.quiet = true;
-        } else if (arg == "--help" || arg == "-h") {
-            usage(std::cout);
-            std::exit(0);
-        } else {
-            usage(std::cerr);
-            throw Error("unknown argument \"" + arg + "\"");
         }
     }
-    return opt;
 }
 
 // ---- The composition units -------------------------------------------------
@@ -657,8 +659,8 @@ run(const Options &opt)
     setenv("MULTIGRAIN_CHECK", "0", 1);
 
     std::vector<PlanResult> all;
-    bench::for_each_combo(
-        opt.models, opt.devices, opt.modes,
+    for_each_combo(
+        opt,
         [&](const std::string &model, const std::string &device_name,
             const std::string &mode) {
             const sim::DeviceSpec device =
@@ -723,13 +725,7 @@ run(const Options &opt)
 int
 main(int argc, char **argv)
 {
-    try {
-        return run(parse_args(argc, argv));
-    } catch (const ValidationError &e) {
-        std::fprintf(stderr, "mgplan: validation error: %s\n", e.what());
-        return 2;
-    } catch (const Error &e) {
-        std::fprintf(stderr, "mgplan: error: %s\n", e.what());
-        return 1;
-    }
+    Options opt;
+    return cli::main(flag_table(opt), argc, argv,
+                     [&opt] { return run(opt); });
 }

@@ -12,8 +12,8 @@
 //
 // Every artifact written is re-parsed before exit, so a zero exit status
 // certifies valid JSON — CI leans on this. A failed validation exits
-// with the distinct status 2 and an "artifact validation failed" message
-// so CI can tell a bad artifact from a bad invocation (status 1).
+// with the distinct status 2 ("validation failed: artifact ...") so CI
+// can tell a bad artifact from a bad invocation (status 1).
 
 #include <cstdio>
 #include <cstring>
@@ -23,7 +23,7 @@
 #include <string>
 #include <vector>
 
-#include "bench_util.h"
+#include "cli.h"
 #include "common/error.h"
 #include "common/json.h"
 #include "common/logging.h"
@@ -49,8 +49,7 @@ struct Options {
     index_t batch = 1;
     unsigned seed = 2022;
     bool training = false;
-    bool table = true;
-    bool notes = true;
+    bool quiet = false;
     bool plan_cache_stats = false;
     int steps = 1;
     int top_kernels = 20;
@@ -62,97 +61,62 @@ struct Options {
     std::string out_dir = ".";
 };
 
-void
-usage(std::ostream &os)
+cli::Table
+flag_table(Options &opt)
 {
-    os << "usage: mgprof [options]\n"
-          "\n"
-          "  --model M    longformer | qds | bigbird | poolingformer | tiny"
-          " (default longformer)\n"
-          "  --device D   a100 | rtx3090 (default a100)\n"
-          "  --mode P     multigrain | coarse-only | fine-only | dense"
-          " (default multigrain)\n"
-          "  --batch N    batch size (default 1)\n"
-          "  --seed S     workload sampling seed (default 2022)\n"
-          "  --training   profile a training step (fwd + bwd) instead of"
-          " inference\n"
-          "  --steps N    plan + simulate the workload N times; steps after"
-          " the first\n"
-          "               replay cached execution plans (default 1)\n"
-          "  --plan-cache-stats\n"
-          "               print plan-cache hit/miss/eviction counters and"
-          " the pattern\n"
-          "               fingerprint (also embedded in --json output)\n"
-          "  --json PATH  write the mgprof.profile JSON document\n"
-          "  --csv PATH   write the carved-phase CSV\n"
-          "  --trace PATH write the enriched Perfetto/Chrome trace\n"
-          "  --out-dir DIR\n"
-          "               directory for artifacts (default .; relative\n"
-          "               --json/--csv/--trace paths land under it)\n"
-          "  --top N      kernels shown in the console table (default 20)\n"
-          "  --quiet      suppress the console tables and the per-artifact"
-          "\n"
-          "               \"wrote ...\" notes (CI logs)\n"
-          "  --verbose    raise the library log level to info\n"
-          "  --help       this text\n";
-}
-
-Options
-parse_args(int argc, char **argv)
-{
-    Options opt;
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        const auto next = [&]() -> std::string {
-            MG_CHECK(i + 1 < argc) << arg << " needs a value";
-            return argv[++i];
-        };
-        if (arg == "--model") {
-            opt.model = next();
-        } else if (arg == "--device") {
-            opt.device = next();
-        } else if (arg == "--mode") {
-            opt.mode = next();
-        } else if (arg == "--batch") {
-            opt.batch = bench::parse_signed<index_t>(arg, next());
-        } else if (arg == "--seed") {
-            opt.seed = bench::parse_unsigned<unsigned>(arg, next());
-        } else if (arg == "--training") {
-            opt.training = true;
-        } else if (arg == "--steps") {
-            opt.steps = bench::parse_signed<int>(arg, next());
-        } else if (arg == "--plan-cache-stats") {
-            opt.plan_cache_stats = true;
-        } else if (arg == "--json") {
-            opt.json_path = next();
-        } else if (arg == "--csv") {
-            opt.csv_path = next();
-        } else if (arg == "--trace") {
-            opt.trace_path = next();
-        } else if (arg == "--out-dir") {
-            opt.out_dir = next();
-            MG_CHECK(!opt.out_dir.empty()) << "--out-dir must be non-empty";
-        } else if (arg == "--top") {
-            opt.top_kernels = bench::parse_signed<int>(arg, next());
-        } else if (arg == "--quiet") {
-            opt.table = false;
-            opt.notes = false;
-        } else if (arg == "--verbose") {
-            set_log_level(LogLevel::kInfo);
-        } else if (arg == "--help" || arg == "-h") {
-            usage(std::cout);
-            std::exit(0);
-        } else {
-            usage(std::cerr);
-            throw Error("unknown argument \"" + arg + "\"");
-        }
-    }
-    MG_CHECK(opt.batch > 0) << "--batch must be positive";
-    MG_CHECK(opt.steps > 0) << "--steps must be positive";
-    opt.json_path = bench::resolve_out_path(opt.out_dir, opt.json_path);
-    opt.csv_path = bench::resolve_out_path(opt.out_dir, opt.csv_path);
-    opt.trace_path = bench::resolve_out_path(opt.out_dir, opt.trace_path);
-    return opt;
+    return {"mgprof",
+            "Profiles one model x device x mode workload on the simulated "
+            "GPU: console tables plus JSON, CSV and Perfetto artifacts, "
+            "each re-parsed before exit (exit 2 on a bad artifact).",
+            {
+                cli::text("--model", "M",
+                          "longformer | qds | bigbird | poolingformer | "
+                          "tiny (default longformer)",
+                          &opt.model),
+                cli::text("--device", "D", "a100 | rtx3090 (default a100)",
+                          &opt.device),
+                cli::text("--mode", "P",
+                          "multigrain | coarse-only | fine-only | dense "
+                          "(default multigrain)",
+                          &opt.mode),
+                cli::number("--batch", "N", "batch size (default 1)",
+                            &opt.batch),
+                cli::number("--seed", "S",
+                            "workload sampling seed (default 2022)",
+                            &opt.seed),
+                cli::toggle("--training",
+                            "profile a training step (fwd + bwd) instead "
+                            "of inference",
+                            &opt.training),
+                cli::number("--steps", "N",
+                            "plan + simulate the workload N times; steps "
+                            "after the first replay cached execution plans "
+                            "(default 1)",
+                            &opt.steps),
+                cli::toggle("--plan-cache-stats",
+                            "print plan-cache hit/miss/eviction counters "
+                            "and the pattern fingerprint (also embedded in "
+                            "--json output)",
+                            &opt.plan_cache_stats),
+                cli::text("--json", "PATH",
+                          "write the mgprof.profile JSON document",
+                          &opt.json_path),
+                cli::text("--csv", "PATH", "write the carved-phase CSV",
+                          &opt.csv_path),
+                cli::text("--trace", "PATH",
+                          "write the enriched Perfetto/Chrome trace",
+                          &opt.trace_path),
+                cli::out_dir(&opt.out_dir),
+                cli::number("--top", "N",
+                            "kernels shown in the console table (default "
+                            "20)",
+                            &opt.top_kernels),
+                cli::toggle("--quiet",
+                            "suppress the console tables and the "
+                            "per-artifact \"wrote ...\" notes (CI logs)",
+                            &opt.quiet),
+                cli::verbose(),
+            }};
 }
 
 /// Reads `path` back and parses it, so a bad artifact fails the run with
@@ -176,7 +140,7 @@ validate_json_file(const std::string &path,
                 << "\"";
         }
     } catch (const Error &e) {
-        throw ValidationError(path + ": " + e.what());
+        throw ValidationError("artifact " + path + ": " + e.what());
     }
 }
 
@@ -193,8 +157,14 @@ phase_marks(const prof::ProfiledRun &run)
 }
 
 int
-run(const Options &opt)
+run(Options opt)
 {
+    MG_CHECK(opt.batch > 0) << "--batch must be positive";
+    MG_CHECK(opt.steps > 0) << "--steps must be positive";
+    opt.json_path = cli::resolve_out_path(opt.out_dir, opt.json_path);
+    opt.csv_path = cli::resolve_out_path(opt.out_dir, opt.csv_path);
+    opt.trace_path = cli::resolve_out_path(opt.out_dir, opt.trace_path);
+
     // The shared workload table (transformer/config, gpusim/device,
     // patterns/slice) — the same lookups mgperf and the bench presets use.
     const ModelConfig model = model_config_by_name(opt.model);
@@ -224,7 +194,7 @@ run(const Options &opt)
             {metric.key, metric.unit, metric.get(cache_stats)});
     }
 
-    if (opt.table) {
+    if (!opt.quiet) {
         std::printf("mgprof: %s | %s | %s | batch %lld%s\n",
                     model.name.c_str(), device.name.c_str(),
                     to_string(mode),
@@ -264,7 +234,7 @@ run(const Options &opt)
     if (!opt.json_path.empty()) {
         prof::write_text_file(opt.json_path, prof::to_json(profiled));
         validate_json_file(opt.json_path, prof::kProfileSchema);
-        if (opt.notes) {
+        if (!opt.quiet) {
             std::fprintf(stderr, "mgprof: wrote %s (schema %s v%d)\n",
                          opt.json_path.c_str(), prof::kProfileSchema,
                          prof::kSchemaVersion);
@@ -274,7 +244,7 @@ run(const Options &opt)
         std::ostringstream csv;
         prof::write_phase_csv(profiled, csv);
         prof::write_text_file(opt.csv_path, csv.str());
-        if (opt.notes) {
+        if (!opt.quiet) {
             std::fprintf(stderr, "mgprof: wrote %s\n",
                          opt.csv_path.c_str());
         }
@@ -286,7 +256,7 @@ run(const Options &opt)
         sim::write_chrome_trace_file(result.sim, opt.trace_path,
                                      trace_options);
         validate_json_file(opt.trace_path);
-        if (opt.notes) {
+        if (!opt.quiet) {
             std::fprintf(stderr,
                          "mgprof: wrote %s (open in ui.perfetto.dev)\n",
                          opt.trace_path.c_str());
@@ -300,17 +270,7 @@ run(const Options &opt)
 int
 main(int argc, char **argv)
 {
-    try {
-        return run(parse_args(argc, argv));
-    } catch (const ValidationError &e) {
-        std::fprintf(stderr, "mgprof: artifact validation failed: %s\n",
-                     e.what());
-        return 2;
-    } catch (const Error &e) {
-        std::fprintf(stderr, "mgprof: %s\n", e.what());
-        return 1;
-    } catch (const std::exception &e) {
-        std::fprintf(stderr, "mgprof: %s\n", e.what());
-        return 1;
-    }
+    Options opt;
+    return cli::main(flag_table(opt), argc, argv,
+                     [&opt] { return run(opt); });
 }
