@@ -13,7 +13,7 @@
 /// committed per-preset baselines under `bench/baselines/` that the
 /// regression gate diffs against.
 ///
-/// A "run" is what one bench binary or one mgperf preset produces: a
+/// A "run" is what one mgfig figure or one mgperf preset produces: a
 /// name, a RunManifest, and the flat label/metric rows the "mgprof.bench"
 /// schema has carried since PR 1. Rows are keyed by series plus every
 /// label (workload / device / slice mode / pattern), so the comparator in
@@ -28,7 +28,8 @@ namespace multigrain::prof {
 struct RunManifest {
     std::string git_sha = "unknown";
     bool git_dirty = false;
-    /// CLI device name ("a100"/"rtx3090"); empty for multi-device runs.
+    /// CLI device name ("a100"/"rtx3090"); comma-joined for a run over
+    /// several devices, empty for a document that spans runs.
     std::string device;
     int schema_version = 0;
     /// ISO-8601 UTC, e.g. "2026-08-06T12:34:56Z"; empty when unknown.

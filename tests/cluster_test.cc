@@ -11,9 +11,9 @@
 #include <string>
 #include <vector>
 
-#include "bench_util.h"
 #include "common/error.h"
 #include "core/plan_cache.h"
+#include "figures.h"
 #include "gpusim/device.h"
 #include "serve/admission.h"
 #include "serve/cluster.h"
@@ -346,7 +346,7 @@ TEST(ClusterTest, ClusterTinyBenchPresetEmitsFleetRows)
     const bench::BenchPreset *preset =
         bench::find_bench_preset("cluster_tiny");
     ASSERT_NE(preset, nullptr);
-    const prof::BenchRun run = bench::run_bench_preset(*preset, "a100");
+    const prof::BenchRun run = bench::run_bench_preset(*preset, {"a100"});
     EXPECT_EQ(run.name, "cluster_tiny@a100");
     int cluster_rows = 0, replica_rows = 0;
     for (const prof::BenchRow &row : run.rows) {

@@ -6,10 +6,12 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <string>
 
-#include "bench_util.h"
 #include "common/error.h"
+#include "figures.h"
 #include "gpusim/device.h"
+#include "profiler/export.h"
 #include "profiler/history.h"
 #include "profiler/regress.h"
 
@@ -95,13 +97,45 @@ TEST(GateTest, PresetRegistryListsTheGatedFigures)
     EXPECT_EQ(bench::find_bench_preset("fig99"), nullptr);
 }
 
+TEST(GateTest, GatedFiguresRunTheFigureBuilders)
+{
+    ASSERT_EQ(bench::figures().size(), 13u);
+    for (const bench::BenchPreset &figure : bench::figures()) {
+        EXPECT_NE(figure.print, nullptr) << figure.name;
+        EXPECT_FALSE(figure.devices.empty()) << figure.name;
+        // fig7's gate entry binds one dataset sample instead of three.
+        const bench::BenchPreset *gated =
+            bench::find_bench_preset(figure.name);
+        if (gated != nullptr && std::string(figure.name) != "fig7") {
+            EXPECT_EQ(gated->build, figure.build) << figure.name;
+        }
+    }
+}
+
+TEST(GateTest, MultiDeviceRunsLabelEveryRowWithItsDevice)
+{
+    const bench::BenchPreset &table1 = bench::figures().front();
+    const prof::BenchRun run =
+        bench::run_bench_preset(table1, {"a100", "rtx3090"});
+    EXPECT_EQ(run.name, "table1@a100,rtx3090");
+    EXPECT_EQ(run.manifest.device, "a100,rtx3090");
+    EXPECT_NE(run.find_row("table1|device=A100"), nullptr);
+    EXPECT_NE(run.find_row("table1|device=RTX3090"), nullptr);
+    for (const prof::BenchRow &row : run.rows) {
+        if (row.series != "plan_cache") {
+            ASSERT_FALSE(row.labels.empty()) << row.series;
+            EXPECT_EQ(row.labels.front().first, "device") << row.series;
+        }
+    }
+}
+
 TEST(GateTest, PresetRunsAreDeterministicAndStamped)
 {
     ::unsetenv("MULTIGRAIN_PERTURB");
     const bench::BenchPreset *tiny = bench::find_bench_preset("tiny");
     ASSERT_NE(tiny, nullptr);
-    const prof::BenchRun a = bench::run_bench_preset(*tiny, "a100");
-    const prof::BenchRun b = bench::run_bench_preset(*tiny, "a100");
+    const prof::BenchRun a = bench::run_bench_preset(*tiny, {"a100"});
+    const prof::BenchRun b = bench::run_bench_preset(*tiny, {"a100"});
 
     EXPECT_EQ(a.name, "tiny@a100");
     EXPECT_EQ(a.manifest.device, "a100");
@@ -165,7 +199,7 @@ TEST(GateTest, GrownFootprintFailsTheGate)
     const bench::BenchPreset *tiny = bench::find_bench_preset("tiny");
     ASSERT_NE(tiny, nullptr);
     const prof::BenchRun baseline =
-        bench::run_bench_preset(*tiny, "a100");
+        bench::run_bench_preset(*tiny, {"a100"});
 
     prof::BenchRun grown = baseline;
     int touched = 0;
@@ -205,13 +239,13 @@ TEST(GateTest, PerturbedRunFailsAgainstCleanBaseline)
     const bench::BenchPreset *tiny = bench::find_bench_preset("tiny");
     ASSERT_NE(tiny, nullptr);
     const prof::BenchRun baseline =
-        bench::run_bench_preset(*tiny, "a100");
+        bench::run_bench_preset(*tiny, {"a100"});
 
     prof::BenchRun perturbed;
     {
         // A 40 % DRAM-bandwidth cut is far outside every tolerance.
         ScopedPerturb perturb("dram=0.6");
-        perturbed = bench::run_bench_preset(*tiny, "a100");
+        perturbed = bench::run_bench_preset(*tiny, {"a100"});
     }
 
     const prof::RegressionReport report =
@@ -221,7 +255,7 @@ TEST(GateTest, PerturbedRunFailsAgainstCleanBaseline)
     EXPECT_EQ(report.missing_rows, 0);
 
     // And the clean re-run still passes — the hook leaves no residue.
-    const prof::BenchRun clean = bench::run_bench_preset(*tiny, "a100");
+    const prof::BenchRun clean = bench::run_bench_preset(*tiny, {"a100"});
     const prof::RegressionReport clean_report =
         prof::compare_runs(baseline, clean);
     EXPECT_FALSE(clean_report.gate_failed());

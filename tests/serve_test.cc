@@ -11,8 +11,8 @@
 #include <string>
 #include <vector>
 
-#include "bench_util.h"
 #include "common/error.h"
+#include "figures.h"
 #include "gpusim/device.h"
 #include "profiler/percentile.h"
 #include "profiler/regress.h"
@@ -600,13 +600,13 @@ TEST(ServeGateTest, RegisteredPresetFailsUnderPerturbation)
         bench::find_bench_preset("serve_tiny");
     ASSERT_NE(preset, nullptr);
     const prof::BenchRun baseline =
-        bench::run_bench_preset(*preset, "a100");
+        bench::run_bench_preset(*preset, {"a100"});
 
     prof::BenchRun perturbed;
     {
         // A 40 % DRAM-bandwidth cut is far outside every tolerance.
         ScopedPerturb perturb("dram=0.6");
-        perturbed = bench::run_bench_preset(*preset, "a100");
+        perturbed = bench::run_bench_preset(*preset, {"a100"});
     }
     const prof::RegressionReport report =
         prof::compare_runs(baseline, perturbed);
@@ -615,7 +615,7 @@ TEST(ServeGateTest, RegisteredPresetFailsUnderPerturbation)
 
     // And a clean re-run still matches the baseline bit for bit on the
     // gated metrics — the serving loop leaves no residue.
-    const prof::BenchRun clean = bench::run_bench_preset(*preset, "a100");
+    const prof::BenchRun clean = bench::run_bench_preset(*preset, {"a100"});
     const prof::RegressionReport clean_report =
         prof::compare_runs(baseline, clean);
     EXPECT_FALSE(clean_report.gate_failed());

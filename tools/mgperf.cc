@@ -1,6 +1,6 @@
 // mgperf — benchmark orchestration and the perf-regression gate.
 //
-// Runs the registered bench presets (bench/bench_util.h) on the selected
+// Runs the registered bench presets (bench/figures.h) on the selected
 // devices, appends every manifest-stamped run to the bench_history.jsonl
 // corpus, diffs the runs against the committed baselines under
 // bench/baselines/, prints a markdown report, writes mgperf_report.json,
@@ -24,11 +24,11 @@
 #include <string>
 #include <vector>
 
-#include "bench_util.h"
 #include "cli.h"
 #include "common/error.h"
 #include "common/json.h"
 #include "common/logging.h"
+#include "figures.h"
 #include "profiler/export.h"
 #include "profiler/history.h"
 #include "profiler/regress.h"
@@ -235,7 +235,7 @@ run(Options opt)
         }
         for (const std::string &device : opt.devices) {
             prof::BenchRun current =
-                bench::run_bench_preset(*preset, device);
+                bench::run_bench_preset(*preset, {device});
             if (!opt.quiet) {
                 std::fprintf(stderr, "mgperf: ran %s (%zu rows)\n",
                              current.name.c_str(), current.rows.size());
