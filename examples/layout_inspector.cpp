@@ -44,16 +44,17 @@ save(const std::string &path, index_t seq, index_t valid, index_t n_special)
 {
     const CompoundPattern pattern = demo_pattern(seq, valid, n_special);
     const SlicePlan plan = slice_and_dice(pattern, {.block = 64});
+    const CsrLayout full = build_full_layout(pattern);
     {
         std::ofstream os(path, std::ios::binary);
-        write_layout(*plan.full, os);
+        write_layout(full, os);
     }
     {
         std::ofstream os(path + ".bsr", std::ios::binary);
         write_layout(*plan.coarse, os);
     }
     std::printf("wrote %s (CSR, %lld nnz) and %s.bsr (BSR, %lld blocks)\n",
-                path.c_str(), static_cast<long long>(plan.full->nnz()),
+                path.c_str(), static_cast<long long>(full.nnz()),
                 path.c_str(),
                 static_cast<long long>(plan.coarse->nnz_blocks()));
     return 0;

@@ -45,7 +45,7 @@ main()
 
     const AttentionEngine::Grads grads = engine.run_backward(q, k, v, d_out);
     const kernels::RefAttentionGrads ref = kernels::ref_attention_backward(
-        q, k, v, *engine.plan().full, config.effective_scale(),
+        q, k, v, build_full_layout(pattern), config.effective_scale(),
         widen(d_out));
     std::printf("gradient check vs FP64 reference (max abs err):\n");
     std::printf("  dQ %.5f   dK %.5f   dV %.5f\n",

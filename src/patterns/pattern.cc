@@ -1,6 +1,7 @@
 #include "patterns/pattern.h"
 
 #include <algorithm>
+#include <iterator>
 #include <sstream>
 
 #include "common/error.h"
@@ -77,6 +78,8 @@ AtomicPattern::global(std::vector<index_t> tokens)
     p.kind = AtomicKind::kGlobal;
     std::sort(tokens.begin(), tokens.end());
     tokens.erase(std::unique(tokens.begin(), tokens.end()), tokens.end());
+    MG_CHECK(tokens.empty() || tokens.front() >= 0)
+        << "global token " << tokens.front() << " is negative";
     p.tokens = std::move(tokens);
     return p;
 }
@@ -88,6 +91,8 @@ AtomicPattern::selected(std::vector<index_t> tokens)
     p.kind = AtomicKind::kSelected;
     std::sort(tokens.begin(), tokens.end());
     tokens.erase(std::unique(tokens.begin(), tokens.end()), tokens.end());
+    MG_CHECK(tokens.empty() || tokens.front() >= 0)
+        << "selected token " << tokens.front() << " is negative";
     p.tokens = std::move(tokens);
     return p;
 }
@@ -146,52 +151,49 @@ AtomicPattern::blocked_random(index_t block, index_t count,
 }
 
 void
-AtomicPattern::append_row_columns(index_t seq_len, index_t valid_len,
-                                  index_t row,
-                                  std::vector<index_t> &out) const
+AtomicPattern::append_row_intervals(index_t seq_len, index_t valid_len,
+                                    index_t row,
+                                    std::vector<ColumnInterval> &out) const
 {
     if (row >= valid_len) {
         return;  // Zero-padded query rows attend to nothing.
     }
+    const auto span = [&out](index_t begin, index_t end) {
+        if (begin < end) {
+            out.push_back({begin, end});
+        }
+    };
+    const auto unit = [&out](index_t c) { out.push_back({c, c + 1}); };
     switch (kind) {
-      case AtomicKind::kLocal: {
-        const index_t lo = std::max<index_t>(0, row - window);
-        const index_t hi = std::min<index_t>(valid_len - 1, row + window);
-        for (index_t c = lo; c <= hi; ++c) {
-            out.push_back(c);
-        }
+      case AtomicKind::kLocal:
+        span(std::max<index_t>(0, row - window),
+             std::min<index_t>(valid_len - 1, row + window) + 1);
         break;
-      }
       case AtomicKind::kDilated: {
-        out.push_back(row);  // The current token is always attended.
-        for (index_t m = 1; m <= window; ++m) {
-            const index_t left = row - m * stride;
-            const index_t right = row + m * stride;
-            if (left >= 0) {
-                out.push_back(left);
-            }
-            if (right < valid_len) {
-                out.push_back(right);
-            }
+        // The left arm farthest first, the current token, the right arm.
+        for (index_t m = std::min(window, row / stride); m >= 1; --m) {
+            unit(row - m * stride);
+        }
+        unit(row);
+        const index_t right = std::min(window, (valid_len - 1 - row) / stride);
+        for (index_t m = 1; m <= right; ++m) {
+            unit(row + m * stride);
         }
         break;
       }
-      case AtomicKind::kGlobal: {
+      case AtomicKind::kGlobal:
         if (std::binary_search(tokens.begin(), tokens.end(), row)) {
-            for (index_t c = 0; c < valid_len; ++c) {
-                out.push_back(c);
-            }
+            span(0, valid_len);
         }
         break;
-      }
-      case AtomicKind::kSelected: {
+      case AtomicKind::kSelected:
         for (const index_t t : tokens) {
-            if (t < valid_len) {
-                out.push_back(t);
+            if (t >= valid_len) {
+                break;
             }
+            unit(t);
         }
         break;
-      }
       case AtomicKind::kRandom: {
         // Bernoulli draws with mean `count` per row. Per-row counts vary,
         // which is what makes random patterns a load-imbalance stress for
@@ -202,21 +204,21 @@ AtomicPattern::append_row_columns(index_t seq_len, index_t valid_len,
                                       static_cast<double>(valid_len)));
         for (index_t c = 0; c < valid_len; ++c) {
             if (rng.next_float() < p) {
-                out.push_back(c);
+                unit(c);
             }
         }
         break;
       }
       case AtomicKind::kClusteredRandom: {
-        const index_t block_row = row / block;
-        const index_t block_cols = ceil_div(seq_len, block);
         // The cluster block-columns are fixed per block row so rows in a
         // block row share them (as block-level random configs do).
-        Rng cluster_rng(substream_seed(seed, block_row));
+        // sample_distinct returns them ascending, so the per-row element
+        // draws below visit columns in order.
+        const index_t block_cols = ceil_div(seq_len, block);
+        Rng cluster_rng(substream_seed(seed, row / block));
         const index_t nclusters = std::min<index_t>(window, block_cols);
         const std::vector<index_t> clusters =
             cluster_rng.sample_distinct(block_cols, nclusters);
-        // Per-row element draws inside the clusters.
         Rng rng(substream_seed(seed ^ 0x2545f4914f6cdd1dull, row));
         const double candidates =
             static_cast<double>(nclusters) * static_cast<double>(block);
@@ -226,7 +228,7 @@ AtomicPattern::append_row_columns(index_t seq_len, index_t valid_len,
             const index_t end = std::min(valid_len, (bc + 1) * block);
             for (index_t c = bc * block; c < end; ++c) {
                 if (rng.next_float() < p) {
-                    out.push_back(c);
+                    unit(c);
                 }
             }
         }
@@ -238,28 +240,18 @@ AtomicPattern::append_row_columns(index_t seq_len, index_t valid_len,
         const index_t lo = std::max<index_t>(0, block_row - window);
         const index_t hi = std::min<index_t>(block_cols - 1,
                                              block_row + window);
-        for (index_t bc = lo; bc <= hi; ++bc) {
-            const index_t end = std::min(valid_len, (bc + 1) * block);
-            for (index_t c = bc * block; c < end; ++c) {
-                out.push_back(c);
-            }
-        }
+        span(lo * block, std::min(valid_len, (hi + 1) * block));
         break;
       }
       case AtomicKind::kBlockedRandom: {
-        const index_t block_row = row / block;
         const index_t block_cols = ceil_div(seq_len, block);
-        Rng rng(substream_seed(seed, block_row));
+        Rng rng(substream_seed(seed, row / block));
         const float p = static_cast<float>(
             std::min<double>(1.0, static_cast<double>(count) /
                                       static_cast<double>(block_cols)));
         for (index_t bc = 0; bc < block_cols; ++bc) {
-            if (rng.next_float() >= p) {
-                continue;
-            }
-            const index_t end = std::min(valid_len, (bc + 1) * block);
-            for (index_t c = bc * block; c < end; ++c) {
-                out.push_back(c);
+            if (rng.next_float() < p) {
+                span(bc * block, std::min(valid_len, (bc + 1) * block));
             }
         }
         break;
@@ -381,60 +373,94 @@ CompoundPattern::describe() const
     return os.str();
 }
 
-CsrLayout
-build_full_layout(const CompoundPattern &pattern)
+void
+CompoundPattern::validate() const
 {
-    std::vector<const AtomicPattern *> all;
-    all.reserve(pattern.atoms.size());
-    for (const auto &atom : pattern.atoms) {
-        all.push_back(&atom);
+    MG_CHECK(seq_len > 0) << "compound pattern needs seq_len > 0";
+    MG_CHECK(valid_len >= 0 && valid_len <= seq_len)
+        << "valid_len " << valid_len << " outside [0, seq_len " << seq_len
+        << "]";
+    for (const AtomicPattern &atom : atoms) {
+        MG_CHECK(!causal || !atom.is_special())
+            << "causal patterns cannot contain global (one-to-all) atoms";
+        MG_CHECK(atom.window >= 0 && atom.stride >= 1 && atom.block > 0 &&
+                 atom.count >= 0)
+            << atom.describe() << " needs window >= 0, stride >= 1, "
+            << "block > 0 and count >= 0";
+        for (std::size_t i = 0; i < atom.tokens.size(); ++i) {
+            const index_t t = atom.tokens[i];
+            MG_CHECK(t >= 0 && t < seq_len &&
+                     (i == 0 || atom.tokens[i - 1] < t))
+                << atom.describe() << ": token " << t
+                << " breaks strict ascending order in [0, " << seq_len
+                << ")";
+        }
     }
-    return build_union_layout(pattern, all, {});
+}
+
+UnionRows::UnionRows(const CompoundPattern &pattern) : pattern_(pattern)
+{
+    for (const AtomicPattern &atom : pattern.atoms) {
+        atoms_.push_back(&atom);
+    }
+}
+
+UnionRows::UnionRows(const CompoundPattern &pattern,
+                     std::vector<const AtomicPattern *> atoms)
+    : pattern_(pattern), atoms_(std::move(atoms))
+{
+}
+
+const std::vector<ColumnInterval> &
+UnionRows::row(index_t row)
+{
+    row_.clear();
+    for (const AtomicPattern *atom : atoms_) {
+        atom_.clear();
+        atom->append_row_intervals(pattern_.seq_len,
+                                   pattern_.effective_valid_len(), row,
+                                   atom_);
+        merged_.clear();
+        std::merge(row_.begin(), row_.end(), atom_.begin(), atom_.end(),
+                   std::back_inserter(merged_),
+                   [](const ColumnInterval &a, const ColumnInterval &b) {
+                       return a.begin < b.begin;
+                   });
+        row_.swap(merged_);
+    }
+    // Coalesce overlapping and touching intervals, then clip causally.
+    std::size_t n = 0;
+    for (const ColumnInterval &iv : row_) {
+        if (n > 0 && iv.begin <= row_[n - 1].end) {
+            row_[n - 1].end = std::max(row_[n - 1].end, iv.end);
+        } else {
+            row_[n++] = iv;
+        }
+    }
+    row_.resize(n);
+    if (pattern_.causal) {
+        while (!row_.empty() && row_.back().begin > row) {
+            row_.pop_back();
+        }
+        if (!row_.empty()) {
+            row_.back().end = std::min(row_.back().end, row + 1);
+        }
+    }
+    return row_;
 }
 
 CsrLayout
-build_union_layout(const CompoundPattern &pattern,
-                   const std::vector<const AtomicPattern *> &atoms,
-                   const std::vector<index_t> &exclude_rows)
+build_full_layout(const CompoundPattern &pattern)
 {
-    MG_CHECK(pattern.seq_len > 0) << "compound pattern needs seq_len > 0";
-    const index_t valid_len = pattern.effective_valid_len();
-    MG_CHECK(valid_len <= pattern.seq_len)
-        << "valid_len " << valid_len << " exceeds seq_len "
-        << pattern.seq_len;
-
-    if (pattern.causal) {
-        for (const AtomicPattern *atom : atoms) {
-            MG_CHECK(!atom->is_special())
-                << "causal patterns cannot contain global (one-to-all) "
-                << "atoms";
-        }
-    }
-
+    pattern.validate();
+    UnionRows rows(pattern);
     CsrLayout out;
     out.rows = pattern.seq_len;
     out.cols = pattern.seq_len;
     out.row_offsets.reserve(static_cast<std::size_t>(pattern.seq_len + 1));
     out.row_offsets.push_back(0);
-
-    std::vector<index_t> cols;
     for (index_t r = 0; r < pattern.seq_len; ++r) {
-        const bool excluded = std::binary_search(exclude_rows.begin(),
-                                                 exclude_rows.end(), r);
-        if (!excluded) {
-            cols.clear();
-            for (const AtomicPattern *atom : atoms) {
-                atom->append_row_columns(pattern.seq_len, valid_len, r, cols);
-            }
-            std::sort(cols.begin(), cols.end());
-            cols.erase(std::unique(cols.begin(), cols.end()), cols.end());
-            if (pattern.causal) {
-                cols.erase(std::upper_bound(cols.begin(), cols.end(), r),
-                           cols.end());
-            }
-            out.col_indices.insert(out.col_indices.end(), cols.begin(),
-                                   cols.end());
-        }
+        append_columns(rows.row(r), out.col_indices);
         out.row_offsets.push_back(
             static_cast<index_t>(out.col_indices.size()));
     }

@@ -68,12 +68,16 @@ struct AtomicPattern {
     static AtomicPattern blocked_random(index_t block, index_t count,
                                         std::uint64_t seed);
 
-    /// Appends this atom's columns for `row` to `out` (unsorted, may
-    /// duplicate columns already present). `valid_len` clips both the row
-    /// and the columns: positions >= valid_len are zero padding and are
-    /// masked out at metadata level (paper §2.2 "masking").
-    void append_row_columns(index_t seq_len, index_t valid_len, index_t row,
-                            std::vector<index_t> &out) const;
+    /// Appends this atom's columns for `row` to `out` as non-empty
+    /// intervals, ascending and pairwise disjoint (neighbours may touch):
+    /// one per band or block for the regular atoms, one unit interval per
+    /// column for the element-wise ones (selected, dilated, random,
+    /// clustered random). `valid_len` clips both the row and the columns:
+    /// positions >= valid_len are zero padding and are masked out at
+    /// metadata level (paper §2.2 "masking").
+    void append_row_intervals(index_t seq_len, index_t valid_len,
+                              index_t row,
+                              std::vector<ColumnInterval> &out) const;
 
     /// True for patterns the slice-and-dice classifier sends to the
     /// coarse-grained (blocked) kernels: high spatial locality (§3.1).
@@ -110,20 +114,40 @@ struct CompoundPattern {
     /// workload's plan.
     std::uint64_t fingerprint() const;
 
+    /// Throws Error unless the pattern can be materialized: seq_len > 0,
+    /// valid_len in [0, seq_len], no global atom in a causal pattern, and
+    /// every atom within the rules its factory enforces (tokens strictly
+    /// ascending in [0, seq_len), window >= 0, stride >= 1, block > 0,
+    /// count >= 0).
+    void validate() const;
+
     std::string describe() const;
+};
+
+/// Generates the rows of the union of some of a pattern's atoms as column
+/// intervals: each atom's intervals merged, then the causal clip applied.
+/// The pattern must outlive the generator.
+class UnionRows {
+  public:
+    /// Union of every atom of `pattern`.
+    explicit UnionRows(const CompoundPattern &pattern);
+    UnionRows(const CompoundPattern &pattern,
+              std::vector<const AtomicPattern *> atoms);
+
+    /// Row `row` of the union: sorted, disjoint and non-adjacent
+    /// intervals, valid until the next call.
+    const std::vector<ColumnInterval> &row(index_t row);
+
+  private:
+    const CompoundPattern &pattern_;
+    std::vector<const AtomicPattern *> atoms_;
+    std::vector<ColumnInterval> row_, atom_, merged_;
 };
 
 /// Builds the union layout of every atom (global rows fully dense). This is
 /// the ground-truth attention pattern: every method (Multigrain, coarse-only
 /// baseline, fine-only baseline) must attend exactly these positions.
 CsrLayout build_full_layout(const CompoundPattern &pattern);
-
-/// Builds the union layout of a subset of atoms, skipping the rows listed
-/// in `exclude_rows` (sorted). Used by the classifier to carve global rows
-/// out of the coarse and fine parts.
-CsrLayout build_union_layout(const CompoundPattern &pattern,
-                             const std::vector<const AtomicPattern *> &atoms,
-                             const std::vector<index_t> &exclude_rows);
 
 }  // namespace multigrain
 

@@ -56,8 +56,14 @@ struct SlicePlan {
     index_t valid_len = 0;
     index_t block = 64;
     SliceMode mode = SliceMode::kMultigrain;
+    /// The pattern this plan was sliced from (metadata only): the ground
+    /// truth validate_partition() regenerates the union of atoms from.
+    CompoundPattern pattern;
 
-    /// Ground truth: the union of every atom, global rows fully dense.
+    /// The union of every atom, global rows fully dense, element-wise.
+    /// Carried only by the modes that read it: fine-only (it is the fine
+    /// part) and dense (it is the mask). Null otherwise; use
+    /// build_full_layout(pattern) where a reference is needed.
     std::shared_ptr<const CsrLayout> full;
     /// Coarse part; null when the plan has no blocked work.
     std::shared_ptr<const BsrLayout> coarse;
@@ -89,8 +95,11 @@ struct SlicePlan {
         return static_cast<index_t>(global_rows.size()) * valid_len;
     }
 
-    /// Throws Error unless coarse ⊎ fine ⊎ special partitions `full`
-    /// exactly: every attended element is covered by exactly one part.
+    /// Throws Error unless coarse ⊎ fine ⊎ special partitions the union
+    /// of `pattern`'s atoms exactly: every attended element is covered by
+    /// exactly one part, and no part covers anything else. Checked row by
+    /// row on column intervals, so the cost grows with intervals, fine
+    /// elements and coarse bitmap words, not with coarse elements.
     void validate_partition() const;
 };
 

@@ -21,7 +21,7 @@ analyze_pattern(const CompoundPattern &pattern, index_t block)
     SliceOptions options;
     options.block = block;
     const SlicePlan plan = slice_and_dice(pattern, options);
-    const CsrLayout &full = *plan.full;
+    const CsrLayout full = build_full_layout(pattern);
 
     stats.nnz = full.nnz();
     stats.density = static_cast<double>(stats.nnz) /

@@ -57,7 +57,8 @@ TEST_P(MethodEquivalenceTest, MatchesDenseReference)
     const HalfMatrix out = engine.run(q, k, v);
 
     const DoubleMatrix ref = kernels::ref_attention(
-        q, k, v, *engine.plan().full, engine.config().effective_scale());
+        q, k, v, build_full_layout(engine.plan().pattern),
+        engine.config().effective_scale());
     EXPECT_LT(kernels::max_abs_diff(widen(out), ref), kTol)
         << to_string(mode) << " L=" << seq;
 }
@@ -155,16 +156,17 @@ TEST(AttentionEngineTest, DenseModeMatchesReference)
     const HalfMatrix v = random_half_matrix(rng, seq, 16, -0.5f, 0.5f);
     const AttentionEngine dense(p, small_config(), SliceMode::kDense);
     const DoubleMatrix ref = kernels::ref_attention(
-        q, k, v, *dense.plan().full, dense.config().effective_scale());
+        q, k, v, build_full_layout(dense.plan().pattern),
+        dense.config().effective_scale());
     EXPECT_LT(kernels::max_abs_diff(widen(dense.run(q, k, v)), ref), kTol);
     // Backward too (routed through the element-wise path internally).
     const HalfMatrix d_out = random_half_matrix(rng, seq, 16, -0.5f, 0.5f);
     const AttentionEngine::Grads grads =
         dense.run_backward(q, k, v, d_out);
     const kernels::RefAttentionGrads ref_grads =
-        kernels::ref_attention_backward(q, k, v, *dense.plan().full,
-                                        dense.config().effective_scale(),
-                                        widen(d_out));
+        kernels::ref_attention_backward(
+            q, k, v, build_full_layout(dense.plan().pattern),
+            dense.config().effective_scale(), widen(d_out));
     EXPECT_LT(kernels::max_abs_diff(widen(grads.dq), ref_grads.dq), 0.06);
 }
 
@@ -232,7 +234,8 @@ TEST(AttentionEngineTest, CausalPatternsMatchReferenceAcrossMethods)
     const HalfMatrix v = random_half_matrix(rng, seq, 16, -0.5f, 0.5f);
     const AttentionEngine mg(p, small_config(), SliceMode::kMultigrain);
     const DoubleMatrix ref = kernels::ref_attention(
-        q, k, v, *mg.plan().full, mg.config().effective_scale());
+        q, k, v, build_full_layout(mg.plan().pattern),
+        mg.config().effective_scale());
     for (const SliceMode mode :
          {SliceMode::kMultigrain, SliceMode::kCoarseOnly,
           SliceMode::kFineOnly}) {
@@ -274,7 +277,7 @@ TEST(AttentionEngineTest, MultiheadRunsEveryHead)
                vs = split_heads(v, 3), os = split_heads(out, 3);
     for (int h = 0; h < 3; ++h) {
         const DoubleMatrix ref = kernels::ref_attention(
-            qs[h], ks[h], vs[h], *engine.plan().full,
+            qs[h], ks[h], vs[h], build_full_layout(engine.plan().pattern),
             engine.config().effective_scale());
         EXPECT_LT(kernels::max_abs_diff(widen(os[h]), ref), kTol)
             << "head " << h;

@@ -204,17 +204,19 @@ TEST(BackwardKernelTest, SplitSoftmaxBackwardMatchesWhole)
     pat.atoms.push_back(AtomicPattern::local(4));
     pat.atoms.push_back(AtomicPattern::random(5, 3));
     const SlicePlan plan = slice_and_dice(pat, {.block = 16});
+    const auto full =
+        std::make_shared<const CsrLayout>(build_full_layout(plan.pattern));
     ASSERT_TRUE(plan.has_coarse() && plan.has_fine());
 
     // Shared P and dP values over the full pattern.
     HalfMatrix p_dense(seq, seq, half(0.0f));
     HalfMatrix dp_dense(seq, seq, half(0.0f));
     for (index_t r = 0; r < seq; ++r) {
-        for (index_t j = plan.full->row_offsets[static_cast<std::size_t>(r)];
-             j < plan.full->row_offsets[static_cast<std::size_t>(r + 1)];
+        for (index_t j = full->row_offsets[static_cast<std::size_t>(r)];
+             j < full->row_offsets[static_cast<std::size_t>(r + 1)];
              ++j) {
             const index_t c =
-                plan.full->col_indices[static_cast<std::size_t>(j)];
+                full->col_indices[static_cast<std::size_t>(j)];
             p_dense.at(r, c) = half(rng.next_float(0.0f, 0.2f));
             dp_dense.at(r, c) = half(rng.next_float(-1.0f, 1.0f));
         }
@@ -237,8 +239,8 @@ TEST(BackwardKernelTest, SplitSoftmaxBackwardMatchesWhole)
     }
     kernels::compound_softmax_backward(&pc, &dpc, &pf, &dpf, 0.5);
 
-    CsrMatrix p_whole = gather_csr(p_dense, plan.full);
-    CsrMatrix dp_whole = gather_csr(dp_dense, plan.full);
+    CsrMatrix p_whole = gather_csr(p_dense, full);
+    CsrMatrix dp_whole = gather_csr(dp_dense, full);
     kernels::compound_softmax_backward(nullptr, nullptr, &p_whole,
                                        &dp_whole, 0.5);
     const HalfMatrix whole_dense = dense_from_csr(dp_whole);
@@ -275,7 +277,8 @@ TEST_P(EngineBackwardTest, MatchesAnalyticReference)
         engine.run_backward(q, k, v, d_out);
 
     const kernels::RefAttentionGrads ref = kernels::ref_attention_backward(
-        q, k, v, *engine.plan().full, config.effective_scale(),
+        q, k, v, build_full_layout(engine.plan().pattern),
+        config.effective_scale(),
         widen(d_out));
     EXPECT_LT(kernels::max_abs_diff(widen(grads.dq), ref.dq), 0.06)
         << "dq " << to_string(mode);

@@ -31,7 +31,8 @@ TEST(EdgeTest, SingleBlockSequence)
           SliceMode::kFineOnly, SliceMode::kDense}) {
         const AttentionEngine engine(p, config, mode);
         const DoubleMatrix ref = kernels::ref_attention(
-            q, k, v, *engine.plan().full, config.effective_scale());
+            q, k, v, build_full_layout(engine.plan().pattern),
+            config.effective_scale());
         EXPECT_LT(kernels::max_abs_diff(widen(engine.run(q, k, v)), ref),
                   0.03)
             << to_string(mode);
@@ -61,7 +62,8 @@ TEST(EdgeTest, MostlyPaddedSequence)
     }
     // Rows 0..4 still normalize properly.
     const DoubleMatrix ref = kernels::ref_attention(
-        q, k, v, *engine.plan().full, config.effective_scale());
+        q, k, v, build_full_layout(engine.plan().pattern),
+        config.effective_scale());
     EXPECT_LT(kernels::max_abs_diff(widen(out), ref), 0.03);
 }
 
@@ -79,7 +81,8 @@ TEST(EdgeTest, HeadDimSmallerThanBlock)
     const HalfMatrix v = random_half_matrix(rng, 128, 24, -0.5f, 0.5f);
     const AttentionEngine engine(p, config, SliceMode::kMultigrain);
     const DoubleMatrix ref = kernels::ref_attention(
-        q, k, v, *engine.plan().full, config.effective_scale());
+        q, k, v, build_full_layout(engine.plan().pattern),
+        config.effective_scale());
     EXPECT_LT(kernels::max_abs_diff(widen(engine.run(q, k, v)), ref), 0.03);
     EXPECT_GT(engine.simulate(sim::DeviceSpec::a100()).total_us, 0);
 }
@@ -98,7 +101,8 @@ TEST(EdgeTest, HeadDimLargerThanBlock)
     const HalfMatrix v = random_half_matrix(rng, 64, 40, -0.5f, 0.5f);
     const AttentionEngine engine(p, config, SliceMode::kMultigrain);
     const DoubleMatrix ref = kernels::ref_attention(
-        q, k, v, *engine.plan().full, config.effective_scale());
+        q, k, v, build_full_layout(engine.plan().pattern),
+        config.effective_scale());
     EXPECT_LT(kernels::max_abs_diff(widen(engine.run(q, k, v)), ref), 0.03);
 }
 
@@ -139,8 +143,8 @@ TEST(EdgeTest, ScaleOverrideIsHonored)
     const HalfMatrix k = random_half_matrix(rng, 32, 8);
     const HalfMatrix v = random_half_matrix(rng, 32, 8);
     const AttentionEngine engine(p, config, SliceMode::kMultigrain);
-    const DoubleMatrix ref =
-        kernels::ref_attention(q, k, v, *engine.plan().full, 0.01);
+    const DoubleMatrix ref = kernels::ref_attention(
+        q, k, v, build_full_layout(engine.plan().pattern), 0.01);
     EXPECT_LT(kernels::max_abs_diff(widen(engine.run(q, k, v)), ref), 0.03);
 }
 

@@ -1,5 +1,5 @@
 // Unit tests for src/formats: layout validation, conversions, round trips,
-// set operations, and value gather/scatter.
+// the BSR bitmap transpose, and value gather/scatter.
 
 #include <memory>
 #include <sstream>
@@ -239,47 +239,44 @@ TEST(BcooTest, ValidateRejectsDuplicates)
     EXPECT_THROW(bcoo.validate(), Error);
 }
 
-// ------------------------------------------------------ set operations ----
+// ------------------------------------------------------- BSR transpose ----
 
-TEST(SetOpsTest, UnionAndDifferencePartition)
+TEST(BsrTransposeTest, MatchesPerBitOracleAndTwiceIsIdentity)
 {
-    Rng rng(5);
-    const MaskMatrix ma = random_mask(rng, 20, 20, 0.2);
-    const MaskMatrix mb = random_mask(rng, 20, 20, 0.2);
-    const CsrLayout a = csr_from_mask(ma);
-    const CsrLayout b = csr_from_mask(mb);
-    const CsrLayout u = csr_union(a, b);
-    const CsrLayout a_only = csr_difference(a, b);
-    const CsrLayout b_only = csr_difference(b, a);
-    u.validate();
-    a_only.validate();
-    b_only.validate();
-    // |A ∪ B| = |A\B| + |B\A| + |A ∩ B| and inclusion-exclusion holds.
-    const index_t inter = a.nnz() - a_only.nnz();
-    EXPECT_EQ(b.nnz() - b_only.nnz(), inter);
-    EXPECT_EQ(u.nnz(), a_only.nnz() + b_only.nnz() + inter);
-    // Union differenced by b gives exactly a \ b.
-    const CsrLayout u_minus_b = csr_difference(u, b);
-    EXPECT_EQ(u_minus_b.col_indices, a_only.col_indices);
-}
-
-TEST(SetOpsTest, DifferenceWithSelfIsEmpty)
-{
-    Rng rng(6);
-    const CsrLayout a = csr_from_mask(random_mask(rng, 10, 10, 0.5));
-    EXPECT_EQ(csr_difference(a, a).nnz(), 0);
-    EXPECT_EQ(csr_union(a, a).nnz(), a.nnz());
-}
-
-TEST(SetOpsTest, ShapeMismatchThrows)
-{
-    CsrLayout a, b;
-    a.rows = b.rows = 2;
-    a.cols = 3;
-    b.cols = 4;
-    a.row_offsets = {0, 0, 0};
-    b.row_offsets = {0, 0, 0};
-    EXPECT_THROW(csr_union(a, b), Error);
+    Rng rng(8);
+    for (const index_t block : {8, 16, 32, 64, 128}) {
+        const BsrLayout bsr = bsr_from_csr(
+            csr_from_mask(random_mask(rng, 3 * block, 2 * block, 0.3)),
+            block);
+        const BsrLayout t = transpose_layout(bsr);
+        t.validate();
+        ASSERT_EQ(t.nnz_blocks(), bsr.nnz_blocks()) << "block " << block;
+        for (index_t br = 0; br < bsr.block_rows(); ++br) {
+            for (index_t b = bsr.row_offsets[static_cast<std::size_t>(br)];
+                 b < bsr.row_offsets[static_cast<std::size_t>(br + 1)];
+                 ++b) {
+                // Block (br, bc) lands in block row bc, at column br.
+                const index_t bc =
+                    bsr.col_indices[static_cast<std::size_t>(b)];
+                index_t slot = t.row_offsets[static_cast<std::size_t>(bc)];
+                while (t.col_indices[static_cast<std::size_t>(slot)] != br) {
+                    ++slot;
+                }
+                for (index_t r = 0; r < block; ++r) {
+                    for (index_t c = 0; c < block; ++c) {
+                        ASSERT_EQ(bsr.element_valid(b, r, c),
+                                  t.element_valid(slot, c, r))
+                            << "block " << block << " (" << r << ", " << c
+                            << ")";
+                    }
+                }
+            }
+        }
+        const BsrLayout tt = transpose_layout(t);
+        EXPECT_EQ(tt.row_offsets, bsr.row_offsets);
+        EXPECT_EQ(tt.col_indices, bsr.col_indices);
+        EXPECT_EQ(tt.valid_bits, bsr.valid_bits);
+    }
 }
 
 // ----------------------------------------------------- value transport ----

@@ -288,17 +288,19 @@ TEST(SoftmaxKernelTest, CompoundSoftmaxMatchesFineOnWholePattern)
     pat.atoms.push_back(AtomicPattern::local(4));
     pat.atoms.push_back(AtomicPattern::random(5, 3));
     const SlicePlan plan = slice_and_dice(pat, {.block = 16});
+    const auto full =
+        std::make_shared<const CsrLayout>(build_full_layout(plan.pattern));
     ASSERT_TRUE(plan.has_coarse());
     ASSERT_TRUE(plan.has_fine());
 
     HalfMatrix s_dense(seq, seq, half(0.0f));
     for (index_t r = 0; r < seq; ++r) {
         for (index_t j =
-                 plan.full->row_offsets[static_cast<std::size_t>(r)];
-             j < plan.full->row_offsets[static_cast<std::size_t>(r + 1)];
+                 full->row_offsets[static_cast<std::size_t>(r)];
+             j < full->row_offsets[static_cast<std::size_t>(r + 1)];
              ++j) {
             s_dense.at(
-                r, plan.full->col_indices[static_cast<std::size_t>(j)]) =
+                r, full->col_indices[static_cast<std::size_t>(j)]) =
                 half(rng.next_float(-3.0f, 3.0f));
         }
     }
@@ -306,7 +308,7 @@ TEST(SoftmaxKernelTest, CompoundSoftmaxMatchesFineOnWholePattern)
     CsrMatrix fine = gather_csr(s_dense, plan.fine);
     kernels::compound_softmax(&coarse, &fine, 0.5);
 
-    CsrMatrix whole = gather_csr(s_dense, plan.full);
+    CsrMatrix whole = gather_csr(s_dense, full);
     kernels::fine_softmax(whole, 0.5);
     const HalfMatrix whole_dense = dense_from_csr(whole);
 

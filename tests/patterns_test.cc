@@ -21,10 +21,10 @@ std::vector<index_t>
 row_columns(const AtomicPattern &atom, index_t seq, index_t valid,
             index_t row)
 {
+    std::vector<ColumnInterval> intervals;
+    atom.append_row_intervals(seq, valid, row, intervals);
     std::vector<index_t> cols;
-    atom.append_row_columns(seq, valid, row, cols);
-    std::sort(cols.begin(), cols.end());
-    cols.erase(std::unique(cols.begin(), cols.end()), cols.end());
+    append_columns(intervals, cols);
     return cols;
 }
 
@@ -258,16 +258,47 @@ TEST(CompoundTest, ValidLenClipsEverything)
     }
 }
 
-TEST(CompoundTest, ExcludeRowsLeavesThemEmpty)
+TEST(CompoundTest, NegativeSpecialTokensAreRejected)
 {
+    EXPECT_THROW(AtomicPattern::selected({-3, 10}), Error);
+    EXPECT_THROW(AtomicPattern::global({-1, 4}), Error);
+    // A hand-built atom slips past the factories; validate() and every
+    // entry point that materializes the pattern still reject it.
     CompoundPattern p;
-    p.seq_len = 16;
-    p.atoms.push_back(AtomicPattern::local(2));
-    std::vector<const AtomicPattern *> atoms = {&p.atoms[0]};
-    const CsrLayout l = build_union_layout(p, atoms, {3, 7});
-    EXPECT_EQ(l.row_nnz(3), 0);
-    EXPECT_EQ(l.row_nnz(7), 0);
-    EXPECT_GT(l.row_nnz(4), 0);
+    p.seq_len = 128;
+    p.atoms.push_back(AtomicPattern::local(4));
+    p.atoms.push_back(AtomicPattern::selected({10}));
+    p.atoms.back().tokens = {-3, 10};
+    EXPECT_THROW(p.validate(), Error);
+    EXPECT_THROW(build_full_layout(p), Error);
+    for (const SliceMode mode :
+         {SliceMode::kMultigrain, SliceMode::kCoarseOnly,
+          SliceMode::kFineOnly, SliceMode::kDense}) {
+        EXPECT_THROW(slice_and_dice(p, {.block = 16, .mode = mode}), Error)
+            << to_string(mode);
+    }
+}
+
+TEST(CompoundTest, ValidateRejectsMalformedAtoms)
+{
+    const auto with = [](void (*edit)(AtomicPattern &)) {
+        CompoundPattern p;
+        p.seq_len = 64;
+        p.atoms.push_back(AtomicPattern::local(2));
+        edit(p.atoms.back());
+        return p;
+    };
+    EXPECT_NO_THROW(with([](AtomicPattern &) {}).validate());
+    EXPECT_THROW(with([](AtomicPattern &a) { a.window = -1; }).validate(),
+                 Error);
+    EXPECT_THROW(with([](AtomicPattern &a) { a.stride = 0; }).validate(),
+                 Error);
+    EXPECT_THROW(with([](AtomicPattern &a) { a.block = 0; }).validate(),
+                 Error);
+    EXPECT_THROW(with([](AtomicPattern &a) { a.tokens = {64}; }).validate(),
+                 Error);
+    EXPECT_THROW(
+        with([](AtomicPattern &a) { a.tokens = {5, 3}; }).validate(), Error);
 }
 
 TEST(CompoundTest, DescribeMentionsEveryAtom)

@@ -228,7 +228,7 @@ TEST(ProfilerTest, SimResultFromJsonRejectsWrongSchema)
 TEST(ProfilerTest, ProfileJsonIsValidAndCarriesPhases)
 {
     reset_host_timers();
-    add_host_timer_sample("offline.slice_and_dice", 42.0);
+    add_host_timer_sample("patterns.slice", 42.0);
     const ProfiledRun run =
         profile(layered_result(), sim::DeviceSpec::a100());
 
@@ -253,7 +253,7 @@ TEST(ProfilerTest, ProfileJsonIsValidAndCarriesPhases)
     ASSERT_TRUE(doc.at("host_timers").is_array());
     ASSERT_EQ(doc.at("host_timers").array.size(), 1u);
     EXPECT_EQ(doc.at("host_timers").array[0].at("name").as_string(),
-              "offline.slice_and_dice");
+              "patterns.slice");
     reset_host_timers();
 
     // So do the engine counters, as one object.
