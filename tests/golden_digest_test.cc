@@ -9,6 +9,13 @@
 // produced. Matching a digest therefore means matching it, which is why
 // the test names are kept.
 //
+// PlanDigestTest pins the captured plans themselves, before any
+// simulation: every node of every forward and backward graph with its
+// stream, deps, thread blocks and annotated buffers, plus the memory
+// footprints derived from them, for every mode over patterns that lack a
+// part. A refactor of the plan builders that claims no plan moved must
+// pass it with no digest edited.
+//
 // EngineOrderTest pins random multi-stream programs on a two-SM toy device
 // instead: ties between deadlines and threshold crossings, every occupancy
 // from 1 to the device maximum, empty work components and 0-TB kernels.
@@ -26,6 +33,7 @@
 
 #include "common/rng.h"
 #include "core/attention.h"
+#include "core/memplan.h"
 #include "gpusim/device.h"
 #include "gpusim/engine.h"
 #include "gpusim/launch.h"
@@ -37,42 +45,123 @@
 namespace multigrain {
 namespace {
 
-/// FNV-1a over the raw bytes of every field, integers widened to 64 bits.
+/// FNV-1a over raw bytes, integers widened to 64 bits.
+class Fnv1a {
+  public:
+    void bytes(const void *data, std::size_t n)
+    {
+        for (std::size_t i = 0; i < n; ++i) {
+            h_ = (h_ ^ static_cast<const unsigned char *>(data)[i]) *
+                 1099511628211ull;
+        }
+    }
+    void u64(std::uint64_t v) { bytes(&v, sizeof v); }
+    void f64(double v) { bytes(&v, sizeof v); }
+    void str(const std::string &s)
+    {
+        u64(s.size());
+        bytes(s.data(), s.size());
+    }
+    std::string hex() const
+    {
+        char out[24];
+        std::snprintf(out, sizeof out, "%016llx",
+                      static_cast<unsigned long long>(h_));
+        return out;
+    }
+
+  private:
+    std::uint64_t h_ = 1469598103934665603ull;
+};
+
+/// Digest of every field of a SimResult.
 std::string
 digest(const sim::SimResult &r)
 {
-    std::uint64_t h = 1469598103934665603ull;
-    const auto bytes = [&h](const void *data, std::size_t n) {
-        for (std::size_t i = 0; i < n; ++i) {
-            h = (h ^ static_cast<const unsigned char *>(data)[i]) *
-                1099511628211ull;
-        }
-    };
-    const auto u64 = [&bytes](std::uint64_t v) { bytes(&v, sizeof v); };
-    const auto f64 = [&bytes](double v) { bytes(&v, sizeof v); };
-    f64(r.total_us);
-    u64(r.kernels.size());
+    Fnv1a h;
+    h.f64(r.total_us);
+    h.u64(r.kernels.size());
     for (const sim::KernelStats &k : r.kernels) {
-        u64(k.name.size());
-        bytes(k.name.data(), k.name.size());
-        u64(static_cast<std::uint64_t>(k.stream));
-        u64(k.deps.size());
+        h.str(k.name);
+        h.u64(static_cast<std::uint64_t>(k.stream));
+        h.u64(k.deps.size());
         for (const int dep : k.deps) {
-            u64(static_cast<std::uint64_t>(dep));
+            h.u64(static_cast<std::uint64_t>(dep));
         }
-        u64(static_cast<std::uint64_t>(k.num_tbs));
-        u64(static_cast<std::uint64_t>(k.occupancy_per_sm));
+        h.u64(static_cast<std::uint64_t>(k.num_tbs));
+        h.u64(static_cast<std::uint64_t>(k.occupancy_per_sm));
         for (const double v :
              {k.ready_us, k.start_us, k.end_us, k.avg_concurrency,
               k.work.tensor_flops, k.work.cuda_flops, k.work.dram_read_bytes,
               k.work.dram_write_bytes, k.work.l2_bytes}) {
-            f64(v);
+            h.f64(v);
         }
     }
-    char hex[24];
-    std::snprintf(hex, sizeof hex, "%016llx",
-                  static_cast<unsigned long long>(h));
-    return hex;
+    return h.hex();
+}
+
+/// Feeds every node of `graph` into `h`: name, stream, deps, thread-block
+/// groups with their work, and each read, write and accumulated buffer
+/// with its name, bytes and definedness flags.
+void
+hash_graph(Fnv1a &h, const LaunchGraph &graph)
+{
+    h.u64(static_cast<std::uint64_t>(graph.num_streams()));
+    h.u64(graph.ops().size());
+    for (const int op : graph.ops()) {
+        h.u64(static_cast<std::uint64_t>(op));
+    }
+    const auto buffers = [&h](const std::vector<sim::BufferId> &ids,
+                              const std::vector<std::uint64_t> &bytes,
+                              const std::vector<unsigned> &flags) {
+        h.u64(ids.size());
+        for (std::size_t i = 0; i < ids.size(); ++i) {
+            h.str(sim::buffer_name(ids[i]));
+            h.u64(bytes[i]);
+            h.u64(flags[i]);
+        }
+    };
+    for (const LaunchGraphNode &node : graph.nodes()) {
+        const sim::KernelLaunch &k = node.launch;
+        h.str(k.name);
+        h.u64(static_cast<std::uint64_t>(node.stream));
+        h.u64(node.deps.size());
+        for (const int dep : node.deps) {
+            h.u64(static_cast<std::uint64_t>(dep));
+        }
+        h.u64(k.tbs.size());
+        for (const sim::TbGroup &g : k.tbs) {
+            h.u64(static_cast<std::uint64_t>(g.count));
+            for (const double v :
+                 {g.work.tensor_flops, g.work.cuda_flops,
+                  g.work.dram_read_bytes, g.work.dram_write_bytes,
+                  g.work.l2_bytes}) {
+                h.f64(v);
+            }
+        }
+        buffers(k.reads, k.read_bytes, k.read_flags);
+        buffers(k.writes, k.write_bytes, k.write_flags);
+        buffers(k.accums, k.accum_bytes, k.accum_flags);
+    }
+}
+
+/// Digest of an engine's captured plans: the three forward phase
+/// fragments, the composed forward, the backward, both memory-plan peaks
+/// and attention_memory_bytes().
+std::string
+plan_digest(const AttentionEngine &engine, const sim::DeviceSpec &device)
+{
+    Fnv1a h;
+    const auto graphs = engine.forward_graphs(device);
+    for (const LaunchGraph *graph :
+         {&graphs->sddmm, &graphs->softmax, &graphs->spmm, &graphs->forward,
+          engine.backward_graph(device).get()}) {
+        hash_graph(h, *graph);
+    }
+    h.u64(engine.forward_memplan(device)->peak_hbm_bytes());
+    h.u64(engine.backward_memplan(device)->peak_hbm_bytes());
+    h.f64(engine.attention_memory_bytes());
+    return h.hex();
 }
 
 AttentionConfig
@@ -229,6 +318,64 @@ TEST(RunnerComposedReplayTest, HeterogeneousBatchMatchesImperativeLoop)
     const TransformerRunner runner(model, SliceMode::kMultigrain, samples);
     EXPECT_EQ(digest(runner.simulate(sim::DeviceSpec::a100()).sim),
               "f86dc8d0495875a0");
+}
+
+TEST(PlanDigestTest, CapturedPlansKeepTheirDigests)
+{
+    // Indexed by pattern * 8 + mode * 2 + multi_stream. The patterns
+    // cover Multigrain plans with every part, without a fine part, without
+    // a coarse part, with only fine and special parts, with global rows
+    // kept fine, and under the 1D-tiling fine SDDMM.
+    static const char *const kDigests[48] = {
+        "e46d1aa65d810b54", "1b960d8d4366958e", "668600313e469393",
+        "668600313e469393", "942d69c07cb64b94", "942d69c07cb64b94",
+        "b2d497d072f29944", "b2d497d072f29944", "df6c9ecbaf21eb5b",
+        "881861e8020d8d9d", "053fbdf1b6434fa9", "053fbdf1b6434fa9",
+        "d912374636c2e73e", "d912374636c2e73e", "b2d497d072f29944",
+        "b2d497d072f29944", "20ce3fdc1a79897b", "1f2d5e3cdefc3868",
+        "668600313e469393", "668600313e469393", "81b9472ba0cd7001",
+        "81b9472ba0cd7001", "b2d497d072f29944", "b2d497d072f29944",
+        "e1dbd5f66e068296", "eb74dac4fd9a1073", "668600313e469393",
+        "668600313e469393", "20fb046619545014", "20fb046619545014",
+        "b2d497d072f29944", "b2d497d072f29944", "062d6ddae280fd41",
+        "d3ad558641f7c00e", "668600313e469393", "668600313e469393",
+        "942d69c07cb64b94", "942d69c07cb64b94", "b2d497d072f29944",
+        "b2d497d072f29944", "d8e2cd8bc815d094", "2b750a3ca282ac5e",
+        "668600313e469393", "668600313e469393", "942d69c07cb64b94",
+        "942d69c07cb64b94", "b2d497d072f29944", "b2d497d072f29944"};
+    const index_t seq = 64;
+    CompoundPattern local;
+    local.seq_len = seq;
+    local.atoms.push_back(AtomicPattern::local(4));
+    CompoundPattern random;
+    random.seq_len = seq;
+    random.atoms.push_back(AtomicPattern::random(3, 21));
+    CompoundPattern global_random = random;
+    global_random.atoms.push_back(AtomicPattern::global({1, seq / 3}));
+    const CompoundPattern patterns[6] = {compound(seq), local, random,
+                                         global_random, compound(seq),
+                                         compound(seq)};
+    const sim::DeviceSpec device = sim::DeviceSpec::a100();
+    for (int pattern = 0; pattern < 6; ++pattern) {
+        for (const SliceMode mode :
+             {SliceMode::kMultigrain, SliceMode::kCoarseOnly,
+              SliceMode::kFineOnly, SliceMode::kDense}) {
+            for (const bool multi_stream : {false, true}) {
+                AttentionConfig config = small_config(multi_stream);
+                config.route_global_to_dense = pattern != 4;
+                if (pattern == 5) {
+                    config.fine_scheme = kernels::FineSddmmScheme::k1dTiling;
+                }
+                const int index = pattern * 8 + static_cast<int>(mode) * 2 +
+                                  (multi_stream ? 1 : 0);
+                SCOPED_TRACE("pattern " + std::to_string(pattern) +
+                             " mode " + to_string(mode) +
+                             (multi_stream ? " multi-stream" : ""));
+                const AttentionEngine engine(patterns[pattern], config, mode);
+                EXPECT_EQ(plan_digest(engine, device), kDigests[index]);
+            }
+        }
+    }
 }
 
 /// Two SMs with round rates (per-SM CUDA 0.5e6 flops/us, tensor 1e6
