@@ -2,15 +2,16 @@
 
 #include <algorithm>
 #include <cmath>
+#include <array>
 #include <cstdio>
+#include <functional>
 #include <limits>
-#include <vector>
 #include <utility>
+#include <vector>
 
 #include "common/error.h"
 #include "common/timer.h"
 #include "core/check.h"
-#include "core/lint.h"
 #include "formats/convert.h"
 #include "kernels/backward.h"
 #include "kernels/blocked_baseline.h"
@@ -43,40 +44,343 @@ attention_meta_key(std::uint64_t pattern_fp, const AttentionConfig &config,
     return buf;
 }
 
-/// Byte widths of the logical buffers one attention plan touches, derived
-/// from the slice metadata the same way attention_memory_bytes() derives
-/// its totals: FP16 (2-byte) values, value tensors replicated batch ×
-/// num_heads; the additive dense mask is shared across replicas. These
-/// feed the sized dataflow annotations the static memory planner
-/// (core/memplan.h) pools into an arena.
-struct AttnBufferBytes {
-    std::uint64_t qkv = 0;     ///< Each of q/k/v/o and d_out/dq/dk/dv.
-    std::uint64_t coarse = 0;  ///< %s.coarse and %p/%dp.coarse.
-    std::uint64_t fine = 0;    ///< %s.fine and %p/%dp.fine.
-    std::uint64_t global = 0;  ///< %s.global and %p/%dp.global.
-    std::uint64_t full = 0;    ///< %s.full and %p/%dp.full (dense mode).
-    std::uint64_t mask = 0;    ///< %mask (one copy, shared by replicas).
+// ---------------------------------------------------------------------------
+// The part table every plan is recorded from.
+
+// Definedness declarations for the annotations below (core/check.h).
+// The o / dq / dk / dv accumulators start on zero-filled allocations and
+// escape the graph as results; the stashed probabilities (%p.*) and the
+// setup-time additive mask flow *into* a graph that never writes them.
+constexpr unsigned kAccumOut = sim::kBufZeroInit | sim::kBufOutput;
+constexpr unsigned kInbound = sim::kBufInput;
+constexpr std::uint64_t kValueBytes = 2;  // FP16.
+constexpr std::uint64_t kIndexBytes = 4;
+
+using Planner = std::function<sim::KernelLaunch(const sim::DeviceSpec &)>;
+
+/// One part of a plan (§3.1): the share of the pattern one kernel family
+/// computes on one stream. Multigrain has up to three — coarse, fine and
+/// global — and each baseline has one.
+struct Part {
+    std::string tag;   ///< Buffers %s.<tag>, %p.<tag> and %dp.<tag>.
+    int stream = 0;    ///< Slot: 0 coarse, 1 fine, 2 special.
+    std::string name;  ///< Forward kernels sddmm.<name>, spmm.<name>.
+    std::string bwd;   ///< Backward kernels bwd.sddmm.dp<bwd>, ...
+    /// FP16 values of one of S, P or dP, over batch × heads replicas.
+    std::uint64_t bytes = 0;
+    /// Pattern metadata the replicas share: index arrays, or the dense
+    /// baseline's additive mask.
+    std::uint64_t shared = 0;
+    std::function<sim::KernelLaunch(const sim::DeviceSpec &,
+                                    const std::string &name)>
+        sddmm{};
+    /// The SpMM over the part's layout, or over its transpose.
+    std::function<sim::KernelLaunch(const sim::DeviceSpec &,
+                                    bool transposed, const std::string &name)>
+        spmm{};
 };
 
-AttnBufferBytes
-attn_buffer_bytes(const SlicePlan &plan, const AttentionConfig &config)
+/// Parts one softmax normalizes, on one stream. Multigrain's coarse and
+/// fine parts share a denominator (§3.3), so one compound kernel covers
+/// both; its global rows are independent and run a dense softmax.
+struct SoftmaxGroup {
+    std::vector<std::size_t> parts;  ///< Indices into PartTable::parts.
+    int stream = 0;
+    Planner forward;
+    Planner backward;
+    Planner mask{};  ///< Dense baseline only: the additive-mask pass first.
+};
+
+struct PartTable {
+    int streams = 1;        ///< Stream slots every graph opens.
+    std::uint64_t qkv = 0;  ///< Each of q/k/v/o and d_out/dq/dk/dv.
+    std::vector<Part> parts;
+    std::vector<SoftmaxGroup> groups;
+};
+
+/// Describes the plan's parts, in coarse → fine → special order. Only a
+/// sparse part with work gets an entry, so forward and backward launch
+/// the same parts; the dense baseline always runs.
+PartTable
+part_table(const CachedPlanState &state, const AttentionConfig &config)
 {
-    constexpr std::uint64_t kValueBytes = 2;  // FP16.
-    const std::uint64_t replicas =
-        static_cast<std::uint64_t>(config.batch * config.num_heads);
-    const std::uint64_t seq = static_cast<std::uint64_t>(plan.seq_len);
-    AttnBufferBytes b;
-    b.qkv = seq * static_cast<std::uint64_t>(config.head_dim) *
-            kValueBytes * replicas;
-    b.coarse = static_cast<std::uint64_t>(plan.coarse_stored_elements()) *
-               kValueBytes * replicas;
-    b.fine = static_cast<std::uint64_t>(plan.fine_elements()) *
-             kValueBytes * replicas;
-    b.global = static_cast<std::uint64_t>(plan.special_elements()) *
-               kValueBytes * replicas;
-    b.full = seq * seq * kValueBytes * replicas;
-    b.mask = seq * seq * kValueBytes;
-    return b;
+    const SlicePlan &plan = state.plan();
+    const index_t dh = config.head_dim;
+    const index_t replicas = config.batch * config.num_heads;
+    const auto values = [replicas](index_t elements) {
+        return static_cast<std::uint64_t>(elements) * kValueBytes *
+               static_cast<std::uint64_t>(replicas);
+    };
+    const auto indices = [](std::size_t count) {
+        return static_cast<std::uint64_t>(count) * kIndexBytes;
+    };
+    const bool multi =
+        plan.mode == SliceMode::kMultigrain && config.multi_stream;
+    PartTable t;
+    t.streams = multi ? 3 : 1;
+    t.qkv = values(plan.seq_len * dh);
+
+    const BsrLayout *coarse = plan.has_coarse() ? plan.coarse.get() : nullptr;
+    const CsrLayout *fine = plan.has_fine() ? plan.fine.get() : nullptr;
+    // The coarse and fine parts share one softmax group on the coarse
+    // stream; the baselines swap in their own forward kernel.
+    SoftmaxGroup sparse;
+    sparse.forward = [=](const sim::DeviceSpec &dev) {
+        return kernels::plan_compound_softmax(dev, coarse, fine, replicas,
+                                              "softmax.compound");
+    };
+    sparse.backward = [=](const sim::DeviceSpec &dev) {
+        return kernels::plan_compound_softmax_backward(
+            dev, coarse, fine, replicas, "bwd.softmax.compound");
+    };
+    if (coarse != nullptr) {
+        const bool triton = plan.mode == SliceMode::kCoarseOnly;
+        const auto spmm =
+            triton ? &kernels::plan_triton_spmm : &kernels::plan_coarse_spmm;
+        Part part{.tag = "coarse",
+                  .stream = 0,
+                  .name = triton ? "triton" : "coarse",
+                  .bwd = "",
+                  .bytes = values(coarse->total_stored()),
+                  .shared = indices(coarse->row_offsets.size() +
+                                    coarse->col_indices.size()) +
+                            coarse->valid_bits.size() * 8};
+        // Triton's SDDMM reads BCOO while its SpMM reads BSR (§2.4's
+        // format duplication).
+        part.sddmm = [=](const sim::DeviceSpec &dev, const std::string &name) {
+            return triton ? kernels::plan_triton_sddmm(
+                                dev, bcoo_from_bsr(*coarse), dh, replicas,
+                                name)
+                          : kernels::plan_coarse_sddmm(dev, *coarse, dh,
+                                                       replicas, name);
+        };
+        part.spmm = [=, &state](const sim::DeviceSpec &dev, bool transposed,
+                                const std::string &name) {
+            return spmm(dev, transposed ? state.coarse_transposed() : *coarse,
+                        dh, replicas, name);
+        };
+        if (triton) {
+            sparse.forward = [=](const sim::DeviceSpec &dev) {
+                return kernels::plan_triton_softmax(dev, *coarse, replicas,
+                                                    "softmax.triton");
+            };
+        }
+        sparse.parts.push_back(t.parts.size());
+        t.parts.push_back(std::move(part));
+    }
+    if (fine != nullptr) {
+        const bool sputnik = plan.mode == SliceMode::kFineOnly;
+        const kernels::FineSddmmScheme scheme = config.fine_scheme;
+        Part part{.tag = "fine",
+                  .stream = multi ? 1 : 0,
+                  .name = sputnik ? "sputnik" : "fine",
+                  .bwd = ".fine",
+                  .bytes = values(fine->nnz()),
+                  .shared = indices(fine->row_offsets.size() +
+                                    fine->col_indices.size())};
+        part.sddmm = [=](const sim::DeviceSpec &dev, const std::string &name) {
+            return kernels::plan_fine_sddmm(dev, *fine, dh, replicas, scheme,
+                                            name);
+        };
+        part.spmm = [=, &state](const sim::DeviceSpec &dev, bool transposed,
+                                const std::string &name) {
+            return kernels::plan_fine_spmm(
+                dev, transposed ? state.fine_transposed() : *fine, dh,
+                replicas, name);
+        };
+        if (sputnik) {
+            sparse.forward = [=](const sim::DeviceSpec &dev) {
+                return kernels::plan_fine_softmax(dev, *fine, replicas,
+                                                  "softmax.sputnik");
+            };
+        }
+        sparse.parts.push_back(t.parts.size());
+        t.parts.push_back(std::move(part));
+    }
+    if (!sparse.parts.empty()) {
+        t.groups.push_back(std::move(sparse));
+    }
+
+    // A part of dense kernels over rows × cols with a dense softmax of its
+    // own: the global rows (§3.1), or the whole L × L for the dense
+    // baseline.
+    const auto dense = [&](const char *tag, int stream, const char *name,
+                           const char *bwd, index_t rows, index_t cols,
+                           std::uint64_t shared) {
+        Part part{.tag = tag,
+                  .stream = stream,
+                  .name = name,
+                  .bwd = bwd,
+                  .bytes = values(rows * cols),
+                  .shared = shared};
+        part.sddmm = [=](const sim::DeviceSpec &dev, const std::string &n) {
+            return kernels::plan_dense_gemm(dev, rows, cols, dh, replicas, n);
+        };
+        part.spmm = [=](const sim::DeviceSpec &dev, bool transposed,
+                        const std::string &n) {
+            return kernels::plan_dense_gemm(dev, transposed ? cols : rows, dh,
+                                            transposed ? rows : cols,
+                                            replicas, n);
+        };
+        const auto softmax = [=](const std::string &n) {
+            return [=](const sim::DeviceSpec &dev) {
+                return kernels::plan_dense_softmax(dev, rows, cols, replicas,
+                                                   n);
+            };
+        };
+        t.groups.push_back(
+            {.parts = {t.parts.size()},
+             .stream = stream,
+             .forward = softmax(std::string("softmax.") + name),
+             .backward = softmax(std::string("bwd.softmax") + bwd)});
+        t.parts.push_back(std::move(part));
+    };
+    if (plan.has_special()) {
+        const auto g = static_cast<index_t>(plan.global_rows.size());
+        dense("global", multi ? 2 : 0, "global", ".global", g, plan.valid_len,
+              indices(plan.global_rows.size()));
+    }
+    if (plan.mode == SliceMode::kDense) {
+        // Naive baseline: dense QKᵀ, an additive -inf mask pass, dense
+        // softmax, dense PV. O(L²) regardless of sparsity.
+        const index_t seq = plan.seq_len;
+        dense("full", 0, "dense", ".dense", seq, seq,
+              static_cast<std::uint64_t>(seq * seq) * kValueBytes);
+        const auto elementwise = [=](double flops, const char *name) {
+            return [=](const sim::DeviceSpec &dev) {
+                return kernels::plan_elementwise(dev, seq * seq * replicas, 2,
+                                                 flops, name);
+            };
+        };
+        t.groups.back().mask = elementwise(2.0, "softmax.dense.mask");
+        t.groups.back().backward = elementwise(6.0, "bwd.softmax.dense");
+    }
+    return t;
+}
+
+/// One phase's launches in record order, each with its stream slot.
+using Phase = std::vector<std::pair<int, sim::KernelLaunch>>;
+
+/// The three forward phases: SDDMM, softmax, SpMM.
+std::array<Phase, 3>
+forward_phases(const PartTable &t, const sim::DeviceSpec &dev)
+{
+    std::array<Phase, 3> phases;
+    for (const Part &part : t.parts) {
+        const std::string s = "%s." + part.tag;
+        phases[0].emplace_back(
+            part.stream,
+            sim::annotate(part.sddmm(dev, "sddmm." + part.name),
+                          {{"q", t.qkv}, {"k", t.qkv}},
+                          {{s.c_str(), part.bytes}}));
+        // Every part accumulates into the shared output rows — a
+        // commutative RMW, so the streams may overlap freely.
+        phases[2].emplace_back(
+            part.stream,
+            sim::annotate(part.spmm(dev, false, "spmm." + part.name),
+                          {{s.c_str(), part.bytes}, {"v", t.qkv}}, {},
+                          {{"o", t.qkv, kAccumOut}}));
+    }
+    // One softmax per group. The compound one runs on the coarse stream
+    // and reads %s.fine: exactly the cross-stream edge the preceding join
+    // barrier exists to create.
+    for (const SoftmaxGroup &group : t.groups) {
+        if (group.mask) {
+            const Part &part = t.parts[group.parts.front()];
+            const std::string s = "%s." + part.tag;
+            phases[1].emplace_back(
+                group.stream,
+                sim::annotate(group.mask(dev),
+                              {{s.c_str(), part.bytes},
+                               {"%mask", part.shared, kInbound}},
+                              {{s.c_str(), part.bytes}}));
+        }
+        sim::KernelLaunch softmax = group.forward(dev);
+        for (const std::size_t i : group.parts) {
+            const std::string s = "%s." + t.parts[i].tag;
+            softmax = sim::annotate(std::move(softmax),
+                                    {{s.c_str(), t.parts[i].bytes}},
+                                    {{s.c_str(), t.parts[i].bytes}});
+        }
+        phases[1].emplace_back(group.stream, std::move(softmax));
+    }
+    return phases;
+}
+
+/// The three backward phases: the dP SDDMMs and the dV transposed SpMMs,
+/// then the fused softmax backward, then the dQ SpMMs and the dK
+/// transposed SpMMs.
+std::array<Phase, 3>
+backward_phases(const PartTable &t, const sim::DeviceSpec &dev)
+{
+    std::array<Phase, 3> phases;
+    for (const Part &part : t.parts) {
+        const std::string p = "%p." + part.tag;
+        const std::string dp = "%dp." + part.tag;
+        phases[0].emplace_back(
+            part.stream,
+            sim::annotate(part.sddmm(dev, "bwd.sddmm.dp" + part.bwd),
+                          {{"d_out", t.qkv}, {"v", t.qkv}},
+                          {{dp.c_str(), part.bytes}}));
+        phases[0].emplace_back(
+            part.stream,
+            sim::annotate(part.spmm(dev, true, "bwd.spmm_t.dv" + part.bwd),
+                          {{p.c_str(), part.bytes, kInbound},
+                           {"d_out", t.qkv}},
+                          {}, {{"dv", t.qkv, kAccumOut}}));
+        phases[2].emplace_back(
+            part.stream,
+            sim::annotate(part.spmm(dev, false, "bwd.spmm.dq" + part.bwd),
+                          {{dp.c_str(), part.bytes}, {"k", t.qkv}}, {},
+                          {{"dq", t.qkv, kAccumOut}}));
+        phases[2].emplace_back(
+            part.stream,
+            sim::annotate(part.spmm(dev, true, "bwd.spmm_t.dk" + part.bwd),
+                          {{dp.c_str(), part.bytes}, {"q", t.qkv}}, {},
+                          {{"dk", t.qkv, kAccumOut}}));
+    }
+    // The coupled softmax backward reads every part's P, then every dP.
+    for (const SoftmaxGroup &group : t.groups) {
+        sim::KernelLaunch softmax = group.backward(dev);
+        for (const std::size_t i : group.parts) {
+            const std::string p = "%p." + t.parts[i].tag;
+            softmax = sim::annotate(std::move(softmax),
+                                    {{p.c_str(), t.parts[i].bytes, kInbound}},
+                                    {});
+        }
+        for (const std::size_t i : group.parts) {
+            const std::string dp = "%dp." + t.parts[i].tag;
+            softmax = sim::annotate(std::move(softmax),
+                                    {{dp.c_str(), t.parts[i].bytes}},
+                                    {{dp.c_str(), t.parts[i].bytes}});
+        }
+        phases[1].emplace_back(group.stream, std::move(softmax));
+    }
+    return phases;
+}
+
+/// Opens the table's streams on a fresh graph, eagerly in coarse → fine
+/// → special order. Creation order is part of the replay contract: every
+/// graph of one engine numbers its logical streams alike, so one binding
+/// or stream map serves all of them. Each engine gets its own streams so
+/// several engines' phases can co-schedule (heterogeneous batches).
+std::vector<int>
+open_streams(LaunchGraph &graph, const PartTable &t)
+{
+    std::vector<int> streams;
+    for (int slot = 0; slot < t.streams; ++slot) {
+        streams.push_back(graph.create_stream());
+    }
+    return streams;
+}
+
+void
+record(LaunchGraph &graph, const std::vector<int> &streams,
+       const Phase &phase)
+{
+    for (const auto &[slot, launch] : phase) {
+        graph.launch(streams[static_cast<std::size_t>(slot)], launch);
+    }
 }
 
 }  // namespace
@@ -109,14 +413,13 @@ AttentionEngine::AttentionEngine(const CompoundPattern &pattern,
             return std::make_shared<const CachedPlanState>(
                 slice_and_dice(pattern, options));
         });
-    plan_ = state_->plan();
 }
 
 HalfMatrix
 AttentionEngine::run(const HalfMatrix &q, const HalfMatrix &k,
                      const HalfMatrix &v) const
 {
-    const index_t seq = plan_.seq_len;
+    const index_t seq = plan().seq_len;
     const index_t dh = config_.head_dim;
     MG_CHECK(q.rows() == seq && k.rows() == seq && v.rows() == seq)
         << "q/k/v must have seq_len rows";
@@ -124,12 +427,12 @@ AttentionEngine::run(const HalfMatrix &q, const HalfMatrix &k,
         << "q/k/v must have head_dim columns";
     const double scale = config_.effective_scale();
 
-    if (plan_.mode == SliceMode::kDense) {
+    if (plan().mode == SliceMode::kDense) {
         // Naive baseline: dense QK^T, additive -inf mask from the pattern,
         // dense softmax, dense PV. O(L^2) regardless of sparsity.
         HalfMatrix s(seq, seq);
         kernels::dense_gemm_nt(q, k, s);
-        const CsrLayout &full = *plan_.full;
+        const CsrLayout &full = *plan().full;
         HalfMatrix p(seq, seq, half(0.0f));
         for (index_t r = 0; r < seq; ++r) {
             const index_t begin =
@@ -173,43 +476,45 @@ AttentionEngine::run(const HalfMatrix &q, const HalfMatrix &k,
     // ---- Coarse + fine parts: SDDMM -> one compound softmax -> SpMM.
     BsrMatrix s_coarse;
     CsrMatrix s_fine;
-    if (plan_.has_coarse()) {
-        s_coarse = BsrMatrix(plan_.coarse);
+    if (plan().has_coarse()) {
+        s_coarse = BsrMatrix(plan().coarse);
         kernels::coarse_sddmm(q, k, s_coarse);
     }
-    if (plan_.has_fine()) {
-        s_fine = CsrMatrix(plan_.fine);
+    if (plan().has_fine()) {
+        s_fine = CsrMatrix(plan().fine);
         kernels::fine_sddmm(q, k, s_fine);
     }
-    if (plan_.has_coarse() || plan_.has_fine()) {
-        kernels::compound_softmax(plan_.has_coarse() ? &s_coarse : nullptr,
-                                  plan_.has_fine() ? &s_fine : nullptr,
+    if (plan().has_coarse() || plan().has_fine()) {
+        kernels::compound_softmax(plan().has_coarse() ? &s_coarse : nullptr,
+                                  plan().has_fine() ? &s_fine : nullptr,
                                   scale);
     }
-    if (plan_.has_coarse()) {
+    if (plan().has_coarse()) {
         kernels::coarse_spmm(s_coarse, v, acc);
     }
-    if (plan_.has_fine()) {
+    if (plan().has_fine()) {
         kernels::fine_spmm(s_fine, v, acc);
     }
 
     // ---- Special part: global rows as dense GEMM + dense softmax (§3.1).
-    if (plan_.has_special()) {
-        const index_t g = static_cast<index_t>(plan_.global_rows.size());
+    if (plan().has_special()) {
+        const index_t g = static_cast<index_t>(plan().global_rows.size());
         HalfMatrix qg(g, dh);
         for (index_t i = 0; i < g; ++i) {
-            const index_t row = plan_.global_rows[static_cast<std::size_t>(i)];
+            const index_t row =
+                plan().global_rows[static_cast<std::size_t>(i)];
             for (index_t d = 0; d < dh; ++d) {
                 qg.at(i, d) = q.at(row, d);
             }
         }
         HalfMatrix sg(g, seq);
         kernels::dense_gemm_nt(qg, k, sg);
-        kernels::dense_softmax_rows(sg, scale, plan_.valid_len);
+        kernels::dense_softmax_rows(sg, scale, plan().valid_len);
         HalfMatrix cg(g, dh);
         kernels::dense_gemm_nn(sg, v, cg);
         for (index_t i = 0; i < g; ++i) {
-            const index_t row = plan_.global_rows[static_cast<std::size_t>(i)];
+            const index_t row =
+                plan().global_rows[static_cast<std::size_t>(i)];
             for (index_t d = 0; d < dh; ++d) {
                 // Global rows were carved out of the other parts, so the
                 // accumulator is zero here; plain add keeps it uniform.
@@ -228,487 +533,6 @@ AttentionEngine::run(const HalfMatrix &q, const HalfMatrix &k,
 }
 
 // ---------------------------------------------------------------------------
-// Stream assignment.
-
-AttentionEngine::Streams
-AttentionEngine::capture_streams(LaunchGraph &graph) const
-{
-    // Each engine gets its own streams so several engines' phases can
-    // co-schedule (heterogeneous batches). Baselines and the single-stream
-    // ablation use one stream; Multigrain uses three (§3.1). Creation
-    // order (coarse, fine, special) is part of the replay contract: every
-    // graph of one engine numbers its logical streams alike, so one
-    // binding or stream map serves all of them.
-    Streams s;
-    s.coarse = graph.create_stream();
-    const bool multi = plan_.mode == SliceMode::kMultigrain &&
-                       config_.multi_stream;
-    s.fine = multi ? graph.create_stream() : s.coarse;
-    s.special = multi ? graph.create_stream() : s.coarse;
-    return s;
-}
-
-// ---------------------------------------------------------------------------
-// Phase bodies, recorded into a capture graph.
-
-namespace {
-
-// Definedness declarations for the annotate sites below (core/check.h).
-// The o / dq / dk / dv accumulators start on zero-filled allocations and
-// escape the graph as results; the stashed probabilities (%p.*) and the
-// setup-time additive mask flow *into* a graph that never writes them.
-constexpr unsigned kAccumOut = sim::kBufZeroInit | sim::kBufOutput;
-constexpr unsigned kInbound = sim::kBufInput;
-
-}  // namespace
-
-void
-AttentionEngine::build_sddmm(LaunchGraph &graph, const sim::DeviceSpec &dev,
-                             const Streams &streams) const
-{
-    const index_t dh = config_.head_dim;
-    const index_t replicas = config_.batch * config_.num_heads;
-    const index_t g = static_cast<index_t>(plan_.global_rows.size());
-    const AttnBufferBytes bb = attn_buffer_bytes(plan_, config_);
-
-    switch (plan_.mode) {
-      case SliceMode::kCoarseOnly: {
-        // SDDMM uses BCOO while SpMM uses BSR (§2.4's format duplication).
-        const BcooLayout bcoo = bcoo_from_bsr(*plan_.coarse);
-        graph.launch(streams.coarse,
-                     sim::annotate(kernels::plan_triton_sddmm(
-                                       dev, bcoo, dh, replicas,
-                                       "sddmm.triton"),
-                                   {{"q", bb.qkv}, {"k", bb.qkv}},
-                                   {{"%s.coarse", bb.coarse}}));
-        return;
-      }
-      case SliceMode::kFineOnly:
-        graph.launch(streams.coarse,
-                     sim::annotate(kernels::plan_fine_sddmm(
-                                       dev, *plan_.fine, dh, replicas,
-                                       config_.fine_scheme,
-                                       "sddmm.sputnik"),
-                                   {{"q", bb.qkv}, {"k", bb.qkv}},
-                                   {{"%s.fine", bb.fine}}));
-        return;
-      case SliceMode::kDense:
-        graph.launch(streams.coarse,
-                     sim::annotate(kernels::plan_dense_gemm(
-                                       dev, plan_.seq_len, plan_.seq_len, dh,
-                                       replicas, "sddmm.dense"),
-                                   {{"q", bb.qkv}, {"k", bb.qkv}},
-                                   {{"%s.full", bb.full}}));
-        return;
-      case SliceMode::kMultigrain:
-        break;
-    }
-
-    if (plan_.has_coarse()) {
-        graph.launch(streams.coarse,
-                     sim::annotate(kernels::plan_coarse_sddmm(
-                                       dev, *plan_.coarse, dh, replicas,
-                                       "sddmm.coarse"),
-                                   {{"q", bb.qkv}, {"k", bb.qkv}},
-                                   {{"%s.coarse", bb.coarse}}));
-    }
-    if (plan_.has_fine()) {
-        graph.launch(streams.fine,
-                     sim::annotate(kernels::plan_fine_sddmm(
-                                       dev, *plan_.fine, dh, replicas,
-                                       config_.fine_scheme,
-                                       "sddmm.fine"),
-                                   {{"q", bb.qkv}, {"k", bb.qkv}},
-                                   {{"%s.fine", bb.fine}}));
-    }
-    if (plan_.has_special()) {
-        graph.launch(streams.special,
-                     sim::annotate(kernels::plan_dense_gemm(
-                                       dev, g, plan_.valid_len, dh, replicas,
-                                       "sddmm.global"),
-                                   {{"q", bb.qkv}, {"k", bb.qkv}},
-                                   {{"%s.global", bb.global}}));
-    }
-}
-
-void
-AttentionEngine::build_softmax(LaunchGraph &graph, const sim::DeviceSpec &dev,
-                               const Streams &streams) const
-{
-    const index_t replicas = config_.batch * config_.num_heads;
-    const index_t g = static_cast<index_t>(plan_.global_rows.size());
-    const AttnBufferBytes bb = attn_buffer_bytes(plan_, config_);
-
-    switch (plan_.mode) {
-      case SliceMode::kCoarseOnly:
-        graph.launch(streams.coarse,
-                     sim::annotate(kernels::plan_triton_softmax(
-                                       dev, *plan_.coarse, replicas,
-                                       "softmax.triton"),
-                                   {{"%s.coarse", bb.coarse}},
-                                   {{"%s.coarse", bb.coarse}}));
-        return;
-      case SliceMode::kFineOnly:
-        graph.launch(streams.coarse,
-                     sim::annotate(kernels::plan_fine_softmax(
-                                       dev, *plan_.fine, replicas,
-                                       "softmax.sputnik"),
-                                   {{"%s.fine", bb.fine}},
-                                   {{"%s.fine", bb.fine}}));
-        return;
-      case SliceMode::kDense:
-        // Additive-mask pass (read S + mask, write S), then dense softmax.
-        graph.launch(streams.coarse,
-                     sim::annotate(kernels::plan_elementwise(
-                                       dev,
-                                       plan_.seq_len * plan_.seq_len *
-                                           replicas,
-                                       2, 2.0, "softmax.dense.mask"),
-                                   {{"%s.full", bb.full},
-                                    {"%mask", bb.mask, kInbound}},
-                                   {{"%s.full", bb.full}}));
-        graph.launch(streams.coarse,
-                     sim::annotate(kernels::plan_dense_softmax(
-                                       dev, plan_.seq_len, plan_.seq_len,
-                                       replicas, "softmax.dense"),
-                                   {{"%s.full", bb.full}},
-                                   {{"%s.full", bb.full}}));
-        return;
-      case SliceMode::kMultigrain:
-        break;
-    }
-
-    // One compound softmax across coarse+fine (the denominator couples
-    // them, §3.3) ∥ dense softmax for the independent global rows. The
-    // annotation carries the coupling: launched on the coarse stream, its
-    // read of %s.fine is exactly the cross-stream edge the preceding join
-    // barrier exists to create.
-    if (plan_.has_coarse() || plan_.has_fine()) {
-        sim::KernelLaunch softmax = kernels::plan_compound_softmax(
-            dev, plan_.has_coarse() ? plan_.coarse.get() : nullptr,
-            plan_.has_fine() ? plan_.fine.get() : nullptr, replicas,
-            "softmax.compound");
-        if (plan_.has_coarse() && plan_.has_fine()) {
-            softmax = sim::annotate(std::move(softmax),
-                                    {{"%s.coarse", bb.coarse},
-                                     {"%s.fine", bb.fine}},
-                                    {{"%s.coarse", bb.coarse},
-                                     {"%s.fine", bb.fine}});
-        } else if (plan_.has_coarse()) {
-            softmax = sim::annotate(std::move(softmax),
-                                    {{"%s.coarse", bb.coarse}},
-                                    {{"%s.coarse", bb.coarse}});
-        } else {
-            softmax = sim::annotate(std::move(softmax),
-                                    {{"%s.fine", bb.fine}},
-                                    {{"%s.fine", bb.fine}});
-        }
-        graph.launch(streams.coarse, std::move(softmax));
-    }
-    if (plan_.has_special()) {
-        graph.launch(streams.special,
-                     sim::annotate(kernels::plan_dense_softmax(
-                                       dev, g, plan_.valid_len, replicas,
-                                       "softmax.global"),
-                                   {{"%s.global", bb.global}},
-                                   {{"%s.global", bb.global}}));
-    }
-}
-
-void
-AttentionEngine::build_spmm(LaunchGraph &graph, const sim::DeviceSpec &dev,
-                            const Streams &streams) const
-{
-    const index_t dh = config_.head_dim;
-    const index_t replicas = config_.batch * config_.num_heads;
-    const index_t g = static_cast<index_t>(plan_.global_rows.size());
-    const AttnBufferBytes bb = attn_buffer_bytes(plan_, config_);
-
-    switch (plan_.mode) {
-      case SliceMode::kCoarseOnly:
-        graph.launch(streams.coarse,
-                     sim::annotate(kernels::plan_triton_spmm(
-                                       dev, *plan_.coarse, dh, replicas,
-                                       "spmm.triton"),
-                                   {{"%s.coarse", bb.coarse}, {"v", bb.qkv}},
-                                   {}, {{"o", bb.qkv, kAccumOut}}));
-        return;
-      case SliceMode::kFineOnly:
-        graph.launch(streams.coarse,
-                     sim::annotate(kernels::plan_fine_spmm(
-                                       dev, *plan_.fine, dh, replicas,
-                                       "spmm.sputnik"),
-                                   {{"%s.fine", bb.fine}, {"v", bb.qkv}},
-                                   {}, {{"o", bb.qkv, kAccumOut}}));
-        return;
-      case SliceMode::kDense:
-        graph.launch(streams.coarse,
-                     sim::annotate(kernels::plan_dense_gemm(
-                                       dev, plan_.seq_len, dh, plan_.seq_len,
-                                       replicas, "spmm.dense"),
-                                   {{"%s.full", bb.full}, {"v", bb.qkv}},
-                                   {}, {{"o", bb.qkv, kAccumOut}}));
-        return;
-      case SliceMode::kMultigrain:
-        break;
-    }
-
-    // Coarse, fine, and global parts all accumulate into the shared output
-    // rows — a commutative RMW, so the three streams may overlap freely.
-    if (plan_.has_coarse()) {
-        graph.launch(streams.coarse,
-                     sim::annotate(kernels::plan_coarse_spmm(
-                                       dev, *plan_.coarse, dh, replicas,
-                                       "spmm.coarse"),
-                                   {{"%s.coarse", bb.coarse}, {"v", bb.qkv}},
-                                   {}, {{"o", bb.qkv, kAccumOut}}));
-    }
-    if (plan_.has_fine()) {
-        graph.launch(streams.fine,
-                     sim::annotate(kernels::plan_fine_spmm(
-                                       dev, *plan_.fine, dh, replicas,
-                                       "spmm.fine"),
-                                   {{"%s.fine", bb.fine}, {"v", bb.qkv}},
-                                   {}, {{"o", bb.qkv, kAccumOut}}));
-    }
-    if (plan_.has_special()) {
-        graph.launch(streams.special,
-                     sim::annotate(kernels::plan_dense_gemm(
-                                       dev, g, dh, plan_.valid_len, replicas,
-                                       "spmm.global"),
-                                   {{"%s.global", bb.global}, {"v", bb.qkv}},
-                                   {}, {{"o", bb.qkv, kAccumOut}}));
-    }
-}
-
-void
-AttentionEngine::build_backward(LaunchGraph &graph, const sim::DeviceSpec &dev,
-                                const Streams &streams) const
-{
-    const index_t dh = config_.head_dim;
-    const index_t replicas = config_.batch * config_.num_heads;
-    const index_t g = static_cast<index_t>(plan_.global_rows.size());
-    const AttnBufferBytes bb = attn_buffer_bytes(plan_, config_);
-
-    if (plan_.mode == SliceMode::kDense) {
-        const index_t L = plan_.seq_len;
-        graph.launch(streams.coarse,
-                     sim::annotate(kernels::plan_dense_gemm(
-                                       dev, L, L, dh, replicas,
-                                       "bwd.sddmm.dp.dense"),
-                                   {{"d_out", bb.qkv}, {"v", bb.qkv}},
-                                   {{"%dp.full", bb.full}}));
-        graph.launch(streams.coarse,
-                     sim::annotate(kernels::plan_dense_gemm(
-                                       dev, L, dh, L, replicas,
-                                       "bwd.spmm_t.dv.dense"),
-                                   {{"%p.full", bb.full, kInbound},
-                                    {"d_out", bb.qkv}},
-                                   {}, {{"dv", bb.qkv, kAccumOut}}));
-        graph.join_streams();
-        graph.launch(streams.coarse,
-                     sim::annotate(kernels::plan_elementwise(
-                                       dev, L * L * replicas, 2, 6.0,
-                                       "bwd.softmax.dense"),
-                                   {{"%p.full", bb.full, kInbound},
-                                    {"%dp.full", bb.full}},
-                                   {{"%dp.full", bb.full}}));
-        graph.join_streams();
-        graph.launch(streams.coarse,
-                     sim::annotate(kernels::plan_dense_gemm(
-                                       dev, L, dh, L, replicas,
-                                       "bwd.spmm.dq.dense"),
-                                   {{"%dp.full", bb.full}, {"k", bb.qkv}},
-                                   {}, {{"dq", bb.qkv, kAccumOut}}));
-        graph.launch(streams.coarse,
-                     sim::annotate(kernels::plan_dense_gemm(
-                                       dev, L, dh, L, replicas,
-                                       "bwd.spmm_t.dk.dense"),
-                                   {{"%dp.full", bb.full}, {"q", bb.qkv}},
-                                   {}, {{"dk", bb.qkv, kAccumOut}}));
-        graph.join_streams();
-        return;
-    }
-
-    const bool coarse_only = plan_.mode == SliceMode::kCoarseOnly;
-    const bool has_coarse = plan_.has_coarse();
-    const bool has_fine = plan_.has_fine();
-
-    // ---- Phase B1: dP SDDMMs and the dV transposed SpMMs.
-    if (has_coarse) {
-        if (coarse_only) {
-            const BcooLayout bcoo = bcoo_from_bsr(*plan_.coarse);
-            graph.launch(streams.coarse,
-                         sim::annotate(kernels::plan_triton_sddmm(
-                                           dev, bcoo, dh, replicas,
-                                           "bwd.sddmm.dp"),
-                                       {{"d_out", bb.qkv}, {"v", bb.qkv}},
-                                       {{"%dp.coarse", bb.coarse}}));
-            graph.launch(streams.coarse,
-                         sim::annotate(kernels::plan_triton_spmm(
-                                           dev, coarse_transposed(), dh,
-                                           replicas,
-                                           "bwd.spmm_t.dv"),
-                                       {{"%p.coarse", bb.coarse, kInbound},
-                                        {"d_out", bb.qkv}},
-                                       {}, {{"dv", bb.qkv, kAccumOut}}));
-        } else {
-            graph.launch(streams.coarse,
-                         sim::annotate(kernels::plan_coarse_sddmm(
-                                           dev, *plan_.coarse, dh, replicas,
-                                           "bwd.sddmm.dp"),
-                                       {{"d_out", bb.qkv}, {"v", bb.qkv}},
-                                       {{"%dp.coarse", bb.coarse}}));
-            graph.launch(streams.coarse,
-                         sim::annotate(kernels::plan_coarse_spmm(
-                                           dev, coarse_transposed(), dh,
-                                           replicas,
-                                           "bwd.spmm_t.dv"),
-                                       {{"%p.coarse", bb.coarse, kInbound},
-                                        {"d_out", bb.qkv}},
-                                       {}, {{"dv", bb.qkv, kAccumOut}}));
-        }
-    }
-    if (has_fine) {
-        graph.launch(streams.fine,
-                     sim::annotate(kernels::plan_fine_sddmm(
-                                       dev, *plan_.fine, dh, replicas,
-                                       config_.fine_scheme,
-                                       "bwd.sddmm.dp.fine"),
-                                   {{"d_out", bb.qkv}, {"v", bb.qkv}},
-                                   {{"%dp.fine", bb.fine}}));
-        graph.launch(streams.fine,
-                     sim::annotate(kernels::plan_fine_spmm(
-                                       dev, fine_transposed(), dh, replicas,
-                                       "bwd.spmm_t.dv.fine"),
-                                   {{"%p.fine", bb.fine, kInbound},
-                                    {"d_out", bb.qkv}},
-                                   {}, {{"dv", bb.qkv, kAccumOut}}));
-    }
-    if (plan_.has_special()) {
-        graph.launch(streams.special,
-                     sim::annotate(kernels::plan_dense_gemm(
-                                       dev, g, plan_.valid_len, dh, replicas,
-                                       "bwd.sddmm.dp.global"),
-                                   {{"d_out", bb.qkv}, {"v", bb.qkv}},
-                                   {{"%dp.global", bb.global}}));
-        graph.launch(streams.special,
-                     sim::annotate(kernels::plan_dense_gemm(
-                                       dev, plan_.valid_len, dh, g, replicas,
-                                       "bwd.spmm_t.dv.global"),
-                                   {{"%p.global", bb.global, kInbound},
-                                    {"d_out", bb.qkv}},
-                                   {}, {{"dv", bb.qkv, kAccumOut}}));
-    }
-    graph.join_streams();
-
-    // ---- Phase B2: fused softmax backward (plus the dense global rows).
-    if (has_coarse || has_fine) {
-        sim::KernelLaunch softmax_bwd = kernels::plan_compound_softmax_backward(
-            dev, has_coarse ? plan_.coarse.get() : nullptr,
-            has_fine ? plan_.fine.get() : nullptr, replicas,
-            "bwd.softmax.compound");
-        if (has_coarse && has_fine) {
-            softmax_bwd = sim::annotate(
-                std::move(softmax_bwd),
-                {{"%p.coarse", bb.coarse, kInbound},
-                 {"%p.fine", bb.fine, kInbound},
-                 {"%dp.coarse", bb.coarse}, {"%dp.fine", bb.fine}},
-                {{"%dp.coarse", bb.coarse}, {"%dp.fine", bb.fine}});
-        } else if (has_coarse) {
-            softmax_bwd = sim::annotate(std::move(softmax_bwd),
-                                        {{"%p.coarse", bb.coarse, kInbound},
-                                         {"%dp.coarse", bb.coarse}},
-                                        {{"%dp.coarse", bb.coarse}});
-        } else {
-            softmax_bwd = sim::annotate(std::move(softmax_bwd),
-                                        {{"%p.fine", bb.fine, kInbound},
-                                         {"%dp.fine", bb.fine}},
-                                        {{"%dp.fine", bb.fine}});
-        }
-        graph.launch(streams.coarse, std::move(softmax_bwd));
-    }
-    if (plan_.has_special()) {
-        graph.launch(streams.special,
-                     sim::annotate(kernels::plan_dense_softmax(
-                                       dev, g, plan_.valid_len, replicas,
-                                       "bwd.softmax.global"),
-                                   {{"%p.global", bb.global, kInbound},
-                                    {"%dp.global", bb.global}},
-                                   {{"%dp.global", bb.global}}));
-    }
-    graph.join_streams();
-
-    // ---- Phase B3: dQ SpMMs and the dK transposed SpMMs.
-    if (has_coarse) {
-        if (coarse_only) {
-            graph.launch(streams.coarse,
-                         sim::annotate(kernels::plan_triton_spmm(
-                                           dev, *plan_.coarse, dh, replicas,
-                                           "bwd.spmm.dq"),
-                                       {{"%dp.coarse", bb.coarse},
-                                        {"k", bb.qkv}},
-                                       {}, {{"dq", bb.qkv, kAccumOut}}));
-            graph.launch(streams.coarse,
-                         sim::annotate(kernels::plan_triton_spmm(
-                                           dev, coarse_transposed(), dh,
-                                           replicas,
-                                           "bwd.spmm_t.dk"),
-                                       {{"%dp.coarse", bb.coarse},
-                                        {"q", bb.qkv}},
-                                       {}, {{"dk", bb.qkv, kAccumOut}}));
-        } else {
-            graph.launch(streams.coarse,
-                         sim::annotate(kernels::plan_coarse_spmm(
-                                           dev, *plan_.coarse, dh, replicas,
-                                           "bwd.spmm.dq"),
-                                       {{"%dp.coarse", bb.coarse},
-                                        {"k", bb.qkv}},
-                                       {}, {{"dq", bb.qkv, kAccumOut}}));
-            graph.launch(streams.coarse,
-                         sim::annotate(kernels::plan_coarse_spmm(
-                                           dev, coarse_transposed(), dh,
-                                           replicas,
-                                           "bwd.spmm_t.dk"),
-                                       {{"%dp.coarse", bb.coarse},
-                                        {"q", bb.qkv}},
-                                       {}, {{"dk", bb.qkv, kAccumOut}}));
-        }
-    }
-    if (has_fine) {
-        graph.launch(streams.fine,
-                     sim::annotate(kernels::plan_fine_spmm(
-                                       dev, *plan_.fine, dh, replicas,
-                                       "bwd.spmm.dq.fine"),
-                                   {{"%dp.fine", bb.fine}, {"k", bb.qkv}},
-                                   {}, {{"dq", bb.qkv, kAccumOut}}));
-        graph.launch(streams.fine,
-                     sim::annotate(kernels::plan_fine_spmm(
-                                       dev, fine_transposed(), dh, replicas,
-                                       "bwd.spmm_t.dk.fine"),
-                                   {{"%dp.fine", bb.fine}, {"q", bb.qkv}},
-                                   {}, {{"dk", bb.qkv, kAccumOut}}));
-    }
-    if (plan_.has_special()) {
-        graph.launch(streams.special,
-                     sim::annotate(kernels::plan_dense_gemm(
-                                       dev, g, dh, plan_.valid_len, replicas,
-                                       "bwd.spmm.dq.global"),
-                                   {{"%dp.global", bb.global},
-                                    {"k", bb.qkv}},
-                                   {}, {{"dq", bb.qkv, kAccumOut}}));
-        graph.launch(streams.special,
-                     sim::annotate(kernels::plan_dense_gemm(
-                                       dev, plan_.valid_len, dh, g, replicas,
-                                       "bwd.spmm_t.dk.global"),
-                                   {{"%dp.global", bb.global},
-                                    {"q", bb.qkv}},
-                                   {}, {{"dk", bb.qkv, kAccumOut}}));
-    }
-    graph.join_streams();
-}
-
-// ---------------------------------------------------------------------------
 // Capture: graphs built once per (plan key, device), served from the cache.
 
 std::shared_ptr<const AttentionEngine::AttentionGraphs>
@@ -717,37 +541,25 @@ AttentionEngine::forward_graphs(const sim::DeviceSpec &device) const
     const std::string key = meta_key_ + "|fwd|" + device_plan_key(device);
     return PlanCache::instance().get_or_build<AttentionGraphs>(key, [&] {
         const ScopedTimer timer("plan.capture");
+        const PartTable table = part_table(*state_, config_);
         auto graphs = std::make_shared<AttentionGraphs>();
-        {
-            const Streams s = capture_streams(graphs->sddmm);
-            build_sddmm(graphs->sddmm, device, s);
-        }
-        {
-            const Streams s = capture_streams(graphs->softmax);
-            build_softmax(graphs->softmax, device, s);
-        }
-        {
-            const Streams s = capture_streams(graphs->spmm);
-            build_spmm(graphs->spmm, device, s);
-        }
-        {
-            const Streams s = capture_streams(graphs->forward);
-            build_sddmm(graphs->forward, device, s);
-            graphs->forward.join_streams();
-            build_softmax(graphs->forward, device, s);
-            graphs->forward.join_streams();
-            build_spmm(graphs->forward, device, s);
+        LaunchGraph *fragments[] = {&graphs->sddmm, &graphs->softmax,
+                                    &graphs->spmm};
+        const std::vector<int> streams =
+            open_streams(graphs->forward, table);
+        const std::array<Phase, 3> phases = forward_phases(table, device);
+        for (std::size_t i = 0; i < phases.size(); ++i) {
+            record(*fragments[i], open_streams(*fragments[i], table),
+                   phases[i]);
+            record(graphs->forward, streams, phases[i]);
             graphs->forward.join_streams();
         }
-        // Throwing here keeps a racy plan out of the cache entirely.
-        enforce_capture_lint(graphs->sddmm, device, key + " (sddmm)");
-        enforce_capture_lint(graphs->softmax, device, key + " (softmax)");
-        enforce_capture_lint(graphs->spmm, device, key + " (spmm)");
         // Hazards, memory plan and definedness of the composed graph
-        // (core/check.h). The phase fragments are neither planned nor
-        // checked: standalone, a fragment legitimately reads scores a
-        // sibling fragment writes, and composers account them through
-        // the composed graph they are appended into.
+        // (core/check.h); throwing keeps a racy plan out of the cache. The
+        // fragments launch the same kernels in the same stream order, so
+        // a race inside one surfaces here; standalone, a fragment
+        // legitimately reads scores a sibling fragment writes, and
+        // composers account them through the graph they append into.
         verify_capture(graphs->forward, device, key);
         return graphs;
     });
@@ -773,9 +585,13 @@ AttentionEngine::backward_graph(const sim::DeviceSpec &device) const
     const std::string key = meta_key_ + "|bwd|" + device_plan_key(device);
     return PlanCache::instance().get_or_build<LaunchGraph>(key, [&] {
         const ScopedTimer timer("plan.capture");
+        const PartTable table = part_table(*state_, config_);
         auto graph = std::make_shared<LaunchGraph>();
-        const Streams s = capture_streams(*graph);
-        build_backward(*graph, device, s);
+        const std::vector<int> streams = open_streams(*graph, table);
+        for (const Phase &phase : backward_phases(table, device)) {
+            record(*graph, streams, phase);
+            graph->join_streams();
+        }
         verify_capture(*graph, device, key);
         return graph;
     });
@@ -784,56 +600,13 @@ AttentionEngine::backward_graph(const sim::DeviceSpec &device) const
 double
 AttentionEngine::attention_memory_bytes() const
 {
-    const double replicas =
-        static_cast<double>(config_.batch * config_.num_heads);
-    const double value_bytes = 2.0;  // FP16.
-    const double idx_bytes = 4.0;
-
-    if (plan_.mode == SliceMode::kDense) {
-        // S and P, each L x L per replica (plus the additive mask, shared).
-        return 2.0 * static_cast<double>(plan_.seq_len) * plan_.seq_len *
-                   value_bytes * replicas +
-               static_cast<double>(plan_.seq_len) * plan_.seq_len *
-                   value_bytes;
+    // S and P share each part's layout and both live between phases; the
+    // metadata is stored once for every replica.
+    std::uint64_t bytes = 0;
+    for (const Part &part : part_table(*state_, config_).parts) {
+        bytes += 2 * part.bytes + part.shared;
     }
-
-    double values = 0;    // Per replica (S and P share the layout; both
-                          // live simultaneously between phases).
-    double metadata = 0;  // Shared across replicas.
-    if (plan_.has_coarse()) {
-        values += 2.0 * static_cast<double>(plan_.coarse->total_stored()) *
-                  value_bytes;
-        metadata +=
-            static_cast<double>(plan_.coarse->row_offsets.size() +
-                                plan_.coarse->col_indices.size()) *
-                idx_bytes +
-            static_cast<double>(plan_.coarse->valid_bits.size()) * 8.0;
-    }
-    if (plan_.has_fine()) {
-        values += 2.0 * static_cast<double>(plan_.fine->nnz()) * value_bytes;
-        metadata += static_cast<double>(plan_.fine->row_offsets.size() +
-                                        plan_.fine->col_indices.size()) *
-                    idx_bytes;
-    }
-    if (plan_.has_special()) {
-        values += 2.0 * static_cast<double>(plan_.special_elements()) *
-                  value_bytes;
-        metadata +=
-            static_cast<double>(plan_.global_rows.size()) * idx_bytes;
-    }
-    return values * replicas + metadata;
-}
-
-const CsrLayout &
-AttentionEngine::fine_transposed() const
-{
-    return state_->fine_transposed();
-}
-
-const BsrLayout &
-AttentionEngine::coarse_transposed() const
-{
-    return state_->coarse_transposed();
+    return static_cast<double>(bytes);
 }
 
 AttentionEngine::Grads
@@ -841,7 +614,7 @@ AttentionEngine::run_backward(const HalfMatrix &q, const HalfMatrix &k,
                               const HalfMatrix &v,
                               const HalfMatrix &d_out) const
 {
-    const index_t seq = plan_.seq_len;
+    const index_t seq = plan().seq_len;
     const index_t dh = config_.head_dim;
     MG_CHECK(d_out.rows() == seq && d_out.cols() == dh)
         << "d_out must be seq_len x head_dim";
@@ -854,9 +627,9 @@ AttentionEngine::run_backward(const HalfMatrix &q, const HalfMatrix &k,
 
     // The dense baseline's masked gradients coincide with the element-wise
     // path over the full pattern, so route it through the fine kernels.
-    const bool has_coarse = plan_.has_coarse();
+    const bool has_coarse = plan().has_coarse();
     const std::shared_ptr<const CsrLayout> fine_layout =
-        plan_.mode == SliceMode::kDense ? plan_.full : plan_.fine;
+        plan().mode == SliceMode::kDense ? plan().full : plan().fine;
     const bool has_fine =
         fine_layout != nullptr && fine_layout->nnz() > 0;
 
@@ -864,7 +637,7 @@ AttentionEngine::run_backward(const HalfMatrix &q, const HalfMatrix &k,
     BsrMatrix p_coarse;
     CsrMatrix p_fine;
     if (has_coarse) {
-        p_coarse = BsrMatrix(plan_.coarse);
+        p_coarse = BsrMatrix(plan().coarse);
         kernels::coarse_sddmm(q, k, p_coarse);
     }
     if (has_fine) {
@@ -880,7 +653,7 @@ AttentionEngine::run_backward(const HalfMatrix &q, const HalfMatrix &k,
     BsrMatrix dp_coarse;
     CsrMatrix dp_fine;
     if (has_coarse) {
-        dp_coarse = BsrMatrix(plan_.coarse);
+        dp_coarse = BsrMatrix(plan().coarse);
         kernels::coarse_sddmm(d_out, v, dp_coarse);
     }
     if (has_fine) {
@@ -910,14 +683,15 @@ AttentionEngine::run_backward(const HalfMatrix &q, const HalfMatrix &k,
     }
 
     // ---- Special part: dense backward over the global rows.
-    if (plan_.has_special()) {
-        const index_t g = static_cast<index_t>(plan_.global_rows.size());
-        const index_t valid = plan_.valid_len;
+    if (plan().has_special()) {
+        const index_t g = static_cast<index_t>(plan().global_rows.size());
+        const index_t valid = plan().valid_len;
         // Recompute P_g.
         HalfMatrix qg(g, dh);
         HalfMatrix dcg(g, dh);
         for (index_t i = 0; i < g; ++i) {
-            const index_t row = plan_.global_rows[static_cast<std::size_t>(i)];
+            const index_t row =
+                plan().global_rows[static_cast<std::size_t>(i)];
             for (index_t d = 0; d < dh; ++d) {
                 qg.at(i, d) = q.at(row, d);
                 dcg.at(i, d) = d_out.at(row, d);
@@ -928,7 +702,8 @@ AttentionEngine::run_backward(const HalfMatrix &q, const HalfMatrix &k,
         kernels::dense_softmax_rows(pg, scale, valid);
 
         for (index_t i = 0; i < g; ++i) {
-            const index_t row = plan_.global_rows[static_cast<std::size_t>(i)];
+            const index_t row =
+                plan().global_rows[static_cast<std::size_t>(i)];
             // dp_j = dC_row . V_j ; t = sum_j p_j dp_j.
             std::vector<float> dp(static_cast<std::size_t>(valid));
             float t = 0.0f;

@@ -75,9 +75,9 @@ class AttentionEngine {
     AttentionEngine(const CompoundPattern &pattern,
                     const AttentionConfig &config, SliceMode mode);
 
-    const SlicePlan &plan() const { return plan_; }
+    const SlicePlan &plan() const { return state_->plan(); }
     const AttentionConfig &config() const { return config_; }
-    SliceMode mode() const { return plan_.mode; }
+    SliceMode mode() const { return plan().mode; }
 
     /// Content hash of the pattern this engine was built from; the
     /// pattern-identity component of every plan-cache key.
@@ -148,35 +148,7 @@ class AttentionEngine {
     double attention_memory_bytes() const;
 
   private:
-    /// The method's stream assignment: coarse ∥ fine ∥ special for
-    /// multi-stream Multigrain, one shared stream otherwise.
-    struct Streams {
-        int coarse = 0;
-        int fine = 0;
-        int special = 0;
-    };
-    /// Allocates the method's logical streams on a capture graph, eagerly
-    /// in coarse → fine → special order.
-    Streams capture_streams(LaunchGraph &graph) const;
-
-    /// The phase bodies, recorded into a capture graph.
-    void build_sddmm(LaunchGraph &graph, const sim::DeviceSpec &dev,
-                     const Streams &streams) const;
-    void build_softmax(LaunchGraph &graph, const sim::DeviceSpec &dev,
-                       const Streams &streams) const;
-    void build_spmm(LaunchGraph &graph, const sim::DeviceSpec &dev,
-                    const Streams &streams) const;
-    void build_backward(LaunchGraph &graph, const sim::DeviceSpec &dev,
-                        const Streams &streams) const;
-
-    /// Transposed metadata for the backward SpMMs, shared through the
-    /// cached plan state (offline in the §3.1 sense: once per input
-    /// shape, not once per engine).
-    const CsrLayout &fine_transposed() const;
-    const BsrLayout &coarse_transposed() const;
-
     AttentionConfig config_;
-    SlicePlan plan_;  ///< Copy of state_->plan(); layouts are shared.
     std::shared_ptr<const CachedPlanState> state_;
     std::uint64_t pattern_fp_ = 0;
     std::string meta_key_;

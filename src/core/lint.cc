@@ -534,13 +534,4 @@ require_hazard_free(const PlanFacts &facts, const sim::DeviceSpec &device,
     throw PlanLintError(os.str());
 }
 
-void
-enforce_capture_lint(const LaunchGraph &graph,
-                     const sim::DeviceSpec &device, const std::string &what)
-{
-    if (capture_lint_enabled()) {
-        require_hazard_free(graph, device, what);
-    }
-}
-
 }  // namespace multigrain

@@ -109,8 +109,8 @@ LintReport lint_graph(const PlanFacts &facts,
                       const LintOptions &options = {});
 
 /// Thrown when a freshly captured plan races. Raised *inside* the
-/// PlanCache builder (verify_capture, enforce_capture_lint), so a
-/// hazardous plan never enters the cache.
+/// PlanCache builder (verify_capture), so a hazardous plan never enters
+/// the cache.
 struct PlanLintError : Error {
     using Error::Error;
 };
@@ -126,13 +126,6 @@ bool capture_lint_enabled();
 void require_hazard_free(const PlanFacts &facts,
                          const sim::DeviceSpec &device,
                          const std::string &what);
-
-/// require_hazard_free when capture_lint_enabled(), else a no-op that
-/// derives nothing. For the per-phase fragments, which verify_capture
-/// does not see because they are not standalone plans.
-void enforce_capture_lint(const LaunchGraph &graph,
-                          const sim::DeviceSpec &device,
-                          const std::string &what);
 
 }  // namespace multigrain
 

@@ -16,13 +16,6 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-bool
-close_rel(double a, double b)
-{
-    return std::abs(a - b) <=
-           kCostReconcileRelTol * std::max({1.0, std::abs(a), std::abs(b)});
-}
-
 /// One endpoint of a scripted fault, on the shared clock.
 struct Transition {
     double t_us = 0;

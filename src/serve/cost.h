@@ -1,6 +1,8 @@
 #ifndef MULTIGRAIN_SERVE_COST_H_
 #define MULTIGRAIN_SERVE_COST_H_
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <iosfwd>
 #include <string>
@@ -176,10 +178,21 @@ class TenantLedger {
 
 struct ServeReport;  // serve/server.h
 
-/// Relative tolerance for the conservation gate: per-tenant charges are
-/// the same doubles busy_us was summed from, in a different order, so
-/// the slack only absorbs summation rounding (mirrors kReconcileRelTol).
-inline constexpr double kCostReconcileRelTol = 1e-9;
+/// Relative tolerance of every serving reconciliation gate — the cost
+/// ledger, the trace and the fleet: both sides are doubles computed by
+/// the same formulas in a different order (per-tenant charges are the
+/// doubles busy_us was summed from), so the slack only absorbs
+/// summation rounding.
+inline constexpr double kReconcileRelTol = 1e-9;
+
+/// True when `a` and `b` agree to kReconcileRelTol, relative to the
+/// larger magnitude (absolute below 1).
+inline bool
+close_rel(double a, double b)
+{
+    return std::abs(a - b) <=
+           kReconcileRelTol * std::max({1.0, std::abs(a), std::abs(b)});
+}
 
 /// Cross-checks the ledger against the ServeReport of the same run:
 /// charged device time sums to busy_us, every counter matches its

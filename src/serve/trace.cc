@@ -612,13 +612,6 @@ breakdown_mean(const std::vector<const RequestSpans *> &spans)
     return b;
 }
 
-bool
-close_rel(double a, double b)
-{
-    return std::abs(a - b) <=
-           kReconcileRelTol * std::max({1.0, std::abs(a), std::abs(b)});
-}
-
 void
 write_breakdown(JsonWriter &w, const char *key, const SpanBreakdown &b)
 {

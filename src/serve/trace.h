@@ -282,11 +282,6 @@ struct ClassAttribution {
     SpanBreakdown p99;
 };
 
-/// Relative tolerance for reconciling trace-derived latencies against
-/// ServeReport figures (both are doubles computed by the same formulas;
-/// the slack only absorbs summation-order rounding).
-inline constexpr double kReconcileRelTol = 1e-9;
-
 struct TraceReport {
     TraceRunInfo info;
     std::size_t events = 0;

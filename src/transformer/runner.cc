@@ -104,8 +104,8 @@ TransformerRunner::build_layer_graph(const sim::DeviceSpec &device,
     // Every engine gets its own logical-stream block, allocated upfront in
     // engine order, so stream numbering depends only on the engine list,
     // never on which phase first touches a stream. One map serves all of
-    // an engine's phase graphs (and its backward graph): capture_streams
-    // gives them identical logical numbering.
+    // an engine's phase graphs (and its backward graph): the engine opens
+    // their streams in one order, so they share a logical numbering.
     std::vector<std::shared_ptr<const AttentionEngine::AttentionGraphs>>
         attn;
     std::vector<std::shared_ptr<const LaunchGraph>> bwd;

@@ -2,10 +2,14 @@
 // parts, contract violations — the inputs a downstream user will
 // eventually feed the library.
 
+#include <set>
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "common/error.h"
 #include "core/attention.h"
+#include "core/lint.h"
 #include "core/planner.h"
 #include "gpusim/device.h"
 #include "kernels/reference.h"
@@ -185,6 +189,58 @@ TEST(EdgeTest, SelfAttentionDiagonalOnly)
     const AttentionEngine engine(p, config, SliceMode::kMultigrain);
     const HalfMatrix out = engine.run(q, k, v);
     EXPECT_LT(kernels::max_abs_diff(widen(out), widen(v)), 0.01);
+}
+
+/// Tags X of the buffers `prefix`X the graph's kernels write: the parts
+/// its SDDMMs score (prefix "%s.") or its dP SDDMMs differentiate
+/// ("%dp.").
+std::set<std::string>
+written_parts(const LaunchGraph &graph, const std::string &prefix)
+{
+    std::set<std::string> tags;
+    for (const LaunchGraphNode &node : graph.nodes()) {
+        for (const sim::BufferId id : node.launch.writes) {
+            const std::string name = sim::buffer_name(id);
+            if (name.rfind(prefix, 0) == 0) {
+                tags.insert(name.substr(prefix.size()));
+            }
+        }
+    }
+    return tags;
+}
+
+TEST(EdgeTest, EmptyPatternLaunchesNoEmptyKernel)
+{
+    // No attended position at all: a sparse part with no work launches
+    // nothing, in either direction; only the dense baseline runs.
+    CompoundPattern p;
+    p.seq_len = 64;
+    p.atoms.push_back(AtomicPattern::random(0, 1));
+    AttentionConfig config;
+    config.head_dim = 16;
+    config.block = 16;
+    const sim::DeviceSpec device = sim::DeviceSpec::a100();
+    for (const SliceMode mode :
+         {SliceMode::kMultigrain, SliceMode::kCoarseOnly,
+          SliceMode::kFineOnly, SliceMode::kDense}) {
+        SCOPED_TRACE(to_string(mode));
+        const AttentionEngine engine(p, config, mode);
+        const LaunchGraph &forward = engine.forward_graphs(device)->forward;
+        const LaunchGraph &backward = *engine.backward_graph(device);
+        for (const LaunchGraph *graph : {&forward, &backward}) {
+            for (const LaunchGraphNode &node : graph->nodes()) {
+                EXPECT_GT(node.launch.num_tbs(), 0) << node.launch.name;
+            }
+            LintOptions options;
+            options.device = &device;
+            for (const LintFinding &f : lint_graph(*graph, options).findings) {
+                EXPECT_NE(f.kind, LintKind::kEmptyKernel) << f.message;
+            }
+        }
+        EXPECT_EQ(written_parts(forward, "%s."),
+                  written_parts(backward, "%dp."));
+        EXPECT_EQ(forward.empty(), mode != SliceMode::kDense);
+    }
 }
 
 }  // namespace

@@ -700,7 +700,7 @@ TEST(LintEnforcement, CleanPlanPassesWithEnforcementOn)
     const sim::DeviceSpec device = sim::DeviceSpec::a100();
     // Building every tiny-model graph under enforcement must not throw.
     const LaunchGraph graph = tiny_forward_graph(device);
-    EXPECT_NO_THROW(enforce_capture_lint(graph, device, "tiny fwd"));
+    EXPECT_NO_THROW(require_hazard_free(graph, device, "tiny fwd"));
 }
 
 TEST(LintEnforcement, HazardousPlanNeverEntersTheCache)

@@ -8,6 +8,8 @@
 #include <cstdlib>
 #include <string>
 
+#include "plan_test_util.h"
+
 #include "common/error.h"
 #include "figures.h"
 #include "gpusim/device.h"
@@ -17,31 +19,6 @@
 
 namespace multigrain {
 namespace {
-
-/// Scoped MULTIGRAIN_PERTURB setting; restores the previous value.
-class ScopedPerturb {
-  public:
-    explicit ScopedPerturb(const char *spec)
-    {
-        if (const char *old = std::getenv("MULTIGRAIN_PERTURB")) {
-            saved_ = old;
-            had_ = true;
-        }
-        ::setenv("MULTIGRAIN_PERTURB", spec, 1);
-    }
-    ~ScopedPerturb()
-    {
-        if (had_) {
-            ::setenv("MULTIGRAIN_PERTURB", saved_.c_str(), 1);
-        } else {
-            ::unsetenv("MULTIGRAIN_PERTURB");
-        }
-    }
-
-  private:
-    std::string saved_;
-    bool had_ = false;
-};
 
 TEST(PerturbTest, ParseAndIdentity)
 {
@@ -67,7 +44,8 @@ TEST(PerturbTest, EnvHookScalesDeviceFactories)
     ::unsetenv("MULTIGRAIN_PERTURB");
     const sim::DeviceSpec base = sim::DeviceSpec::a100();
     {
-        ScopedPerturb perturb("dram=0.5,launch=2");
+        const fixtures::ScopedEnv perturb("MULTIGRAIN_PERTURB",
+                                          "dram=0.5,launch=2");
         const sim::DeviceSpec scaled = sim::DeviceSpec::a100();
         EXPECT_DOUBLE_EQ(scaled.dram_gbps, base.dram_gbps * 0.5);
         EXPECT_DOUBLE_EQ(scaled.kernel_launch_us,
@@ -244,7 +222,7 @@ TEST(GateTest, PerturbedRunFailsAgainstCleanBaseline)
     prof::BenchRun perturbed;
     {
         // A 40 % DRAM-bandwidth cut is far outside every tolerance.
-        ScopedPerturb perturb("dram=0.6");
+        const fixtures::ScopedEnv perturb("MULTIGRAIN_PERTURB", "dram=0.6");
         perturbed = bench::run_bench_preset(*tiny, {"a100"});
     }
 

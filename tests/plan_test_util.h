@@ -2,7 +2,7 @@
 #define MULTIGRAIN_TESTS_PLAN_TEST_UTIL_H_
 
 // Graph fixtures shared by the plan-analyzer tests (plan facts, lint,
-// memory plan, check).
+// memory plan, check), and a scoped environment pin.
 
 #include <cstdlib>
 #include <string>
@@ -45,20 +45,34 @@ tiny_forward_graph(const sim::DeviceSpec &device)
     return runner.attention().forward_graphs(device)->forward;
 }
 
-/// Pins one environment variable for a scope and unsets it on exit, so a
-/// test behaves the same in release and debug builds.
+/// Pins one environment variable for a scope and restores its previous
+/// value (or unsets it) on exit, so a test behaves the same in release and
+/// debug builds and hands back whatever the caller's environment forced.
 class ScopedEnv {
   public:
     ScopedEnv(const char *name, const char *value) : name_(name)
     {
+        if (const char *old = std::getenv(name)) {
+            saved_ = old;
+            had_ = true;
+        }
         setenv(name, value, 1);
     }
-    ~ScopedEnv() { unsetenv(name_); }
+    ~ScopedEnv()
+    {
+        if (had_) {
+            setenv(name_, saved_.c_str(), 1);
+        } else {
+            unsetenv(name_);
+        }
+    }
     ScopedEnv(const ScopedEnv &) = delete;
     ScopedEnv &operator=(const ScopedEnv &) = delete;
 
   private:
     const char *name_;
+    std::string saved_;
+    bool had_ = false;
 };
 
 }  // namespace multigrain::fixtures

@@ -64,7 +64,7 @@ TEST(CostLedgerTest, ConservesBusyTimeOnEveryPresetAndDevice)
                 charged += t.total.device_us();
             }
             EXPECT_NEAR(charged, report.busy_us,
-                        kCostReconcileRelTol *
+                        kReconcileRelTol *
                             std::max(1.0, report.busy_us));
             EXPECT_DOUBLE_EQ(cost.busy_us, report.busy_us);
             EXPECT_EQ(cost.rounds, report.rounds);

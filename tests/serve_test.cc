@@ -11,6 +11,8 @@
 #include <string>
 #include <vector>
 
+#include "plan_test_util.h"
+
 #include "common/error.h"
 #include "figures.h"
 #include "gpusim/device.h"
@@ -26,31 +28,6 @@ namespace multigrain {
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
-
-/// Scoped MULTIGRAIN_PERTURB setting; restores the previous value.
-class ScopedPerturb {
-  public:
-    explicit ScopedPerturb(const char *spec)
-    {
-        if (const char *old = std::getenv("MULTIGRAIN_PERTURB")) {
-            saved_ = old;
-            had_ = true;
-        }
-        ::setenv("MULTIGRAIN_PERTURB", spec, 1);
-    }
-    ~ScopedPerturb()
-    {
-        if (had_) {
-            ::setenv("MULTIGRAIN_PERTURB", saved_.c_str(), 1);
-        } else {
-            ::unsetenv("MULTIGRAIN_PERTURB");
-        }
-    }
-
-  private:
-    std::string saved_;
-    bool had_ = false;
-};
 
 // ---- Percentiles --------------------------------------------------------
 
@@ -605,7 +582,7 @@ TEST(ServeGateTest, RegisteredPresetFailsUnderPerturbation)
     prof::BenchRun perturbed;
     {
         // A 40 % DRAM-bandwidth cut is far outside every tolerance.
-        ScopedPerturb perturb("dram=0.6");
+        const fixtures::ScopedEnv perturb("MULTIGRAIN_PERTURB", "dram=0.6");
         perturbed = bench::run_bench_preset(*preset, {"a100"});
     }
     const prof::RegressionReport report =
