@@ -18,18 +18,26 @@
 ///
 /// An AttentionEngine binds a compound sparse pattern to a processing
 /// method — Multigrain (slice & dice + multi-stream), the Triton-style
-/// coarse-only baseline, or the Sputnik-style fine-only baseline — and
-/// offers the two faces every kernel in this library has:
+/// coarse-only baseline, the Sputnik-style fine-only baseline, or the
+/// dense masked baseline — and offers the two faces every kernel in this
+/// library has:
 ///
-///  * run(): the functional single-head attention softmax(scale·QKᵀ|pattern)·V
-///    computed on the CPU with the same FP16/FP32 precision contract the
-///    CUDA kernels honor. All three methods produce the same result (up to
-///    FP16 accumulation-order noise); tests pin this against an FP64 dense
+///  * run() / run_backward(): the functional single-head attention
+///    softmax(scale·QKᵀ|pattern)·V and its gradients, computed on the CPU
+///    with the same FP16/FP32 precision contract the CUDA kernels honor.
+///    All four methods produce the same result (up to FP16
+///    accumulation-order noise); tests pin this against an FP64 dense
 ///    reference.
 ///  * forward_graphs() / backward_graph(): the method's exact kernel
 ///    sequence — including the multi-stream coarse ∥ fine ∥ special
 ///    overlap — captured into LaunchGraphs, which callers replay into a
 ///    GpuSim for timing and DRAM-traffic measurement.
+///
+/// Both faces walk one private table of the plan's parts (each with its
+/// layout, stream slot and kernels) and softmax groups: capture records
+/// each part's launches, and run() / run_backward() execute each part's
+/// CPU kernels over its layout, so the numbers the tests check come from
+/// the plan that is timed.
 ///
 /// Planning is capture-then-replay: the kernel sequence for a given
 /// (pattern fingerprint, config, mode, device) is captured once into

@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <cstring>
+#include <numeric>
 
 #include "common/error.h"
 #include "common/timer.h"
@@ -33,6 +34,31 @@ CachedPlanState::coarse_transposed() const
             transpose_layout(*plan_.coarse));
     }
     return *coarse_t_;
+}
+
+std::shared_ptr<const CsrLayout>
+CachedPlanState::global_layout() const
+{
+    MG_CHECK(plan_.has_special()) << "no global rows to lay out";
+    const std::lock_guard<std::mutex> lock(mutex_);
+    if (!global_) {
+        auto layout = std::make_shared<CsrLayout>();
+        layout->rows = layout->cols = plan_.seq_len;
+        layout->row_offsets.assign(
+            static_cast<std::size_t>(plan_.seq_len) + 1, 0);
+        for (const index_t row : plan_.global_rows) {
+            layout->row_offsets[static_cast<std::size_t>(row) + 1] =
+                plan_.valid_len;
+            for (index_t c = 0; c < plan_.valid_len; ++c) {
+                layout->col_indices.push_back(c);
+            }
+        }
+        std::partial_sum(layout->row_offsets.begin(),
+                         layout->row_offsets.end(),
+                         layout->row_offsets.begin());
+        global_ = std::move(layout);
+    }
+    return global_;
 }
 
 PlanCache::PlanCache(std::size_t capacity) : capacity_(capacity)

@@ -1,8 +1,6 @@
 #include "kernels/dense.h"
 
 #include <algorithm>
-#include <cmath>
-#include <limits>
 #include <vector>
 
 #include "common/error.h"
@@ -10,25 +8,6 @@
 #include "kernels/cost_model.h"
 
 namespace multigrain::kernels {
-
-void
-dense_gemm_nt(const HalfMatrix &a, const HalfMatrix &b, HalfMatrix &c)
-{
-    MG_CHECK(a.cols() == b.cols())
-        << "dense_gemm_nt inner-dim mismatch: " << a.cols() << " vs "
-        << b.cols();
-    MG_CHECK(c.rows() == a.rows() && c.cols() == b.rows())
-        << "dense_gemm_nt output shape mismatch";
-    for (index_t i = 0; i < a.rows(); ++i) {
-        for (index_t j = 0; j < b.rows(); ++j) {
-            float acc = 0.0f;
-            for (index_t d = 0; d < a.cols(); ++d) {
-                acc += float(a.at(i, d)) * float(b.at(j, d));
-            }
-            c.at(i, j) = half(acc);
-        }
-    }
-}
 
 void
 dense_gemm_nn(const HalfMatrix &a, const HalfMatrix &b, HalfMatrix &c)
@@ -52,36 +31,6 @@ dense_gemm_nn(const HalfMatrix &a, const HalfMatrix &b, HalfMatrix &c)
         }
         for (index_t j = 0; j < b.cols(); ++j) {
             c.at(i, j) = half(acc[static_cast<std::size_t>(j)]);
-        }
-    }
-}
-
-void
-dense_softmax_rows(HalfMatrix &m, double scale, index_t valid_cols)
-{
-    MG_CHECK(valid_cols >= 0 && valid_cols <= m.cols())
-        << "dense_softmax_rows valid_cols out of range";
-    for (index_t r = 0; r < m.rows(); ++r) {
-        float max_v = -std::numeric_limits<float>::infinity();
-        for (index_t c = 0; c < valid_cols; ++c) {
-            max_v = std::max(max_v, static_cast<float>(scale) *
-                                        float(m.at(r, c)));
-        }
-        float sum = 0.0f;
-        std::vector<float> e(static_cast<std::size_t>(valid_cols));
-        for (index_t c = 0; c < valid_cols; ++c) {
-            const float v = std::exp(static_cast<float>(scale) *
-                                         float(m.at(r, c)) -
-                                     max_v);
-            e[static_cast<std::size_t>(c)] = v;
-            sum += v;
-        }
-        for (index_t c = 0; c < m.cols(); ++c) {
-            if (c < valid_cols && sum > 0.0f) {
-                m.at(r, c) = half(e[static_cast<std::size_t>(c)] / sum);
-            } else {
-                m.at(r, c) = half(0.0f);
-            }
         }
     }
 }

@@ -15,16 +15,8 @@
 /// FP32 accumulation) and a plan() that emits the simulator launch.
 namespace multigrain::kernels {
 
-/// C = A x B^T; FP32 accumulation, rounded to FP16 on store.
-void dense_gemm_nt(const HalfMatrix &a, const HalfMatrix &b, HalfMatrix &c);
-
 /// C = A x B; FP32 accumulation, rounded to FP16 on store.
 void dense_gemm_nn(const HalfMatrix &a, const HalfMatrix &b, HalfMatrix &c);
-
-/// In-place row-wise safe softmax over columns [0, valid_cols) of
-/// scale * m; columns beyond valid_cols are treated as masked (-inf) and
-/// set to zero — the zero-padding masking of §2.2, fused as in §3.3.
-void dense_softmax_rows(HalfMatrix &m, double scale, index_t valid_cols);
 
 /// Performance plan for an M x N x K FP16 tensor-core GEMM, repeated
 /// `replicas` times (independent problem instances, e.g. batch x heads,

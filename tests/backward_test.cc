@@ -291,7 +291,8 @@ TEST_P(EngineBackwardTest, MatchesAnalyticReference)
 INSTANTIATE_TEST_SUITE_P(Modes, EngineBackwardTest,
                          ::testing::Values(SliceMode::kMultigrain,
                                            SliceMode::kCoarseOnly,
-                                           SliceMode::kFineOnly),
+                                           SliceMode::kFineOnly,
+                                           SliceMode::kDense),
                          [](const auto &info) {
                              std::string n = to_string(info.param);
                              for (char &c : n) {

@@ -118,7 +118,7 @@ TEST_P(PatternPropertyTest, MethodsMatchDenseReference)
         kernels::ref_attention(q, k, v, full, config.effective_scale());
     for (const SliceMode mode :
          {SliceMode::kMultigrain, SliceMode::kCoarseOnly,
-          SliceMode::kFineOnly}) {
+          SliceMode::kFineOnly, SliceMode::kDense}) {
         const AttentionEngine engine(p, config, mode);
         const HalfMatrix out = engine.run(q, k, v);
         EXPECT_LT(kernels::max_abs_diff(widen(out), ref), 0.03)
@@ -239,17 +239,21 @@ TEST_P(PatternPropertyTest, BackwardMatchesAnalyticReference)
     if (full.nnz() == 0) {
         return;
     }
-    const AttentionEngine engine(p, config, SliceMode::kMultigrain);
-    const AttentionEngine::Grads grads =
-        engine.run_backward(q, k, v, d_out);
     const kernels::RefAttentionGrads ref = kernels::ref_attention_backward(
         q, k, v, full, config.effective_scale(), widen(d_out));
-    EXPECT_LT(kernels::max_abs_diff(widen(grads.dq), ref.dq), 0.08)
-        << "dq " << p.describe();
-    EXPECT_LT(kernels::max_abs_diff(widen(grads.dk), ref.dk), 0.08)
-        << "dk " << p.describe();
-    EXPECT_LT(kernels::max_abs_diff(widen(grads.dv), ref.dv), 0.08)
-        << "dv " << p.describe();
+    for (const SliceMode mode :
+         {SliceMode::kMultigrain, SliceMode::kCoarseOnly,
+          SliceMode::kFineOnly, SliceMode::kDense}) {
+        const AttentionEngine engine(p, config, mode);
+        const AttentionEngine::Grads grads =
+            engine.run_backward(q, k, v, d_out);
+        EXPECT_LT(kernels::max_abs_diff(widen(grads.dq), ref.dq), 0.08)
+            << "dq " << p.describe() << " mode " << to_string(mode);
+        EXPECT_LT(kernels::max_abs_diff(widen(grads.dk), ref.dk), 0.08)
+            << "dk " << p.describe() << " mode " << to_string(mode);
+        EXPECT_LT(kernels::max_abs_diff(widen(grads.dv), ref.dv), 0.08)
+            << "dv " << p.describe() << " mode " << to_string(mode);
+    }
 }
 
 // ------------------------------------------------- engine stress sweeps ----
