@@ -25,6 +25,12 @@
 // from 1 to the device maximum, empty work components and 0-TB kernels.
 // Its digests were computed before the engine's event queue was rewritten,
 // so they prove the rewrite pops the same events in the same order.
+//
+// ServeDigestTest pins the serving reports: the bench document, the cost
+// report and the trace report of every cheap serve preset, and the fleet
+// report of every fleet preset, on both devices, each with its run
+// manifest dropped. The steady preset is left out for its cost (about 6 s
+// a device); `mgserve --all` covers it.
 
 #include <cstdint>
 #include <cstdio>
@@ -35,13 +41,20 @@
 
 #include <gtest/gtest.h>
 
+#include "common/json.h"
 #include "common/rng.h"
 #include "core/attention.h"
+#include "core/plan_cache.h"
 #include "core/memplan.h"
 #include "gpusim/device.h"
 #include "gpusim/engine.h"
 #include "gpusim/launch.h"
 #include "gpusim/launch_graph.h"
+#include "profiler/history.h"
+#include "serve/cluster.h"
+#include "serve/cost.h"
+#include "serve/server.h"
+#include "serve/trace.h"
 #include "transformer/config.h"
 #include "transformer/runner.h"
 #include "transformer/workload.h"
@@ -574,6 +587,134 @@ TEST(EngineOrderTest, CountersOfATinyRunnerPass)
     // Each admitted unit activates once and queues at most one deadline.
     EXPECT_EQ(c.activation_events, c.units);
     EXPECT_LE(c.deadline_events, c.activation_events);
+}
+
+// ---- Serving reports ----------------------------------------------------
+
+/// Feeds a parsed JSON value into `h`, skipping the top-level "manifest"
+/// member: it stamps the wall clock and the git revision.
+void
+hash_json(Fnv1a &h, const JsonValue &v, bool top)
+{
+    h.u64(static_cast<std::uint64_t>(v.type));
+    switch (v.type) {
+      case JsonValue::Type::kNull:
+        break;
+      case JsonValue::Type::kBool:
+        h.u64(v.boolean ? 1 : 0);
+        break;
+      case JsonValue::Type::kNumber:
+        h.f64(v.number);
+        break;
+      case JsonValue::Type::kString:
+        h.str(v.string);
+        break;
+      case JsonValue::Type::kArray:
+        h.u64(v.array.size());
+        for (const JsonValue &e : v.array) {
+            hash_json(h, e, false);
+        }
+        break;
+      case JsonValue::Type::kObject:
+        for (const auto &[key, e] : v.object) {
+            if (top && key == "manifest") {
+                continue;
+            }
+            h.str(key);
+            hash_json(h, e, false);
+        }
+        break;
+    }
+}
+
+std::string
+json_digest(const std::string &text)
+{
+    Fnv1a h;
+    hash_json(h, json_parse(text), true);
+    return h.hex();
+}
+
+TEST(ServeDigestTest, ServePresetReportsKeepTheirDigests)
+{
+    // Indexed by preset * 6 + device * 3 + (bench, cost, trace report).
+    static const char *const kDigests[30] = {
+        "028443de54516524", "92ca4feb0a011bd3", "d2e7dc526b48e5c7",
+        "605d9cbd183f0b0f", "4b428d792a304a1b", "6866062fb0879c29",
+        "6e161d43712e3c3b", "c827d37be6c57251", "a76eac006a6f9506",
+        "5e804fe16a30d40b", "060896fbeec76946", "e4ef616843337d0d",
+        "9b9c42aeccc6c3e2", "6b70ec85f96cb27a", "a124cdacce3ffc4d",
+        "001a7c19cd48afdc", "90ff1dc5440a7d53", "1159671250762d1e",
+        "de9e365fdd9e4708", "76a0450a9badd5c3", "4ae418b74e294209",
+        "49d59d235a965693", "e6a039d2a87e9547", "6916a198e8369adf",
+        "5411d1d5bcc158a5", "e570ae0ec0d6d7ae", "200fede3a5b4d999",
+        "e57059f5d11e1f84", "55dc1d836fafbf12", "c64057c752056001"};
+    const char *const presets[] = {"tiny", "overload", "closed",
+                                   "memtight", "noisy"};
+    const char *const devices[] = {"a100", "rtx3090"};
+    for (std::size_t p = 0; p < 5; ++p) {
+        for (std::size_t d = 0; d < 2; ++d) {
+            SCOPED_TRACE(std::string(presets[p]) + "@" + devices[d]);
+            // Each run starts cold, as each mgserve preset does: the
+            // bench rows carry the run's plan-cache counters.
+            PlanCache::instance().clear();
+            const serve::ServeConfig config =
+                serve::serve_preset_by_name(presets[p]);
+            serve::TraceLog log;
+            serve::Server server(config,
+                                 sim::device_spec_by_name(devices[d]));
+            server.set_trace(&log);
+            const serve::ServeReport report = server.run();
+            const std::uint64_t seed = config.traffic.seed;
+            const std::size_t at = p * 6 + d * 3;
+            EXPECT_EQ(json_digest(
+                          serve::serve_bench_run(report, devices[d])
+                              .to_json()),
+                      kDigests[at]);
+            EXPECT_EQ(json_digest(serve::cost_report_json(
+                          report.cost, {presets[p], devices[d], seed},
+                          serve::reconcile_cost(report.cost, report),
+                          prof::RunManifest{})),
+                      kDigests[at + 1]);
+            EXPECT_EQ(json_digest(serve::trace_report_json(
+                          serve::build_trace_report(
+                              log, report, {presets[p], devices[d], seed}))),
+                      kDigests[at + 2]);
+        }
+    }
+    PlanCache::instance().clear();
+}
+
+TEST(ServeDigestTest, FleetReportsKeepTheirDigests)
+{
+    // fleet2, fleet4 and failover on a100 then rtx3090; hetero pins its
+    // own device pair and runs once, labelled "mixed".
+    const std::vector<std::pair<std::string, std::string>> runs = {
+        {"fleet2", "a100"},   {"fleet4", "a100"},
+        {"failover", "a100"}, {"fleet2", "rtx3090"},
+        {"fleet4", "rtx3090"}, {"failover", "rtx3090"},
+        {"hetero", "a100"}};
+    static const char *const kDigests[7] = {
+        "cc6da3f3ac33214c", "2752cc0297e60ab3", "64252194c1116486",
+        "7e521eb6a4ebe1ce", "fcc2ab50a5c7a951", "0faba343629d96f8",
+        "e7f681fad1563c31"};
+    for (std::size_t i = 0; i < runs.size(); ++i) {
+        const auto &[preset, device] = runs[i];
+        SCOPED_TRACE(preset + "@" + device);
+        PlanCache::instance().clear();
+        serve::ClusterConfig config =
+            serve::cluster_preset_by_name(preset, device);
+        const serve::ClusterRunInfo info{
+            preset, preset == "hetero" ? "mixed" : device,
+            config.serve.traffic.seed};
+        serve::Cluster cluster(std::move(config));
+        const serve::ClusterReport report = cluster.run();
+        EXPECT_EQ(json_digest(serve::cluster_report_json(
+                      report, info, serve::reconcile_cluster(report),
+                      prof::RunManifest{})),
+                  kDigests[i]);
+    }
+    PlanCache::instance().clear();
 }
 
 }  // namespace
