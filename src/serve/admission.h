@@ -50,8 +50,8 @@ struct AdmissionConfig {
     std::uint64_t hbm_budget_bytes = 0;
     /// Burst-aware weighted fair queueing (ISSUE 9): when enabled,
     /// pop_seed picks the tenant head with the smallest charged device
-    /// time per TenantSpec::weight (fed back from the TenantLedger via
-    /// set_charged) instead of pure EDF — a tenant that already burned
+    /// time per TenantSpec::weight (fed back from the Server's cost fold
+    /// via set_charged) instead of pure EDF — a tenant that already burned
     /// its share of the device waits behind tenants that have not, even
     /// if its deadlines are tighter. Deadlines still break debt ties, so
     /// the policy degrades to EDF while charges are equal (e.g. at the
@@ -185,9 +185,9 @@ class AdmissionQueue {
     std::uint64_t queued_bytes() const { return queued_bytes_; }
 
     /// WFQ feedback: the tenant's cumulative charged device time from
-    /// the TenantLedger (absolute, not a delta — the Server pushes the
-    /// ledger's running totals after every completed round). Ignored
-    /// unless AdmissionConfig::wfq is set.
+    /// the Server's cost fold (absolute, not a delta — the Server pushes
+    /// the running totals after every completed or killed round).
+    /// Ignored unless AdmissionConfig::wfq is set.
     void set_charged(const std::string &tenant, double device_us);
 
     const AdmissionStats &stats() const { return stats_; }

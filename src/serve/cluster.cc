@@ -1,7 +1,6 @@
 #include "serve/cluster.h"
 
 #include <algorithm>
-#include <cmath>
 #include <sstream>
 #include <tuple>
 #include <utility>
@@ -41,6 +40,31 @@ fault_transitions(const std::vector<ReplicaFault> &faults)
                          std::tie(b.t_us, a.down, b.replica);
               });
     return transitions;
+}
+
+/// Sums the replicas' cost reports into the fleet's: tenant cells merged
+/// by name (spec order, extras appended in replica order), each row's
+/// total the sum of the replicas' totals. Latencies are left to
+/// reduce_records.
+CostReport
+merge_replica_costs(const std::vector<ServeReport> &replicas)
+{
+    CostReport merged;
+    for (const ServeReport &rep : replicas) {
+        merged.rounds += rep.cost.rounds;
+        merged.busy_us += rep.cost.busy_us;
+        merged.charged_device_us += rep.cost.charged_device_us;
+        merged.charged_queue_us += rep.cost.charged_queue_us;
+        merged.charged_hbm_byte_us += rep.cost.charged_hbm_byte_us;
+        for (const TenantCost &t : rep.cost.tenants) {
+            TenantCost &into = tenant_row(merged.tenants, t.tenant);
+            add_cell(into.total, t.total);
+            for (int c = 0; c < kNumSloClasses; ++c) {
+                add_cell(into.by_class[c], t.by_class[c]);
+            }
+        }
+    }
+    return merged;
 }
 
 }  // namespace
@@ -273,46 +297,18 @@ Cluster::run()
     report.router = router_.stats();
     report.arrivals = static_cast<std::uint64_t>(source.issued());
     report.replicas.reserve(servers_.size());
+    std::vector<RequestRecord> records;
     for (Server &s : servers_) {
-        report.replicas.push_back(s.finish(now));
-    }
-
-    std::vector<double> latencies;
-    std::vector<double> by_class[kNumSloClasses];
-    double first_arrival = kInf;
-    double last_finish = 0;
-    for (const ServeReport &rep : report.replicas) {
-        report.completed += rep.completed;
-        report.deadline_miss += rep.deadline_miss;
+        const ServeReport &rep = report.replicas.emplace_back(s.finish(now));
         report.rejected += rep.admission.rejected;
         report.timed_out += rep.admission.timed_out;
-        report.lost_in_flight += rep.lost_in_flight;
         report.rounds += rep.rounds;
         report.busy_us += rep.busy_us;
-        for (const RequestRecord &rec : rep.records) {
-            if (rec.outcome != RequestRecord::Outcome::kCompleted) {
-                continue;
-            }
-            latencies.push_back(rec.latency_us());
-            by_class[static_cast<int>(rec.request.slo)].push_back(
-                rec.latency_us());
-            first_arrival =
-                std::min(first_arrival, rec.request.arrival_us);
-            last_finish = std::max(last_finish, rec.finish_us);
-        }
+        records.insert(records.end(), rep.records.begin(),
+                       rep.records.end());
     }
-    report.latency = prof::summarize_latencies(std::move(latencies));
-    for (int c = 0; c < kNumSloClasses; ++c) {
-        report.latency_by_class[c] =
-            prof::summarize_latencies(std::move(by_class[c]));
-    }
-    if (report.completed > 0) {
-        report.makespan_us = last_finish - first_arrival;
-    }
-    if (report.makespan_us > 0) {
-        report.throughput_rps = static_cast<double>(report.completed) /
-                                (report.makespan_us / 1e6);
-    }
+    report.cost = merge_replica_costs(report.replicas);
+    reduce_records(records, report, report.cost);
     report.replica_util.reserve(report.replicas.size());
     double util_min = kInf;
     double util_max = 0;
@@ -327,57 +323,9 @@ Cluster::run()
     }
     report.util_skew =
         report.replicas.empty() ? 0.0 : util_max - util_min;
-    report.cost = merge_replica_costs(report.replicas);
     report.plan_cache =
         stats_delta(cache_before, PlanCache::instance().stats());
     return report;
-}
-
-// ---- Fleet ledger merge -------------------------------------------------
-
-CostReport
-merge_replica_costs(const std::vector<ServeReport> &replicas)
-{
-    CostReport merged;
-    std::vector<std::vector<double>> latencies;
-    const auto index_of = [&merged,
-                           &latencies](const std::string &tenant) {
-        for (std::size_t i = 0; i < merged.tenants.size(); ++i) {
-            if (merged.tenants[i].tenant == tenant) {
-                return i;
-            }
-        }
-        merged.tenants.emplace_back();
-        merged.tenants.back().tenant = tenant;
-        latencies.emplace_back();
-        return merged.tenants.size() - 1;
-    };
-    for (const ServeReport &rep : replicas) {
-        merged.rounds += rep.cost.rounds;
-        merged.busy_us += rep.cost.busy_us;
-        merged.charged_device_us += rep.cost.charged_device_us;
-        merged.charged_queue_us += rep.cost.charged_queue_us;
-        merged.charged_hbm_byte_us += rep.cost.charged_hbm_byte_us;
-        for (const TenantCost &t : rep.cost.tenants) {
-            TenantCost &into = merged.tenants[index_of(t.tenant)];
-            add_cell(into.total, t.total);
-            for (int c = 0; c < kNumSloClasses; ++c) {
-                add_cell(into.by_class[c], t.by_class[c]);
-            }
-        }
-        for (const RequestRecord &rec : rep.records) {
-            if (rec.outcome != RequestRecord::Outcome::kCompleted) {
-                continue;
-            }
-            latencies[index_of(rec.request.tenant)].push_back(
-                rec.latency_us());
-        }
-    }
-    for (std::size_t i = 0; i < merged.tenants.size(); ++i) {
-        merged.tenants[i].latency =
-            prof::summarize_latencies(std::move(latencies[i]));
-    }
-    return merged;
 }
 
 // ---- Reconciliation -----------------------------------------------------
@@ -385,55 +333,28 @@ merge_replica_costs(const std::vector<ServeReport> &replicas)
 std::vector<std::string>
 reconcile_cluster(const ClusterReport &report)
 {
-    std::vector<std::string> errors;
-    const auto check = [&errors](bool ok, const std::string &msg) {
-        if (!ok) {
-            errors.push_back(msg);
-        }
-    };
-    const auto mismatch = [](const std::string &what, double got,
-                             double want) {
-        std::ostringstream os;
-        os << what << ": report says " << got << ", re-derived " << want;
-        return os.str();
-    };
-
+    Mismatches m{"report", "re-derived", {}};
     const std::size_t n = report.replicas.size();
     const RouterStats &router = report.router;
-    check(router.per_replica.size() == n,
-          "router per-replica counters do not match the replica count");
+    m.check(router.per_replica.size() == n,
+            "router per-replica counters do not match the replica count");
 
-    // ---- Per-replica ledgers + the router's placement counters -------
+    // ---- Per-replica cost reports + the router's placements -----------
     std::uint64_t offered = 0;
     std::uint64_t drained = 0;
-    std::uint64_t completed = 0;
-    std::uint64_t deadline_miss = 0;
-    std::uint64_t rejected = 0;
-    std::uint64_t timed_out = 0;
-    std::uint64_t lost = 0;
-    int rounds = 0;
     double busy = 0;
     for (std::size_t k = 0; k < n; ++k) {
         const ServeReport &rep = report.replicas[k];
-        const std::string prefix =
-            "replica " + std::to_string(k) + ": ";
+        const std::string prefix = "replica " + std::to_string(k) + ": ";
         for (const std::string &e : reconcile_cost(rep.cost, rep)) {
-            errors.push_back(prefix + e);
+            m.check(false, prefix + e);
         }
         if (k < router.per_replica.size()) {
-            check(router.per_replica[k] == rep.admission.offered,
-                  mismatch(prefix + "router placements vs offered",
-                           static_cast<double>(router.per_replica[k]),
-                           static_cast<double>(rep.admission.offered)));
+            m.exact(prefix + "router placements vs offered",
+                    router.per_replica[k], rep.admission.offered);
         }
         offered += rep.admission.offered;
         drained += rep.admission.drained;
-        completed += rep.completed;
-        deadline_miss += rep.deadline_miss;
-        rejected += rep.admission.rejected;
-        timed_out += rep.admission.timed_out;
-        lost += rep.lost_in_flight;
-        rounds += rep.rounds;
         busy += rep.busy_us;
     }
 
@@ -441,154 +362,23 @@ reconcile_cluster(const ClusterReport &report)
     // Arrivals split at the router, offers split at each replica, and
     // drains come back through the router: the three identities chain
     // into arrivals == terminal outcomes + failover sheds.
-    check(report.arrivals == router.routed + router.shed_arrivals,
-          mismatch("arrivals vs routed + shed_arrivals",
-                   static_cast<double>(report.arrivals),
-                   static_cast<double>(router.routed +
-                                       router.shed_arrivals)));
-    check(offered == router.routed + router.rerouted,
-          mismatch("fleet offered vs routed + rerouted",
-                   static_cast<double>(offered),
-                   static_cast<double>(router.routed + router.rerouted)));
-    check(drained == router.rerouted + router.shed_reroutes,
-          mismatch("fleet drained vs rerouted + shed_reroutes",
-                   static_cast<double>(drained),
-                   static_cast<double>(router.rerouted +
-                                       router.shed_reroutes)));
-    check(report.arrivals == completed + rejected + timed_out + lost +
-                                 router.failover_sheds(),
-          mismatch("fleet conservation (arrivals vs outcomes)",
-                   static_cast<double>(report.arrivals),
-                   static_cast<double>(completed + rejected + timed_out +
-                                       lost + router.failover_sheds())));
+    m.exact("arrivals vs routed + shed_arrivals", report.arrivals,
+            router.routed + router.shed_arrivals);
+    m.exact("fleet offered vs routed + rerouted", offered,
+            router.routed + router.rerouted);
+    m.exact("fleet drained vs rerouted + shed_reroutes", drained,
+            router.rerouted + router.shed_reroutes);
+    m.exact("fleet conservation (arrivals vs outcomes)", report.arrivals,
+            report.completed + report.rejected + report.timed_out +
+                report.lost_in_flight + router.failover_sheds());
 
-    // ---- Fleet aggregates re-derived from the replica reports ---------
-    check(report.completed == completed,
-          mismatch("completed", static_cast<double>(report.completed),
-                   static_cast<double>(completed)));
-    check(report.deadline_miss == deadline_miss,
-          mismatch("deadline_miss",
-                   static_cast<double>(report.deadline_miss),
-                   static_cast<double>(deadline_miss)));
-    check(report.rejected == rejected,
-          mismatch("rejected", static_cast<double>(report.rejected),
-                   static_cast<double>(rejected)));
-    check(report.timed_out == timed_out,
-          mismatch("timed_out", static_cast<double>(report.timed_out),
-                   static_cast<double>(timed_out)));
-    check(report.lost_in_flight == lost,
-          mismatch("lost_in_flight",
-                   static_cast<double>(report.lost_in_flight),
-                   static_cast<double>(lost)));
-    check(report.rounds == rounds,
-          mismatch("rounds", static_cast<double>(report.rounds),
-                   static_cast<double>(rounds)));
-    check(close_rel(report.busy_us, busy),
-          mismatch("busy_us", report.busy_us, busy));
-    check(report.latency.count == report.completed,
-          mismatch("fleet latency samples",
-                   static_cast<double>(report.latency.count),
-                   static_cast<double>(report.completed)));
-
-    double first_arrival = kInf;
-    double last_finish = 0;
-    for (const ServeReport &rep : report.replicas) {
-        for (const RequestRecord &rec : rep.records) {
-            if (rec.outcome != RequestRecord::Outcome::kCompleted) {
-                continue;
-            }
-            first_arrival =
-                std::min(first_arrival, rec.request.arrival_us);
-            last_finish = std::max(last_finish, rec.finish_us);
-        }
+    // ---- The fleet's charges telescope to the replicas' busy time -----
+    double charged = 0;
+    for (const TenantCost &t : report.cost.tenants) {
+        charged += t.total.device_us();
     }
-    const double want_makespan =
-        completed > 0 ? last_finish - first_arrival : 0.0;
-    check(close_rel(report.makespan_us, want_makespan),
-          mismatch("makespan_us", report.makespan_us, want_makespan));
-    const double want_throughput =
-        want_makespan > 0
-            ? static_cast<double>(completed) / (want_makespan / 1e6)
-            : 0.0;
-    check(close_rel(report.throughput_rps, want_throughput),
-          mismatch("throughput_rps", report.throughput_rps,
-                   want_throughput));
-    check(report.replica_util.size() == n,
-          "replica_util does not match the replica count");
-    double util_min = n > 0 ? kInf : 0.0;
-    double util_max = 0;
-    for (std::size_t k = 0; k < n && k < report.replica_util.size();
-         ++k) {
-        const double want =
-            want_makespan > 0
-                ? std::min(1.0,
-                           report.replicas[k].busy_us / want_makespan)
-                : 0.0;
-        check(close_rel(report.replica_util[k], want),
-              mismatch("replica " + std::to_string(k) + " util",
-                       report.replica_util[k], want));
-        util_min = std::min(util_min, want);
-        util_max = std::max(util_max, want);
-    }
-    check(close_rel(report.util_skew,
-                    n > 0 ? util_max - util_min : 0.0),
-          mismatch("util_skew", report.util_skew,
-                   n > 0 ? util_max - util_min : 0.0));
-
-    // ---- The merged ledger equals the per-replica sum -----------------
-    const CostReport want = merge_replica_costs(report.replicas);
-    check(report.cost.rounds == want.rounds,
-          mismatch("merged rounds",
-                   static_cast<double>(report.cost.rounds),
-                   static_cast<double>(want.rounds)));
-    check(close_rel(report.cost.busy_us, want.busy_us),
-          mismatch("merged busy_us", report.cost.busy_us, want.busy_us));
-    check(close_rel(report.cost.charged_device_us,
-                    want.charged_device_us),
-          mismatch("merged charged device", report.cost.charged_device_us,
-                   want.charged_device_us));
-    check(close_rel(report.cost.charged_queue_us, want.charged_queue_us),
-          mismatch("merged charged queue", report.cost.charged_queue_us,
-                   want.charged_queue_us));
-    check(close_rel(report.cost.charged_hbm_byte_us,
-                    want.charged_hbm_byte_us),
-          mismatch("merged charged HBM byte-time",
-                   report.cost.charged_hbm_byte_us,
-                   want.charged_hbm_byte_us));
-    check(report.cost.tenants.size() == want.tenants.size(),
-          "merged ledger tenant count does not match the replica sum");
-    for (std::size_t i = 0;
-         i < report.cost.tenants.size() && i < want.tenants.size();
-         ++i) {
-        const TenantCost &got_t = report.cost.tenants[i];
-        const TenantCost &want_t = want.tenants[i];
-        const std::string label = "merged tenant " + got_t.tenant;
-        check(got_t.tenant == want_t.tenant,
-              label + ": order differs from the replica sum");
-        check(got_t.total.completed == want_t.total.completed &&
-                  got_t.total.offered() == want_t.total.offered() &&
-                  got_t.total.deadline_miss ==
-                      want_t.total.deadline_miss,
-              label + ": counters do not sum across replicas");
-        check(close_rel(got_t.total.device_us(),
-                        want_t.total.device_us()) &&
-                  close_rel(got_t.total.queue_us, want_t.total.queue_us) &&
-                  close_rel(got_t.total.hbm_byte_us,
-                            want_t.total.hbm_byte_us),
-              label + ": charges do not sum across replicas");
-        check(got_t.latency.count == got_t.total.completed,
-              label + ": latency samples vs completed");
-        for (int c = 0; c < kNumSloClasses; ++c) {
-            check(got_t.by_class[c].offered() ==
-                          want_t.by_class[c].offered() &&
-                      close_rel(got_t.by_class[c].device_us(),
-                                want_t.by_class[c].device_us()),
-                  label + ": class " +
-                      to_string(static_cast<SloClass>(c)) +
-                      " cell does not sum across replicas");
-        }
-    }
-    return errors;
+    m.close("fleet charged device time vs replica busy_us", charged, busy);
+    return std::move(m.errors);
 }
 
 void
@@ -599,23 +389,6 @@ perturb_router_counter(ClusterReport &report, std::int64_t offset)
 }
 
 // ---- Report document ----------------------------------------------------
-
-namespace {
-
-void
-write_latency(JsonWriter &w, const prof::LatencySummary &s)
-{
-    w.begin_object();
-    w.field("count", static_cast<std::int64_t>(s.count));
-    w.field("mean_us", s.mean);
-    w.field("p50_us", s.p50);
-    w.field("p95_us", s.p95);
-    w.field("p99_us", s.p99);
-    w.field("max_us", s.max);
-    w.end_object();
-}
-
-}  // namespace
 
 std::string
 cluster_report_json(const ClusterReport &report,
@@ -760,25 +533,10 @@ cluster_report_json(const ClusterReport &report,
         }
         w.end_array();
 
-        w.field("conserved", errors.empty());
-        w.key("reconcile_errors");
-        w.begin_array();
-        for (const std::string &e : errors) {
-            w.value(e);
-        }
-        w.end_array();
+        write_reconcile(w, "conserved", errors);
         w.end_object();
     }
     return os.str();
-}
-
-std::string
-cluster_report_json(const ClusterReport &report,
-                    const ClusterRunInfo &info,
-                    const std::vector<std::string> &errors)
-{
-    return cluster_report_json(report, info, errors,
-                               prof::RunManifest::collect(info.device));
 }
 
 }  // namespace multigrain::serve

@@ -34,8 +34,8 @@
 /// through the move: per replica, offered == terminal outcomes +
 /// drained; fleet-wide, arrivals == terminal outcomes + failover
 /// sheds, with the router's exact counters closing the telescope.
-/// reconcile_cluster() re-derives all of it and mgserve turns any
-/// disagreement into a ValidationError (exit 2).
+/// reconcile_cluster() checks all of it against those counters and
+/// mgserve turns any disagreement into a ValidationError (exit 2).
 namespace multigrain::serve {
 
 /// One scripted replica outage on the virtual clock.
@@ -79,7 +79,10 @@ struct ClusterPresetInfo {
 };
 const std::vector<ClusterPresetInfo> &cluster_presets();
 
-struct ClusterReport {
+/// The fleet's outcome counts and latency figures (RecordSummary) are
+/// reduced from its replicas' records by the one reduce_records that
+/// reduces a single Server's.
+struct ClusterReport : RecordSummary {
     std::string preset;
     RoutePolicy policy = RoutePolicy::kRoundRobin;
     /// One finished ServeReport per replica, index-aligned with
@@ -91,32 +94,22 @@ struct ClusterReport {
 
     // ---- Fleet aggregates ------------------------------------------
     std::uint64_t arrivals = 0;  ///< Requests the traffic source issued.
-    std::uint64_t completed = 0;
-    std::uint64_t deadline_miss = 0;
     std::uint64_t rejected = 0;
     std::uint64_t timed_out = 0;
-    std::uint64_t lost_in_flight = 0;
-    prof::LatencySummary latency;  ///< Completed requests, fleet-wide.
-    prof::LatencySummary latency_by_class[kNumSloClasses];
     int rounds = 0;
-    double makespan_us = 0;  ///< Fleet first arrival to last completion.
     double busy_us = 0;      ///< Sum of replica busy time.
-    double throughput_rps = 0;
     /// Per-replica busy / fleet makespan, index-aligned; and the
     /// max - min spread — the load-balance figure of merit.
     std::vector<double> replica_util;
     double util_skew = 0;
-    /// The merged fleet ledger: per-replica TenantLedgers summed cell
-    /// by cell (add_cell), latencies re-summarized from the merged
-    /// completed records.
+    /// The fleet's cost report: the replicas' cells summed cell by cell
+    /// (add_cell), latencies reduced from the fleet's completed records.
     CostReport cost;
     /// Fleet-wide plan-cache movement (the cache is process-wide, so
     /// same-device replicas share entries and per-replica deltas
     /// overlap; only this fleet delta is gated).
     PlanCacheStats plan_cache;
 };
-
-class TraceLog;  // serve/trace.h
 
 class Cluster {
   public:
@@ -141,19 +134,13 @@ class Cluster {
     bool ran_ = false;
 };
 
-/// Sums the replicas' cost reports into the fleet ledger: tenant cells
-/// merged by name (spec order, extras appended in replica order),
-/// per-tenant latencies re-summarized from the merged completed
-/// records. Shared by Cluster::run and reconcile_cluster, so the
-/// reconciliation recomputes the merge it checks.
-CostReport merge_replica_costs(const std::vector<ServeReport> &replicas);
-
-/// Cross-checks the fleet report: every replica's own ledger
-/// reconciles, the router counters close the conservation telescope
-/// (arrivals == terminal outcomes + failover sheds; drained ==
-/// rerouted + shed_reroutes), the merged ledger equals the per-replica
-/// sum, and every aggregate re-derives from the replica reports.
-/// Returns the collected failures (empty = conserved); never throws.
+/// Cross-checks the fleet report against sources the replicas' folds do
+/// not compute: every replica's own cost report reconciles, the router's
+/// counters match each replica's offers and close the conservation
+/// telescope (arrivals == terminal outcomes + failover sheds; drained ==
+/// rerouted + shed_reroutes), and the fleet's charged device time
+/// telescopes to the replicas' busy time. Returns the collected failures
+/// (empty = conserved); never throws.
 std::vector<std::string> reconcile_cluster(const ClusterReport &report);
 
 /// Adds `offset` to the report's rerouted counter — the seeded
@@ -162,26 +149,16 @@ std::vector<std::string> reconcile_cluster(const ClusterReport &report);
 /// goes through scale_tenant_charges on report.cost.)
 void perturb_router_counter(ClusterReport &report, std::int64_t offset);
 
-/// Identity of the fleet run, stamped into the report document.
-struct ClusterRunInfo {
-    std::string preset;
-    /// CLI device label: the replicated device name, or "mixed" for the
-    /// hetero preset.
-    std::string device;
-    std::uint64_t seed = 0;
-};
+using ClusterRunInfo = RunInfo;
 
-/// The validated "mgcluster.report" v1 JSON document. The two-argument
-/// form stamps a freshly collected manifest; pass an explicit manifest
-/// to make the document a pure function of (report, info) — what the
+/// The validated "mgcluster.report" v1 JSON document, stamped with
+/// `manifest` (RunManifest::collect for a live run). A fixed manifest
+/// makes the document a pure function of (report, info) — what the
 /// byte-identical tests pin.
 std::string cluster_report_json(const ClusterReport &report,
                                 const ClusterRunInfo &info,
                                 const std::vector<std::string> &errors,
                                 const prof::RunManifest &manifest);
-std::string cluster_report_json(const ClusterReport &report,
-                                const ClusterRunInfo &info,
-                                const std::vector<std::string> &errors);
 
 }  // namespace multigrain::serve
 

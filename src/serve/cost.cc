@@ -1,7 +1,5 @@
 #include "serve/cost.h"
 
-#include <algorithm>
-#include <cmath>
 #include <ostream>
 #include <sstream>
 #include <utility>
@@ -12,162 +10,16 @@
 
 namespace multigrain::serve {
 
-// ---- TenantLedger -------------------------------------------------------
-
-TenantLedger::TenantLedger(const std::vector<TenantSpec> &tenants)
+TenantCost &
+tenant_row(std::vector<TenantCost> &rows, const std::string &tenant)
 {
-    tenants_.reserve(tenants.size());
-    for (const TenantSpec &t : tenants) {
-        TenantState state;
-        state.name = t.name;
-        tenants_.push_back(std::move(state));
-    }
-}
-
-TenantLedger::TenantState &
-TenantLedger::state_for(const std::string &tenant)
-{
-    for (TenantState &s : tenants_) {
-        if (s.name == tenant) {
-            return s;
+    for (TenantCost &row : rows) {
+        if (row.tenant == tenant) {
+            return row;
         }
     }
-    TenantState state;
-    state.name = tenant;
-    tenants_.push_back(std::move(state));
-    return tenants_.back();
-}
-
-CostCell &
-TenantLedger::cell_for(const Request &r)
-{
-    const int slo = static_cast<int>(r.slo);
-    MG_CHECK(slo >= 0 && slo < kNumSloClasses)
-        << "request with unknown SLO class " << slo;
-    return state_for(r.tenant).by_class[slo];
-}
-
-void
-TenantLedger::charge_round(double round_us,
-                           const std::vector<BatchCharge> &batches)
-{
-    MG_CHECK(!batches.empty()) << "charge_round without batches";
-    ++rounds_;
-    double span_sum = 0;
-    for (const BatchCharge &b : batches) {
-        MG_CHECK(b.requests != nullptr && !b.requests->empty())
-            << "batch charge without members";
-        span_sum += b.device_us;
-    }
-    for (const BatchCharge &b : batches) {
-        // Concurrent batches share the round span they co-occupy:
-        // each gets the round pro-rata by its own device span, so the
-        // batch charges sum back to round_us — the exact quantity
-        // ServeReport::busy_us accumulated for this round.
-        const double batch_device =
-            span_sum > 0
-                ? round_us * (b.device_us / span_sum)
-                : round_us / static_cast<double>(batches.size());
-        double useful_tokens = 0;
-        for (const Request &r : *b.requests) {
-            useful_tokens += static_cast<double>(r.valid_len);
-        }
-        const double planned_tokens =
-            static_cast<double>(b.planned_batch) *
-            static_cast<double>(b.bucket);
-        const double pad_frac =
-            planned_tokens > 0
-                ? std::max(0.0, 1.0 - useful_tokens / planned_tokens)
-                : 0.0;
-        const double pad_total = batch_device * pad_frac;
-        const double compute_total = batch_device - pad_total;
-        const double byte_us =
-            static_cast<double>(b.footprint_bytes) * batch_device;
-        const double members =
-            static_cast<double>(b.requests->size());
-        for (const Request &r : *b.requests) {
-            CostCell &cell = cell_for(r);
-            // Compute by useful-token share, pad and byte residency
-            // pro-rata: every member needed the padded plan to run.
-            cell.compute_us +=
-                useful_tokens > 0
-                    ? compute_total *
-                          (static_cast<double>(r.valid_len) /
-                           useful_tokens)
-                    : compute_total / members;
-            cell.pad_us += pad_total / members;
-            cell.hbm_byte_us += byte_us / members;
-        }
-        charged_device_us_ += batch_device;
-        charged_hbm_byte_us_ += byte_us;
-    }
-}
-
-void
-TenantLedger::note_completed(const Request &r, double queue_us,
-                             double latency_us, bool deadline_met)
-{
-    TenantState &state = state_for(r.tenant);
-    CostCell &cell = cell_for(r);
-    ++cell.completed;
-    if (!deadline_met) {
-        ++cell.deadline_miss;
-    }
-    cell.queue_us += queue_us;
-    charged_queue_us_ += queue_us;
-    state.latencies.push_back(latency_us);
-}
-
-void
-TenantLedger::note_shed(const Request &r, AdmitDecision::Shed reason)
-{
-    CostCell &cell = cell_for(r);
-    switch (reason) {
-      case AdmitDecision::Shed::kRateLimit:
-        ++cell.shed_ratelimit;
-        break;
-      case AdmitDecision::Shed::kCapacity:
-        ++cell.shed_capacity;
-        break;
-      case AdmitDecision::Shed::kMemory:
-        ++cell.shed_memory;
-        break;
-      case AdmitDecision::Shed::kNone:
-        MG_CHECK(false) << "note_shed on an admitted request";
-    }
-}
-
-void
-TenantLedger::note_aged_out(const Request &r, double waited_us)
-{
-    CostCell &cell = cell_for(r);
-    ++cell.aged_out;
-    cell.queue_us += waited_us;
-    charged_queue_us_ += waited_us;
-}
-
-void
-TenantLedger::note_lost(const Request &r, double queue_us)
-{
-    CostCell &cell = cell_for(r);
-    ++cell.lost_in_flight;
-    cell.queue_us += queue_us;
-    charged_queue_us_ += queue_us;
-}
-
-std::vector<std::pair<std::string, double>>
-TenantLedger::charged_device_by_tenant() const
-{
-    std::vector<std::pair<std::string, double>> charged;
-    charged.reserve(tenants_.size());
-    for (const TenantState &state : tenants_) {
-        double device_us = 0;
-        for (int c = 0; c < kNumSloClasses; ++c) {
-            device_us += state.by_class[c].device_us();
-        }
-        charged.emplace_back(state.name, device_us);
-    }
-    return charged;
+    rows.emplace_back().tenant = tenant;
+    return rows.back();
 }
 
 void
@@ -186,52 +38,39 @@ add_cell(CostCell &into, const CostCell &cell)
     into.lost_in_flight += cell.lost_in_flight;
 }
 
-CostReport
-TenantLedger::finish(double busy_us) const
+// ---- Reconciliation -----------------------------------------------------
+
+void
+Mismatches::exact(const std::string &what, double got, double want)
 {
-    CostReport report;
-    report.rounds = rounds_;
-    report.busy_us = busy_us;
-    report.charged_device_us = charged_device_us_;
-    report.charged_queue_us = charged_queue_us_;
-    report.charged_hbm_byte_us = charged_hbm_byte_us_;
-    report.tenants.reserve(tenants_.size());
-    for (const TenantState &state : tenants_) {
-        TenantCost tc;
-        tc.tenant = state.name;
-        for (int c = 0; c < kNumSloClasses; ++c) {
-            tc.by_class[c] = state.by_class[c];
-            add_cell(tc.total, state.by_class[c]);
-        }
-        tc.latency = prof::summarize_latencies(state.latencies);
-        report.tenants.push_back(std::move(tc));
+    if (got != want) {
+        std::ostringstream os;
+        os << what << ": " << self << " says " << got << ", " << other
+           << " says " << want;
+        errors.push_back(os.str());
     }
-    return report;
 }
 
-// ---- Reconciliation -----------------------------------------------------
+void
+Mismatches::close(const std::string &what, double got, double want)
+{
+    if (!close_rel(got, want)) {
+        exact(what, got, want);  // Not close, so not equal either.
+    }
+}
+
+void
+Mismatches::check(bool ok, const std::string &message)
+{
+    if (!ok) {
+        errors.push_back(message);
+    }
+}
 
 std::vector<std::string>
 reconcile_cost(const CostReport &cost, const ServeReport &report)
 {
-    std::vector<std::string> errors;
-    const auto check = [&errors](bool ok, const std::string &msg) {
-        if (!ok) {
-            errors.push_back(msg);
-        }
-    };
-    const auto mismatch = [](const std::string &what, double got,
-                             double want) {
-        std::ostringstream os;
-        os << what << ": ledger says " << got << ", ServeReport says "
-           << want;
-        return os.str();
-    };
-
-    // ---- The conservation invariant -----------------------------------
-    // Per-tenant charged device time must telescope back to the total
-    // device-busy time: the ledger split every round without losing or
-    // inventing a microsecond.
+    Mismatches m{"ledger", "ServeReport", {}};
     double device_sum = 0;
     double queue_sum = 0;
     double byte_sum = 0;
@@ -241,139 +80,35 @@ reconcile_cost(const CostReport &cost, const ServeReport &report)
         queue_sum += t.total.queue_us;
         byte_sum += t.total.hbm_byte_us;
         add_cell(counts, t.total);
-
-        // A tenant's total must be its class cells, nothing more.
-        CostCell from_classes;
-        for (int c = 0; c < kNumSloClasses; ++c) {
-            add_cell(from_classes, t.by_class[c]);
-        }
-        check(close_rel(t.total.device_us(), from_classes.device_us()) &&
-                  t.total.completed == from_classes.completed &&
-                  t.total.offered() == from_classes.offered(),
-              "tenant " + t.tenant +
-                  ": total does not match its class cells");
     }
-    check(close_rel(device_sum, cost.busy_us),
-          mismatch("charged device time", device_sum, cost.busy_us));
-    check(close_rel(cost.charged_device_us, cost.busy_us),
-          mismatch("ledger device total", cost.charged_device_us,
-                   cost.busy_us));
-    check(cost.busy_us == report.busy_us,
-          mismatch("busy_us", cost.busy_us, report.busy_us));
-    check(close_rel(byte_sum, cost.charged_hbm_byte_us),
-          mismatch("HBM byte-time", byte_sum,
-                   cost.charged_hbm_byte_us));
-    check(cost.rounds == report.rounds,
-          mismatch("rounds", static_cast<double>(cost.rounds),
-                   static_cast<double>(report.rounds)));
 
-    // ---- Counters are integers: exact or wrong ------------------------
+    // ---- The conservation invariant -----------------------------------
+    // Per-tenant charged device time must telescope back to the device
+    // time the simulator's round spans add up to: the fold split every
+    // round without losing or inventing a microsecond.
+    m.close("charged device time", device_sum, report.busy_us);
+    m.close("ledger device total", cost.charged_device_us, report.busy_us);
+    m.close("queue occupancy", queue_sum, cost.charged_queue_us);
+    m.close("HBM byte-time", byte_sum, cost.charged_hbm_byte_us);
+    m.exact("rounds charged vs dispatched", cost.rounds, report.rounds);
+
+    // ---- Outcome counters against the admission queue's own ----------
     const AdmissionStats &adm = report.admission;
-    check(counts.completed == report.completed,
-          mismatch("completed", static_cast<double>(counts.completed),
-                   static_cast<double>(report.completed)));
-    check(counts.shed_capacity + counts.shed_memory +
-                  counts.shed_ratelimit ==
-              adm.rejected,
-          mismatch("sheds",
-                   static_cast<double>(counts.shed_capacity +
-                                       counts.shed_memory +
-                                       counts.shed_ratelimit),
-                   static_cast<double>(adm.rejected)));
-    check(counts.shed_memory == adm.shed_memory,
-          mismatch("shed_memory",
-                   static_cast<double>(counts.shed_memory),
-                   static_cast<double>(adm.shed_memory)));
-    check(counts.shed_ratelimit == adm.shed_ratelimit,
-          mismatch("shed_ratelimit",
-                   static_cast<double>(counts.shed_ratelimit),
-                   static_cast<double>(adm.shed_ratelimit)));
-    check(counts.aged_out == adm.timed_out,
-          mismatch("aged_out", static_cast<double>(counts.aged_out),
-                   static_cast<double>(adm.timed_out)));
-    check(counts.deadline_miss == report.deadline_miss,
-          mismatch("deadline_miss",
-                   static_cast<double>(counts.deadline_miss),
-                   static_cast<double>(report.deadline_miss)));
-    check(counts.lost_in_flight == report.lost_in_flight,
-          mismatch("lost_in_flight",
-                   static_cast<double>(counts.lost_in_flight),
-                   static_cast<double>(report.lost_in_flight)));
+    m.exact("sheds",
+            counts.shed_capacity + counts.shed_memory + counts.shed_ratelimit,
+            adm.rejected);
+    m.exact("shed_memory", counts.shed_memory, adm.shed_memory);
+    m.exact("shed_ratelimit", counts.shed_ratelimit, adm.shed_ratelimit);
+    m.exact("aged_out", counts.aged_out, adm.timed_out);
+    // Every request the queue handed to the scheduler either completed
+    // or died on the device with its replica.
+    m.exact("completed + lost_in_flight",
+            counts.completed + counts.lost_in_flight, adm.dispatched);
     // Every offer either reached a terminal cell here or was drained to
     // the router when the replica died — drained requests are the one
     // non-terminal exit, so they reconcile the offered count.
-    check(counts.offered() + adm.drained == adm.offered,
-          mismatch("offered",
-                   static_cast<double>(counts.offered() + adm.drained),
-                   static_cast<double>(adm.offered)));
-
-    // ---- Queue occupancy re-derived from the request records ----------
-    double want_queue = 0;
-    for (const RequestRecord &rec : report.records) {
-        if (rec.outcome == RequestRecord::Outcome::kCompleted ||
-            rec.outcome == RequestRecord::Outcome::kLostReplica) {
-            want_queue += rec.queue_us();
-        } else if (rec.outcome == RequestRecord::Outcome::kTimedOut) {
-            want_queue += rec.finish_us - rec.request.arrival_us;
-        }
-    }
-    check(close_rel(queue_sum, want_queue),
-          mismatch("queue occupancy", queue_sum, want_queue));
-    check(close_rel(cost.charged_queue_us, want_queue),
-          mismatch("ledger queue total", cost.charged_queue_us,
-                   want_queue));
-
-    // ---- Per-tenant counters re-derived from the records --------------
-    for (const TenantCost &t : cost.tenants) {
-        std::uint64_t completed = 0;
-        std::uint64_t rejected = 0;
-        std::uint64_t aged = 0;
-        std::uint64_t lost = 0;
-        for (const RequestRecord &rec : report.records) {
-            if (rec.request.tenant != t.tenant) {
-                continue;
-            }
-            switch (rec.outcome) {
-              case RequestRecord::Outcome::kCompleted:
-                ++completed;
-                break;
-              case RequestRecord::Outcome::kRejected:
-                ++rejected;
-                break;
-              case RequestRecord::Outcome::kTimedOut:
-                ++aged;
-                break;
-              case RequestRecord::Outcome::kLostReplica:
-                ++lost;
-                break;
-            }
-        }
-        check(t.total.completed == completed,
-              mismatch("tenant " + t.tenant + " completed",
-                       static_cast<double>(t.total.completed),
-                       static_cast<double>(completed)));
-        check(t.total.shed_capacity + t.total.shed_memory +
-                      t.total.shed_ratelimit ==
-                  rejected,
-              mismatch("tenant " + t.tenant + " sheds",
-                       static_cast<double>(t.total.shed_capacity +
-                                           t.total.shed_memory +
-                                           t.total.shed_ratelimit),
-                       static_cast<double>(rejected)));
-        check(t.total.aged_out == aged,
-              mismatch("tenant " + t.tenant + " aged_out",
-                       static_cast<double>(t.total.aged_out),
-                       static_cast<double>(aged)));
-        check(t.total.lost_in_flight == lost,
-              mismatch("tenant " + t.tenant + " lost_in_flight",
-                       static_cast<double>(t.total.lost_in_flight),
-                       static_cast<double>(lost)));
-        check(t.latency.count == t.total.completed,
-              mismatch("tenant " + t.tenant + " latency samples",
-                       static_cast<double>(t.latency.count),
-                       static_cast<double>(t.total.completed)));
-    }
-    return errors;
+    m.exact("offered", counts.offered() + adm.drained, adm.offered);
+    return std::move(m.errors);
 }
 
 void
@@ -414,6 +149,32 @@ write_cost_cell(JsonWriter &w, const CostCell &cell, double busy_us)
             busy_us > 0 ? cell.device_us() / busy_us : 0.0);
 }
 
+void
+write_reconcile(JsonWriter &w, const char *flag,
+                const std::vector<std::string> &errors)
+{
+    w.field(flag, errors.empty());
+    w.key("reconcile_errors");
+    w.begin_array();
+    for (const std::string &e : errors) {
+        w.value(e);
+    }
+    w.end_array();
+}
+
+void
+write_latency(JsonWriter &w, const prof::LatencySummary &s)
+{
+    w.begin_object();
+    w.field("count", static_cast<std::int64_t>(s.count));
+    w.field("mean_us", s.mean);
+    w.field("p50_us", s.p50);
+    w.field("p95_us", s.p95);
+    w.field("p99_us", s.p99);
+    w.field("max_us", s.max);
+    w.end_object();
+}
+
 std::string
 cost_report_json(const CostReport &cost, const CostRunInfo &info,
                  const std::vector<std::string> &errors,
@@ -435,13 +196,7 @@ cost_report_json(const CostReport &cost, const CostRunInfo &info,
         w.field("charged_device_us", cost.charged_device_us);
         w.field("charged_queue_us", cost.charged_queue_us);
         w.field("charged_hbm_byte_us", cost.charged_hbm_byte_us);
-        w.field("conserved", errors.empty());
-        w.key("reconcile_errors");
-        w.begin_array();
-        for (const std::string &e : errors) {
-            w.value(e);
-        }
-        w.end_array();
+        write_reconcile(w, "conserved", errors);
         w.key("tenants");
         w.begin_array();
         for (const TenantCost &t : cost.tenants) {
@@ -449,14 +204,7 @@ cost_report_json(const CostReport &cost, const CostRunInfo &info,
             w.field("tenant", t.tenant);
             write_cost_cell(w, t.total, cost.busy_us);
             w.key("latency");
-            w.begin_object();
-            w.field("count", static_cast<std::int64_t>(t.latency.count));
-            w.field("mean_us", t.latency.mean);
-            w.field("p50_us", t.latency.p50);
-            w.field("p95_us", t.latency.p95);
-            w.field("p99_us", t.latency.p99);
-            w.field("max_us", t.latency.max);
-            w.end_object();
+            write_latency(w, t.latency);
             w.key("classes");
             w.begin_array();
             for (int c = 0; c < kNumSloClasses; ++c) {
@@ -473,14 +221,6 @@ cost_report_json(const CostReport &cost, const CostRunInfo &info,
         w.end_object();
     }
     return os.str();
-}
-
-std::string
-cost_report_json(const CostReport &cost, const CostRunInfo &info,
-                 const std::vector<std::string> &errors)
-{
-    return cost_report_json(cost, info, errors,
-                            prof::RunManifest::collect(info.device));
 }
 
 // ---- Time-series telemetry ----------------------------------------------

@@ -19,7 +19,8 @@
 /// layer (the mgcost.report document).
 ///
 /// mgtrace answers *where one request's time went*; this layer answers
-/// *who spent the device*. The TenantLedger splits every dispatched
+/// *who spent the device*. The Server's fold over its event stream
+/// (ServeFold in serve/server.h) charges every completed or killed
 /// round's device-busy span down to its batches (pro-rata by each
 /// batch's own span, so concurrent batches share the round they
 /// co-occupy) and within each batch down to its member requests:
@@ -29,22 +30,21 @@
 /// footprint held for its device span, and queue-occupancy time from
 /// the admission timestamps. Charges land in per-tenant × SLO-class
 /// cells next to exact outcome counters (completed, the three disjoint
-/// shed valves, age-outs, deadline misses).
+/// shed valves, age-outs, deadline misses, losses).
 ///
 /// The load-bearing property is *conservation*: per-tenant charged
-/// device time telescopes back to ServeReport::busy_us by construction,
-/// and reconcile_cost() re-derives every figure it can from the
-/// ServeReport and collects any disagreement — mgserve turns a non-empty
-/// error list into a ValidationError (exit 2), exactly like a trace
-/// mismatch.
+/// device time telescopes back to ServeReport::busy_us, which the Server
+/// sums from the simulator's round spans, and reconcile_cost() checks
+/// the cells against that and against the admission queue's own
+/// counters — mgserve turns a non-empty error list into a
+/// ValidationError (exit 2), exactly like a trace mismatch.
 ///
 /// The TelemetryRecorder is the time-series half: a fixed-interval
 /// sampler on the virtual serving clock (per-tenant queue depth,
 /// in-flight requests, the running round's HBM watermark, token-bucket
 /// fill) that exports as CSV here and as Perfetto counter tracks
-/// through ServeTraceOptions::telemetry. Like tracing, both are
-/// observers: an instrumented run replays the exact same virtual clock
-/// as a bare one.
+/// through serve_trace_json. It is an observer: an instrumented run
+/// replays the exact same virtual clock as a bare one.
 namespace multigrain::serve {
 
 // ---- Charge cells -------------------------------------------------------
@@ -81,7 +81,7 @@ struct CostCell {
 
 /// Accumulates `cell` into `into`, field by field — how tenant totals
 /// telescope from class cells, and how a Cluster merges per-replica
-/// ledgers into the fleet ledger.
+/// cost reports into the fleet's.
 void add_cell(CostCell &into, const CostCell &cell);
 
 struct TenantCost {
@@ -93,85 +93,21 @@ struct TenantCost {
     prof::LatencySummary latency;
 };
 
+/// The row of `tenant`, appended on first sight.
+TenantCost &tenant_row(std::vector<TenantCost> &rows,
+                       const std::string &tenant);
+
 struct CostReport {
     std::vector<TenantCost> tenants;  ///< Spec order, extras appended.
     std::int64_t rounds = 0;          ///< Rounds charged.
-    /// The conservation target, copied verbatim from
-    /// ServeReport::busy_us at finish().
+    /// The conservation target: ServeReport::busy_us.
     double busy_us = 0;
-    /// The ledger's own running totals, accumulated independently of
-    /// the per-cell charges — reconcile_cost checks both against each
-    /// other and against the ServeReport.
+    /// Running totals of the charges, summed per batch rather than per
+    /// cell — reconcile_cost checks each against its cells' sum and the
+    /// device total against busy_us.
     double charged_device_us = 0;
     double charged_queue_us = 0;
     double charged_hbm_byte_us = 0;
-};
-
-// ---- The ledger ---------------------------------------------------------
-
-class TenantLedger {
-  public:
-    /// `tenants` fixes the row order of the report; requests from
-    /// unlisted tenants get a row appended on first sight.
-    explicit TenantLedger(const std::vector<TenantSpec> &tenants);
-
-    /// One batch of a dispatched round, as the Server saw it.
-    struct BatchCharge {
-        double device_us = 0;  ///< Batch span (finish - dispatch).
-        std::uint64_t footprint_bytes = 0;
-        index_t bucket = 0;
-        int planned_batch = 0;
-        const std::vector<Request> *requests = nullptr;
-    };
-
-    /// Charges one round's device-busy span `round_us` (the same
-    /// quantity ServeReport::busy_us accumulates) to the requests of its
-    /// batches: batches split the round pro-rata by their own spans, a
-    /// batch splits into compute (by valid-token share) and pad (equal
-    /// pro-rata), so the per-request charges telescope back to round_us
-    /// up to float rounding.
-    void charge_round(double round_us,
-                      const std::vector<BatchCharge> &batches);
-
-    /// A request completed: charges its queue occupancy and records the
-    /// outcome counters plus a latency sample.
-    void note_completed(const Request &r, double queue_us,
-                        double latency_us, bool deadline_met);
-    /// A request was shed at the door for `reason` (must not be kNone).
-    void note_shed(const Request &r, AdmitDecision::Shed reason);
-    /// A request aged out after `waited_us` in the queue (charged as
-    /// queue occupancy — it held a slot the whole time).
-    void note_aged_out(const Request &r, double waited_us);
-    /// A dispatched request died with its replica (ISSUE 9): charges the
-    /// queue occupancy it consumed before dispatch and counts it in the
-    /// lost_in_flight cell. The truncated round's device time is charged
-    /// separately through charge_round.
-    void note_lost(const Request &r, double queue_us);
-
-    /// Cumulative charged device time per tenant (spec order, extras
-    /// appended) — the WFQ feedback the Server pushes into
-    /// AdmissionQueue::set_charged after every completed round.
-    std::vector<std::pair<std::string, double>>
-    charged_device_by_tenant() const;
-
-    /// Reduces the cells into the report; `busy_us` is the run's
-    /// ServeReport::busy_us (the conservation target).
-    CostReport finish(double busy_us) const;
-
-  private:
-    struct TenantState {
-        std::string name;
-        CostCell by_class[kNumSloClasses];
-        std::vector<double> latencies;
-    };
-    TenantState &state_for(const std::string &tenant);
-    CostCell &cell_for(const Request &r);
-
-    std::vector<TenantState> tenants_;
-    std::int64_t rounds_ = 0;
-    double charged_device_us_ = 0;
-    double charged_queue_us_ = 0;
-    double charged_hbm_byte_us_ = 0;
 };
 
 // ---- Reconciliation -----------------------------------------------------
@@ -194,11 +130,25 @@ close_rel(double a, double b)
            kReconcileRelTol * std::max({1.0, std::abs(a), std::abs(b)});
 }
 
-/// Cross-checks the ledger against the ServeReport of the same run:
-/// charged device time sums to busy_us, every counter matches its
-/// AdmissionStats / ServeReport twin exactly, per-tenant totals equal
-/// their class cells, and queue charges match the request records.
-/// Returns the collected failures (empty = conserved); never throws.
+/// Collects a reconciler's failures, each naming the figure and both
+/// sides: "<what>: <self> says <got>, <other> says <want>".
+struct Mismatches {
+    const char *self;
+    const char *other;
+    std::vector<std::string> errors;
+
+    /// Counters are integers: exact or wrong.
+    void exact(const std::string &what, double got, double want);
+    /// Sums of doubles agree to kReconcileRelTol.
+    void close(const std::string &what, double got, double want);
+    void check(bool ok, const std::string &message);
+};
+
+/// Cross-checks the cost cells against sources the fold does not
+/// compute: charged device time sums to busy_us, every outcome counter
+/// matches the admission queue's AdmissionStats exactly, and the rounds
+/// charged match the rounds dispatched. Returns the collected failures
+/// (empty = conserved); never throws.
 std::vector<std::string> reconcile_cost(const CostReport &cost,
                                         const ServeReport &report);
 
@@ -210,28 +160,39 @@ void scale_tenant_charges(CostReport &cost, std::size_t tenant_index,
 
 // ---- Report document ----------------------------------------------------
 
-/// Identity of the accounted run, stamped into the report document.
-struct CostRunInfo {
+/// Identity of a serving run, stamped into its report documents: the
+/// cost, trace and fleet reports and the incident dumps. A fleet's
+/// device is the replicated device's CLI name, or "mixed" for the
+/// hetero preset.
+struct RunInfo {
     std::string preset;
     std::string device;
     std::uint64_t seed = 0;
 };
+using CostRunInfo = RunInfo;
 
 /// Writes one cost cell's fields into an open JSON object — shared by
 /// the mgcost.report document below and the fleet report's merged ledger.
 void write_cost_cell(JsonWriter &w, const CostCell &cell, double busy_us);
 
-/// The validated "mgcost.report" v1 JSON document. The two-argument
-/// form stamps a freshly collected manifest; pass an explicit manifest
-/// to make the document a pure function of (report, info) — what the
+/// Writes a reconciler's verdict: `flag` (true when `errors` is empty)
+/// and the "reconcile_errors" array — shared by the cost, trace and
+/// fleet reports.
+void write_reconcile(JsonWriter &w, const char *flag,
+                     const std::vector<std::string> &errors);
+
+/// Writes a latency summary as one JSON object (count, mean and
+/// percentiles in us) — shared with the fleet report.
+void write_latency(JsonWriter &w, const prof::LatencySummary &s);
+
+/// The validated "mgcost.report" v1 JSON document, stamped with
+/// `manifest` (RunManifest::collect for a live run). A fixed manifest
+/// makes the document a pure function of (report, info) — what the
 /// byte-identical tests pin (the manifest timestamp is wall clock).
 std::string cost_report_json(const CostReport &cost,
                              const CostRunInfo &info,
                              const std::vector<std::string> &errors,
                              const prof::RunManifest &manifest);
-std::string cost_report_json(const CostReport &cost,
-                             const CostRunInfo &info,
-                             const std::vector<std::string> &errors);
 
 // ---- Time-series telemetry ----------------------------------------------
 

@@ -15,6 +15,7 @@
 #include "serve/admission.h"
 #include "serve/cost.h"
 #include "serve/scheduler.h"
+#include "serve/trace.h"
 #include "serve/traffic.h"
 #include "transformer/runner.h"
 
@@ -55,6 +56,7 @@ ServeConfig serve_preset_by_name(const std::string &name);
 struct ServePresetInfo {
     const char *name;
     const char *description;
+    ServeConfig (*make)();
 };
 const std::vector<ServePresetInfo> &serve_presets();
 
@@ -73,8 +75,6 @@ struct RequestRecord {
     Outcome outcome = Outcome::kCompleted;
     double dispatch_us = 0;
     double finish_us = 0;
-    index_t bucket = 0;
-    int batch_size = 0;  ///< Actual co-batched requests (not padded).
     bool deadline_met = true;
 
     /// Arrival-to-completion latency (the SLO metric).
@@ -83,26 +83,34 @@ struct RequestRecord {
     double queue_us() const { return dispatch_us - request.arrival_us; }
 };
 
-struct ServeReport {
+/// What a run's per-request records reduce to (reduce_records): the
+/// outcome counts and the completed requests' latency figures. A
+/// ServeReport and a fleet's ClusterReport each carry one.
+struct RecordSummary {
+    std::uint64_t completed = 0;
+    std::uint64_t deadline_miss = 0;
+    /// Requests lost in flight when a replica was killed; always 0 in
+    /// single-server runs.
+    std::uint64_t lost_in_flight = 0;
+    prof::LatencySummary latency;  ///< Completed requests only.
+    prof::LatencySummary latency_by_class[kNumSloClasses];
+    double makespan_us = 0;  ///< First arrival to last completion.
+    double throughput_rps = 0;
+};
+
+struct ServeReport : RecordSummary {
     std::string preset;
     std::string device;
+    /// One record per request that reached an outcome here, in the order
+    /// the outcomes occurred.
     std::vector<RequestRecord> records;
     AdmissionStats admission;
     /// Plan-cache counter movement attributable to this run.
     PlanCacheStats plan_cache;
-    prof::LatencySummary latency;  ///< Completed requests only.
-    prof::LatencySummary latency_by_class[kNumSloClasses];
     /// Actual batch size -> number of batches dispatched at that size.
     std::map<int, int> batch_histogram;
     int rounds = 0;
-    std::uint64_t completed = 0;
-    std::uint64_t deadline_miss = 0;
-    /// Requests lost in flight when this replica was killed (ISSUE 9);
-    /// always 0 in single-server runs.
-    std::uint64_t lost_in_flight = 0;
-    double makespan_us = 0;  ///< First arrival to last completion.
     double busy_us = 0;      ///< Device-occupied time (sum of rounds).
-    double throughput_rps = 0;
     double avg_batch = 0;
     int max_batch = 0;
     /// busy / makespan — how much of the serving window the device
@@ -118,22 +126,76 @@ struct ServeReport {
     CostReport cost;
 };
 
-class TraceLog;  // serve/trace.h
+/// The one reduction from request records to figures: reduces `records`,
+/// in order, into `summary`, and each cost row's completed-request
+/// latencies into its `latency`. summarize_latencies sums the mean in
+/// input order, so the order is part of the result: a Server reduces its
+/// own records, a Cluster its replicas' records in replica order.
+void reduce_records(const std::vector<RequestRecord> &records,
+                    RecordSummary &summary, CostReport &cost);
+
+/// The run's report state, folded from the Server's event stream in
+/// event order: every state change the Server emits is applied here
+/// once, before any TraceLog sees it. It holds the per-request records
+/// in the order their terminal events occur, the batch histogram, the
+/// rounds' HBM bytes, and the tenant × SLO cost cells with their
+/// charged totals (serve/cost.h describes the charging rules).
+class ServeFold {
+  public:
+    /// `tenants` fixes the order of the cost rows; a tenant not listed
+    /// gets a row appended when its first count or charge lands.
+    explicit ServeFold(const std::vector<TenantSpec> &tenants);
+
+    /// Applies one event. Throws Error on an event for a request or a
+    /// batch the stream has not introduced.
+    void apply(const TraceEvent &e);
+
+    /// The folded state: records, batch_histogram, round_hbm_bytes and
+    /// cost (its class cells, rounds and charged totals). Server::finish
+    /// fills in the rest.
+    const ServeReport &state() const { return state_; }
+
+  private:
+    struct Arrival {
+        Request request;
+        double t_us = 0;  ///< Arrival on this replica's clock.
+    };
+    struct BatchState {
+        TraceEvent form;  ///< Its first kBatchForm event.
+        double done_us = 0;
+        std::vector<Request> members;
+    };
+
+    CostCell &cell(const Request &r);
+    /// The live request `id`; throws Error when there is none.
+    Arrival &live(std::int64_t id);
+    /// Moves request `id` out of the live set into a new record.
+    RequestRecord &retire(std::int64_t id, RequestRecord::Outcome outcome,
+                          double finish_us);
+    /// Charges the running round's device span `round_us` to the
+    /// members of its batches.
+    void charge_round(double round_us);
+
+    ServeReport state_;
+    std::map<std::int64_t, Arrival> live_;       ///< Arrived, not retired.
+    std::map<std::int64_t, BatchState> batches_; ///< The running round's.
+    double round_dispatch_us_ = 0;
+};
 
 class Server {
   public:
     Server(ServeConfig config, sim::DeviceSpec device);
 
-    /// Attaches a request-level event log (serve/trace.h). Off by
-    /// default; every emission in the serving loop is guarded behind
-    /// this pointer, so an untraced run takes the pre-trace fast path
-    /// and a traced run observes — never perturbs — the virtual clock.
-    /// The log must outlive run().
+    /// Attaches a request-level event log (serve/trace.h); nullptr (the
+    /// default) detaches it. The Server emits every event either way and
+    /// folds it into its report; an attached log records the same
+    /// events, so it observes the run and never changes it. The log
+    /// must outlive run().
     void set_trace(TraceLog *trace) { trace_ = trace; }
 
-    /// Attaches a fixed-interval time-series sampler (serve/cost.h).
-    /// Same contract as set_trace: a pure observer of the virtual clock,
-    /// off by default, must outlive run().
+    /// Attaches a fixed-interval time-series sampler (serve/cost.h): a
+    /// pure observer of the virtual clock, off by default, must outlive
+    /// run().
     void set_telemetry(TelemetryRecorder *telemetry)
     {
         telemetry_ = telemetry;
@@ -149,13 +211,13 @@ class Server {
     // serving behavior inside a cluster matches a standalone run of the
     // same event stream operation for operation.
 
-    /// Builds the queue/ledger/scheduler and snapshots the plan cache.
+    /// Builds the queue and scheduler and snapshots the plan cache.
     /// Must be called once before any other stepping method (run() calls
     /// it itself).
     void begin();
     /// One arrival at `now_us`: stamps the preset's slice mode, prices
-    /// the footprint when a byte budget is configured, offers it to
-    /// admission, and records the shed outcome if refused.
+    /// the footprint when a byte budget is configured, and offers it to
+    /// admission.
     void ingest(Request r, double now_us);
     /// Failover re-admission of a request drained from a dead replica:
     /// same as ingest but through AdmissionQueue::reoffer (the tenant's
@@ -172,8 +234,8 @@ class Server {
     bool busy() const { return gpu_busy_; }
     /// When the running round releases the device; +infinity while idle.
     double busy_until() const;
-    /// Completes the round due at busy_until(): records, charges the
-    /// ledger, feeds closed-loop traffic, pushes WFQ debt.
+    /// Completes the round due at busy_until(): emits its completions,
+    /// feeds closed-loop traffic, pushes WFQ debt.
     void complete(TrafficSource &source);
     /// Telemetry snapshot at a virtual-clock event (no-op untelemetered).
     void observe(double now_us);
@@ -191,8 +253,8 @@ class Server {
     void revive();
     bool down() const { return down_; }
 
-    /// Finishes instrumentation at `now_us` and reduces the records into
-    /// the final report. Call exactly once, after the event stream ends.
+    /// Finishes instrumentation at `now_us` and reads the final report
+    /// out of the fold. Call exactly once, after the event stream ends.
     ServeReport finish(double now_us);
 
   private:
@@ -200,43 +262,44 @@ class Server {
         Batch batch;
         std::int64_t id = -1;     ///< Stable batch id (trace events).
         std::int64_t round = -1;  ///< Round that dispatched it.
-        double dispatch_us = 0;
         double finish_us = 0;
-        /// The batch's projected HBM footprint (batch_footprint), kept
-        /// for the ledger's byte-time charge.
+        /// The batch's projected HBM footprint (batch_footprint).
         std::uint64_t footprint_bytes = 0;
     };
 
-    TransformerRunner &runner_for(const Batch &batch);
+    /// The one place a state change is recorded: folds `e` into the
+    /// report state and hands it to the attached TraceLog, if any, with
+    /// the round's simulator result for a kRoundDispatch.
+    void emit(TraceEvent e, const sim::SimResult *round_sim = nullptr);
+    /// ingest and reingest: offers `r` through the queue's offer, or its
+    /// reoffer for a failover move. Returns whether it was admitted.
+    bool offer(Request r, double now_us, bool reoffer);
+    /// Ends the running round at `t_us` and releases the device. With a
+    /// `source`, the round completed: each request completes at its
+    /// batch's finish and is fed back to the source. Without one, the
+    /// replica was killed at `t_us`: each request is lost, and a batch
+    /// still running is cut there.
+    void end_round(double t_us, TrafficSource *source);
     TransformerRunner &runner_for(const std::string &model, SliceMode mode,
                                   index_t bucket, int planned_batch);
-    /// Pushes the ledger's per-tenant charged device time into the
-    /// admission queue (the WFQ debt feedback); no-op unless the
-    /// preset enables weighted fair queueing.
+    /// Pushes each tenant's charged device time, read from the fold,
+    /// into the admission queue (the WFQ debt feedback); no-op unless
+    /// the preset enables weighted fair queueing.
     void push_wfq_charges();
-    /// Books a door shed: ledger counter, trace event, kRejected record
-    /// terminal at `finish_us`.
-    void record_shed(Request copy, AdmitDecision::Shed reason,
-                     double now_us, double finish_us);
     /// Projected HBM bytes of one batch's execution: the bucketed layer
     /// plan's MemPlan peak x the model's layer count. Memoized per
     /// (model, mode, bucket, planned batch); the MemPlan itself is a
     /// PlanCache hit beside the batch's layer graph.
     std::uint64_t batch_footprint(const std::string &model, SliceMode mode,
                                   index_t bucket, int planned_batch);
-    void dispatch_round(double now_us, std::int64_t round,
-                        const Scheduler &scheduler, AdmissionQueue &queue);
-    void complete_round(ServeReport &report, TrafficSource &source,
-                        TenantLedger &ledger);
 
     ServeConfig config_;
     sim::DeviceSpec device_;
+    ServeFold fold_;
     /// Serving-loop state, built by begin(). Optional so a Server can be
     /// constructed cheaply before the run starts.
     std::optional<AdmissionQueue> queue_;
-    std::optional<TenantLedger> ledger_;
     std::optional<Scheduler> scheduler_;
-    ServeReport report_;
     PlanCacheStats cache_before_;
     int rounds_ = 0;
     double busy_accum_us_ = 0;
@@ -248,13 +311,10 @@ class Server {
     std::map<std::string, std::unique_ptr<TransformerRunner>> runners_;
     /// Memoized batch_footprint results, same key space as runners_.
     std::map<std::string, std::uint64_t> footprints_;
-    /// Per-round projected byte watermarks, moved into the report.
-    std::vector<std::uint64_t> round_bytes_;
     std::vector<InFlightBatch> in_flight_;
     TraceLog *trace_ = nullptr;
     TelemetryRecorder *telemetry_ = nullptr;
     std::int64_t next_batch_id_ = 0;
-    std::int64_t current_round_ = -1;
     double gpu_free_us_ = 0;
     bool gpu_busy_ = false;
     bool ran_ = false;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <fstream>
 #include <limits>
 #include <map>
 #include <ostream>
@@ -15,51 +14,43 @@
 #include "profiler/export.h"
 #include "profiler/history.h"
 #include "serve/cost.h"
+#include "serve/server.h"
 
 namespace multigrain::serve {
 
 // ---- Event names --------------------------------------------------------
 
+namespace {
+
+/// Every kind with its log name, in declaration order.
+constexpr std::pair<TraceEventKind, const char *> kKindNames[] = {
+    {TraceEventKind::kArrive, "arrive"},
+    {TraceEventKind::kAdmit, "admit"},
+    {TraceEventKind::kShed, "shed"},
+    {TraceEventKind::kShedRateLimit, "shed_ratelimit"},
+    {TraceEventKind::kAgeOut, "age_out"},
+    {TraceEventKind::kBatchForm, "batch_form"},
+    {TraceEventKind::kRoundDispatch, "round_dispatch"},
+    {TraceEventKind::kBatchDone, "batch_done"},
+    {TraceEventKind::kComplete, "complete"},
+    {TraceEventKind::kRoundDone, "round_done"},
+    {TraceEventKind::kLost, "lost"},
+    {TraceEventKind::kDrain, "drain"},
+};
+
+}  // namespace
+
 const char *
 to_string(TraceEventKind kind)
 {
-    switch (kind) {
-      case TraceEventKind::kArrive:
-        return "arrive";
-      case TraceEventKind::kAdmit:
-        return "admit";
-      case TraceEventKind::kShed:
-        return "shed";
-      case TraceEventKind::kShedRateLimit:
-        return "shed_ratelimit";
-      case TraceEventKind::kAgeOut:
-        return "age_out";
-      case TraceEventKind::kBatchForm:
-        return "batch_form";
-      case TraceEventKind::kRoundDispatch:
-        return "round_dispatch";
-      case TraceEventKind::kBatchDone:
-        return "batch_done";
-      case TraceEventKind::kComplete:
-        return "complete";
-      case TraceEventKind::kRoundDone:
-        return "round_done";
-    }
-    return "?";
+    return kKindNames[static_cast<int>(kind)].second;
 }
 
 TraceEventKind
 trace_event_kind_by_name(const std::string &name)
 {
-    static const TraceEventKind kinds[] = {
-        TraceEventKind::kArrive,        TraceEventKind::kAdmit,
-        TraceEventKind::kShed,          TraceEventKind::kShedRateLimit,
-        TraceEventKind::kAgeOut,        TraceEventKind::kBatchForm,
-        TraceEventKind::kRoundDispatch, TraceEventKind::kBatchDone,
-        TraceEventKind::kComplete,      TraceEventKind::kRoundDone,
-    };
-    for (const TraceEventKind kind : kinds) {
-        if (name == to_string(kind)) {
+    for (const auto &[kind, kind_name] : kKindNames) {
+        if (name == kind_name) {
             return kind;
         }
     }
@@ -76,13 +67,28 @@ namespace {
 void
 write_event(JsonWriter &w, const TraceEvent &e)
 {
+    using Kind = TraceEventKind;
+    const Kind k = e.kind;
     w.begin_object();
     w.field("seq", static_cast<std::int64_t>(e.seq));
-    w.field("kind", to_string(e.kind));
+    w.field("kind", to_string(k));
     w.field("t_us", e.t_us);
-    switch (e.kind) {
-      case TraceEventKind::kArrive:
+    const bool batch = k == Kind::kBatchForm || k == Kind::kBatchDone ||
+                       k == Kind::kComplete || k == Kind::kLost;
+    const bool round =
+        batch || k == Kind::kRoundDispatch || k == Kind::kRoundDone;
+    if (k != Kind::kRoundDispatch && k != Kind::kBatchDone &&
+        k != Kind::kRoundDone) {
         w.field("request", e.request);
+    }
+    if (batch) {
+        w.field("batch", e.batch);
+    }
+    if (round) {
+        w.field("round", e.round);
+    }
+    switch (k) {
+      case Kind::kArrive:
         w.field("tenant", e.tenant);
         w.field("model", e.model);
         w.field("slo", e.slo);
@@ -90,45 +96,41 @@ write_event(JsonWriter &w, const TraceEvent &e)
         if (std::isfinite(e.deadline_us)) {
             w.field("deadline_us", e.deadline_us);
         }
+        w.field("arrival_us", e.arrival_us);
         break;
-      case TraceEventKind::kAdmit:
-      case TraceEventKind::kShed:
-      case TraceEventKind::kShedRateLimit:
-      case TraceEventKind::kAgeOut:
-        w.field("request", e.request);
-        break;
-      case TraceEventKind::kBatchForm:
-        w.field("request", e.request);
-        w.field("batch", e.batch);
-        w.field("round", e.round);
+      case Kind::kBatchForm:
         w.field("model", e.model);
         w.field("bucket", static_cast<std::int64_t>(e.bucket));
         w.field("planned_batch", e.planned_batch);
         w.field("actual_batch", e.actual_batch);
+        w.field("footprint_bytes",
+                static_cast<std::int64_t>(e.footprint_bytes));
         break;
-      case TraceEventKind::kRoundDispatch:
-        w.field("round", e.round);
+      case Kind::kRoundDispatch:
         w.field("actual_batch", e.actual_batch);
         w.field("hbm_bytes", static_cast<std::int64_t>(e.hbm_bytes));
         break;
-      case TraceEventKind::kBatchDone:
-        w.field("batch", e.batch);
-        w.field("round", e.round);
-        break;
-      case TraceEventKind::kComplete:
-        w.field("request", e.request);
-        w.field("batch", e.batch);
-        w.field("round", e.round);
+      case Kind::kShed:
+      case Kind::kComplete:
         w.field("flag", e.flag);
         break;
-      case TraceEventKind::kRoundDone:
-        w.field("round", e.round);
+      default:
         break;
     }
     w.end_object();
 }
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
+
+/// `v` as an integer. Casting a double outside an integer's range is
+/// undefined, so a field outside [-2^63, 2^63), or NaN, throws Error.
+std::int64_t
+checked_integer(double v, const char *field)
+{
+    MG_CHECK(v >= -9.2e18 && v <= 9.2e18)
+        << "field \"" << field << "\" is not an integer in range";
+    return static_cast<std::int64_t>(v);
+}
 
 }  // namespace
 
@@ -148,31 +150,40 @@ event_from_json(const JsonValue &doc)
 {
     MG_CHECK(doc.is_object()) << "trace event must be a JSON object";
     TraceEvent e;
-    e.seq = static_cast<std::uint64_t>(doc.at("seq").as_number());
     e.kind = trace_event_kind_by_name(doc.at("kind").as_string());
     e.t_us = doc.at("t_us").as_number();
     const auto number = [&doc](const char *k, double fallback) {
         const JsonValue *v = doc.find(k);
         return v != nullptr ? v->as_number() : fallback;
     };
-    e.request = static_cast<std::int64_t>(number("request", -1));
-    e.batch = static_cast<std::int64_t>(number("batch", -1));
-    e.round = static_cast<std::int64_t>(number("round", -1));
+    const auto integer = [&number](const char *k, double fallback) {
+        return checked_integer(number(k, fallback), k);
+    };
+    e.seq = static_cast<std::uint64_t>(
+        checked_integer(doc.at("seq").as_number(), "seq"));
+    e.request = integer("request", -1);
+    e.batch = integer("batch", -1);
+    e.round = integer("round", -1);
     if (const JsonValue *v = doc.find("tenant")) {
         e.tenant = v->as_string();
     }
     if (const JsonValue *v = doc.find("model")) {
         e.model = v->as_string();
     }
-    e.slo = static_cast<int>(number("slo", -1));
-    e.valid_len = static_cast<index_t>(number("valid_len", 0));
+    e.slo = static_cast<int>(integer("slo", -1));
+    e.valid_len = integer("valid_len", 0);
     e.deadline_us = e.kind == TraceEventKind::kArrive
                         ? number("deadline_us", kInf)
                         : number("deadline_us", 0);
-    e.bucket = static_cast<index_t>(number("bucket", 0));
-    e.planned_batch = static_cast<int>(number("planned_batch", 0));
-    e.actual_batch = static_cast<int>(number("actual_batch", 0));
-    e.hbm_bytes = static_cast<std::uint64_t>(number("hbm_bytes", 0));
+    // A log written before re-arrivals carried their original arrival
+    // has the arrival in t_us.
+    e.arrival_us = number("arrival_us", e.t_us);
+    e.bucket = integer("bucket", 0);
+    e.planned_batch = static_cast<int>(integer("planned_batch", 0));
+    e.actual_batch = static_cast<int>(integer("actual_batch", 0));
+    e.hbm_bytes = static_cast<std::uint64_t>(integer("hbm_bytes", 0));
+    e.footprint_bytes =
+        static_cast<std::uint64_t>(integer("footprint_bytes", 0));
     if (const JsonValue *v = doc.find("flag")) {
         e.flag = v->as_bool();
     }
@@ -211,9 +222,12 @@ TraceLog::TraceLog(TraceConfig config) : config_(config)
 }
 
 void
-TraceLog::record(TraceEvent event)
+TraceLog::record(TraceEvent event, const sim::SimResult *round_sim)
 {
     event.seq = next_seq_++;
+    if (round_sim != nullptr && config_.capture_sim) {
+        round_sims_.push_back({event.round, event.t_us, *round_sim});
+    }
     if (config_.retain_full) {
         events_.push_back(event);
     }
@@ -232,20 +246,6 @@ TraceLog::record(TraceEvent event)
         }
     }
     detect(ring_.back());
-}
-
-void
-TraceLog::record_round_sim(std::int64_t round, double dispatch_us,
-                           const sim::SimResult &result)
-{
-    if (!config_.capture_sim) {
-        return;
-    }
-    RoundSim rs;
-    rs.round = round;
-    rs.dispatch_us = dispatch_us;
-    rs.result = result;
-    round_sims_.push_back(std::move(rs));
 }
 
 void
@@ -373,22 +373,23 @@ incident_to_json(const Incident &incident, const TraceRunInfo &info,
 }
 
 Incident
-incident_from_json(const JsonValue &doc)
+incident_from_json(const std::string &text)
 {
+    const JsonValue doc = json_parse(text);
     MG_CHECK(doc.is_object()) << "incident must be a JSON object";
     MG_CHECK(doc.at("schema").as_string() == prof::kServeIncidentSchema)
         << "not an mgtrace.incident document";
-    MG_CHECK(static_cast<int>(doc.at("schema_version").as_number()) ==
+    MG_CHECK(doc.at("schema_version").as_number() ==
              prof::kServeIncidentVersion)
         << "unsupported incident schema version";
     Incident inc;
     inc.trigger = doc.at("trigger").as_string();
     inc.t_us = doc.at("t_us").as_number();
     inc.detail = doc.at("detail").as_string();
-    inc.first_seq =
-        static_cast<std::uint64_t>(doc.at("first_seq").as_number());
-    inc.last_seq =
-        static_cast<std::uint64_t>(doc.at("last_seq").as_number());
+    inc.first_seq = static_cast<std::uint64_t>(
+        checked_integer(doc.at("first_seq").as_number(), "first_seq"));
+    inc.last_seq = static_cast<std::uint64_t>(
+        checked_integer(doc.at("last_seq").as_number(), "last_seq"));
     const JsonValue &events = doc.at("events");
     MG_CHECK(events.is_array()) << "incident events must be an array";
     inc.events.reserve(events.array.size());
@@ -396,12 +397,6 @@ incident_from_json(const JsonValue &doc)
         inc.events.push_back(event_from_json(e));
     }
     return inc;
-}
-
-Incident
-incident_from_json(const std::string &text)
-{
-    return incident_from_json(json_parse(text));
 }
 
 // ---- Spans --------------------------------------------------------------
@@ -412,16 +407,11 @@ spans_from_events(const std::vector<TraceEvent> &events)
     // Keyed by request id so the result is sorted and deterministic
     // regardless of completion interleaving.
     std::map<std::int64_t, RequestSpans> by_request;
-    struct BatchInfo {
-        double useful_tokens = 0;
-        std::vector<std::int64_t> members;
-    };
-    std::map<std::int64_t, BatchInfo> batches;
+    std::map<std::int64_t, double> useful_tokens;  ///< By batch.
     std::map<std::int64_t, std::vector<std::int64_t>> round_members;
 
     for (const TraceEvent &e : events) {
-        switch (e.kind) {
-          case TraceEventKind::kArrive: {
+        if (e.kind == TraceEventKind::kArrive) {
             RequestSpans s;
             s.request = e.request;
             s.tenant = e.tenant;
@@ -431,90 +421,65 @@ spans_from_events(const std::vector<TraceEvent> &events)
             s.arrive_us = s.admit_us = s.batched_us = s.dispatched_us =
                 s.finish_us = e.t_us;
             by_request[e.request] = std::move(s);
-            break;
-          }
-          case TraceEventKind::kAdmit: {
-            const auto it = by_request.find(e.request);
-            if (it == by_request.end()) {
-                break;  // Arrival outside this window.
+            continue;
+        }
+        if (e.kind == TraceEventKind::kRoundDispatch) {
+            // Batch formation and dispatch coincide today; keep the
+            // boundary honest anyway so a future scheduler that forms
+            // batches ahead of dispatch reports batch-wait > 0.
+            for (const std::int64_t request : round_members[e.round]) {
+                RequestSpans &s = by_request.at(request);
+                s.dispatched_us = s.finish_us = e.t_us;
             }
-            it->second.admit_us = it->second.batched_us =
-                it->second.dispatched_us = it->second.finish_us = e.t_us;
+            continue;
+        }
+        const auto it = by_request.find(e.request);
+        if (it == by_request.end()) {
+            continue;  // Not a request event, or arrived outside the window.
+        }
+        RequestSpans &s = it->second;
+        switch (e.kind) {
+          case TraceEventKind::kAdmit:
+            s.admit_us = s.batched_us = s.dispatched_us = s.finish_us =
+                e.t_us;
             break;
-          }
           case TraceEventKind::kShed:
-          case TraceEventKind::kShedRateLimit: {
-            const auto it = by_request.find(e.request);
-            if (it == by_request.end()) {
-                break;
-            }
-            RequestSpans &s = it->second;
+          case TraceEventKind::kShedRateLimit:
             s.outcome = e.kind == TraceEventKind::kShed ? "shed"
                                                         : "rate_limited";
             s.deadline_met = false;
             s.admit_us = s.batched_us = s.dispatched_us = s.finish_us =
                 e.t_us;
             break;
-          }
-          case TraceEventKind::kAgeOut: {
-            const auto it = by_request.find(e.request);
-            if (it == by_request.end()) {
-                break;
-            }
-            RequestSpans &s = it->second;
-            s.outcome = "aged_out";
+          case TraceEventKind::kAgeOut:
+          case TraceEventKind::kDrain:
+            s.outcome = e.kind == TraceEventKind::kAgeOut ? "aged_out"
+                                                          : "drained";
             s.deadline_met = false;
             s.batched_us = s.dispatched_us = s.finish_us = e.t_us;
             break;
-          }
           case TraceEventKind::kBatchForm: {
-            const auto it = by_request.find(e.request);
-            if (it == by_request.end()) {
-                break;
-            }
-            RequestSpans &s = it->second;
             s.batch = e.batch;
             s.round = e.round;
             s.bucket = e.bucket;
             s.planned_batch = e.planned_batch;
             s.actual_batch = e.actual_batch;
             s.batched_us = s.dispatched_us = s.finish_us = e.t_us;
-            BatchInfo &b = batches[e.batch];
-            b.useful_tokens += static_cast<double>(s.valid_len);
-            b.members.push_back(e.request);
+            useful_tokens[e.batch] += static_cast<double>(s.valid_len);
             round_members[e.round].push_back(e.request);
             break;
           }
-          case TraceEventKind::kRoundDispatch: {
-            // Batch formation and dispatch coincide today; keep the
-            // boundary honest anyway so a future scheduler that forms
-            // batches ahead of dispatch reports batch-wait > 0.
-            const auto it = round_members.find(e.round);
-            if (it == round_members.end()) {
-                break;
-            }
-            for (const std::int64_t request : it->second) {
-                RequestSpans &s = by_request.at(request);
-                s.dispatched_us = s.finish_us = e.t_us;
-            }
-            break;
-          }
-          case TraceEventKind::kComplete: {
-            const auto it = by_request.find(e.request);
-            if (it == by_request.end()) {
-                break;
-            }
-            RequestSpans &s = it->second;
+          case TraceEventKind::kComplete:
+          case TraceEventKind::kLost:
             MG_CHECK(s.batch >= 0)
                 << "completion for request " << e.request
                 << " that was never batched";
-            s.outcome = "completed";
-            s.deadline_met = e.flag;
+            s.outcome =
+                e.kind == TraceEventKind::kComplete ? "completed" : "lost";
+            s.deadline_met = e.kind == TraceEventKind::kComplete && e.flag;
             s.finish_us = e.t_us;
             break;
-          }
-          case TraceEventKind::kBatchDone:
-          case TraceEventKind::kRoundDone:
+          default:
             break;
         }
     }
@@ -533,22 +498,14 @@ spans_from_events(const std::vector<TraceEvent> &events)
                 static_cast<double>(s.planned_batch) *
                 static_cast<double>(s.bucket);
             if (planned_tokens > 0) {
-                const BatchInfo &b = batches.at(s.batch);
                 const double frac =
-                    1.0 - b.useful_tokens / planned_tokens;
+                    1.0 - useful_tokens[s.batch] / planned_tokens;
                 s.pad_us = s.device_us() * std::max(0.0, frac);
             }
         }
         spans.push_back(std::move(s));
     }
     return spans;
-}
-
-std::vector<RequestSpans>
-spans_from_events(const std::deque<TraceEvent> &events)
-{
-    return spans_from_events(
-        std::vector<TraceEvent>(events.begin(), events.end()));
 }
 
 // ---- SLO attribution + reconciliation -----------------------------------
@@ -636,19 +593,7 @@ build_trace_report(const TraceLog &log, const ServeReport &report,
     tr.info = info;
     tr.events = log.events().size();
     tr.incidents = log.incidents();
-    std::vector<std::string> &errors = tr.reconcile_errors;
-    const auto check = [&errors](bool ok, const std::string &msg) {
-        if (!ok) {
-            errors.push_back(msg);
-        }
-    };
-    const auto mismatch = [](const std::string &what, double got,
-                             double want) {
-        std::ostringstream os;
-        os << what << ": trace says " << got << ", ServeReport says "
-           << want;
-        return os.str();
-    };
+    Mismatches m{"trace", "ServeReport", {}};
 
     const std::vector<RequestSpans> spans =
         spans_from_events(log.events());
@@ -662,27 +607,24 @@ build_trace_report(const TraceLog &log, const ServeReport &report,
         // Boundary chaining: consecutive timestamps, so the components
         // telescope to the latency exactly. A violation means the
         // instrumentation emitted out-of-order times.
-        check(s.arrive_us <= s.admit_us && s.admit_us <= s.batched_us &&
-                  s.batched_us <= s.dispatched_us &&
-                  s.dispatched_us <= s.finish_us,
-              "request " + std::to_string(s.request) +
-                  ": span boundaries not monotone");
-        check(s.pad_us >= 0 && s.pad_us <= s.device_us(),
-              "request " + std::to_string(s.request) +
-                  ": pad outside device span");
-        const double sum = s.admission_us() + s.queue_us() +
-                           s.batch_wait_us() + s.pad_us + s.compute_us();
-        check(close_rel(sum, s.latency_us()),
-              mismatch("request " + std::to_string(s.request) +
-                           " component sum",
-                       sum, s.latency_us()));
+        const std::string request = "request " + std::to_string(s.request);
+        m.check(s.arrive_us <= s.admit_us && s.admit_us <= s.batched_us &&
+                    s.batched_us <= s.dispatched_us &&
+                    s.dispatched_us <= s.finish_us,
+                request + ": span boundaries not monotone");
+        m.check(s.pad_us >= 0 && s.pad_us <= s.device_us(),
+                request + ": pad outside device span");
+        m.close(request + " component sum",
+                s.admission_us() + s.queue_us() + s.batch_wait_us() +
+                    s.pad_us + s.compute_us(),
+                s.latency_us());
         if (s.outcome == "shed") {
             ++tr.shed;
         } else if (s.outcome == "rate_limited") {
             ++tr.rate_limited;
         } else if (s.outcome == "aged_out") {
             ++tr.aged_out;
-        } else {
+        } else if (s.outcome == "completed") {
             ++tr.completed;
             if (!s.deadline_met) {
                 ++tr.deadline_miss;
@@ -698,28 +640,13 @@ build_trace_report(const TraceLog &log, const ServeReport &report,
     tr.rounds = report.rounds;
 
     // ---- Counters must reconcile exactly (they are integers) ----------
-    check(tr.requests == report.admission.offered,
-          mismatch("offered requests", static_cast<double>(tr.requests),
-                   static_cast<double>(report.admission.offered)));
-    check(tr.shed + tr.rate_limited == report.admission.rejected,
-          mismatch("shed requests",
-                   static_cast<double>(tr.shed + tr.rate_limited),
-                   static_cast<double>(report.admission.rejected)));
-    check(tr.rate_limited == report.admission.shed_ratelimit,
-          mismatch("rate-limited requests",
-                   static_cast<double>(tr.rate_limited),
-                   static_cast<double>(report.admission.shed_ratelimit)));
-    check(tr.aged_out == report.admission.timed_out,
-          mismatch("aged-out requests", static_cast<double>(tr.aged_out),
-                   static_cast<double>(report.admission.timed_out)));
-    check(tr.completed == report.completed,
-          mismatch("completed requests",
-                   static_cast<double>(tr.completed),
-                   static_cast<double>(report.completed)));
-    check(tr.deadline_miss == report.deadline_miss,
-          mismatch("deadline misses",
-                   static_cast<double>(tr.deadline_miss),
-                   static_cast<double>(report.deadline_miss)));
+    const AdmissionStats &adm = report.admission;
+    m.exact("offered requests", tr.requests, adm.offered);
+    m.exact("shed requests", tr.shed + tr.rate_limited, adm.rejected);
+    m.exact("rate-limited requests", tr.rate_limited, adm.shed_ratelimit);
+    m.exact("aged-out requests", tr.aged_out, adm.timed_out);
+    m.exact("completed requests", tr.completed, report.completed);
+    m.exact("deadline misses", tr.deadline_miss, report.deadline_miss);
 
     // ---- Latency figures within tolerance -----------------------------
     const auto sort_by_latency =
@@ -733,19 +660,14 @@ build_trace_report(const TraceLog &log, const ServeReport &report,
                       });
         };
     sort_by_latency(all_completed);
-    const SpanBreakdown all_p50 = breakdown_at(all_completed, 50);
-    const SpanBreakdown all_p95 = breakdown_at(all_completed, 95);
-    const SpanBreakdown all_p99 = breakdown_at(all_completed, 99);
-    check(close_rel(all_p50.total_us, report.latency.p50),
-          mismatch("p50", all_p50.total_us, report.latency.p50));
-    check(close_rel(all_p95.total_us, report.latency.p95),
-          mismatch("p95", all_p95.total_us, report.latency.p95));
-    check(close_rel(all_p99.total_us, report.latency.p99),
-          mismatch("p99", all_p99.total_us, report.latency.p99));
+    m.close("p50", breakdown_at(all_completed, 50).total_us,
+            report.latency.p50);
+    m.close("p95", breakdown_at(all_completed, 95).total_us,
+            report.latency.p95);
+    m.close("p99", breakdown_at(all_completed, 99).total_us,
+            report.latency.p99);
     if (tr.completed > 0) {
-        check(close_rel(last_finish - first_arrival, report.makespan_us),
-              mismatch("makespan", last_finish - first_arrival,
-                       report.makespan_us));
+        m.close("makespan", last_finish - first_arrival, report.makespan_us);
     }
 
     for (int c = 0; c < kNumSloClasses; ++c) {
@@ -761,18 +683,13 @@ build_trace_report(const TraceLog &log, const ServeReport &report,
         const prof::LatencySummary &want = report.latency_by_class[c];
         const std::string cls =
             std::string(to_string(static_cast<SloClass>(c)));
-        check(attr.count == want.count,
-              mismatch(cls + " count", static_cast<double>(attr.count),
-                       static_cast<double>(want.count)));
-        check(close_rel(attr.mean.total_us, want.mean),
-              mismatch(cls + " mean", attr.mean.total_us, want.mean));
-        check(close_rel(attr.p50.total_us, want.p50),
-              mismatch(cls + " p50", attr.p50.total_us, want.p50));
-        check(close_rel(attr.p95.total_us, want.p95),
-              mismatch(cls + " p95", attr.p95.total_us, want.p95));
-        check(close_rel(attr.p99.total_us, want.p99),
-              mismatch(cls + " p99", attr.p99.total_us, want.p99));
+        m.exact(cls + " count", attr.count, want.count);
+        m.close(cls + " mean", attr.mean.total_us, want.mean);
+        m.close(cls + " p50", attr.p50.total_us, want.p50);
+        m.close(cls + " p95", attr.p95.total_us, want.p95);
+        m.close(cls + " p99", attr.p99.total_us, want.p99);
     }
+    tr.reconcile_errors = std::move(m.errors);
     return tr;
 }
 
@@ -786,9 +703,8 @@ trace_report_json(const TraceReport &report)
         w.field("schema", prof::kServeTraceReportSchema);
         w.field("schema_version", prof::kServeTraceReportVersion);
         w.key("manifest");
-        prof::RunManifest manifest =
-            prof::RunManifest::collect(report.info.device);
-        prof::write_manifest(w, manifest);
+        prof::write_manifest(w,
+                             prof::RunManifest::collect(report.info.device));
         w.field("preset", report.info.preset);
         w.field("device", report.info.device);
         w.field("seed", static_cast<std::int64_t>(report.info.seed));
@@ -802,13 +718,7 @@ trace_report_json(const TraceReport &report)
         w.field("deadline_miss",
                 static_cast<std::int64_t>(report.deadline_miss));
         w.field("rounds", report.rounds);
-        w.field("reconciled", report.reconciled());
-        w.key("reconcile_errors");
-        w.begin_array();
-        for (const std::string &e : report.reconcile_errors) {
-            w.value(e);
-        }
-        w.end_array();
+        write_reconcile(w, "reconciled", report.reconcile_errors);
         w.key("classes");
         w.begin_array();
         for (const ClassAttribution &attr : report.classes) {
@@ -846,8 +756,6 @@ trace_report_json(const TraceReport &report)
 
 namespace {
 
-constexpr int kServePid = 0;
-constexpr int kDevicePid = 1;
 constexpr int kRoundLane = 5;
 constexpr int kBatchLaneBase = 10;
 
@@ -857,8 +765,8 @@ constexpr int kBatchLaneBase = 10;
 /// single-server export — which keeps it byte-identical to the
 /// pre-fleet output).
 struct TrackIds {
-    int serve_pid = kServePid;
-    int device_pid = kDevicePid;
+    int serve_pid = 0;
+    int device_pid = 1;
     std::string prefix;
 };
 
@@ -915,7 +823,7 @@ counter_event(JsonWriter &w, const TrackIds &ids, const std::string &name,
 /// the tracks land.
 void
 append_serve_tracks(JsonWriter &w, const TraceLog &log,
-                    const ServeTraceOptions &options, const TrackIds &ids)
+                    const TelemetryRecorder *telemetry, const TrackIds &ids)
 {
     const std::vector<TraceEvent> &events = log.events();
     const std::vector<RequestSpans> spans = spans_from_events(events);
@@ -964,32 +872,17 @@ append_serve_tracks(JsonWriter &w, const TraceLog &log,
     }
 
     // ---- Batch + round lanes ------------------------------------------
-    struct BatchLane {
-        int slot = 0;
-        std::int64_t round = -1;
-        double dispatch_us = 0;
-        std::string model;
-        index_t bucket = 0;
-        int planned = 0;
-        int actual = 0;
-    };
-    std::map<std::int64_t, BatchLane> batch_lanes;
+    /// Batch id -> (slot, the batch's first kBatchForm event).
+    std::map<std::int64_t, std::pair<int, const TraceEvent *>> batch_lanes;
     std::map<std::int64_t, int> round_batches;  ///< round -> slots used.
     std::map<std::int64_t, double> round_dispatch_us;
     int max_slot = -1;
     for (const TraceEvent &e : events) {
         if (e.kind == TraceEventKind::kBatchForm) {
             if (batch_lanes.count(e.batch) == 0) {
-                BatchLane lane;
-                lane.slot = round_batches[e.round]++;
-                lane.round = e.round;
-                lane.dispatch_us = e.t_us;
-                lane.model = e.model;
-                lane.bucket = e.bucket;
-                lane.planned = e.planned_batch;
-                lane.actual = e.actual_batch;
-                max_slot = std::max(max_slot, lane.slot);
-                batch_lanes.emplace(e.batch, std::move(lane));
+                const int slot = round_batches[e.round]++;
+                max_slot = std::max(max_slot, slot);
+                batch_lanes.emplace(e.batch, std::pair{slot, &e});
             }
         } else if (e.kind == TraceEventKind::kRoundDispatch) {
             round_dispatch_us[e.round] = e.t_us;
@@ -998,22 +891,22 @@ append_serve_tracks(JsonWriter &w, const TraceLog &log,
             if (it == batch_lanes.end()) {
                 continue;
             }
-            const BatchLane &lane = it->second;
+            const auto &[slot, form] = it->second;
             w.begin_object();
             w.field("ph", "X");
             w.field("pid", ids.serve_pid);
-            w.field("tid", kBatchLaneBase + lane.slot);
+            w.field("tid", kBatchLaneBase + slot);
             std::ostringstream name;
-            name << "B" << e.batch << " " << lane.model << " b"
-                 << lane.bucket << " x" << lane.planned;
+            name << "B" << e.batch << " " << form->model << " b"
+                 << form->bucket << " x" << form->planned_batch;
             w.field("name", name.str());
-            w.field("ts", lane.dispatch_us);
-            w.field("dur", e.t_us - lane.dispatch_us);
+            w.field("ts", form->t_us);
+            w.field("dur", e.t_us - form->t_us);
             w.key("args");
             w.begin_object();
-            w.field("round", lane.round);
-            w.field("actual_batch", lane.actual);
-            w.field("planned_batch", lane.planned);
+            w.field("round", form->round);
+            w.field("actual_batch", form->actual_batch);
+            w.field("planned_batch", form->planned_batch);
             w.end_object();
             w.end_object();
         } else if (e.kind == TraceEventKind::kRoundDone) {
@@ -1037,40 +930,37 @@ append_serve_tracks(JsonWriter &w, const TraceLog &log,
     }
 
     // ---- Serving counter tracks ---------------------------------------
-    if (options.counters) {
-        double queue_depth = 0;
-        double in_flight = 0;
-        double sheds = 0;
-        double ratelimit_sheds = 0;
-        for (const TraceEvent &e : events) {
-            switch (e.kind) {
-              case TraceEventKind::kAdmit:
-                counter_event(w, ids, "queue_depth", e.t_us,
-                              ++queue_depth);
-                break;
-              case TraceEventKind::kAgeOut:
-                counter_event(w, ids, "queue_depth", e.t_us,
-                              --queue_depth);
-                break;
-              case TraceEventKind::kBatchForm:
-                counter_event(w, ids, "queue_depth", e.t_us,
-                              --queue_depth);
-                counter_event(w, ids, "in_flight", e.t_us, ++in_flight);
-                break;
-              case TraceEventKind::kComplete:
-                counter_event(w, ids, "in_flight", e.t_us, --in_flight);
-                break;
-              case TraceEventKind::kShed:
-                counter_event(w, ids, "sheds", e.t_us, ++sheds);
-                break;
-              case TraceEventKind::kShedRateLimit:
-                counter_event(w, ids, "sheds", e.t_us, ++sheds);
-                counter_event(w, ids, "ratelimit_sheds", e.t_us,
-                              ++ratelimit_sheds);
-                break;
-              default:
-                break;
-            }
+    double queue_depth = 0;
+    double in_flight = 0;
+    double sheds = 0;
+    double ratelimit_sheds = 0;
+    for (const TraceEvent &e : events) {
+        switch (e.kind) {
+          case TraceEventKind::kAdmit:
+            counter_event(w, ids, "queue_depth", e.t_us, ++queue_depth);
+            break;
+          case TraceEventKind::kAgeOut:
+          case TraceEventKind::kDrain:
+            counter_event(w, ids, "queue_depth", e.t_us, --queue_depth);
+            break;
+          case TraceEventKind::kBatchForm:
+            counter_event(w, ids, "queue_depth", e.t_us, --queue_depth);
+            counter_event(w, ids, "in_flight", e.t_us, ++in_flight);
+            break;
+          case TraceEventKind::kComplete:
+          case TraceEventKind::kLost:
+            counter_event(w, ids, "in_flight", e.t_us, --in_flight);
+            break;
+          case TraceEventKind::kShed:
+            counter_event(w, ids, "sheds", e.t_us, ++sheds);
+            break;
+          case TraceEventKind::kShedRateLimit:
+            counter_event(w, ids, "sheds", e.t_us, ++sheds);
+            counter_event(w, ids, "ratelimit_sheds", e.t_us,
+                          ++ratelimit_sheds);
+            break;
+          default:
+            break;
         }
     }
 
@@ -1078,8 +968,8 @@ append_serve_tracks(JsonWriter &w, const TraceLog &log,
     // Fixed-interval samples from the TelemetryRecorder, prefixed
     // "tele." so they sit beside — not inside — the event-edge counters
     // above (the events fire at state changes, the samples on a grid).
-    if (options.telemetry != nullptr) {
-        const TelemetryRecorder &tele = *options.telemetry;
+    if (telemetry != nullptr) {
+        const TelemetryRecorder &tele = *telemetry;
         const std::vector<std::string> &tenants = tele.tenants();
         for (const TelemetrySample &s : tele.samples()) {
             counter_event(w, ids, "tele.in_flight", s.t_us,
@@ -1097,7 +987,7 @@ append_serve_tracks(JsonWriter &w, const TraceLog &log,
     }
 
     // ---- Per-round gpusim replays on the shared clock -----------------
-    if (options.device_lanes && !log.round_sims().empty()) {
+    if (!log.round_sims().empty()) {
         meta_name(w, ids.device_pid, 0, "process_name",
                   ids.prefix + "gpusim replays");
         std::set<int> streams;
@@ -1119,84 +1009,35 @@ append_serve_tracks(JsonWriter &w, const TraceLog &log,
 
 }  // namespace
 
-void
-write_serve_trace(const TraceLog &log, std::ostream &os,
-                  const ServeTraceOptions &options)
+std::string
+serve_trace_json(const TraceLog &log, const TelemetryRecorder *telemetry)
 {
-    JsonWriter w(os);
-    w.begin_object();
-    w.field("displayTimeUnit", "ns");
-    w.key("traceEvents");
-    w.begin_array();
-    append_serve_tracks(w, log, options, TrackIds{});
-    w.end_array();
-    w.end_object();
+    return fleet_trace_json({{&log, telemetry, ""}});
 }
 
 std::string
-serve_trace_json(const TraceLog &log, const ServeTraceOptions &options)
+fleet_trace_json(const std::vector<FleetReplicaTrace> &replicas)
 {
     std::ostringstream os;
-    write_serve_trace(log, os, options);
-    return os.str();
-}
-
-void
-write_serve_trace_file(const TraceLog &log, const std::string &path,
-                       const ServeTraceOptions &options)
-{
-    std::ofstream file(path);
-    MG_CHECK(file.good()) << "cannot open trace file " << path;
-    write_serve_trace(log, file, options);
-    file.flush();
-    MG_CHECK(file.good()) << "failed writing trace file " << path;
-}
-
-void
-write_fleet_trace(const std::vector<FleetReplicaTrace> &replicas,
-                  std::ostream &os, const ServeTraceOptions &options)
-{
-    JsonWriter w(os);
-    w.begin_object();
-    w.field("displayTimeUnit", "ns");
-    w.key("traceEvents");
-    w.begin_array();
-    for (std::size_t k = 0; k < replicas.size(); ++k) {
-        const FleetReplicaTrace &replica = replicas[k];
-        MG_CHECK(replica.log != nullptr)
-            << "fleet trace replica " << k << " has no log";
-        ServeTraceOptions replica_options = options;
-        replica_options.telemetry = replica.telemetry;
-        TrackIds ids;
-        ids.serve_pid = static_cast<int>(2 * k);
-        ids.device_pid = static_cast<int>(2 * k + 1);
-        ids.prefix =
-            replica.label.empty() ? "" : replica.label + ".";
-        append_serve_tracks(w, *replica.log, replica_options, ids);
+    {
+        JsonWriter w(os);
+        w.begin_object();
+        w.field("displayTimeUnit", "ns");
+        w.key("traceEvents");
+        w.begin_array();
+        for (std::size_t k = 0; k < replicas.size(); ++k) {
+            const FleetReplicaTrace &replica = replicas[k];
+            MG_CHECK(replica.log != nullptr)
+                << "fleet trace replica " << k << " has no log";
+            const TrackIds ids{
+                static_cast<int>(2 * k), static_cast<int>(2 * k + 1),
+                replica.label.empty() ? "" : replica.label + "."};
+            append_serve_tracks(w, *replica.log, replica.telemetry, ids);
+        }
+        w.end_array();
+        w.end_object();
     }
-    w.end_array();
-    w.end_object();
-}
-
-std::string
-fleet_trace_json(const std::vector<FleetReplicaTrace> &replicas,
-                 const ServeTraceOptions &options)
-{
-    std::ostringstream os;
-    write_fleet_trace(replicas, os, options);
     return os.str();
-}
-
-void
-write_fleet_trace_file(const std::vector<FleetReplicaTrace> &replicas,
-                       const std::string &path,
-                       const ServeTraceOptions &options)
-{
-    std::ofstream file(path);
-    MG_CHECK(file.good()) << "cannot open trace file " << path;
-    write_fleet_trace(replicas, file, options);
-    file.flush();
-    MG_CHECK(file.good()) << "failed writing trace file " << path;
 }
 
 }  // namespace multigrain::serve

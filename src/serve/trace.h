@@ -9,20 +9,21 @@
 
 #include "common/json.h"
 #include "gpusim/engine.h"
-#include "serve/server.h"
+#include "serve/cost.h"
 #include "serve/traffic.h"
 
 /// End-to-end request tracing for the serving layer (the mgtrace.report
 /// and mgtrace.incident documents).
 ///
 /// mgserve's ServeReport says *how bad* the tail is; this layer says
-/// *where the time went*. When tracing is enabled, the Server emits one
-/// structured TraceEvent at every state transition a request goes
-/// through — arrival, admission decision, batch formation, round
-/// dispatch, device completion, or a terminal shed/age-out — each
-/// stamped with the virtual serving clock and the stable
+/// *where the time went*. The Server emits one structured TraceEvent at
+/// every state transition a request goes through — arrival, admission
+/// decision, batch formation, round dispatch, device completion, a
+/// terminal shed/age-out, or loss and drain when its replica is killed —
+/// each stamped with the virtual serving clock and the stable
 /// request/tenant/batch/round ids the rest of the system already uses.
-/// Everything downstream is a pure function of the event log:
+/// The ServeReport and CostReport are folds over that stream (ServeFold
+/// in serve/server.h), and so is everything here:
 ///
 ///  * spans_from_events() folds the log into per-request span timelines
 ///    whose boundary timestamps chain exactly (admission → queue →
@@ -39,16 +40,16 @@
 ///    self-contained incident that serializes to JSON and replays —
 ///    parse the dump, rebuild the spans, get byte-for-byte the same
 ///    answer the live log gives;
-///  * write_serve_trace() renders the run as one correlated Perfetto
+///  * serve_trace_json() renders the run as one correlated Perfetto
 ///    timeline: async request spans per tenant, batch-slot and round
 ///    lanes, serving counter tracks (queue depth, in-flight, sheds),
 ///    and — when per-round simulator capture is on — every round's
 ///    gpusim kernel replay overlaid at its dispatch offset via
 ///    sim::append_kernel_slices.
 ///
-/// Tracing is off by default: the Server's hot loop guards every
-/// emission behind a null check, and an untraced run is byte-identical
-/// to a pre-trace one. Same (preset, seed, device) runs produce
+/// The Server always emits; a TraceLog is optional and only records
+/// what it is handed, so a run with a log attached produces the same
+/// report as one without. Same (preset, seed, device) runs produce
 /// byte-identical event logs — the property the determinism tests pin.
 namespace multigrain::serve {
 
@@ -65,6 +66,10 @@ enum class TraceEventKind {
     kBatchDone,      ///< A batch's replay finished.
     kComplete,       ///< Terminal: request served (deadline_met in flag).
     kRoundDone,      ///< The round released the device.
+    /// Terminal: on the device when its replica was killed.
+    kLost,
+    /// Left a killed replica's queue for the router to re-offer.
+    kDrain,
 };
 
 const char *to_string(TraceEventKind kind);
@@ -87,13 +92,20 @@ struct TraceEvent {
     int slo = -1;        ///< kArrive (SloClass as int).
     index_t valid_len = 0;      ///< kArrive.
     double deadline_us = 0;     ///< kArrive.
+    /// kArrive: when the user issued the request. Equals t_us except on
+    /// a failover re-arrival, whose t_us is the reroute time.
+    double arrival_us = 0;
     index_t bucket = 0;         ///< kBatchForm.
     int planned_batch = 0;      ///< kBatchForm (padded plan size).
     int actual_batch = 0;       ///< kBatchForm members; kRoundDispatch batches.
     /// kRoundDispatch: projected HBM footprint of the round's plans
     /// (sum of each batch's MemPlan peak), bytes.
     std::uint64_t hbm_bytes = 0;
-    bool flag = false;          ///< kComplete: deadline met.
+    /// kBatchForm: the batch's own projected HBM footprint, bytes.
+    std::uint64_t footprint_bytes = 0;
+    /// kComplete: deadline met. kShed: shed by the byte budget (false:
+    /// by the depth bound).
+    bool flag = false;
 };
 
 /// One line of the JSONL event log (no trailing newline).
@@ -143,12 +155,7 @@ struct Incident {
     std::vector<TraceEvent> events;
 };
 
-/// Identity of the traced run, stamped into incidents and the report.
-struct TraceRunInfo {
-    std::string preset;
-    std::string device;
-    std::uint64_t seed = 0;
-};
+using TraceRunInfo = RunInfo;
 
 /// Self-contained "mgtrace.incident" v1 document: run identity, trigger,
 /// thresholds, and the full event window — everything needed to rebuild
@@ -157,7 +164,6 @@ std::string incident_to_json(const Incident &incident,
                              const TraceRunInfo &info,
                              const TraceConfig &config);
 /// Validates schema/version; throws Error on mismatch.
-Incident incident_from_json(const JsonValue &doc);
 Incident incident_from_json(const std::string &text);
 
 class TraceLog {
@@ -168,13 +174,11 @@ class TraceLog {
 
     /// Appends one event: assigns the next seq, maintains the ring
     /// window, and runs the anomaly detectors (which may freeze an
-    /// incident including this event).
-    void record(TraceEvent event);
-
-    /// Stores one round's simulator result for the Perfetto overlay
-    /// (no-op unless config().capture_sim).
-    void record_round_sim(std::int64_t round, double dispatch_us,
-                          const sim::SimResult &result);
+    /// incident including this event). A kRoundDispatch may bring its
+    /// round's simulator result, kept for the Perfetto overlay when
+    /// config().capture_sim is on.
+    void record(TraceEvent event,
+                const sim::SimResult *round_sim = nullptr);
 
     /// The full log (empty when retain_full is off).
     const std::vector<TraceEvent> &events() const { return events_; }
@@ -216,13 +220,15 @@ class TraceLog {
 /// pad/compute split of device time telescope to latency_us() exactly.
 /// Terminal outcomes collapse the unreached boundaries onto the
 /// terminal time: a shed request has all five equal to its arrival; an
-/// aged-out request spends everything after admit in queue_us().
+/// aged-out or drained request spends everything after admit in
+/// queue_us(); a lost request's device span ends at the fault.
 struct RequestSpans {
     std::int64_t request = -1;
     std::string tenant;
     std::string model;
     int slo = 0;
-    /// "completed" | "shed" | "rate_limited" | "aged_out".
+    /// "completed" | "shed" | "rate_limited" | "aged_out" | "lost" |
+    /// "drained".
     std::string outcome;
     bool deadline_met = true;
     index_t valid_len = 0;
@@ -256,10 +262,10 @@ struct RequestSpans {
 /// completion for a request that was never batched).
 std::vector<RequestSpans> spans_from_events(
     const std::vector<TraceEvent> &events);
-std::vector<RequestSpans> spans_from_events(
-    const std::deque<TraceEvent> &events);
 
 // ---- SLO attribution report ---------------------------------------------
+
+struct ServeReport;  // serve/server.h
 
 /// One latency figure decomposed into its span components. The
 /// components sum to total_us (up to float rounding of the percentile
@@ -320,36 +326,24 @@ std::string trace_report_json(const TraceReport &report);
 
 class TelemetryRecorder;  // serve/cost.h
 
-struct ServeTraceOptions {
-    /// Serving counter tracks: queue depth, in-flight requests,
-    /// cumulative sheds.
-    bool counters = true;
-    /// Overlay each captured round's kernel replay (needs a TraceLog
-    /// built with capture_sim).
-    bool device_lanes = true;
-    /// When set, the telemetry time-series samples are rendered as extra
-    /// counter tracks ("tele.*": per-tenant queue depth and bucket fill,
-    /// in-flight requests, round HBM watermark) beside the event-derived
-    /// lanes above. Must outlive the export call.
-    const TelemetryRecorder *telemetry = nullptr;
-};
-
 /// Renders the traced run as one Chrome/Perfetto timeline: async
 /// request spans (grouped per tenant), batch-slot and round lanes, the
-/// serving counter tracks, and the per-round gpusim replays under a
-/// second process, all on the shared serving clock.
-void write_serve_trace(const TraceLog &log, std::ostream &os,
-                       const ServeTraceOptions &options);
+/// serving counter tracks (queue depth, in-flight requests, cumulative
+/// sheds), and the per-round gpusim replays of a log built with
+/// capture_sim under a second process, all on the shared serving clock.
+/// When `telemetry` is set, its time-series samples are rendered as
+/// extra counter tracks ("tele.*": per-tenant queue depth and bucket
+/// fill, in-flight requests, round HBM watermark) beside the
+/// event-derived lanes; it must outlive the call. It is the fleet
+/// timeline of one replica with an empty label.
 std::string serve_trace_json(const TraceLog &log,
-                             const ServeTraceOptions &options = {});
-void write_serve_trace_file(const TraceLog &log, const std::string &path,
-                            const ServeTraceOptions &options = {});
+                             const TelemetryRecorder *telemetry = nullptr);
 
 /// One replica's contribution to a fleet timeline (ISSUE 9). The label
 /// (e.g. "r0") prefixes the replica's process names, counter tracks and
 /// async categories so N replicas coexist in one Perfetto view; the
-/// optional telemetry recorder overrides ServeTraceOptions::telemetry
-/// for this replica only. Both pointers must outlive the export call.
+/// optional telemetry recorder renders as in serve_trace_json. Both
+/// pointers must outlive the export call.
 struct FleetReplicaTrace {
     const TraceLog *log = nullptr;
     const TelemetryRecorder *telemetry = nullptr;
@@ -359,16 +353,8 @@ struct FleetReplicaTrace {
 /// Renders N replicas' event logs as one correlated timeline on the
 /// shared cluster clock: replica k's serving lanes run under pid 2k and
 /// its gpusim replays under pid 2k+1, every track name prefixed
-/// "<label>.". A single-replica fleet with an empty label is
-/// byte-identical to write_serve_trace of the same log.
-void write_fleet_trace(const std::vector<FleetReplicaTrace> &replicas,
-                       std::ostream &os,
-                       const ServeTraceOptions &options = {});
-std::string fleet_trace_json(const std::vector<FleetReplicaTrace> &replicas,
-                             const ServeTraceOptions &options = {});
-void write_fleet_trace_file(const std::vector<FleetReplicaTrace> &replicas,
-                            const std::string &path,
-                            const ServeTraceOptions &options = {});
+/// "<label>.".
+std::string fleet_trace_json(const std::vector<FleetReplicaTrace> &replicas);
 
 }  // namespace multigrain::serve
 

@@ -164,6 +164,57 @@ TEST(ReaderRobustnessTest, LoadHistory)
     EXPECT_GT(corrupt, 0);
 }
 
+/// A hand-built incident holding what a replica kill logs: a
+/// re-arrival whose arrival_us predates its t_us, a batch with its
+/// footprint, a request lost on the device and one drained from the
+/// queue.
+std::string
+failover_incident_document()
+{
+    serve::TraceLog log;
+    const auto event = [&log](serve::TraceEventKind kind, double t_us,
+                              std::int64_t request) {
+        serve::TraceEvent e;
+        e.kind = kind;
+        e.t_us = t_us;
+        e.request = request;
+        e.batch = 0;
+        e.round = 0;
+        if (kind == serve::TraceEventKind::kArrive) {
+            e.tenant = "t";
+            e.model = "tiny";
+            e.slo = 1;
+            e.valid_len = 30;
+            e.deadline_us = 500;
+            e.arrival_us = request == 1 ? 4 : t_us;
+        }
+        e.bucket = 64;
+        e.planned_batch = 1;
+        e.actual_batch = 1;
+        e.footprint_bytes = 4096;
+        e.hbm_bytes = 4096;
+        log.record(e);
+    };
+    using Kind = serve::TraceEventKind;
+    event(Kind::kArrive, 10, 1);
+    event(Kind::kAdmit, 10, 1);
+    event(Kind::kArrive, 11, 2);
+    event(Kind::kAdmit, 11, 2);
+    event(Kind::kBatchForm, 12, 1);
+    event(Kind::kRoundDispatch, 12, -1);
+    event(Kind::kLost, 20, 1);
+    event(Kind::kBatchDone, 20, -1);
+    event(Kind::kRoundDone, 20, -1);
+    event(Kind::kDrain, 20, 2);
+    serve::Incident incident;
+    incident.trigger = "replica_kill";
+    incident.t_us = 20;
+    incident.last_seq = log.events().back().seq;
+    incident.events = log.events();
+    return serve::incident_to_json(incident, {"failover", "a100", 0},
+                                   log.config());
+}
+
 TEST(ReaderRobustnessTest, IncidentFromJson)
 {
     const ServedMemtight &run = served_memtight();
@@ -174,6 +225,19 @@ TEST(ReaderRobustnessTest, IncidentFromJson)
         serve::incident_from_json(text);
     });
     EXPECT_GE(o.rejected, static_cast<int>(doc.size()));
+
+    // The failover kinds and fields read back, and so do their spans;
+    // their mutations fail with Error like any other.
+    const std::string failover = failover_incident_document();
+    const std::vector<serve::RequestSpans> spans = serve::spans_from_events(
+        serve::incident_from_json(failover).events);
+    ASSERT_EQ(spans.size(), 2u);
+    EXPECT_EQ(spans[0].outcome, "lost");
+    EXPECT_EQ(spans[1].outcome, "drained");
+    const Outcome f = feed(failover, 5, [](const std::string &text) {
+        serve::spans_from_events(serve::incident_from_json(text).events);
+    });
+    EXPECT_GE(f.rejected, static_cast<int>(failover.size()));
 }
 
 TEST(ReaderRobustnessTest, ReadCsrLayout)

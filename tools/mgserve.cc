@@ -368,8 +368,8 @@ run_serve(const Options &opt, const std::string &preset)
                serve::trace_report_json(trace));
     write_json(opt, dir + "/mgcost_" + tag + ".report.json",
                serve::cost_report_json(
-                   report.cost,
-                   {preset, opt.device, config.traffic.seed}, cost_errors));
+                   report.cost, {preset, opt.device, config.traffic.seed},
+                   cost_errors, prof::RunManifest::collect(opt.device)));
     if (!opt.events_path.empty()) {
         std::ostringstream os;
         serve::write_events_jsonl(log.events(), os);
@@ -382,10 +382,8 @@ run_serve(const Options &opt, const std::string &preset)
             serve::telemetry_csv(telemetry));
     }
     if (!opt.trace_path.empty()) {
-        serve::ServeTraceOptions trace_options;
-        trace_options.telemetry = &telemetry;
         write_json(opt, cli::resolve_out_path(opt.out_dir, opt.trace_path),
-                   serve::serve_trace_json(log, trace_options));
+                   serve::serve_trace_json(log, &telemetry));
     }
     for (std::size_t k = 0; k < log.incidents().size(); ++k) {
         const std::string json =
@@ -498,7 +496,9 @@ run_fleet(const Options &opt, const std::string &preset)
     write_json(opt,
                cli::default_artifact_dir(opt.out_dir) + "/mgcluster_" + tag +
                    ".report.json",
-               serve::cluster_report_json(report, info, errors));
+               serve::cluster_report_json(
+                   report, info, errors,
+                   prof::RunManifest::collect(info.device)));
     if (!logs.empty()) {
         std::vector<serve::FleetReplicaTrace> fleet;
         for (std::size_t k = 0; k < logs.size(); ++k) {
