@@ -68,7 +68,9 @@ main(int argc, char **argv)
                                        sample, 1);
         const EndToEndResult r = runner.simulate(device);
         if (argc > 2 && device.name == "A100") {
-            sim::write_chrome_trace_file(r.sim, argv[2]);
+            sim::TraceOptions options;
+            options.device = &device;
+            sim::write_chrome_trace_file(r.sim, argv[2], options);
             std::printf("  wrote Chrome trace to %s\n", argv[2]);
         }
         std::printf("  layer 0 Multigrain attention kernels:\n");

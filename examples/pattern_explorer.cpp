@@ -23,10 +23,8 @@
 #include <vector>
 
 #include "core/attention.h"
-#include "core/planner.h"
 #include "gpusim/device.h"
 #include "patterns/presets.h"
-#include "patterns/stats.h"
 
 using namespace multigrain;
 
@@ -139,16 +137,5 @@ main(int argc, char **argv)
     plan.validate_partition();
     std::printf("  partition check: coarse ⊎ fine ⊎ global == full "
                 "pattern ✓\n");
-
-    const PatternStats stats = analyze_pattern(pattern, config.block);
-    std::printf("\nanalytics: %s\n", stats.summarize().c_str());
-
-    const PlanDecision decision =
-        plan_attention(pattern, config, sim::DeviceSpec::a100());
-    std::printf("\nauto-planner (A100) recommends: %s\n",
-                decision.best.describe().c_str());
-    for (const PlanCandidate &c : decision.candidates) {
-        std::printf("  candidate %s\n", c.describe().c_str());
-    }
     return 0;
 }

@@ -1,106 +1,23 @@
 // QDS-Transformer document ranking, the paper's second end-to-end scenario
-// (MS MARCO, §4). Two parts:
-//
-//  1. A *functional* mini-ranker: a small QDS-style sparse transformer
-//    scores a query against a handful of synthetic documents (CLS-vector
-//    dot products) with Multigrain attention, and we verify the fine-only
-//    baseline produces the same ranking — the methods are numerically
-//    interchangeable.
-//  2. A *performance* view: the full QDS-Transformer-base reranking cost
-//    per document on the A100 model under the three processing methods
-//    (the paper's Fig. 7 QDS columns: Multigrain ~1.55x over Triton and
-//    ~1.08x over Sputnik).
+// (MS MARCO, §4): the full QDS-Transformer-base reranking cost per
+// document on the A100 model under the three processing methods (the
+// paper's Fig. 7 QDS columns: Multigrain ~1.55x over Triton and ~1.08x
+// over Sputnik).
 //
 //   $ ./qds_ranking
 
-#include <algorithm>
 #include <cstdio>
-#include <vector>
 
-#include "core/attention.h"
 #include "gpusim/device.h"
 #include "transformer/config.h"
-#include "transformer/layer.h"
 #include "transformer/runner.h"
 #include "transformer/workload.h"
 
 using namespace multigrain;
 
-namespace {
-
-/// CLS-vector score of one (query, document) pair under a tiny QDS-style
-/// model with the given attention method.
-float
-score_document(const ModelConfig &config,
-               const std::vector<LayerWeights> &weights,
-               const HalfMatrix &embedded, const WorkloadSample &sample,
-               SliceMode mode)
-{
-    AttentionConfig ac;
-    ac.head_dim = config.head_dim();
-    ac.num_heads = config.num_heads;
-    ac.block = config.block;
-    const AttentionEngine engine(build_model_pattern(config, sample), ac,
-                                 mode);
-    const HalfMatrix out = model_forward(config, engine, weights, embedded);
-    // Relevance = fixed random readout of the CLS row (row 0), a stand-in
-    // for the usual scoring head. (A plain mean would be ~0: the last op
-    // is a LayerNorm.)
-    Rng readout(99);
-    float score = 0;
-    for (index_t d = 0; d < out.cols(); ++d) {
-        score += float(out.at(0, d)) * readout.next_float(-1.0f, 1.0f);
-    }
-    return score / static_cast<float>(out.cols());
-}
-
-}  // namespace
-
 int
 main()
 {
-    // ---- Part 1: functional mini-ranker. --------------------------------
-    ModelConfig tiny = ModelConfig::tiny_test();
-    tiny.has_global_rows = false;  // QDS style: local + selected only.
-    Rng rng(11);
-    std::vector<LayerWeights> weights;
-    for (index_t i = 0; i < tiny.num_layers; ++i) {
-        weights.push_back(LayerWeights::random(rng, tiny));
-    }
-
-    const int kDocs = 5;
-    std::printf("scoring %d synthetic documents with a tiny QDS-style "
-                "ranker:\n", kDocs);
-    std::vector<std::pair<float, int>> ranking_mg, ranking_fine;
-    for (int doc = 0; doc < kDocs; ++doc) {
-        WorkloadSample sample = sample_msmarco(rng, tiny);
-        const HalfMatrix embedded = random_half_matrix(
-            rng, tiny.max_seq_len, tiny.d_model, -0.5f, 0.5f);
-        const float s_mg = score_document(tiny, weights, embedded, sample,
-                                          SliceMode::kMultigrain);
-        const float s_fine = score_document(tiny, weights, embedded, sample,
-                                            SliceMode::kFineOnly);
-        ranking_mg.push_back({s_mg, doc});
-        ranking_fine.push_back({s_fine, doc});
-        std::printf("  doc %d (len %4lld): multigrain %+0.4f   "
-                    "fine-only %+0.4f\n",
-                    doc, static_cast<long long>(sample.valid_len), s_mg,
-                    s_fine);
-    }
-    std::sort(ranking_mg.rbegin(), ranking_mg.rend());
-    std::sort(ranking_fine.rbegin(), ranking_fine.rend());
-    bool same_order = true;
-    std::printf("ranking (multigrain): ");
-    for (const auto &[score, doc] : ranking_mg) {
-        std::printf("doc%d ", doc);
-    }
-    for (std::size_t i = 0; i < ranking_mg.size(); ++i) {
-        same_order &= ranking_mg[i].second == ranking_fine[i].second;
-    }
-    std::printf("\nranking matches fine-only baseline: %s\n\n",
-                same_order ? "yes" : "NO (fp16 tie?)");
-
-    // ---- Part 2: full-size reranking cost. ------------------------------
     const ModelConfig qds = ModelConfig::qds_base();
     Rng wl(3);
     const WorkloadSample sample = sample_msmarco(wl, qds);
@@ -117,12 +34,9 @@ main()
         const EndToEndResult r = runner.simulate(sim::DeviceSpec::a100());
         if (mode == SliceMode::kMultigrain) {
             mg = r.total_us;
-            std::printf("  %-12s %8.2f ms\n", to_string(mode),
-                        r.total_us / 1000.0);
-        } else {
-            std::printf("  %-12s %8.2f ms\n", to_string(mode),
-                        r.total_us / 1000.0);
         }
+        std::printf("  %-12s %8.2f ms\n", to_string(mode),
+                    r.total_us / 1000.0);
     }
     std::printf("reranking 1000 candidates with Multigrain: %.1f s of "
                 "A100 time\n", mg * 1000 / 1e6);

@@ -157,13 +157,6 @@ JsonWriter::value(const std::string &v)
     os_ << "\"" << json_escape(v) << "\"";
 }
 
-void
-JsonWriter::null()
-{
-    separator();
-    os_ << "null";
-}
-
 const JsonValue *
 JsonValue::find(const std::string &k) const
 {

@@ -43,7 +43,6 @@ class JsonWriter {
     void value(bool v);
     void value(const std::string &v);
     void value(const char *v) { value(std::string(v)); }
-    void null();
 
     /// key + value in one call, for terse exporters.
     template <typename T>

@@ -7,7 +7,8 @@ namespace multigrain {
 
 namespace {
 
-LogLevel g_level = LogLevel::kWarn;
+/// Messages less severe than this are dropped.
+constexpr LogLevel kThreshold = LogLevel::kWarn;
 
 LogSink &
 sink_slot()
@@ -34,18 +35,6 @@ level_tag(LogLevel level)
 
 }  // namespace
 
-void
-set_log_level(LogLevel level)
-{
-    g_level = level;
-}
-
-LogLevel
-log_level()
-{
-    return g_level;
-}
-
 LogSink
 set_log_sink(LogSink sink)
 {
@@ -57,7 +46,7 @@ set_log_sink(LogSink sink)
 void
 log_message(LogLevel level, const std::string &message)
 {
-    if (static_cast<int>(level) > static_cast<int>(g_level)) {
+    if (static_cast<int>(level) > static_cast<int>(kThreshold)) {
         return;
     }
     const LogSink &sink = sink_slot();

@@ -6,17 +6,11 @@
 
 /// Minimal leveled logging to stderr.
 ///
-/// The library itself stays silent at the default level; benches and
-/// examples raise the level to narrate what the simulator is doing.
-/// Tests and mgprof install a sink to capture lines instead of losing
-/// them to stderr.
+/// Errors and warnings pass; info and debug lines are dropped. Tests
+/// install a sink to capture lines instead of losing them to stderr.
 namespace multigrain {
 
 enum class LogLevel { kError = 0, kWarn = 1, kInfo = 2, kDebug = 3 };
-
-/// Sets the process-wide log threshold; messages above it are dropped.
-void set_log_level(LogLevel level);
-LogLevel log_level();
 
 /// Receives every message that passes the threshold. The message is the
 /// raw text, without the "[multigrain LEVEL]" framing the stderr default
@@ -30,8 +24,8 @@ using LogSink = std::function<void(LogLevel, const std::string &)>;
 /// startup or around single-threaded test sections.
 LogSink set_log_sink(LogSink sink);
 
-/// Emits one line if `level` is at or below the threshold: to the
-/// installed sink, or to stderr when none is set.
+/// Emits one line if `level` is kWarn or more severe: to the installed
+/// sink, or to stderr when none is set.
 void log_message(LogLevel level, const std::string &message);
 
 }  // namespace multigrain

@@ -1,7 +1,6 @@
 #include "common/rng.h"
 
 #include <algorithm>
-#include <cmath>
 #include <unordered_set>
 
 #include "common/error.h"
@@ -87,25 +86,6 @@ Rng::next_float(float lo, float hi)
     return lo + (hi - lo) * next_float();
 }
 
-float
-Rng::next_gaussian()
-{
-    if (has_spare_gaussian_) {
-        has_spare_gaussian_ = false;
-        return spare_gaussian_;
-    }
-    float u1 = next_float();
-    while (u1 <= 1e-12f) {
-        u1 = next_float();
-    }
-    const float u2 = next_float();
-    const float radius = std::sqrt(-2.0f * std::log(u1));
-    const float angle = 2.0f * 3.14159265358979323846f * u2;
-    spare_gaussian_ = radius * std::sin(angle);
-    has_spare_gaussian_ = true;
-    return radius * std::cos(angle);
-}
-
 std::vector<std::int64_t>
 Rng::sample_distinct(std::int64_t bound, std::int64_t count)
 {
@@ -138,12 +118,6 @@ Rng::sample_distinct(std::int64_t bound, std::int64_t count)
     }
     std::sort(result.begin(), result.end());
     return result;
-}
-
-Rng
-Rng::fork()
-{
-    return Rng(next_u64() ^ 0xd1b54a32d192ed03ull);
 }
 
 }  // namespace multigrain

@@ -32,22 +32,13 @@ class Rng {
     /// Uniform float in [lo, hi).
     float next_float(float lo, float hi);
 
-    /// Standard normal variate (Box-Muller).
-    float next_gaussian();
-
     /// Draws `count` distinct integers from [0, bound), sorted ascending.
     /// Requires count <= bound.
     std::vector<std::int64_t> sample_distinct(std::int64_t bound,
                                               std::int64_t count);
 
-    /// Creates a child generator with an independent stream. Used to give
-    /// each (batch, head) its own stream without coupling draw order.
-    Rng fork();
-
   private:
     std::uint64_t state_[4];
-    bool has_spare_gaussian_ = false;
-    float spare_gaussian_ = 0.0f;
 };
 
 }  // namespace multigrain

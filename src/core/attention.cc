@@ -389,7 +389,8 @@ backward_phases(const PartTable &t, const sim::DeviceSpec &dev)
 /// → special order. Creation order is part of the replay contract: every
 /// graph of one engine numbers its logical streams alike, so one binding
 /// or stream map serves all of them. Each engine gets its own streams so
-/// several engines' phases can co-schedule (heterogeneous batches).
+/// several engines' plans can co-schedule (serving replays one runner per
+/// batch into the same simulator).
 std::vector<int>
 open_streams(LaunchGraph &graph, const PartTable &t)
 {

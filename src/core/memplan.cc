@@ -47,20 +47,6 @@ align_up(std::uint64_t v)
 
 }  // namespace
 
-const char *
-to_string(BufferClass cls)
-{
-    switch (cls) {
-    case BufferClass::kShared:
-        return "shared";
-    case BufferClass::kInput:
-        return "input";
-    case BufferClass::kPooled:
-        return "pooled";
-    }
-    return "?";
-}
-
 double
 MemPlan::pooling_savings() const
 {

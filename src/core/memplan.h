@@ -40,8 +40,6 @@ namespace multigrain {
 
 enum class BufferClass { kShared, kInput, kPooled };
 
-const char *to_string(BufferClass cls);
-
 /// Arena offsets are aligned to this boundary (cudaMalloc-style
 /// granularity; keeps slots reusable across dtype changes).
 inline constexpr std::uint64_t kArenaAlign = 256;

@@ -107,50 +107,6 @@ mask_from_csr(const CsrLayout &layout)
     return mask;
 }
 
-CsrLayout
-csr_from_coo(const CooLayout &coo)
-{
-    CsrLayout out;
-    out.rows = coo.rows;
-    out.cols = coo.cols;
-    out.row_offsets.assign(static_cast<std::size_t>(coo.rows + 1), 0);
-    out.col_indices.reserve(coo.entries.size());
-    index_t current_row = 0;
-    for (const auto &e : coo.entries) {
-        MG_CHECK(e.row >= current_row)
-            << "COO must be normalized before CSR conversion";
-        while (current_row < e.row) {
-            ++current_row;
-            out.row_offsets[static_cast<std::size_t>(current_row)] =
-                static_cast<index_t>(out.col_indices.size());
-        }
-        out.col_indices.push_back(e.col);
-    }
-    while (current_row < coo.rows) {
-        ++current_row;
-        out.row_offsets[static_cast<std::size_t>(current_row)] =
-            static_cast<index_t>(out.col_indices.size());
-    }
-    return out;
-}
-
-CooLayout
-coo_from_csr(const CsrLayout &csr)
-{
-    CooLayout out;
-    out.rows = csr.rows;
-    out.cols = csr.cols;
-    out.entries.reserve(static_cast<std::size_t>(csr.nnz()));
-    for (index_t r = 0; r < csr.rows; ++r) {
-        for (index_t i = csr.row_offsets[static_cast<std::size_t>(r)];
-             i < csr.row_offsets[static_cast<std::size_t>(r + 1)]; ++i) {
-            out.entries.push_back(
-                {r, csr.col_indices[static_cast<std::size_t>(i)]});
-        }
-    }
-    return out;
-}
-
 BsrLayout
 bsr_from_rows(
     index_t rows, index_t cols, index_t block,

@@ -7,7 +7,6 @@
 
 #include "formats/bcoo.h"
 #include "formats/bsr.h"
-#include "formats/coo.h"
 #include "formats/csr.h"
 #include "formats/matrix.h"
 
@@ -23,10 +22,6 @@ CsrLayout csr_from_mask(const MaskMatrix &mask);
 
 /// Expands a CSR layout to a 0/1 mask.
 MaskMatrix mask_from_csr(const CsrLayout &layout);
-
-/// COO <-> CSR layout conversions. The COO must be normalized.
-CsrLayout csr_from_coo(const CooLayout &coo);
-CooLayout coo_from_csr(const CsrLayout &csr);
 
 /// Blockifies a layout given row by row as non-empty column intervals:
 /// `row_intervals(r)` is called once per row, in order. Every

@@ -17,18 +17,6 @@ constexpr double kInfSpan = std::numeric_limits<double>::infinity();
 }  // namespace
 
 double
-SimResult::sum_kernel_time(const std::string &prefix) const
-{
-    double sum = 0;
-    for (const auto &k : kernels) {
-        if (k.name.rfind(prefix, 0) == 0) {
-            sum += k.duration_us();
-        }
-    }
-    return sum;
-}
-
-double
 SimResult::span(const std::string &prefix) const
 {
     double start = kInfSpan;

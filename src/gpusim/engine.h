@@ -87,10 +87,6 @@ struct SimResult {
     EngineCounters engine;
 
     double dram_bytes() const { return work.dram_bytes(); }
-    /// Sum of durations of kernels whose name starts with `prefix`.
-    /// Overlapping kernels both count (this is per-kernel time, not
-    /// critical-path time).
-    double sum_kernel_time(const std::string &prefix) const;
     /// Wall-clock span (max end - min start) over kernels whose name
     /// starts with `prefix`; the right metric for a multi-stream phase.
     /// Zero when nothing matches.

@@ -4,7 +4,6 @@
 #include <fstream>
 #include <ostream>
 #include <set>
-#include <sstream>
 #include <vector>
 
 #include "common/error.h"
@@ -181,62 +180,31 @@ emit_phase_marks(JsonWriter &w, const TraceOptions &options)
 }  // namespace
 
 void
-write_chrome_trace(const SimResult &result, std::ostream &os,
-                   const TraceOptions &options)
-{
-    JsonWriter w(os);
-    w.begin_object();
-    w.field("displayTimeUnit", "ns");
-    w.key("traceEvents");
-    w.begin_array();
-    emit_lane_names(w, result, options);
-    emit_kernel_slices(w, result);
-    if (options.flows) {
-        emit_flow_events(w, result);
-    }
-    if (options.device != nullptr) {
-        emit_counter_tracks(w, result, *options.device);
-    }
-    emit_phase_marks(w, options);
-    w.end_array();
-    w.end_object();
-}
-
-void
-write_chrome_trace(const SimResult &result, std::ostream &os)
-{
-    write_chrome_trace(result, os, TraceOptions{});
-}
-
-std::string
-chrome_trace_json(const SimResult &result, const TraceOptions &options)
-{
-    std::ostringstream os;
-    write_chrome_trace(result, os, options);
-    return os.str();
-}
-
-std::string
-chrome_trace_json(const SimResult &result)
-{
-    return chrome_trace_json(result, TraceOptions{});
-}
-
-void
 write_chrome_trace_file(const SimResult &result, const std::string &path,
                         const TraceOptions &options)
 {
     std::ofstream file(path);
     MG_CHECK(file.good()) << "cannot open trace file " << path;
-    write_chrome_trace(result, file, options);
+    {
+        JsonWriter w(file);
+        w.begin_object();
+        w.field("displayTimeUnit", "ns");
+        w.key("traceEvents");
+        w.begin_array();
+        emit_lane_names(w, result, options);
+        emit_kernel_slices(w, result);
+        if (options.flows) {
+            emit_flow_events(w, result);
+        }
+        if (options.device != nullptr) {
+            emit_counter_tracks(w, result, *options.device);
+        }
+        emit_phase_marks(w, options);
+        w.end_array();
+        w.end_object();
+    }
     file.flush();
     MG_CHECK(file.good()) << "failed writing trace file " << path;
-}
-
-void
-write_chrome_trace_file(const SimResult &result, const std::string &path)
-{
-    write_chrome_trace_file(result, path, TraceOptions{});
 }
 
 void

@@ -1,7 +1,6 @@
 #ifndef MULTIGRAIN_GPUSIM_TRACE_H_
 #define MULTIGRAIN_GPUSIM_TRACE_H_
 
-#include <iosfwd>
 #include <string>
 #include <vector>
 
@@ -43,23 +42,11 @@ struct TraceOptions {
     std::vector<PhaseMark> phases;
 };
 
-/// Writes the trace JSON to `os`. The two-argument form emits slices and
-/// flow arrows only (no device — no counters).
-void write_chrome_trace(const SimResult &result, std::ostream &os);
-void write_chrome_trace(const SimResult &result, std::ostream &os,
-                        const TraceOptions &options);
-
-/// Convenience: the trace as a string.
-std::string chrome_trace_json(const SimResult &result);
-std::string chrome_trace_json(const SimResult &result,
-                              const TraceOptions &options);
-
-/// Convenience: writes the trace to `path`; throws Error on I/O failure.
-void write_chrome_trace_file(const SimResult &result,
-                             const std::string &path);
+/// Writes the trace JSON to `path`; throws Error on I/O failure. Default
+/// options emit slices and flow arrows only (no device — no counters).
 void write_chrome_trace_file(const SimResult &result,
                              const std::string &path,
-                             const TraceOptions &options);
+                             const TraceOptions &options = {});
 
 /// Appends `result`'s per-kernel slices to an already-open
 /// "traceEvents" array, shifted forward by `offset_us` and placed under

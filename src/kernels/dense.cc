@@ -1,39 +1,12 @@
 #include "kernels/dense.h"
 
 #include <algorithm>
-#include <vector>
 
 #include "common/error.h"
 #include "common/util.h"
 #include "kernels/cost_model.h"
 
 namespace multigrain::kernels {
-
-void
-dense_gemm_nn(const HalfMatrix &a, const HalfMatrix &b, HalfMatrix &c)
-{
-    MG_CHECK(a.cols() == b.rows())
-        << "dense_gemm_nn inner-dim mismatch: " << a.cols() << " vs "
-        << b.rows();
-    MG_CHECK(c.rows() == a.rows() && c.cols() == b.cols())
-        << "dense_gemm_nn output shape mismatch";
-    std::vector<float> acc(static_cast<std::size_t>(b.cols()));
-    for (index_t i = 0; i < a.rows(); ++i) {
-        std::fill(acc.begin(), acc.end(), 0.0f);
-        for (index_t d = 0; d < a.cols(); ++d) {
-            const float av = float(a.at(i, d));
-            if (av == 0.0f) {
-                continue;
-            }
-            for (index_t j = 0; j < b.cols(); ++j) {
-                acc[static_cast<std::size_t>(j)] += av * float(b.at(d, j));
-            }
-        }
-        for (index_t j = 0; j < b.cols(); ++j) {
-            c.at(i, j) = half(acc[static_cast<std::size_t>(j)]);
-        }
-    }
-}
 
 sim::KernelLaunch
 plan_dense_gemm(const sim::DeviceSpec &device, index_t m, index_t n,

@@ -3,7 +3,7 @@
 
 #include <string>
 
-#include "formats/matrix.h"
+#include "common/util.h"
 #include "gpusim/engine.h"
 
 /// Dense kernels used for the "special" global-pattern parts (paper §3.1,
@@ -11,12 +11,8 @@
 /// a CUTLASS-style tiled tensor-core GEMM and a TensorRT-style fused
 /// row-wise softmax.
 ///
-/// Each kernel is a pair: the functional implementation (FP16 operands,
-/// FP32 accumulation) and a plan() that emits the simulator launch.
+/// Each kernel is a plan() that emits the simulator launch.
 namespace multigrain::kernels {
-
-/// C = A x B; FP32 accumulation, rounded to FP16 on store.
-void dense_gemm_nn(const HalfMatrix &a, const HalfMatrix &b, HalfMatrix &c);
 
 /// Performance plan for an M x N x K FP16 tensor-core GEMM, repeated
 /// `replicas` times (independent problem instances, e.g. batch x heads,

@@ -180,42 +180,6 @@ fig9_patterns(index_t seq_len, double density, std::uint64_t seed)
     };
 }
 
-CompoundPattern
-preset_sparse_transformer_strided(index_t seq_len, index_t stride)
-{
-    MG_CHECK(stride > 0 && seq_len % stride == 0)
-        << "strided pattern needs seq_len divisible by the stride";
-    CompoundPattern p;
-    p.seq_len = seq_len;
-    p.causal = true;
-    p.atoms.push_back(AtomicPattern::local(stride));
-    p.atoms.push_back(
-        AtomicPattern::dilated(seq_len / stride, stride));
-    return p;
-}
-
-CompoundPattern
-preset_sparse_transformer_fixed(index_t seq_len, index_t stride,
-                                index_t summary_cols)
-{
-    MG_CHECK(stride > 0 && seq_len % stride == 0)
-        << "fixed pattern needs seq_len divisible by the stride";
-    MG_CHECK(summary_cols > 0 && summary_cols <= stride)
-        << "summary_cols must be in (0, stride]";
-    CompoundPattern p;
-    p.seq_len = seq_len;
-    p.causal = true;
-    p.atoms.push_back(AtomicPattern::blocked_local(stride, 0));
-    std::vector<index_t> summaries;
-    for (index_t b = stride; b <= seq_len; b += stride) {
-        for (index_t s = 0; s < summary_cols; ++s) {
-            summaries.push_back(b - 1 - s);
-        }
-    }
-    p.atoms.push_back(AtomicPattern::selected(std::move(summaries)));
-    return p;
-}
-
 std::vector<NamedPattern>
 fig11_patterns(index_t seq_len, std::uint64_t seed)
 {

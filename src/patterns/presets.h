@@ -51,16 +51,6 @@ std::vector<NamedPattern> fig9_patterns(index_t seq_len, double density,
 std::vector<NamedPattern> fig11_patterns(index_t seq_len,
                                          std::uint64_t seed);
 
-/// Sparse Transformer (Child et al.) decoder patterns — the §6-adjacent
-/// autoregressive family. "Strided": a causal local window of `stride`
-/// plus every stride-th earlier position. "Fixed": causal blocks of width
-/// `stride` plus the trailing summary columns of every block.
-CompoundPattern preset_sparse_transformer_strided(index_t seq_len,
-                                                  index_t stride);
-CompoundPattern preset_sparse_transformer_fixed(index_t seq_len,
-                                                index_t stride,
-                                                index_t summary_cols);
-
 /// Evenly spread token positions with seeded jitter — stands in for
 /// data-dependent special-token locations in the synthetic patterns.
 std::vector<index_t> spread_tokens(index_t seq_len, index_t count,

@@ -11,8 +11,8 @@
 
 /// Machine-readable export of simulator results and profiles.
 ///
-/// Every JSON document carries a `schema` tag ("mgprof.simresult",
-/// "mgprof.report", "mgprof.profile") and a `schema_version` integer.
+/// Every JSON document carries a `schema` tag ("mgprof.profile",
+/// "mgprof.bench", ...) and a `schema_version` integer.
 /// The version is bumped when a field changes meaning or disappears;
 /// adding fields is backward-compatible and does not bump it. Tests pin
 /// the current version so schema drift is a deliberate act.
@@ -22,8 +22,6 @@
 namespace multigrain::prof {
 
 inline constexpr int kSchemaVersion = 1;
-inline constexpr const char *kSimResultSchema = "mgprof.simresult";
-inline constexpr const char *kReportSchema = "mgprof.report";
 inline constexpr const char *kProfileSchema = "mgprof.profile";
 inline constexpr const char *kBenchSchema = "mgprof.bench";
 
@@ -59,28 +57,14 @@ inline constexpr int kClusterReportVersion = 1;
 
 // ---- JSON ---------------------------------------------------------------
 
-void write_json(const sim::SimResult &result, std::ostream &os);
-void write_json(const sim::WorkloadReport &report, std::ostream &os);
-void write_json(const ProfiledRun &run, std::ostream &os);
-
-std::string to_json(const sim::SimResult &result);
-std::string to_json(const sim::WorkloadReport &report);
+/// The "mgprof.profile" document mgprof writes.
 std::string to_json(const ProfiledRun &run);
-
-/// Reads back a SimResult emitted by write_json (round-trip). Validates
-/// the schema tag and version; throws Error on mismatch or malformed
-/// input.
-sim::SimResult sim_result_from_json(const JsonValue &doc);
-sim::SimResult sim_result_from_json(const std::string &text);
 
 // ---- CSV ----------------------------------------------------------------
 
 /// Carved phases, one row per phase (ops then subphases then layers,
 /// tagged by a `group` column); columns come from phase_metric_registry().
 void write_phase_csv(const ProfiledRun &run, std::ostream &os);
-
-/// Per-kernel characterization rows.
-void write_kernel_csv(const sim::WorkloadReport &report, std::ostream &os);
 
 // ---- Files --------------------------------------------------------------
 

@@ -183,13 +183,6 @@ Cluster::set_trace(std::size_t replica, TraceLog *trace)
     servers_[replica].set_trace(trace);
 }
 
-void
-Cluster::set_telemetry(std::size_t replica, TelemetryRecorder *telemetry)
-{
-    MG_CHECK(replica < servers_.size()) << "no replica " << replica;
-    servers_[replica].set_telemetry(telemetry);
-}
-
 std::vector<ReplicaView>
 Cluster::views() const
 {

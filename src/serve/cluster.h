@@ -117,10 +117,9 @@ class Cluster {
 
     std::size_t size() const { return servers_.size(); }
 
-    /// Attaches a per-replica event log / telemetry recorder (same
-    /// observer contract as the Server setters; must outlive run()).
+    /// Attaches a per-replica event log (same observer contract as
+    /// Server::set_trace; must outlive run()).
     void set_trace(std::size_t replica, TraceLog *trace);
-    void set_telemetry(std::size_t replica, TelemetryRecorder *telemetry);
 
     /// Runs the fleet to completion. May be called once.
     ClusterReport run();

@@ -40,18 +40,6 @@ to_string(SloClass slo)
     return "?";
 }
 
-const char *
-to_string(ArrivalProcess process)
-{
-    switch (process) {
-      case ArrivalProcess::kPoisson:
-        return "poisson";
-      case ArrivalProcess::kClosedLoop:
-        return "closed-loop";
-    }
-    return "?";
-}
-
 TrafficSource::TrafficSource(const TrafficConfig &config)
     : config_(config), rng_(config.seed)
 {

@@ -56,8 +56,6 @@ enum class ArrivalProcess {
     kClosedLoop,  ///< `concurrency` clients, think_time_us between calls.
 };
 
-const char *to_string(ArrivalProcess process);
-
 struct TenantSpec {
     std::string name;
     /// Relative share of generated requests.

@@ -4,22 +4,6 @@
 
 namespace multigrain {
 
-const char *
-to_string(PatternFamily family)
-{
-    switch (family) {
-      case PatternFamily::kLongformer:
-        return "longformer";
-      case PatternFamily::kQds:
-        return "qds";
-      case PatternFamily::kBigBird:
-        return "bigbird";
-      case PatternFamily::kPoolingformer:
-        return "poolingformer";
-    }
-    return "?";
-}
-
 ModelConfig
 ModelConfig::longformer_large()
 {

@@ -22,8 +22,6 @@ enum class PatternFamily {
     kPoolingformer,  ///< local + dilated (two-level window).
 };
 
-const char *to_string(PatternFamily family);
-
 struct ModelConfig {
     std::string name;
     index_t num_layers = 0;

@@ -17,6 +17,7 @@ AttentionConfig
 make_attention_config(const ModelConfig &model, index_t batch,
                       const AttentionConfig *overrides)
 {
+    MG_CHECK(batch > 0) << "batch must be positive";
     AttentionConfig config;
     if (overrides != nullptr) {
         config = *overrides;
@@ -45,26 +46,10 @@ TransformerRunner::TransformerRunner(const ModelConfig &model,
                                      const WorkloadSample &sample,
                                      index_t batch,
                                      const AttentionConfig *overrides)
-    : model_(model), batch_(batch)
+    : model_(model), batch_(batch),
+      engine_(build_model_pattern(model_, sample),
+              make_attention_config(model_, batch, overrides), mode)
 {
-    MG_CHECK(batch > 0) << "batch must be positive";
-    engines_.push_back(std::make_unique<AttentionEngine>(
-        build_model_pattern(model_, sample),
-        make_attention_config(model_, batch, overrides), mode));
-}
-
-TransformerRunner::TransformerRunner(
-    const ModelConfig &model, SliceMode mode,
-    const std::vector<WorkloadSample> &samples,
-    const AttentionConfig *overrides)
-    : model_(model), batch_(static_cast<index_t>(samples.size()))
-{
-    MG_CHECK(!samples.empty()) << "heterogeneous batch needs samples";
-    for (const WorkloadSample &sample : samples) {
-        engines_.push_back(std::make_unique<AttentionEngine>(
-            build_model_pattern(model_, sample),
-            make_attention_config(model_, 1, overrides), mode));
-    }
 }
 
 LaunchGraph
@@ -101,43 +86,30 @@ TransformerRunner::build_layer_graph(const sim::DeviceSpec &device,
 
     LaunchGraph graph;
 
-    // Every engine gets its own logical-stream block, allocated upfront in
-    // engine order, so stream numbering depends only on the engine list,
-    // never on which phase first touches a stream. One map serves all of
-    // an engine's phase graphs (and its backward graph): the engine opens
-    // their streams in one order, so they share a logical numbering.
-    std::vector<std::shared_ptr<const AttentionEngine::AttentionGraphs>>
-        attn;
-    std::vector<std::shared_ptr<const LaunchGraph>> bwd;
-    std::vector<std::vector<int>> maps;
-    for (const auto &engine : engines_) {
-        attn.push_back(engine->forward_graphs(device));
-        if (kind == LayerKind::kTrainBackward) {
-            bwd.push_back(engine->backward_graph(device));
-        }
-        const int streams = kind == LayerKind::kTrainBackward
-                                ? bwd.back()->num_streams()
-                                : attn.back()->sddmm.num_streams();
-        std::vector<int> map = {0};
-        while (static_cast<int>(map.size()) < streams) {
-            map.push_back(graph.create_stream());
-        }
-        maps.push_back(std::move(map));
+    // The engine's streams are allocated upfront, so stream numbering
+    // never depends on which phase first touches a stream. One map serves
+    // all of the engine's phase graphs (and its backward graph): the
+    // engine opens their streams in one order, so they share a logical
+    // numbering.
+    const std::shared_ptr<const AttentionEngine::AttentionGraphs> attn =
+        engine_.forward_graphs(device);
+    const std::shared_ptr<const LaunchGraph> bwd =
+        kind == LayerKind::kTrainBackward ? engine_.backward_graph(device)
+                                          : nullptr;
+    const int streams =
+        bwd ? bwd->num_streams() : attn->sddmm.num_streams();
+    std::vector<int> map = {0};
+    while (static_cast<int>(map.size()) < streams) {
+        map.push_back(graph.create_stream());
     }
 
-    // One buffer namespace per engine, shared by all of that engine's
-    // phase appends: its softmax must see the very %s.* scores its sddmm
-    // wrote, while two co-scheduled engines must never alias theirs.
-    const auto engine_ns = [](std::size_t i) {
-        return "e" + std::to_string(i);
-    };
+    // One buffer namespace shared by all of the engine's phase appends:
+    // its softmax must see the very %s.* scores its sddmm wrote.
+    const std::string ns = "e0";
 
     const auto append_phase =
         [&](const LaunchGraph AttentionEngine::AttentionGraphs::*phase) {
-            for (std::size_t i = 0; i < engines_.size(); ++i) {
-                const std::string ns = engine_ns(i);
-                graph.append((*attn[i]).*phase, "attn.", &maps[i], &ns);
-            }
+            graph.append((*attn).*phase, "attn.", &map, &ns);
             graph.join_streams();
         };
 
@@ -260,9 +232,6 @@ TransformerRunner::build_layer_graph(const sim::DeviceSpec &device,
                             {{"x", act_d}, {"w.qkv", w_qkv}},
                             {{"q", act_d}, {"k", act_d}, {"v", act_d}}));
         graph.join_streams();
-        // Attention: every engine's phase co-schedules before each join,
-        // so a heterogeneous batch behaves like one batched launch over
-        // per-sample metadata.
         append_phase(&AttentionEngine::AttentionGraphs::sddmm);
         append_phase(&AttentionEngine::AttentionGraphs::softmax);
         append_phase(&AttentionEngine::AttentionGraphs::spmm);
@@ -309,11 +278,8 @@ TransformerRunner::build_layer_graph(const sim::DeviceSpec &device,
         break;
 
       case LayerKind::kTrainBackward:
-        // Backward graphs join internally after each of their phases.
-        for (std::size_t i = 0; i < engines_.size(); ++i) {
-            const std::string ns = engine_ns(i);
-            graph.append(*bwd[i], "attn.", &maps[i], &ns);
-        }
+        // The backward graph joins internally after each of its phases.
+        graph.append(*bwd, "attn.", &map, &ns);
         dense_layer(2.0);
         graph.join_streams();
         break;
@@ -334,10 +300,8 @@ TransformerRunner::layer_graph_key(const sim::DeviceSpec &device,
     std::string key = "runner|";
     key += layer_kind_tag(static_cast<int>(kind));
     key += dims;
-    for (const auto &engine : engines_) {
-        key += '|';
-        key += engine->plan_key();
-    }
+    key += '|';
+    key += engine_.plan_key();
     key += '|';
     key += device_plan_key(device);
     return key;
@@ -412,7 +376,7 @@ TransformerRunner::simulate_training(const sim::DeviceSpec &device) const
     const std::shared_ptr<const LaunchGraph> bwd =
         layer_graph(device, LayerKind::kTrainBackward);
     // Both layer kinds share one logical-stream layout (stream 0 + the
-    // per-engine blocks), so one binding keeps every layer and both
+    // engine's streams), so one binding keeps every layer and both
     // sweeps on the same real streams.
     std::vector<int> binding;
 

@@ -31,23 +31,16 @@ struct EndToEndResult {
 
 class TransformerRunner {
   public:
-    /// Homogeneous batch: every sample shares `sample`'s metadata, fused
-    /// into batch-replicated kernel launches (the fast common path).
+    /// A batch of `batch` samples that share `sample`'s metadata, fused
+    /// into batch-replicated kernel launches. The serving layer runs a
+    /// heterogeneous batch as one runner per sample bucket, co-scheduled
+    /// through plan_inference_into.
     TransformerRunner(const ModelConfig &model, SliceMode mode,
                       const WorkloadSample &sample, index_t batch,
                       const AttentionConfig *attention_overrides = nullptr);
 
-    /// Heterogeneous batch: each sample carries its own valid length and
-    /// special-token positions — its own attention metadata (§3.1: "the
-    /// number and position of nonzeros are changed by the input data").
-    /// Each sample's kernels are planned into the same phase and
-    /// co-scheduled, modeling a batched launch over per-sample metadata.
-    TransformerRunner(const ModelConfig &model, SliceMode mode,
-                      const std::vector<WorkloadSample> &samples,
-                      const AttentionConfig *attention_overrides = nullptr);
-
-    /// The (first) attention engine; handy for inspecting the slice plan.
-    const AttentionEngine &attention() const { return *engines_.front(); }
+    /// The attention engine; handy for inspecting the slice plan.
+    const AttentionEngine &attention() const { return engine_; }
     const ModelConfig &model() const { return model_; }
     index_t batch() const { return batch_; }
 
@@ -74,8 +67,8 @@ class TransformerRunner {
     /// The three per-layer op streams a pass is assembled from. A layer's
     /// kernel sequence is identical across layers up to its name prefix,
     /// so each kind is captured once per device — dense ops on logical
-    /// stream 0, every engine's phase graphs appended with its own
-    /// logical-stream block — PlanCache'd, and replayed once per layer
+    /// stream 0, the engine's phase graphs appended on the streams after
+    /// it — PlanCache'd, and replayed once per layer
     /// with the "L%02d."/"F%02d."/"B%02d." prefix. Public so mgplan can
     /// analyze the exact composed plans the runner replays.
     enum class LayerKind { kInference, kTrainForward, kTrainBackward };
@@ -100,7 +93,7 @@ class TransformerRunner {
 
     ModelConfig model_;
     index_t batch_ = 1;
-    std::vector<std::unique_ptr<AttentionEngine>> engines_;
+    AttentionEngine engine_;
 };
 
 }  // namespace multigrain

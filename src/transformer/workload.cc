@@ -1,9 +1,6 @@
 #include "transformer/workload.h"
 
 #include <algorithm>
-#include <istream>
-#include <ostream>
-#include <sstream>
 #include <string>
 
 #include "common/error.h"
@@ -88,44 +85,6 @@ sample_for_model(Rng &rng, const ModelConfig &config)
         return sample_hotpotqa(rng, config);
     }
     return sample_msmarco(rng, config);
-}
-
-void
-write_workload_sample(const WorkloadSample &sample, std::ostream &os)
-{
-    os << "valid_len " << sample.valid_len << "\n";
-    os << "tokens";
-    for (const index_t t : sample.special_tokens) {
-        os << " " << t;
-    }
-    os << "\n";
-}
-
-WorkloadSample
-read_workload_sample(std::istream &is)
-{
-    WorkloadSample sample;
-    std::string keyword;
-    MG_CHECK(static_cast<bool>(is >> keyword) && keyword == "valid_len")
-        << "workload sample must start with 'valid_len <N>'";
-    MG_CHECK(static_cast<bool>(is >> sample.valid_len) &&
-             sample.valid_len > 0)
-        << "workload sample needs a positive valid_len";
-    MG_CHECK(static_cast<bool>(is >> keyword) && keyword == "tokens")
-        << "workload sample must continue with 'tokens ...'";
-    std::string rest;
-    std::getline(is, rest);
-    std::istringstream tokens(rest);
-    index_t t;
-    while (tokens >> t) {
-        MG_CHECK(t >= 0 && t < sample.valid_len)
-            << "special token " << t << " outside [0, " << sample.valid_len
-            << ")";
-        sample.special_tokens.push_back(t);
-    }
-    sample.special_tokens =
-        finalize_tokens(std::move(sample.special_tokens), sample.valid_len);
-    return sample;
 }
 
 index_t

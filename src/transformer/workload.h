@@ -1,7 +1,6 @@
 #ifndef MULTIGRAIN_TRANSFORMER_WORKLOAD_H_
 #define MULTIGRAIN_TRANSFORMER_WORKLOAD_H_
 
-#include <iosfwd>
 #include <string>
 #include <vector>
 
@@ -42,14 +41,6 @@ WorkloadSample sample_msmarco(Rng &rng, const ModelConfig &config);
 
 /// Dispatches on the model name (Longformer -> HotpotQA, QDS -> MARCO).
 WorkloadSample sample_for_model(Rng &rng, const ModelConfig &config);
-
-/// Text I/O for samples, so real tokenized inputs can be plugged in:
-///   valid_len <N>
-///   tokens <t0> <t1> ...
-/// The reader validates ranges and sorts/dedupes tokens; throws Error on
-/// malformed input.
-void write_workload_sample(const WorkloadSample &sample, std::ostream &os);
-WorkloadSample read_workload_sample(std::istream &is);
 
 /// Builds the model's compound sparse pattern for one input sample:
 /// local(window) + selected(special) [+ global(special) when the model has

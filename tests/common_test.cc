@@ -223,20 +223,6 @@ TEST(RngTest, FloatMeanIsRoughlyHalf)
     EXPECT_NEAR(sum / n, 0.5, 0.01);
 }
 
-TEST(RngTest, GaussianMoments)
-{
-    Rng rng(13);
-    double sum = 0, sq = 0;
-    const int n = 20000;
-    for (int i = 0; i < n; ++i) {
-        const double g = rng.next_gaussian();
-        sum += g;
-        sq += g * g;
-    }
-    EXPECT_NEAR(sum / n, 0.0, 0.05);
-    EXPECT_NEAR(sq / n, 1.0, 0.05);
-}
-
 TEST(RngTest, SampleDistinctProducesSortedUnique)
 {
     Rng rng(17);
@@ -257,20 +243,6 @@ TEST(RngTest, SampleDistinctRejectsOversizedCount)
 {
     Rng rng(19);
     EXPECT_THROW(rng.sample_distinct(5, 6), Error);
-}
-
-TEST(RngTest, ForkedStreamsAreIndependent)
-{
-    Rng parent(23);
-    Rng child = parent.fork();
-    // The child stream should not replay the parent stream.
-    Rng parent2(23);
-    parent2.fork();
-    int equal = 0;
-    for (int i = 0; i < 100; ++i) {
-        equal += child.next_u64() == parent.next_u64();
-    }
-    EXPECT_LT(equal, 3);
 }
 
 // --------------------------------------------------------------- error ----
@@ -334,8 +306,6 @@ TEST(LoggingTest, SinkCapturesAndRestores)
         });
     EXPECT_FALSE(previous);  // Default stderr sink is the empty function.
 
-    const LogLevel saved_level = log_level();
-    set_log_level(LogLevel::kInfo);
     log_message(LogLevel::kWarn, "captured line");
     log_message(LogLevel::kDebug, "below threshold");
 
@@ -348,7 +318,6 @@ TEST(LoggingTest, SinkCapturesAndRestores)
     EXPECT_TRUE(mine);
     log_message(LogLevel::kWarn, "after restore");
     EXPECT_EQ(captured.size(), 1u);
-    set_log_level(saved_level);
 }
 
 // ---------------------------------------------------------------- json ----
@@ -363,8 +332,6 @@ TEST(JsonTest, WriterProducesParseableDocument)
         w.field("count", std::int64_t{42});
         w.field("ratio", 0.5);
         w.field("flag", true);
-        w.key("missing");
-        w.null();
         w.key("items");
         w.begin_array();
         w.value(1);
@@ -379,7 +346,6 @@ TEST(JsonTest, WriterProducesParseableDocument)
     EXPECT_EQ(doc.at("count").as_number(), 42.0);
     EXPECT_EQ(doc.at("ratio").as_number(), 0.5);
     EXPECT_TRUE(doc.at("flag").as_bool());
-    EXPECT_TRUE(doc.at("missing").is_null());
     ASSERT_EQ(doc.at("items").array.size(), 3u);
     EXPECT_EQ(doc.at("items").array[2].as_string(), "three");
 }

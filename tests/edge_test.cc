@@ -10,7 +10,6 @@
 #include "common/error.h"
 #include "core/attention.h"
 #include "core/lint.h"
-#include "core/planner.h"
 #include "gpusim/device.h"
 #include "kernels/reference.h"
 #include "patterns/slice.h"
@@ -150,26 +149,6 @@ TEST(EdgeTest, ScaleOverrideIsHonored)
     const DoubleMatrix ref = kernels::ref_attention(
         q, k, v, build_full_layout(engine.plan().pattern), 0.01);
     EXPECT_LT(kernels::max_abs_diff(widen(engine.run(q, k, v)), ref), 0.03);
-}
-
-TEST(EdgeTest, PlannerCanEvaluateDenseMode)
-{
-    CompoundPattern p;
-    p.seq_len = 512;
-    p.atoms.push_back(AtomicPattern::local(16));
-    AttentionConfig config;
-    config.head_dim = 64;
-    PlannerOptions options;
-    options.modes = {SliceMode::kMultigrain, SliceMode::kDense};
-    const PlanDecision d = plan_attention(p, config,
-                                          sim::DeviceSpec::a100(), options);
-    // A very sparse pattern: dense must lose.
-    EXPECT_EQ(d.best.mode, SliceMode::kMultigrain);
-    bool saw_dense = false;
-    for (const PlanCandidate &c : d.candidates) {
-        saw_dense |= c.mode == SliceMode::kDense;
-    }
-    EXPECT_TRUE(saw_dense);
 }
 
 TEST(EdgeTest, SelfAttentionDiagonalOnly)

@@ -2,7 +2,6 @@
 // the BSR bitmap transpose, and value gather/scatter.
 
 #include <memory>
-#include <sstream>
 
 #include <gtest/gtest.h>
 
@@ -11,9 +10,7 @@
 #include "formats/bcoo.h"
 #include "formats/bsr.h"
 #include "formats/convert.h"
-#include "formats/coo.h"
 #include "formats/csr.h"
-#include "formats/serialize.h"
 #include "formats/matrix.h"
 
 namespace multigrain {
@@ -112,43 +109,6 @@ TEST(CsrTest, MaskRoundTrip)
     const CsrLayout csr = csr_from_mask(mask);
     csr.validate();
     EXPECT_TRUE(masks_equal(mask, mask_from_csr(csr)));
-}
-
-// ----------------------------------------------------------------- COO ----
-
-TEST(CooTest, NormalizeSortsAndDedupes)
-{
-    CooLayout coo;
-    coo.rows = 4;
-    coo.cols = 4;
-    coo.entries = {{2, 1}, {0, 3}, {2, 1}, {0, 0}};
-    coo.normalize();
-    coo.validate();
-    ASSERT_EQ(coo.nnz(), 3);
-    EXPECT_EQ(coo.entries[0].row, 0);
-    EXPECT_EQ(coo.entries[0].col, 0);
-    EXPECT_EQ(coo.entries[2].row, 2);
-}
-
-TEST(CooTest, CsrRoundTrip)
-{
-    Rng rng(2);
-    const MaskMatrix mask = random_mask(rng, 17, 11, 0.3);
-    const CsrLayout csr = csr_from_mask(mask);
-    const CooLayout coo = coo_from_csr(csr);
-    coo.validate();
-    const CsrLayout back = csr_from_coo(coo);
-    EXPECT_EQ(back.row_offsets, csr.row_offsets);
-    EXPECT_EQ(back.col_indices, csr.col_indices);
-}
-
-TEST(CooTest, ValidateRejectsUnsorted)
-{
-    CooLayout coo;
-    coo.rows = 2;
-    coo.cols = 2;
-    coo.entries = {{1, 0}, {0, 0}};
-    EXPECT_THROW(coo.validate(), Error);
 }
 
 // ----------------------------------------------------------------- BSR ----
@@ -338,78 +298,6 @@ TEST(MatrixTest, FillAndAccessors)
     EXPECT_EQ(float(m.at(0, 0)), -1.0f);
     m.at(1, 2) = half(3.0f);
     EXPECT_EQ(float(m.row(1)[2]), 3.0f);
-}
-
-// ------------------------------------------------------- serialization ----
-
-TEST(SerializeTest, CsrRoundTrips)
-{
-    Rng rng(11);
-    const CsrLayout layout = csr_from_mask(random_mask(rng, 37, 53, 0.2));
-    std::stringstream ss;
-    write_layout(layout, ss);
-    const CsrLayout back = read_csr_layout(ss);
-    EXPECT_EQ(back.rows, layout.rows);
-    EXPECT_EQ(back.cols, layout.cols);
-    EXPECT_EQ(back.row_offsets, layout.row_offsets);
-    EXPECT_EQ(back.col_indices, layout.col_indices);
-}
-
-TEST(SerializeTest, BsrRoundTripsWithBitmaps)
-{
-    Rng rng(12);
-    const BsrLayout layout =
-        bsr_from_csr(csr_from_mask(random_mask(rng, 64, 64, 0.1)), 16);
-    std::stringstream ss;
-    write_layout(layout, ss);
-    const BsrLayout back = read_bsr_layout(ss);
-    EXPECT_EQ(back.block, layout.block);
-    EXPECT_EQ(back.row_offsets, layout.row_offsets);
-    EXPECT_EQ(back.col_indices, layout.col_indices);
-    EXPECT_EQ(back.valid_bits, layout.valid_bits);
-    EXPECT_EQ(back.total_valid(), layout.total_valid());
-}
-
-TEST(SerializeTest, RejectsWrongKind)
-{
-    Rng rng(13);
-    const CsrLayout layout = csr_from_mask(random_mask(rng, 8, 8, 0.5));
-    std::stringstream ss;
-    write_layout(layout, ss);
-    EXPECT_THROW(read_bsr_layout(ss), Error);
-}
-
-TEST(SerializeTest, RejectsGarbageAndTruncation)
-{
-    {
-        std::stringstream ss;
-        ss << "this is not a layout";
-        EXPECT_THROW(read_csr_layout(ss), Error);
-    }
-    {
-        Rng rng(14);
-        const CsrLayout layout =
-            csr_from_mask(random_mask(rng, 16, 16, 0.3));
-        std::stringstream ss;
-        write_layout(layout, ss);
-        const std::string full = ss.str();
-        std::stringstream truncated(
-            full.substr(0, full.size() / 2));
-        EXPECT_THROW(read_csr_layout(truncated), Error);
-    }
-}
-
-TEST(SerializeTest, RejectsCorruptedIndices)
-{
-    Rng rng(15);
-    const CsrLayout layout = csr_from_mask(random_mask(rng, 16, 16, 0.5));
-    std::stringstream ss;
-    write_layout(layout, ss);
-    std::string bytes = ss.str();
-    // Flip a byte in the payload (past the 3-word header + dims).
-    bytes[bytes.size() - 3] = static_cast<char>(0xff);
-    std::stringstream corrupted(bytes);
-    EXPECT_THROW(read_csr_layout(corrupted), Error);
 }
 
 TEST(MatrixTest, WidenPreservesValues)

@@ -325,18 +325,6 @@ TEST(RunnerComposedReplayTest, TrainingPassMatchesImperativeLoop)
               "e0e9e695047f2966");
 }
 
-TEST(RunnerComposedReplayTest, HeterogeneousBatchMatchesImperativeLoop)
-{
-    const ModelConfig model = ModelConfig::tiny_test();
-    Rng rng(5);
-    std::vector<WorkloadSample> samples;
-    samples.push_back(sample_for_model(rng, model));
-    samples.push_back(sample_for_model(rng, model));
-    const TransformerRunner runner(model, SliceMode::kMultigrain, samples);
-    EXPECT_EQ(digest(runner.simulate(sim::DeviceSpec::a100()).sim),
-              "f86dc8d0495875a0");
-}
-
 /// The patterns the plan and run digests cover, each with its config:
 /// Multigrain plans with every part, without a fine part, without a
 /// coarse part, with only fine and special parts, with global rows kept

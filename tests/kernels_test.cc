@@ -97,19 +97,6 @@ TEST(ReferenceTest, SoftmaxInvariantToShift)
     }
 }
 
-// --------------------------------------------------------------- dense ----
-
-TEST(DenseKernelTest, GemmNnMatchesReference)
-{
-    Rng rng(5);
-    const HalfMatrix a = random_half_matrix(rng, 12, 18);
-    const HalfMatrix b = random_half_matrix(rng, 18, 10);
-    HalfMatrix c(12, 10);
-    kernels::dense_gemm_nn(a, b, c);
-    const DoubleMatrix ref = kernels::ref_gemm_nn(widen(a), widen(b));
-    EXPECT_LT(kernels::max_abs_diff(widen(c), ref), kTol * 18);
-}
-
 // -------------------------------------------------------------- coarse ----
 
 class SparseGemmTest : public ::testing::TestWithParam<index_t> {};

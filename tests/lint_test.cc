@@ -294,30 +294,6 @@ TEST(LintPresets, AllPresetPlansAreHazardFree)
     }
 }
 
-TEST(LintPresets, HeterogeneousBatchEnginesDoNotAliasIntermediates)
-{
-    const ScopedLintEnv env("0");
-    const ModelConfig model = ModelConfig::tiny_test();
-    const sim::DeviceSpec device = sim::DeviceSpec::a100();
-    Rng rng(7);
-    std::vector<WorkloadSample> samples;
-    samples.push_back(sample_for_model(rng, model));
-    samples.push_back(sample_for_model(rng, model));
-    samples.push_back(sample_for_model(rng, model));
-    const TransformerRunner runner(model, SliceMode::kMultigrain, samples);
-
-    LintOptions options;
-    options.device = &device;
-    for (const TransformerRunner::LayerKind kind :
-         {TransformerRunner::LayerKind::kInference,
-          TransformerRunner::LayerKind::kTrainForward,
-          TransformerRunner::LayerKind::kTrainBackward}) {
-        const LintReport report =
-            lint_graph(*runner.layer_graph(device, kind), options);
-        EXPECT_EQ(report.hazards(), 0u) << report.summary();
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Hazard classification over hand-built graphs.
 

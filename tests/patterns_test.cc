@@ -12,7 +12,6 @@
 #include "patterns/pattern.h"
 #include "patterns/presets.h"
 #include "patterns/slice.h"
-#include "patterns/stats.h"
 
 namespace multigrain {
 namespace {
@@ -490,9 +489,42 @@ TEST(CausalTest, DescribeMentionsCausality)
     EXPECT_NE(p.describe().find("causal"), std::string::npos);
 }
 
+/// Sparse Transformer (Child et al.) decoder patterns. "Strided": a
+/// causal local window of `stride` plus every stride-th earlier position.
+/// "Fixed": causal blocks of width `stride` plus the trailing
+/// `summary_cols` columns of every block.
+CompoundPattern
+sparse_transformer_strided(index_t seq_len, index_t stride)
+{
+    CompoundPattern p;
+    p.seq_len = seq_len;
+    p.causal = true;
+    p.atoms.push_back(AtomicPattern::local(stride));
+    p.atoms.push_back(AtomicPattern::dilated(seq_len / stride, stride));
+    return p;
+}
+
+CompoundPattern
+sparse_transformer_fixed(index_t seq_len, index_t stride,
+                         index_t summary_cols)
+{
+    CompoundPattern p;
+    p.seq_len = seq_len;
+    p.causal = true;
+    p.atoms.push_back(AtomicPattern::blocked_local(stride, 0));
+    std::vector<index_t> summaries;
+    for (index_t b = stride; b <= seq_len; b += stride) {
+        for (index_t s = 0; s < summary_cols; ++s) {
+            summaries.push_back(b - 1 - s);
+        }
+    }
+    p.atoms.push_back(AtomicPattern::selected(std::move(summaries)));
+    return p;
+}
+
 TEST(CausalTest, SparseTransformerStridedShape)
 {
-    const CompoundPattern p = preset_sparse_transformer_strided(64, 8);
+    const CompoundPattern p = sparse_transformer_strided(64, 8);
     const CsrLayout full = build_full_layout(p);
     // Row 40 attends its window [32, 40] and the strided history
     // positions 0, 8, 16, 24, 32, 40.
@@ -507,7 +539,7 @@ TEST(CausalTest, SparseTransformerStridedShape)
 
 TEST(CausalTest, SparseTransformerFixedShape)
 {
-    const CompoundPattern p = preset_sparse_transformer_fixed(64, 16, 2);
+    const CompoundPattern p = sparse_transformer_fixed(64, 16, 2);
     const CsrLayout full = build_full_layout(p);
     const MaskMatrix mask = mask_from_csr(full);
     // Row 40 (block 2) attends inside its block up to itself...
@@ -523,7 +555,7 @@ TEST(CausalTest, SparseTransformerFixedShape)
 
 TEST(CausalTest, SlicesAndValidates)
 {
-    const CompoundPattern p = preset_sparse_transformer_strided(128, 16);
+    const CompoundPattern p = sparse_transformer_strided(128, 16);
     for (const SliceMode mode :
          {SliceMode::kMultigrain, SliceMode::kCoarseOnly,
           SliceMode::kFineOnly}) {
@@ -569,55 +601,6 @@ TEST(BurstTokensTest, BurstOfOneMatchesSpreadCardinality)
 {
     EXPECT_EQ(burst_tokens(256, 16, 1, 5).size(),
               spread_tokens(256, 16, 5).size());
-}
-
-// ---------------------------------------------------------------- stats ----
-
-TEST(StatsTest, BandedPatternHasLowVariationAndInflation)
-{
-    CompoundPattern p;
-    p.seq_len = 512;
-    p.atoms.push_back(AtomicPattern::blocked_local(64, 1));
-    const PatternStats s = analyze_pattern(p, 64);
-    EXPECT_NEAR(s.block_inflation, 1.0, 1e-9);  // Block-aligned band.
-    EXPECT_LT(s.row_cv, 0.25);  // Only edge rows differ.
-    EXPECT_NEAR(s.coarse_fraction, 1.0, 1e-9);
-    EXPECT_NEAR(s.fine_fraction, 0.0, 1e-9);
-}
-
-TEST(StatsTest, GlobalRowsRaiseVariation)
-{
-    CompoundPattern base;
-    base.seq_len = 512;
-    base.atoms.push_back(AtomicPattern::local(16));
-    CompoundPattern with_global = base;
-    with_global.atoms.push_back(AtomicPattern::global({5, 100}));
-    EXPECT_GT(analyze_pattern(with_global, 64).row_cv,
-              2 * analyze_pattern(base, 64).row_cv);
-    EXPECT_GT(analyze_pattern(with_global, 64).special_fraction, 0.0);
-}
-
-TEST(StatsTest, ScatteredPatternInflatesBlockification)
-{
-    CompoundPattern p;
-    p.seq_len = 512;
-    p.atoms.push_back(AtomicPattern::random(6, 3));
-    const PatternStats s = analyze_pattern(p, 64);
-    EXPECT_GT(s.block_inflation, 20.0);  // ~1 valid per 4096-slot block.
-    EXPECT_NEAR(s.fine_fraction, 1.0, 1e-9);
-}
-
-TEST(StatsTest, FractionsSumToOne)
-{
-    const auto patterns = fig9_patterns(512, 0.08, 5);
-    for (const auto &[label, pattern] : patterns) {
-        const PatternStats s = analyze_pattern(pattern, 64);
-        EXPECT_NEAR(s.coarse_fraction + s.fine_fraction +
-                        s.special_fraction,
-                    1.0, 1e-9)
-            << label;
-        EXPECT_FALSE(s.summarize().empty());
-    }
 }
 
 }  // namespace

@@ -1,6 +1,5 @@
 // The profiler subsystem: phase carving by the kernel naming convention,
-// the metric registry, the schema-versioned JSON/CSV exporters, and the
-// SimResult round-trip.
+// the metric registry and the schema-versioned JSON/CSV exporters.
 
 #include <cmath>
 #include <sstream>
@@ -9,7 +8,6 @@
 
 #include <gtest/gtest.h>
 
-#include "common/error.h"
 #include "common/json.h"
 #include "common/timer.h"
 #include "gpusim/device.h"
@@ -164,65 +162,12 @@ TEST(ProfilerTest, SchemaVersionIsPinned)
     // Bumping the version is a deliberate act: update this test and the
     // docs/profiling.md schema section together.
     EXPECT_EQ(kSchemaVersion, 1);
-    EXPECT_STREQ(kSimResultSchema, "mgprof.simresult");
-    EXPECT_STREQ(kReportSchema, "mgprof.report");
     EXPECT_STREQ(kProfileSchema, "mgprof.profile");
     EXPECT_STREQ(kBenchSchema, "mgprof.bench");
     // Bench v2 added the RunManifest header (docs/benchmarking.md).
     EXPECT_EQ(kBenchSchemaVersion, 2);
     EXPECT_STREQ(kRegressionSchema, "mgperf.report");
     EXPECT_EQ(kRegressionSchemaVersion, 1);
-}
-
-TEST(ProfilerTest, SimResultJsonRoundTrip)
-{
-    sim::SimResult original = layered_result();
-    original.kernels[2].deps = {0, 1};
-
-    const std::string text = to_json(original);
-    const JsonValue doc = json_parse(text);
-    EXPECT_EQ(doc.at("schema").as_string(), kSimResultSchema);
-    EXPECT_EQ(doc.at("schema_version").as_number(), kSchemaVersion);
-
-    const sim::SimResult back = sim_result_from_json(text);
-    EXPECT_DOUBLE_EQ(back.total_us, original.total_us);
-    ASSERT_EQ(back.kernels.size(), original.kernels.size());
-    for (std::size_t i = 0; i < back.kernels.size(); ++i) {
-        const sim::KernelStats &a = original.kernels[i];
-        const sim::KernelStats &b = back.kernels[i];
-        EXPECT_EQ(b.name, a.name);
-        EXPECT_EQ(b.stream, a.stream);
-        EXPECT_EQ(b.num_tbs, a.num_tbs);
-        EXPECT_EQ(b.occupancy_per_sm, a.occupancy_per_sm);
-        EXPECT_DOUBLE_EQ(b.start_us, a.start_us);
-        EXPECT_DOUBLE_EQ(b.end_us, a.end_us);
-        EXPECT_DOUBLE_EQ(b.work.cuda_flops, a.work.cuda_flops);
-        EXPECT_DOUBLE_EQ(b.work.dram_read_bytes, a.work.dram_read_bytes);
-        EXPECT_DOUBLE_EQ(b.avg_concurrency, a.avg_concurrency);
-        EXPECT_EQ(b.deps, a.deps);
-    }
-    EXPECT_DOUBLE_EQ(back.work.dram_bytes(), original.work.dram_bytes());
-}
-
-TEST(ProfilerTest, EmptySimResultRoundTrips)
-{
-    const sim::SimResult empty;
-    const sim::SimResult back = sim_result_from_json(to_json(empty));
-    EXPECT_EQ(back.kernels.size(), 0u);
-    EXPECT_DOUBLE_EQ(back.total_us, 0.0);
-}
-
-TEST(ProfilerTest, SimResultFromJsonRejectsWrongSchema)
-{
-    EXPECT_THROW(sim_result_from_json(std::string("{}")), Error);
-    EXPECT_THROW(
-        sim_result_from_json(std::string(
-            "{\"schema\": \"mgprof.profile\", \"schema_version\": 1}")),
-        Error);
-    EXPECT_THROW(
-        sim_result_from_json(std::string(
-            "{\"schema\": \"mgprof.simresult\", \"schema_version\": 999}")),
-        Error);
 }
 
 TEST(ProfilerTest, ProfileJsonIsValidAndCarriesPhases)
@@ -261,16 +206,6 @@ TEST(ProfilerTest, ProfileJsonIsValidAndCarriesPhases)
     EXPECT_EQ(doc.at("engine").at("units").as_number(), 0.0);
 }
 
-TEST(ProfilerTest, ReportJsonParses)
-{
-    const ProfiledRun run =
-        profile(layered_result(), sim::DeviceSpec::a100());
-    const JsonValue doc = json_parse(to_json(run.report));
-    EXPECT_EQ(doc.at("schema").as_string(), kReportSchema);
-    ASSERT_TRUE(doc.at("kernels").is_array());
-    EXPECT_EQ(doc.at("kernels").array.size(), 6u);
-}
-
 TEST(ProfilerTest, PhaseCsvHasRegistryColumnsAndAllGroups)
 {
     const ProfiledRun run =
@@ -296,23 +231,6 @@ TEST(ProfilerTest, PhaseCsvHasRegistryColumnsAndAllGroups)
     EXPECT_EQ(rows,
               run.ops.size() + run.subphases.size() + run.layers.size());
     EXPECT_TRUE(saw_layer_group);
-}
-
-TEST(ProfilerTest, KernelCsvHasOneRowPerKernel)
-{
-    const ProfiledRun run =
-        profile(layered_result(), sim::DeviceSpec::a100());
-    std::ostringstream os;
-    write_kernel_csv(run.report, os);
-    std::istringstream lines(os.str());
-    std::string line;
-    std::size_t rows = 0;
-    while (std::getline(lines, line)) {
-        if (!line.empty()) {
-            ++rows;
-        }
-    }
-    EXPECT_EQ(rows, 1u + 6u);  // Header + one per kernel.
 }
 
 TEST(ProfilerTest, ProfileOfEmptyResultIsEmptyButValid)

@@ -3,9 +3,7 @@
 // document must be either accepted or rejected with multigrain::Error —
 // never another exception type, never a crash (run it under ASan/UBSan).
 
-#include <cstdio>
 #include <functional>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -14,9 +12,7 @@
 #include "common/error.h"
 #include "common/json.h"
 #include "common/rng.h"
-#include "formats/serialize.h"
 #include "gpusim/device.h"
-#include "patterns/slice.h"
 #include "profiler/history.h"
 #include "serve/server.h"
 #include "serve/trace.h"
@@ -111,19 +107,6 @@ std::string
 bench_document()
 {
     return serve::serve_bench_run(served_memtight().report, "a100").to_json();
-}
-
-SlicePlan
-small_plan()
-{
-    CompoundPattern pattern;
-    pattern.seq_len = 128;
-    pattern.atoms = {AtomicPattern::blocked_local(16, 1),
-                     AtomicPattern::random(4, 7),
-                     AtomicPattern::global({0, 77})};
-    SliceOptions options;
-    options.block = 16;
-    return slice_and_dice(pattern, options);
 }
 
 TEST(ReaderRobustnessTest, JsonParse)
@@ -238,32 +221,6 @@ TEST(ReaderRobustnessTest, IncidentFromJson)
         serve::spans_from_events(serve::incident_from_json(text).events);
     });
     EXPECT_GE(f.rejected, static_cast<int>(failover.size()));
-}
-
-TEST(ReaderRobustnessTest, ReadCsrLayout)
-{
-    const SlicePlan plan = small_plan();
-    ASSERT_NE(plan.fine, nullptr);
-    std::ostringstream os;
-    write_layout(*plan.fine, os);
-    const Outcome o = feed(os.str(), 5, [](const std::string &bytes) {
-        std::istringstream is(bytes);
-        read_csr_layout(is);
-    });
-    EXPECT_GE(o.rejected, static_cast<int>(os.str().size()));
-}
-
-TEST(ReaderRobustnessTest, ReadBsrLayout)
-{
-    const SlicePlan plan = small_plan();
-    ASSERT_NE(plan.coarse, nullptr);
-    std::ostringstream os;
-    write_layout(*plan.coarse, os);
-    const Outcome o = feed(os.str(), 6, [](const std::string &bytes) {
-        std::istringstream is(bytes);
-        read_bsr_layout(is);
-    });
-    EXPECT_GE(o.rejected, static_cast<int>(os.str().size()));
 }
 
 }  // namespace

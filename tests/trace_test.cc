@@ -15,7 +15,7 @@
 #include "common/json.h"
 #include "gpusim/device.h"
 #include "gpusim/engine.h"
-#include "gpusim/trace.h"
+#include "trace_test_util.h"
 
 namespace multigrain::sim {
 namespace {

@@ -1,18 +1,13 @@
 // Tests for the transformer substrate: model configs, synthetic workload
-// generators, the functional encoder layer, and the end-to-end runner.
+// generators and the end-to-end runner.
 
-#include <cmath>
-#include <set>
-#include <sstream>
+#include <string>
 
 #include <gtest/gtest.h>
 
-#include "common/error.h"
 #include "core/attention.h"
 #include "gpusim/device.h"
-#include "kernels/reference.h"
 #include "transformer/config.h"
-#include "transformer/layer.h"
 #include "transformer/runner.h"
 #include "transformer/workload.h"
 
@@ -183,130 +178,6 @@ TEST(WorkloadTest, ModelPatternHasExpectedAtoms)
     ASSERT_EQ(q.atoms.size(), 2u);  // local + selected.
 }
 
-TEST(WorkloadTest, SampleTextRoundTrips)
-{
-    WorkloadSample s;
-    s.valid_len = 1000;
-    s.special_tokens = {0, 5, 17, 500};
-    std::stringstream ss;
-    write_workload_sample(s, ss);
-    const WorkloadSample back = read_workload_sample(ss);
-    EXPECT_EQ(back.valid_len, s.valid_len);
-    EXPECT_EQ(back.special_tokens, s.special_tokens);
-}
-
-TEST(WorkloadTest, ReaderRejectsMalformedInput)
-{
-    {
-        std::stringstream ss("nonsense 4");
-        EXPECT_THROW(read_workload_sample(ss), Error);
-    }
-    {
-        std::stringstream ss("valid_len -3\ntokens 1\n");
-        EXPECT_THROW(read_workload_sample(ss), Error);
-    }
-    {
-        std::stringstream ss("valid_len 10\ntokens 12\n");  // Out of range.
-        EXPECT_THROW(read_workload_sample(ss), Error);
-    }
-}
-
-TEST(WorkloadTest, ReaderSortsAndDedupes)
-{
-    std::stringstream ss("valid_len 100\ntokens 9 3 9 1\n");
-    const WorkloadSample s = read_workload_sample(ss);
-    const std::vector<index_t> expected = {1, 3, 9};
-    EXPECT_EQ(s.special_tokens, expected);
-}
-
-// --------------------------------------------------------------- layer ----
-
-TEST(LayerTest, ForwardPreservesShapeAndFiniteness)
-{
-    const ModelConfig c = ModelConfig::tiny_test();
-    Rng rng(9);
-    const WorkloadSample s{.valid_len = 100,
-                           .special_tokens = {0, 1, 2, 40, 80}};
-    AttentionConfig ac;
-    ac.head_dim = c.head_dim();
-    ac.num_heads = c.num_heads;
-    ac.block = c.block;
-    const AttentionEngine engine(build_model_pattern(c, s), ac,
-                                 SliceMode::kMultigrain);
-    const LayerWeights w = LayerWeights::random(rng, c);
-    const HalfMatrix hidden =
-        random_half_matrix(rng, c.max_seq_len, c.d_model, -0.5f, 0.5f);
-    const HalfMatrix out = layer_forward(c, engine, w, hidden);
-    ASSERT_EQ(out.rows(), c.max_seq_len);
-    ASSERT_EQ(out.cols(), c.d_model);
-    for (index_t r = 0; r < out.rows(); ++r) {
-        for (index_t col = 0; col < out.cols(); ++col) {
-            ASSERT_TRUE(std::isfinite(float(out.at(r, col))))
-                << r << "," << col;
-        }
-    }
-}
-
-TEST(LayerTest, LayerNormStandardizesRows)
-{
-    Rng rng(10);
-    HalfMatrix m = random_half_matrix(rng, 4, 64, -3.0f, 5.0f);
-    std::vector<float> gamma(64, 1.0f), beta(64, 0.0f);
-    layer_norm_rows(m, gamma, beta);
-    for (index_t r = 0; r < 4; ++r) {
-        double mean = 0, var = 0;
-        for (index_t c = 0; c < 64; ++c) {
-            mean += float(m.at(r, c));
-        }
-        mean /= 64;
-        for (index_t c = 0; c < 64; ++c) {
-            var += (float(m.at(r, c)) - mean) * (float(m.at(r, c)) - mean);
-        }
-        var /= 64;
-        EXPECT_NEAR(mean, 0.0, 0.02);
-        EXPECT_NEAR(var, 1.0, 0.05);
-    }
-}
-
-TEST(LayerTest, GeluMatchesKnownValues)
-{
-    HalfMatrix m(1, 3);
-    m.at(0, 0) = half(0.0f);
-    m.at(0, 1) = half(1.0f);
-    m.at(0, 2) = half(-1.0f);
-    gelu_inplace(m);
-    EXPECT_NEAR(float(m.at(0, 0)), 0.0f, 1e-4);
-    EXPECT_NEAR(float(m.at(0, 1)), 0.8412f, 0.01f);
-    EXPECT_NEAR(float(m.at(0, 2)), -0.1588f, 0.01f);
-}
-
-TEST(LayerTest, ModelForwardAgreesAcrossMethods)
-{
-    // The whole 2-layer tiny model must produce (nearly) the same output
-    // whichever processing method computes the attention.
-    const ModelConfig c = ModelConfig::tiny_test();
-    Rng rng(11);
-    const WorkloadSample s{.valid_len = 128,
-                           .special_tokens = {0, 3, 64, 100}};
-    const CompoundPattern pattern = build_model_pattern(c, s);
-    AttentionConfig ac;
-    ac.head_dim = c.head_dim();
-    ac.num_heads = c.num_heads;
-    ac.block = c.block;
-    std::vector<LayerWeights> weights;
-    for (index_t i = 0; i < c.num_layers; ++i) {
-        weights.push_back(LayerWeights::random(rng, c));
-    }
-    const HalfMatrix hidden =
-        random_half_matrix(rng, c.max_seq_len, c.d_model, -0.5f, 0.5f);
-
-    const AttentionEngine mg(pattern, ac, SliceMode::kMultigrain);
-    const AttentionEngine fine(pattern, ac, SliceMode::kFineOnly);
-    const HalfMatrix out_mg = model_forward(c, mg, weights, hidden);
-    const HalfMatrix out_fine = model_forward(c, fine, weights, hidden);
-    EXPECT_LT(kernels::max_abs_diff(widen(out_mg), widen(out_fine)), 0.15);
-}
-
 // -------------------------------------------------------------- runner ----
 
 TEST(RunnerTest, EndToEndProducesLayeredTimeline)
@@ -348,74 +219,6 @@ TEST(RunnerTest, DenseWorkIdenticalAcrossMethods)
                      dense_flops(SliceMode::kFineOnly));
     EXPECT_DOUBLE_EQ(dense_flops(SliceMode::kMultigrain),
                      dense_flops(SliceMode::kCoarseOnly));
-}
-
-TEST(RunnerTest, HeterogeneousBatchSumsSampleWork)
-{
-    const ModelConfig c = ModelConfig::qds_base();
-    Rng rng(15);
-    const WorkloadSample s1 = sample_for_model(rng, c);
-    const WorkloadSample s2 = sample_for_model(rng, c);
-    ASSERT_NE(s1.valid_len, s2.valid_len);  // Genuinely heterogeneous.
-
-    const TransformerRunner hetero(c, SliceMode::kMultigrain, {s1, s2});
-    EXPECT_EQ(hetero.batch(), 2);
-    const EndToEndResult r = hetero.simulate(sim::DeviceSpec::a100());
-
-    const EndToEndResult r1 =
-        TransformerRunner(c, SliceMode::kMultigrain, s1, 1)
-            .simulate(sim::DeviceSpec::a100());
-    const EndToEndResult r2 =
-        TransformerRunner(c, SliceMode::kMultigrain, s2, 1)
-            .simulate(sim::DeviceSpec::a100());
-
-    // Attention DRAM traffic is exactly the sum of the two samples'.
-    EXPECT_NEAR(r.attention_dram_bytes,
-                r1.attention_dram_bytes + r2.attention_dram_bytes,
-                1e-3 * r.attention_dram_bytes);
-    // Co-scheduling makes the batched pass cheaper than serial execution.
-    EXPECT_LT(r.total_us, r1.total_us + r2.total_us);
-}
-
-TEST(RunnerTest, HeterogeneousSamplesCoSchedule)
-{
-    const ModelConfig c = ModelConfig::qds_base();
-    Rng rng(16);
-    const WorkloadSample s1 = sample_for_model(rng, c);
-    const WorkloadSample s2 = sample_for_model(rng, c);
-    const TransformerRunner hetero(c, SliceMode::kMultigrain, {s1, s2});
-    const EndToEndResult r = hetero.simulate(sim::DeviceSpec::a100());
-
-    // Layer 0's SDDMM phase contains both samples' coarse kernels, on
-    // different streams, overlapping in time.
-    std::vector<const sim::KernelStats *> coarse;
-    for (const auto &k : r.sim.kernels) {
-        if (k.name == "L00.attn.sddmm.coarse") {
-            coarse.push_back(&k);
-        }
-    }
-    ASSERT_EQ(coarse.size(), 2u);
-    EXPECT_NE(coarse[0]->stream, coarse[1]->stream);
-    EXPECT_LT(coarse[1]->start_us, coarse[0]->end_us);
-}
-
-TEST(RunnerTest, HomogeneousAndHeterogeneousAgreeOnIdenticalSamples)
-{
-    // A heterogeneous batch of two *identical* samples must do the same
-    // attention work as the fused homogeneous batch-2 launch.
-    const ModelConfig c = ModelConfig::qds_base();
-    Rng rng(17);
-    const WorkloadSample s = sample_for_model(rng, c);
-    const EndToEndResult fused =
-        TransformerRunner(c, SliceMode::kMultigrain, s, 2)
-            .simulate(sim::DeviceSpec::a100());
-    const EndToEndResult split =
-        TransformerRunner(c, SliceMode::kMultigrain, {s, s})
-            .simulate(sim::DeviceSpec::a100());
-    EXPECT_NEAR(fused.attention_dram_bytes, split.attention_dram_bytes,
-                1e-3 * fused.attention_dram_bytes);
-    // Timing differs (kernel count, launch overheads) but stays close.
-    EXPECT_NEAR(fused.total_us, split.total_us, 0.25 * fused.total_us);
 }
 
 TEST(RunnerTest, TrainingStepExtendsForward)

@@ -7,7 +7,6 @@
 #include <sstream>
 #include <utility>
 
-#include "common/logging.h"
 
 namespace multigrain::cli {
 
@@ -121,13 +120,6 @@ out_dir(std::string *out)
                 }
                 *out = value;
             }};
-}
-
-Flag
-verbose()
-{
-    return {"--verbose", "", "raise the library log level to info",
-            [](const std::string &) { set_log_level(LogLevel::kInfo); }};
 }
 
 std::string

@@ -79,8 +79,6 @@ Flag list(std::string name, std::string metavar, std::string help,
 /// --out-dir: a non-empty directory that relative artifact paths land
 /// under.
 Flag out_dir(std::string *out);
-/// --verbose: raises the library log level to info.
-Flag verbose();
 
 /// A checked number of `*out`'s type (parse_number).
 template <typename T>

@@ -47,7 +47,6 @@ flag_table(Options &opt)
                 cli::toggle("--list", "list the figures and exit",
                             &opt.list),
                 cli::out_dir(&opt.out_dir),
-                cli::verbose(),
             }};
 }
 

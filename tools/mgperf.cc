@@ -27,7 +27,6 @@
 #include "cli.h"
 #include "common/error.h"
 #include "common/json.h"
-#include "common/logging.h"
 #include "figures.h"
 #include "profiler/export.h"
 #include "profiler/history.h"
@@ -133,7 +132,6 @@ flag_table(Options &opt)
                         &opt.list),
             cli::toggle("--quiet", "summary lines only (CI logs)",
                         &opt.quiet),
-            cli::verbose(),
         }};
 }
 

@@ -26,7 +26,6 @@
 #include "cli.h"
 #include "common/error.h"
 #include "common/json.h"
-#include "common/logging.h"
 #include "common/rng.h"
 #include "common/timer.h"
 #include "core/plan_cache.h"
@@ -115,7 +114,6 @@ flag_table(Options &opt)
                             "suppress the console tables and the "
                             "per-artifact \"wrote ...\" notes (CI logs)",
                             &opt.quiet),
-                cli::verbose(),
             }};
 }
 

@@ -125,7 +125,6 @@ flag_table(Options &opt)
                             &opt.list),
                 cli::toggle("--quiet", "one summary line per preset",
                             &opt.quiet),
-                cli::verbose(),
             }};
 }
 
