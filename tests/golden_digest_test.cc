@@ -30,7 +30,9 @@
 // report and the trace report of every cheap serve preset, and the fleet
 // report of every fleet preset, on both devices, each with its run
 // manifest dropped. The steady preset is left out for its cost (about 6 s
-// a device); `mgserve --all` covers it.
+// a device); `mgserve --all` covers it. ServeExportDigestTest pins the
+// exact bytes of the Perfetto timelines (tiny, overload and noisy on
+// both devices, and the failover fleet) and of the noisy telemetry CSV.
 
 #include <cstdint>
 #include <cstdio>
@@ -702,6 +704,80 @@ TEST(ServeDigestTest, FleetReportsKeepTheirDigests)
                       prof::RunManifest{})),
                   kDigests[i]);
     }
+    PlanCache::instance().clear();
+}
+
+/// Digest of a document's exact bytes.
+std::string
+text_digest(const std::string &text)
+{
+    Fnv1a h;
+    h.str(text);
+    return h.hex();
+}
+
+TEST(ServeExportDigestTest, TimelinesAndTelemetryKeepTheirDigests)
+{
+    // The Perfetto timeline with its tele.* tracks, as `mgserve --trace`
+    // writes it, indexed by preset * 2 + device; then the noisy preset's
+    // telemetry CSV on each device.
+    static const char *const kTraceDigests[6] = {
+        "c32d3786f28f5159", "3be82a045f3b7bbc", "390d9002769e9d4c",
+        "93e45e1abf0cb8a1", "54c4ad9ca156ea6e", "8320199451666a7f"};
+    static const char *const kCsvDigests[2] = {"84529c5b0400a0e7",
+                                               "b5f5c6cf68a63676"};
+    const char *const presets[] = {"tiny", "overload", "noisy"};
+    const char *const devices[] = {"a100", "rtx3090"};
+    for (std::size_t p = 0; p < 3; ++p) {
+        for (std::size_t d = 0; d < 2; ++d) {
+            SCOPED_TRACE(std::string(presets[p]) + "@" + devices[d]);
+            PlanCache::instance().clear();
+            const serve::ServeConfig config =
+                serve::serve_preset_by_name(presets[p]);
+            serve::TraceConfig trace_config;
+            trace_config.capture_sim = true;
+            serve::TraceLog log(trace_config);
+            std::vector<std::string> tenants;
+            for (const serve::TenantSpec &t : config.traffic.tenants) {
+                tenants.push_back(t.name);
+            }
+            serve::TelemetryRecorder telemetry({}, tenants);
+            serve::Server server(config,
+                                 sim::device_spec_by_name(devices[d]));
+            server.set_trace(&log);
+            server.set_telemetry(&telemetry);
+            server.run();
+            EXPECT_EQ(text_digest(serve::serve_trace_json(log, &telemetry)),
+                      kTraceDigests[p * 2 + d]);
+            if (std::string(presets[p]) == "noisy") {
+                EXPECT_EQ(text_digest(serve::telemetry_csv(telemetry)),
+                          kCsvDigests[d]);
+            }
+        }
+    }
+    PlanCache::instance().clear();
+}
+
+TEST(ServeExportDigestTest, FailoverTimelineKeepsItsDigest)
+{
+    // The fleet timeline `mgserve --preset failover --trace` writes: a
+    // killed replica's lost and drained requests, and their re-arrivals
+    // on the survivor.
+    PlanCache::instance().clear();
+    serve::ClusterConfig config =
+        serve::cluster_preset_by_name("failover", "a100");
+    std::vector<serve::TraceLog> logs(config.devices.size());
+    serve::Cluster cluster(std::move(config));
+    for (std::size_t k = 0; k < logs.size(); ++k) {
+        cluster.set_trace(k, &logs[k]);
+    }
+    cluster.run();
+    std::vector<serve::FleetReplicaTrace> replicas;
+    for (std::size_t k = 0; k < logs.size(); ++k) {
+        replicas.push_back({&logs[k], nullptr, "r" + std::to_string(k)});
+    }
+    EXPECT_EQ(text_digest(serve::fleet_trace_json(replicas)),
+              "c905ef254a97f70d");
     PlanCache::instance().clear();
 }
 
