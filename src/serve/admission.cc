@@ -14,6 +14,13 @@ TokenBucket::TokenBucket(double rate_rps, double burst)
         << "token bucket must hold at least one token of burst";
 }
 
+TokenBucket::TokenBucket(const TenantSpec &tenant)
+    : TokenBucket(tenant.rate_rps > 0 ? TokenBucket(tenant.rate_rps,
+                                                    tenant.burst)
+                                      : TokenBucket())
+{
+}
+
 bool
 TokenBucket::try_take(double t_us)
 {
@@ -43,9 +50,7 @@ AdmissionQueue::AdmissionQueue(const AdmissionConfig &config,
         MG_CHECK(t.weight > 0) << "tenant weight must be positive";
         tenant_names_.push_back(t.name);
         queues_.emplace_back();
-        buckets_.push_back(t.rate_rps > 0
-                               ? TokenBucket(t.rate_rps, t.burst)
-                               : TokenBucket());
+        buckets_.emplace_back(t);
         weights_.push_back(t.weight);
         charged_us_.push_back(0.0);
     }
@@ -91,46 +96,25 @@ AdmissionQueue::depth() const
     return total;
 }
 
-std::vector<std::size_t>
-AdmissionQueue::tenant_depths() const
-{
-    std::vector<std::size_t> depths;
-    depths.reserve(queues_.size());
-    for (const auto &q : queues_) {
-        depths.push_back(q.size());
-    }
-    return depths;
-}
-
-std::vector<double>
-AdmissionQueue::bucket_fills() const
-{
-    std::vector<double> fills;
-    fills.reserve(buckets_.size());
-    for (const TokenBucket &b : buckets_) {
-        fills.push_back(b.fill());
-    }
-    return fills;
-}
-
 AdmitDecision
 AdmissionQueue::admit(Request r, std::size_t tenant)
 {
+    const double fill = buckets_[tenant].fill();
     if (depth() >= config_.queue_capacity) {
         ++stats_.rejected;
-        return {false, AdmitDecision::Shed::kCapacity};
+        return {false, AdmitDecision::Shed::kCapacity, fill};
     }
     if (config_.hbm_budget_bytes > 0 &&
         queued_bytes_ + r.footprint_bytes > config_.hbm_budget_bytes) {
         ++stats_.rejected;
         ++stats_.shed_memory;
-        return {false, AdmitDecision::Shed::kMemory};
+        return {false, AdmitDecision::Shed::kMemory, fill};
     }
     queued_bytes_ += r.footprint_bytes;
     queues_[tenant].push_back(std::move(r));
     ++stats_.admitted;
     note_depth();
-    return {true, AdmitDecision::Shed::kNone};
+    return {true, AdmitDecision::Shed::kNone, fill};
 }
 
 AdmitDecision
@@ -144,7 +128,8 @@ AdmissionQueue::offer(Request r, double)
     if (!buckets_[tenant].try_take(r.arrival_us)) {
         ++stats_.rejected;
         ++stats_.shed_ratelimit;
-        return {false, AdmitDecision::Shed::kRateLimit};
+        return {false, AdmitDecision::Shed::kRateLimit,
+                buckets_[tenant].fill()};
     }
     return admit(std::move(r), tenant);
 }

@@ -95,14 +95,16 @@ class TokenBucket {
     /// Unlimited: try_take always succeeds and the fill stays at burst.
     TokenBucket() = default;
     TokenBucket(double rate_rps, double burst);
+    /// The tenant's bucket: its rate limit, or unlimited at rate 0.
+    explicit TokenBucket(const TenantSpec &tenant);
 
     /// Refills by (t_us - last) * rate_rps / 1e6 capped at burst, then
     /// consumes one token if at least one is available. `t_us` must be
     /// non-decreasing across calls (the serving clock guarantees it).
     bool try_take(double t_us);
 
-    /// Current fill, tokens (telemetry). Reflects the last refill point;
-    /// unlimited buckets report their burst capacity.
+    /// Current fill, tokens. Reflects the last refill point; unlimited
+    /// buckets report their burst capacity.
     double fill() const { return limited() ? tokens_ : burst_; }
     bool limited() const { return rate_rps_ > 0; }
 
@@ -122,6 +124,9 @@ struct AdmitDecision {
 
     bool admitted = false;
     Shed reason = Shed::kNone;
+    /// The tenant's token-bucket fill after the offer (the admission
+    /// events carry it, and telemetry folds it from them).
+    double fill = 0;
 
     explicit operator bool() const { return admitted; }
 };
@@ -191,18 +196,6 @@ class AdmissionQueue {
     void set_charged(const std::string &tenant, double device_us);
 
     const AdmissionStats &stats() const { return stats_; }
-
-    // ---- Telemetry views (ISSUE 8) ----------------------------------
-    /// Tenant names in fairness-rotation order (specs first, unknown
-    /// tenants appended as they appear).
-    const std::vector<std::string> &tenant_names() const
-    {
-        return tenant_names_;
-    }
-    /// Queued requests per tenant, parallel to tenant_names().
-    std::vector<std::size_t> tenant_depths() const;
-    /// Token-bucket fill per tenant, parallel to tenant_names().
-    std::vector<double> bucket_fills() const;
 
   private:
     std::size_t tenant_index(const std::string &name);

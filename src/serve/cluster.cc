@@ -254,9 +254,6 @@ Cluster::run()
                 s.dispatch(now);
             }
         }
-        for (Server &s : servers_) {
-            s.observe(now);
-        }
 
         double next = source.peek_us();
         for (const Server &s : servers_) {

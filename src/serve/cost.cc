@@ -1,12 +1,12 @@
 #include "serve/cost.h"
 
-#include <ostream>
 #include <sstream>
 #include <utility>
 
 #include "common/error.h"
 #include "profiler/export.h"
 #include "serve/server.h"
+#include "serve/trace.h"
 
 namespace multigrain::serve {
 
@@ -226,36 +226,43 @@ cost_report_json(const CostReport &cost, const CostRunInfo &info,
 // ---- Time-series telemetry ----------------------------------------------
 
 TelemetryRecorder::TelemetryRecorder(TelemetryConfig config,
-                                     std::vector<std::string> tenants)
-    : config_(config), tenants_(std::move(tenants))
+                                     const std::vector<TenantSpec> &tenants)
+    : config_(config), fold_(std::make_unique<ServeFold>(tenants))
 {
     MG_CHECK(config_.interval_us > 0)
         << "telemetry interval must be positive";
-    current_.queue_depth.assign(tenants_.size(), 0);
-    current_.bucket_fill.assign(tenants_.size(), 0.0);
+    for (const TenantSpec &t : tenants) {
+        tenants_.push_back(t.name);
+    }
 }
+
+TelemetryRecorder::~TelemetryRecorder() = default;
 
 void
 TelemetryRecorder::emit_through(double limit_us, bool inclusive)
 {
     while (inclusive ? next_grid_us_ <= limit_us
                      : next_grid_us_ < limit_us) {
-        TelemetrySample s = current_;
+        TelemetrySample s;
         s.t_us = next_grid_us_;
+        for (const auto &[id, b] : fold_->round_batches()) {
+            s.in_flight += static_cast<int>(b.members.size());
+            s.round_hbm_bytes = fold_->state().round_hbm_bytes.back();
+        }
+        for (const std::string &t : tenants_) {
+            s.queue_depth.push_back(fold_->tenant(t).queued);
+            s.bucket_fill.push_back(fold_->tenant(t).fill);
+        }
         samples_.push_back(std::move(s));
         next_grid_us_ += config_.interval_us;
     }
 }
 
 void
-TelemetryRecorder::observe(double now_us, TelemetrySample state)
+TelemetryRecorder::apply(const TraceEvent &e)
 {
-    emit_through(now_us, /*inclusive=*/false);
-    // Tenants discovered mid-run would desync the columns; clamp the
-    // vectors to the construction-time tenant list.
-    state.queue_depth.resize(tenants_.size(), 0);
-    state.bucket_fill.resize(tenants_.size(), 0.0);
-    current_ = std::move(state);
+    emit_through(e.t_us, /*inclusive=*/false);
+    fold_->apply(e);
 }
 
 void
@@ -264,9 +271,10 @@ TelemetryRecorder::finish(double end_us)
     emit_through(end_us, /*inclusive=*/true);
 }
 
-void
-write_telemetry_csv(const TelemetryRecorder &recorder, std::ostream &os)
+std::string
+telemetry_csv(const TelemetryRecorder &recorder)
 {
+    std::ostringstream os;
     os << "t_us,in_flight,round_hbm_bytes";
     for (const std::string &t : recorder.tenants()) {
         os << ",queue_depth." << t;
@@ -285,13 +293,6 @@ write_telemetry_csv(const TelemetryRecorder &recorder, std::ostream &os)
         }
         os << "\n";
     }
-}
-
-std::string
-telemetry_csv(const TelemetryRecorder &recorder)
-{
-    std::ostringstream os;
-    write_telemetry_csv(recorder, os);
     return os.str();
 }
 

@@ -4,7 +4,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <iosfwd>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -39,12 +39,12 @@
 /// counters — mgserve turns a non-empty error list into a
 /// ValidationError (exit 2), exactly like a trace mismatch.
 ///
-/// The TelemetryRecorder is the time-series half: a fixed-interval
-/// sampler on the virtual serving clock (per-tenant queue depth,
-/// in-flight requests, the running round's HBM watermark, token-bucket
-/// fill) that exports as CSV here and as Perfetto counter tracks
-/// through serve_trace_json. It is an observer: an instrumented run
-/// replays the exact same virtual clock as a bare one.
+/// The TelemetryRecorder is the time-series half: a fold over the same
+/// events that samples the fold's live state on a fixed grid of the
+/// virtual serving clock (per-tenant queue depth, in-flight requests,
+/// the running round's HBM watermark, token-bucket fill) and exports as
+/// CSV here and as Perfetto counter tracks through serve_trace_json. It
+/// reads a finished run's TraceLog, so it cannot perturb the run.
 namespace multigrain::serve {
 
 // ---- Charge cells -------------------------------------------------------
@@ -212,23 +212,25 @@ struct TelemetrySample {
     std::vector<double> bucket_fill;
 };
 
-/// Step-function sampler: the Server reports its state at every virtual
-/// clock event via observe(), and the recorder emits one sample per
-/// elapsed grid point carrying the state that was current when that
-/// grid time passed. Pure function of the observe() calls — same seed,
-/// byte-identical CSV.
+class ServeFold;    // serve/server.h
+struct TraceEvent;  // serve/trace.h
+
+/// Step-function sampler over an event stream: before it applies an
+/// event at time t it emits every grid point earlier than t, each
+/// carrying the state the events before it left. Pure function of the
+/// events — same seed, byte-identical CSV.
 class TelemetryRecorder {
   public:
+    /// `tenants` fixes the per-tenant columns and each tenant's starting
+    /// bucket fill (a fresh TokenBucket of its spec).
     TelemetryRecorder(TelemetryConfig config,
-                      std::vector<std::string> tenants);
+                      const std::vector<TenantSpec> &tenants);
+    ~TelemetryRecorder();
 
     const std::vector<std::string> &tenants() const { return tenants_; }
-    double interval_us() const { return config_.interval_us; }
 
-    /// State transition at `now_us` (non-decreasing): emits every grid
-    /// point strictly before now_us with the previous state, then
-    /// adopts `state` as current.
-    void observe(double now_us, TelemetrySample state);
+    /// Applies the next event of the stream.
+    void apply(const TraceEvent &e);
     /// Flushes the remaining grid points up to and including `end_us`.
     void finish(double end_us);
 
@@ -242,15 +244,13 @@ class TelemetryRecorder {
 
     TelemetryConfig config_;
     std::vector<std::string> tenants_;
-    TelemetrySample current_;
+    std::unique_ptr<ServeFold> fold_;
     double next_grid_us_ = 0;
     std::vector<TelemetrySample> samples_;
 };
 
 /// Wide-format CSV: t_us, in_flight, round_hbm_bytes, then one
 /// queue_depth.<tenant> and one bucket_fill.<tenant> column per tenant.
-void write_telemetry_csv(const TelemetryRecorder &recorder,
-                         std::ostream &os);
 std::string telemetry_csv(const TelemetryRecorder &recorder);
 
 }  // namespace multigrain::serve

@@ -268,6 +268,7 @@ ServeFold::ServeFold(const std::vector<TenantSpec> &tenants)
 {
     for (const TenantSpec &t : tenants) {
         tenant_row(state_.cost.tenants, t.name);
+        tenants_[t.name].fill = TokenBucket(t).fill();
     }
 }
 
@@ -289,105 +290,167 @@ ServeFold::live(std::int64_t id)
     return it->second;
 }
 
+Request
+ServeFold::leave(std::int64_t id, const char *outcome, double t_us,
+                 const BatchState *batch)
+{
+    Arrival &a = live(id);
+    // The boundaries a request never reached collapse onto t_us.
+    RequestSpans &s = spans_.emplace_back();
+    s.request = id;
+    s.tenant = a.request.tenant;
+    s.model = a.request.model;
+    s.slo = static_cast<int>(a.request.slo);
+    s.outcome = outcome;
+    s.valid_len = a.request.valid_len;
+    s.arrive_us = a.t_us;
+    s.admit_us = a.admit_us;
+    s.batched_us = s.dispatched_us = s.finish_us = t_us;
+    if (batch != nullptr) {
+        const TraceEvent &form = batch->form;
+        s.bucket = form.bucket;
+        s.planned_batch = form.planned_batch;
+        s.actual_batch = form.actual_batch;
+        s.batch = form.batch;
+        s.round = form.round;
+        s.batched_us = form.t_us;
+        s.dispatched_us = round_dispatch_us_;
+    }
+    Request r = std::move(a.request);
+    live_.erase(id);
+    return r;
+}
+
 RequestRecord &
-ServeFold::retire(std::int64_t id, RequestRecord::Outcome outcome,
+ServeFold::retire(Request r, RequestRecord::Outcome outcome,
                   double finish_us)
 {
-    RequestRecord rec;
-    rec.request = std::move(live(id).request);
+    RequestRecord &rec = state_.records.emplace_back();
+    rec.request = std::move(r);
     rec.outcome = outcome;
     rec.finish_us = finish_us;
-    live_.erase(id);
-    state_.records.push_back(std::move(rec));
-    return state_.records.back();
+    return rec;
 }
 
 void
 ServeFold::apply(const TraceEvent &e)
 {
+    using Kind = TraceEventKind;
     using Outcome = RequestRecord::Outcome;
     switch (e.kind) {
-      case TraceEventKind::kArrive: {
-        Arrival &a = live_[e.request];
-        a.request.id = static_cast<std::uint64_t>(e.request);
-        a.request.tenant = e.tenant;
-        a.request.model = e.model;
-        a.request.slo = static_cast<SloClass>(e.slo);
-        a.request.valid_len = e.valid_len;
-        a.request.arrival_us = e.arrival_us;
-        a.request.deadline_us = e.deadline_us;
-        a.t_us = e.t_us;
+      case Kind::kArrive:
+        live_[e.request] = {{.id = static_cast<std::uint64_t>(e.request),
+                             .tenant = e.tenant,
+                             .model = e.model,
+                             .valid_len = e.valid_len,
+                             .arrival_us = e.arrival_us,
+                             .slo = static_cast<SloClass>(e.slo),
+                             .deadline_us = e.deadline_us},
+                            e.t_us};
+        break;
+      case Kind::kAdmit: {
+        Arrival &a = live(e.request);
+        a.admit_us = e.t_us;
+        TenantLive &t = tenants_[a.request.tenant];
+        t.fill = e.fill;
+        ++t.queued;
+        ++live_counts_.queued;
         break;
       }
-      case TraceEventKind::kShed:
-      case TraceEventKind::kShedRateLimit: {
-        // A shed request's record ends where it arrived on this replica.
-        const Arrival &a = live(e.request);
+      case Kind::kShed:
+      case Kind::kShedRateLimit: {
+        const bool rate = e.kind == Kind::kShedRateLimit;
+        Arrival &a = live(e.request);
+        a.admit_us = e.t_us;
+        tenants_[a.request.tenant].fill = e.fill;
         CostCell &c = cell(a.request);
-        ++(e.kind == TraceEventKind::kShedRateLimit ? c.shed_ratelimit
-           : e.flag                                 ? c.shed_memory
-                                                    : c.shed_capacity);
-        retire(e.request, Outcome::kRejected, a.t_us);
+        ++(rate ? c.shed_ratelimit : e.flag ? c.shed_memory : c.shed_capacity);
+        ++live_counts_.sheds;
+        live_counts_.ratelimit_sheds += rate;
+        // A shed request's record ends where it arrived on this replica.
+        const double arrived_us = a.t_us;
+        retire(leave(e.request, rate ? "rate_limited" : "shed", e.t_us),
+               Outcome::kRejected, arrived_us);
         break;
       }
-      case TraceEventKind::kAgeOut: {
-        RequestRecord &rec = retire(e.request, Outcome::kTimedOut, e.t_us);
-        rec.deadline_met = false;
-        CostCell &c = cell(rec.request);
+      case Kind::kAgeOut:
+      case Kind::kDrain: {
+        --tenants_[live(e.request).request.tenant].queued;
+        --live_counts_.queued;
+        const bool aged = e.kind == Kind::kAgeOut;
+        Request r = leave(e.request, aged ? "aged_out" : "drained", e.t_us);
+        if (!aged) {
+            // Not terminal: the router re-offers it, and a re-arrival
+            // here starts a new visit.
+            break;
+        }
+        CostCell &c = cell(r);
         ++c.aged_out;
         // It held a queue slot the whole time.
-        const double waited_us = e.t_us - rec.request.arrival_us;
+        const double waited_us = e.t_us - r.arrival_us;
         c.queue_us += waited_us;
         state_.cost.charged_queue_us += waited_us;
+        retire(std::move(r), Outcome::kTimedOut, e.t_us).deadline_met =
+            false;
         break;
       }
-      case TraceEventKind::kDrain:
-        MG_CHECK(live_.erase(e.request) == 1)
-            << "drain of a request that is not live";
-        break;
-      case TraceEventKind::kBatchForm: {
+      case Kind::kBatchForm: {
+        const Request &r = live(e.request).request;
+        --tenants_[r.tenant].queued;
+        --live_counts_.queued;
+        ++live_counts_.in_flight;
         BatchState &b = batches_[e.batch];
         if (b.members.empty()) {
             b.form = e;
         }
-        b.members.push_back(live(e.request).request);
+        b.useful_tokens += static_cast<double>(r.valid_len);
+        b.members.push_back(r);
         break;
       }
-      case TraceEventKind::kRoundDispatch:
+      case Kind::kRoundDispatch:
         round_dispatch_us_ = e.t_us;
         state_.round_hbm_bytes.push_back(e.hbm_bytes);
         break;
-      case TraceEventKind::kComplete:
-      case TraceEventKind::kLost: {
+      case Kind::kComplete:
+      case Kind::kLost: {
         const auto b = batches_.find(e.batch);
         MG_CHECK(b != batches_.end()) << "request of an unknown batch";
-        const bool done = e.kind == TraceEventKind::kComplete;
+        const bool done = e.kind == Kind::kComplete;
+        --live_counts_.in_flight;
         RequestRecord &rec = retire(
-            e.request, done ? Outcome::kCompleted : Outcome::kLostReplica,
-            e.t_us);
+            leave(e.request, done ? "completed" : "lost", e.t_us, &b->second),
+            done ? Outcome::kCompleted : Outcome::kLostReplica, e.t_us);
         rec.dispatch_us = b->second.form.t_us;
         rec.deadline_met = done && e.flag;
+        RequestSpans &s = spans_.back();
+        s.deadline_met = rec.deadline_met;
+        // Padding share of the batch's device time: the plan ran
+        // planned_batch × bucket tokens, the members brought the
+        // useful ones.
+        const double planned_tokens = static_cast<double>(s.planned_batch) *
+                                      static_cast<double>(s.bucket);
+        if (done && planned_tokens > 0) {
+            s.pad_us = s.device_us() *
+                       std::max(0.0, 1.0 - b->second.useful_tokens /
+                                               planned_tokens);
+        }
         CostCell &c = cell(rec.request);
         ++(done ? c.completed : c.lost_in_flight);
-        if (done && !e.flag) {
-            ++c.deadline_miss;
-        }
+        c.deadline_miss += done && !e.flag;
         c.queue_us += rec.queue_us();
         state_.cost.charged_queue_us += rec.queue_us();
         break;
       }
-      case TraceEventKind::kBatchDone: {
+      case Kind::kBatchDone: {
         const auto b = batches_.find(e.batch);
         MG_CHECK(b != batches_.end()) << "done of an unknown batch";
         b->second.done_us = e.t_us;
         state_.batch_histogram[b->second.form.actual_batch] += 1;
         break;
       }
-      case TraceEventKind::kRoundDone:
+      case Kind::kRoundDone:
         charge_round(e.t_us - round_dispatch_us_);
         batches_.clear();
-        break;
-      case TraceEventKind::kAdmit:
         break;
     }
 }
@@ -412,10 +475,7 @@ ServeFold::charge_round(double round_us)
             span_sum > 0
                 ? round_us * ((b.done_us - b.form.t_us) / span_sum)
                 : round_us / static_cast<double>(batches_.size());
-        double useful_tokens = 0;
-        for (const Request &r : b.members) {
-            useful_tokens += static_cast<double>(r.valid_len);
-        }
+        const double useful_tokens = b.useful_tokens;
         const double planned_tokens =
             static_cast<double>(b.form.planned_batch) *
             static_cast<double>(b.form.bucket);
@@ -562,6 +622,7 @@ Server::offer(Request r, double now_us, bool reoffer)
                      : TraceEventKind::kShed;
         e.flag = decision.reason == AdmitDecision::Shed::kMemory;
     }
+    e.fill = decision.fill;
     emit(std::move(e));
     return static_cast<bool>(decision);
 }
@@ -589,7 +650,7 @@ Server::expire(double now_us)
 bool
 Server::can_dispatch() const
 {
-    return begun_ && !down_ && !gpu_busy_ && !queue_->empty();
+    return begun_ && !down_ && !busy() && !queue_->empty();
 }
 
 void
@@ -623,37 +684,36 @@ Server::dispatch(double now_us)
     }
     const sim::SimResult result = sim.run();
 
+    // The round's batches live in the fold from their kBatchForm events
+    // on; the Server keeps only when each will finish.
+    const auto round_id =
+        static_cast<std::int64_t>(fold_.state().round_hbm_bytes.size());
     for (std::size_t j = 0; j < round.size(); ++j) {
-        InFlightBatch f;
-        f.batch = std::move(round[j]);
-        f.id = next_batch_id_++;
-        f.round = rounds_;
-        f.finish_us = now_us + result.finish_us(prefixes[j]);
-        f.footprint_bytes =
-            batch_footprint(f.batch.model, f.batch.mode, f.batch.bucket,
-                            f.batch.planned_batch);
-        for (const Request &r : f.batch.requests) {
+        const Batch &b = round[j];
+        const std::uint64_t footprint =
+            batch_footprint(b.model, b.mode, b.bucket, b.planned_batch);
+        for (const Request &r : b.requests) {
             TraceEvent e =
                 request_event(TraceEventKind::kBatchForm, now_us, r);
-            e.batch = f.id;
-            e.round = f.round;
-            e.model = f.batch.model;
-            e.bucket = f.batch.bucket;
-            e.planned_batch = f.batch.planned_batch;
-            e.actual_batch = f.batch.size();
-            e.footprint_bytes = f.footprint_bytes;
+            e.batch = next_batch_id_;
+            e.round = round_id;
+            e.model = b.model;
+            e.bucket = b.bucket;
+            e.planned_batch = b.planned_batch;
+            e.actual_batch = b.size();
+            e.footprint_bytes = footprint;
             emit(std::move(e));
         }
-        in_flight_.push_back(std::move(f));
+        ++next_batch_id_;
+        batch_finish_us_.push_back(now_us + result.finish_us(prefixes[j]));
     }
-    gpu_busy_ = true;
     gpu_free_us_ = now_us + result.total_us;
     busy_accum_us_ += gpu_free_us_ - now_us;
     TraceEvent e;
     e.kind = TraceEventKind::kRoundDispatch;
     e.t_us = now_us;
-    e.round = rounds_++;
-    e.actual_batch = static_cast<int>(in_flight_.size());
+    e.round = round_id;
+    e.actual_batch = static_cast<int>(round.size());
     e.hbm_bytes = hbm_bytes;
     emit(std::move(e), &result);
 }
@@ -661,41 +721,46 @@ Server::dispatch(double now_us)
 double
 Server::busy_until() const
 {
-    return gpu_busy_ ? gpu_free_us_ : kInf;
+    return busy() ? gpu_free_us_ : kInf;
 }
 
 void
 Server::end_round(double t_us, TrafficSource *source)
 {
-    MG_CHECK(!in_flight_.empty()) << "end_round with no round running";
-    for (const InFlightBatch &f : in_flight_) {
-        for (const Request &r : f.batch.requests) {
+    MG_CHECK(busy()) << "end_round with no round running";
+    // The events below leave the fold's running round in place until
+    // its kRoundDone.
+    std::int64_t round_id = -1;
+    std::size_t j = 0;
+    for (const auto &[id, b] : fold_.round_batches()) {
+        const double finish_us = batch_finish_us_[j++];
+        round_id = b.form.round;
+        for (const Request &r : b.members) {
             TraceEvent e = request_event(
                 source ? TraceEventKind::kComplete : TraceEventKind::kLost,
-                source ? f.finish_us : t_us, r);
-            e.batch = f.id;
-            e.round = f.round;
-            e.flag = source && f.finish_us <= r.deadline_us;
+                source ? finish_us : t_us, r);
+            e.batch = id;
+            e.round = round_id;
+            e.flag = source && finish_us <= r.deadline_us;
             emit(std::move(e));
             if (source) {
-                source->on_completion(r, f.finish_us);
+                source->on_completion(r, finish_us);
             }
         }
         // The span the fold charges the batch: its own, cut at a fault.
         TraceEvent done;
         done.kind = TraceEventKind::kBatchDone;
-        done.t_us = std::min(f.finish_us, t_us);
-        done.batch = f.id;
-        done.round = f.round;
+        done.t_us = std::min(finish_us, t_us);
+        done.batch = id;
+        done.round = round_id;
         emit(std::move(done));
     }
     TraceEvent e;
     e.kind = TraceEventKind::kRoundDone;
     e.t_us = t_us;
-    e.round = in_flight_.front().round;
+    e.round = round_id;
     emit(std::move(e));
-    in_flight_.clear();
-    gpu_busy_ = false;
+    batch_finish_us_.clear();
     push_wfq_charges();
 }
 
@@ -720,32 +785,12 @@ Server::push_wfq_charges()
     }
 }
 
-void
-Server::observe(double now_us)
-{
-    // Telemetry snapshot at a virtual-clock event; an untelemetered run
-    // skips all of it.
-    if (telemetry_ == nullptr) {
-        return;
-    }
-    TelemetrySample s;
-    for (const InFlightBatch &f : in_flight_) {
-        s.in_flight += f.batch.size();
-    }
-    if (gpu_busy_) {
-        s.round_hbm_bytes = fold_.state().round_hbm_bytes.back();
-    }
-    s.queue_depth = queue_->tenant_depths();
-    s.bucket_fill = queue_->bucket_fills();
-    telemetry_->observe(now_us, std::move(s));
-}
-
 std::uint64_t
 Server::outstanding_bytes() const
 {
     std::uint64_t bytes = queue_ ? queue_->queued_bytes() : 0;
-    for (const InFlightBatch &f : in_flight_) {
-        bytes += f.footprint_bytes;
+    for (const auto &[id, b] : fold_.round_batches()) {
+        bytes += b.form.footprint_bytes;
     }
     return bytes;
 }
@@ -755,7 +800,7 @@ Server::kill(double now_us)
 {
     MG_CHECK(begun_ && !down_) << "kill on a replica that is not up";
     down_ = true;
-    if (gpu_busy_) {
+    if (busy()) {
         // The device only ran until the fault: shrink the busy
         // accumulator back to the truncated span, which end_round
         // charges to the batches that occupied it, so charged device
@@ -782,12 +827,9 @@ Server::revive()
 }
 
 ServeReport
-Server::finish(double now_us)
+Server::finish(double)
 {
     MG_CHECK(begun_) << "Server::finish before begin";
-    if (telemetry_ != nullptr) {
-        telemetry_->finish(now_us);
-    }
     ServeReport report = fold_.state();
     report.preset = config_.preset;
     report.device = device_.name;
@@ -841,24 +883,22 @@ Server::run()
 
         if (can_dispatch()) {
             dispatch(now);
-            observe(now);
             continue;
         }
-        observe(now);
 
         double next = source.peek_us();
-        if (gpu_busy_) {
+        if (busy()) {
             next = std::min(next, gpu_free_us_);
         }
         if (next == kInf) {
             break;
         }
         now = next;
-        if (gpu_busy_ && now >= gpu_free_us_) {
+        if (busy() && now >= gpu_free_us_) {
             complete(source);
         }
     }
-    MG_CHECK(source.exhausted() && queue_->empty() && !gpu_busy_)
+    MG_CHECK(source.exhausted() && queue_->empty() && !busy())
         << "serving loop ended with work in the system";
     return finish(now);
 }

@@ -134,16 +134,22 @@ struct ServeReport : RecordSummary {
 void reduce_records(const std::vector<RequestRecord> &records,
                     RecordSummary &summary, CostReport &cost);
 
-/// The run's report state, folded from the Server's event stream in
-/// event order: every state change the Server emits is applied here
-/// once, before any TraceLog sees it. It holds the per-request records
-/// in the order their terminal events occur, the batch histogram, the
-/// rounds' HBM bytes, and the tenant × SLO cost cells with their
-/// charged totals (serve/cost.h describes the charging rules).
+/// The run's state, folded from the Server's event stream in event
+/// order: every state change the Server emits is applied here once,
+/// before any TraceLog sees it. It is the one reader of serving events.
+/// The ServeReport and CostReport come from its state(), the trace
+/// report and the Perfetto request lanes from its spans(), and the
+/// Perfetto counters and the telemetry samples from its live counts,
+/// each consumer running its own fold over a TraceLog's events. The
+/// state holds the per-request records in the order their terminal
+/// events occur, the batch histogram, the rounds' HBM bytes, and the
+/// tenant × SLO cost cells with their charged totals (serve/cost.h
+/// describes the charging rules).
 class ServeFold {
   public:
-    /// `tenants` fixes the order of the cost rows; a tenant not listed
-    /// gets a row appended when its first count or charge lands.
+    /// `tenants` fixes the order of the cost rows and each tenant's
+    /// starting bucket fill; a tenant not listed gets a row appended
+    /// when its first count or charge lands.
     explicit ServeFold(const std::vector<TenantSpec> &tenants);
 
     /// Applies one event. Throws Error on an event for a request or a
@@ -155,28 +161,72 @@ class ServeFold {
     /// fills in the rest.
     const ServeReport &state() const { return state_; }
 
-  private:
-    struct Arrival {
-        Request request;
-        double t_us = 0;  ///< Arrival on this replica's clock.
+    /// One span per visit a request paid this replica, in the order the
+    /// visits ended. A drained request's visit ends "drained", and its
+    /// re-arrival starts a new span.
+    const std::vector<RequestSpans> &spans() const { return spans_; }
+
+    /// Counts of the live system after the last applied event.
+    struct Live {
+        std::size_t queued = 0;     ///< Admitted, not batched or removed.
+        std::size_t in_flight = 0;  ///< Batched, not completed or lost.
+        std::size_t sheds = 0;      ///< Door sheds so far, all valves.
+        std::size_t ratelimit_sheds = 0;  ///< The token-bucket ones.
     };
+    const Live &live() const { return live_counts_; }
+
+    /// A tenant's queued requests, and its token bucket's fill after its
+    /// last admission decision (before any: a fresh bucket's). Throws
+    /// for a tenant neither listed nor seen.
+    struct TenantLive {
+        std::size_t queued = 0;
+        double fill = TokenBucket().fill();
+    };
+    const TenantLive &tenant(const std::string &name) const
+    {
+        return tenants_.at(name);
+    }
+
+    /// A batch of the running round.
     struct BatchState {
         TraceEvent form;  ///< Its first kBatchForm event.
         double done_us = 0;
+        double useful_tokens = 0;  ///< Its members' valid lengths.
         std::vector<Request> members;
     };
+    /// The running round's batches by id (so in formation order), and
+    /// the time it was dispatched.
+    const std::map<std::int64_t, BatchState> &round_batches() const
+    {
+        return batches_;
+    }
+    double round_dispatch_us() const { return round_dispatch_us_; }
 
+  private:
+    struct Arrival {
+        Request request;
+        double t_us = 0;      ///< Arrival on this replica's clock.
+        double admit_us = 0;  ///< Its admission decision.
+    };
     CostCell &cell(const Request &r);
     /// The live request `id`; throws Error when there is none.
     Arrival &live(std::int64_t id);
-    /// Moves request `id` out of the live set into a new record.
-    RequestRecord &retire(std::int64_t id, RequestRecord::Outcome outcome,
+    /// Ends request `id`'s visit at `t_us` with `outcome`: its span, run
+    /// on the device in `batch` if it got that far, joins spans(), and
+    /// the request leaves the live set.
+    Request leave(std::int64_t id, const char *outcome, double t_us,
+                  const BatchState *batch = nullptr);
+    /// Records the terminal `outcome` of a request that left.
+    RequestRecord &retire(Request r, RequestRecord::Outcome outcome,
                           double finish_us);
     /// Charges the running round's device span `round_us` to the
     /// members of its batches.
     void charge_round(double round_us);
 
     ServeReport state_;
+    std::vector<RequestSpans> spans_;
+    Live live_counts_;
+    std::map<std::string, TenantLive> tenants_;
     std::map<std::int64_t, Arrival> live_;       ///< Arrived, not retired.
     std::map<std::int64_t, BatchState> batches_; ///< The running round's.
     double round_dispatch_us_ = 0;
@@ -190,16 +240,9 @@ class Server {
     /// default) detaches it. The Server emits every event either way and
     /// folds it into its report; an attached log records the same
     /// events, so it observes the run and never changes it. The log
-    /// must outlive run().
+    /// must outlive run(). Spans, Perfetto counters and telemetry are
+    /// all read from the log afterwards.
     void set_trace(TraceLog *trace) { trace_ = trace; }
-
-    /// Attaches a fixed-interval time-series sampler (serve/cost.h): a
-    /// pure observer of the virtual clock, off by default, must outlive
-    /// run().
-    void set_telemetry(TelemetryRecorder *telemetry)
-    {
-        telemetry_ = telemetry;
-    }
 
     /// Runs the preset to completion. May be called once.
     ServeReport run();
@@ -231,14 +274,17 @@ class Server {
     bool can_dispatch() const;
     /// Forms and dispatches the next round; requires can_dispatch().
     void dispatch(double now_us);
-    bool busy() const { return gpu_busy_; }
+    bool busy() const { return !batch_finish_us_.empty(); }
     /// When the running round releases the device; +infinity while idle.
     double busy_until() const;
     /// Completes the round due at busy_until(): emits its completions,
     /// feeds closed-loop traffic, pushes WFQ debt.
     void complete(TrafficSource &source);
-    /// Telemetry snapshot at a virtual-clock event (no-op untelemetered).
-    void observe(double now_us);
+    /// Does nothing: telemetry is folded from the event log
+    /// (TelemetryRecorder in serve/cost.h). It stays because the
+    /// benchmark harness (perfbench/mgbench.cc) drives the serving loop
+    /// through it, timed as its own span.
+    void observe(double) {}
     /// Queued + in-flight projected HBM bytes — the load figure the
     /// cluster router's least-bytes policy balances on.
     std::uint64_t outstanding_bytes() const;
@@ -253,20 +299,11 @@ class Server {
     void revive();
     bool down() const { return down_; }
 
-    /// Finishes instrumentation at `now_us` and reads the final report
-    /// out of the fold. Call exactly once, after the event stream ends.
+    /// Reads the final report out of the fold. Call exactly once, at
+    /// `now_us`, after the event stream ends.
     ServeReport finish(double now_us);
 
   private:
-    struct InFlightBatch {
-        Batch batch;
-        std::int64_t id = -1;     ///< Stable batch id (trace events).
-        std::int64_t round = -1;  ///< Round that dispatched it.
-        double finish_us = 0;
-        /// The batch's projected HBM footprint (batch_footprint).
-        std::uint64_t footprint_bytes = 0;
-    };
-
     /// The one place a state change is recorded: folds `e` into the
     /// report state and hands it to the attached TraceLog, if any, with
     /// the round's simulator result for a kRoundDispatch.
@@ -301,7 +338,6 @@ class Server {
     std::optional<AdmissionQueue> queue_;
     std::optional<Scheduler> scheduler_;
     PlanCacheStats cache_before_;
-    int rounds_ = 0;
     double busy_accum_us_ = 0;
     bool begun_ = false;
     bool down_ = false;
@@ -311,12 +347,12 @@ class Server {
     std::map<std::string, std::unique_ptr<TransformerRunner>> runners_;
     /// Memoized batch_footprint results, same key space as runners_.
     std::map<std::string, std::uint64_t> footprints_;
-    std::vector<InFlightBatch> in_flight_;
+    /// When each batch of the running round finishes, in formation
+    /// order; empty while the device is idle.
+    std::vector<double> batch_finish_us_;
     TraceLog *trace_ = nullptr;
-    TelemetryRecorder *telemetry_ = nullptr;
     std::int64_t next_batch_id_ = 0;
     double gpu_free_us_ = 0;
-    bool gpu_busy_ = false;
     bool ran_ = false;
 };
 

@@ -2,8 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <limits>
-#include <map>
+#include <optional>
 #include <ostream>
 #include <set>
 #include <sstream>
@@ -110,7 +111,14 @@ write_event(JsonWriter &w, const TraceEvent &e)
         w.field("actual_batch", e.actual_batch);
         w.field("hbm_bytes", static_cast<std::int64_t>(e.hbm_bytes));
         break;
+      case Kind::kAdmit:
       case Kind::kShed:
+      case Kind::kShedRateLimit:
+        w.field("fill", e.fill);
+        if (k == Kind::kShed) {
+            w.field("flag", e.flag);
+        }
+        break;
       case Kind::kComplete:
         w.field("flag", e.flag);
         break;
@@ -177,7 +185,9 @@ event_from_json(const JsonValue &doc)
                         : number("deadline_us", 0);
     // A log written before re-arrivals carried their original arrival
     // has the arrival in t_us.
-    e.arrival_us = number("arrival_us", e.t_us);
+    if (e.kind == TraceEventKind::kArrive) {
+        e.arrival_us = number("arrival_us", e.t_us);
+    }
     e.bucket = integer("bucket", 0);
     e.planned_batch = static_cast<int>(integer("planned_batch", 0));
     e.actual_batch = static_cast<int>(integer("actual_batch", 0));
@@ -187,6 +197,7 @@ event_from_json(const JsonValue &doc)
     if (const JsonValue *v = doc.find("flag")) {
         e.flag = v->as_bool();
     }
+    e.fill = number("fill", 0);
     return e;
 }
 
@@ -196,21 +207,6 @@ write_events_jsonl(const std::vector<TraceEvent> &events, std::ostream &os)
     for (const TraceEvent &e : events) {
         os << event_to_json(e) << "\n";
     }
-}
-
-std::vector<TraceEvent>
-events_from_jsonl(const std::string &text)
-{
-    std::vector<TraceEvent> events;
-    std::istringstream is(text);
-    std::string line;
-    while (std::getline(is, line)) {
-        if (line.empty()) {
-            continue;
-        }
-        events.push_back(event_from_json(json_parse(line)));
-    }
-    return events;
 }
 
 // ---- TraceLog + flight recorder -----------------------------------------
@@ -399,118 +395,26 @@ incident_from_json(const std::string &text)
     return inc;
 }
 
-// ---- Spans --------------------------------------------------------------
-
-std::vector<RequestSpans>
-spans_from_events(const std::vector<TraceEvent> &events)
-{
-    // Keyed by request id so the result is sorted and deterministic
-    // regardless of completion interleaving.
-    std::map<std::int64_t, RequestSpans> by_request;
-    std::map<std::int64_t, double> useful_tokens;  ///< By batch.
-    std::map<std::int64_t, std::vector<std::int64_t>> round_members;
-
-    for (const TraceEvent &e : events) {
-        if (e.kind == TraceEventKind::kArrive) {
-            RequestSpans s;
-            s.request = e.request;
-            s.tenant = e.tenant;
-            s.model = e.model;
-            s.slo = e.slo;
-            s.valid_len = e.valid_len;
-            s.arrive_us = s.admit_us = s.batched_us = s.dispatched_us =
-                s.finish_us = e.t_us;
-            by_request[e.request] = std::move(s);
-            continue;
-        }
-        if (e.kind == TraceEventKind::kRoundDispatch) {
-            // Batch formation and dispatch coincide today; keep the
-            // boundary honest anyway so a future scheduler that forms
-            // batches ahead of dispatch reports batch-wait > 0.
-            for (const std::int64_t request : round_members[e.round]) {
-                RequestSpans &s = by_request.at(request);
-                s.dispatched_us = s.finish_us = e.t_us;
-            }
-            continue;
-        }
-        const auto it = by_request.find(e.request);
-        if (it == by_request.end()) {
-            continue;  // Not a request event, or arrived outside the window.
-        }
-        RequestSpans &s = it->second;
-        switch (e.kind) {
-          case TraceEventKind::kAdmit:
-            s.admit_us = s.batched_us = s.dispatched_us = s.finish_us =
-                e.t_us;
-            break;
-          case TraceEventKind::kShed:
-          case TraceEventKind::kShedRateLimit:
-            s.outcome = e.kind == TraceEventKind::kShed ? "shed"
-                                                        : "rate_limited";
-            s.deadline_met = false;
-            s.admit_us = s.batched_us = s.dispatched_us = s.finish_us =
-                e.t_us;
-            break;
-          case TraceEventKind::kAgeOut:
-          case TraceEventKind::kDrain:
-            s.outcome = e.kind == TraceEventKind::kAgeOut ? "aged_out"
-                                                          : "drained";
-            s.deadline_met = false;
-            s.batched_us = s.dispatched_us = s.finish_us = e.t_us;
-            break;
-          case TraceEventKind::kBatchForm: {
-            s.batch = e.batch;
-            s.round = e.round;
-            s.bucket = e.bucket;
-            s.planned_batch = e.planned_batch;
-            s.actual_batch = e.actual_batch;
-            s.batched_us = s.dispatched_us = s.finish_us = e.t_us;
-            useful_tokens[e.batch] += static_cast<double>(s.valid_len);
-            round_members[e.round].push_back(e.request);
-            break;
-          }
-          case TraceEventKind::kComplete:
-          case TraceEventKind::kLost:
-            MG_CHECK(s.batch >= 0)
-                << "completion for request " << e.request
-                << " that was never batched";
-            s.outcome =
-                e.kind == TraceEventKind::kComplete ? "completed" : "lost";
-            s.deadline_met = e.kind == TraceEventKind::kComplete && e.flag;
-            s.finish_us = e.t_us;
-            break;
-          default:
-            break;
-        }
-    }
-
-    std::vector<RequestSpans> spans;
-    spans.reserve(by_request.size());
-    for (auto &[id, s] : by_request) {
-        if (s.outcome.empty()) {
-            continue;  // Still in flight at the end of the window.
-        }
-        if (s.outcome == "completed") {
-            // Padding share of the batch's device time: the plan ran
-            // planned_batch × bucket tokens, the members brought
-            // useful_tokens of real work.
-            const double planned_tokens =
-                static_cast<double>(s.planned_batch) *
-                static_cast<double>(s.bucket);
-            if (planned_tokens > 0) {
-                const double frac =
-                    1.0 - useful_tokens[s.batch] / planned_tokens;
-                s.pad_us = s.device_us() * std::max(0.0, frac);
-            }
-        }
-        spans.push_back(std::move(s));
-    }
-    return spans;
-}
-
 // ---- SLO attribution + reconciliation -----------------------------------
 
 namespace {
+
+/// The components of a breakdown with their report names, total first.
+constexpr std::pair<const char *, double SpanBreakdown::*> kComponents[] = {
+    {"total_us", &SpanBreakdown::total_us},
+    {"admission_us", &SpanBreakdown::admission_us},
+    {"queue_us", &SpanBreakdown::queue_us},
+    {"batch_wait_us", &SpanBreakdown::batch_wait_us},
+    {"pad_us", &SpanBreakdown::pad_us},
+    {"device_us", &SpanBreakdown::device_us}};
+
+/// One span's latency split into its components.
+SpanBreakdown
+components(const RequestSpans &s)
+{
+    return {s.latency_us(), s.admission_us(), s.queue_us(),
+            s.batch_wait_us(), s.pad_us, s.compute_us()};
+}
 
 /// Interpolated percentile breakdown over completed spans sorted by
 /// (latency, request id) — the same closest-ranks formula as
@@ -530,17 +434,11 @@ breakdown_at(const std::vector<const RequestSpans *> &sorted, double p)
         std::min(static_cast<std::size_t>(std::floor(rank)), n - 1);
     const std::size_t hi = std::min(lo + 1, n - 1);
     const double frac = rank - static_cast<double>(lo);
-    const auto interp = [&](double lo_v, double hi_v) {
-        return lo_v + (hi_v - lo_v) * frac;
-    };
-    const RequestSpans &a = *sorted[lo];
-    const RequestSpans &z = *sorted[hi];
-    b.total_us = interp(a.latency_us(), z.latency_us());
-    b.admission_us = interp(a.admission_us(), z.admission_us());
-    b.queue_us = interp(a.queue_us(), z.queue_us());
-    b.batch_wait_us = interp(a.batch_wait_us(), z.batch_wait_us());
-    b.pad_us = interp(a.pad_us, z.pad_us);
-    b.device_us = interp(a.compute_us(), z.compute_us());
+    const SpanBreakdown a = components(*sorted[lo]);
+    const SpanBreakdown z = components(*sorted[hi]);
+    for (const auto &[name, c] : kComponents) {
+        b.*c = a.*c + (z.*c - a.*c) * frac;
+    }
     return b;
 }
 
@@ -548,24 +446,15 @@ SpanBreakdown
 breakdown_mean(const std::vector<const RequestSpans *> &spans)
 {
     SpanBreakdown b;
-    if (spans.empty()) {
-        return b;
-    }
     for (const RequestSpans *s : spans) {
-        b.total_us += s->latency_us();
-        b.admission_us += s->admission_us();
-        b.queue_us += s->queue_us();
-        b.batch_wait_us += s->batch_wait_us();
-        b.pad_us += s->pad_us;
-        b.device_us += s->compute_us();
+        const SpanBreakdown one = components(*s);
+        for (const auto &[name, c] : kComponents) {
+            b.*c += one.*c;
+        }
     }
-    const double n = static_cast<double>(spans.size());
-    b.total_us /= n;
-    b.admission_us /= n;
-    b.queue_us /= n;
-    b.batch_wait_us /= n;
-    b.pad_us /= n;
-    b.device_us /= n;
+    for (const auto &[name, c] : kComponents) {
+        b.*c /= spans.empty() ? 1.0 : static_cast<double>(spans.size());
+    }
     return b;
 }
 
@@ -574,12 +463,9 @@ write_breakdown(JsonWriter &w, const char *key, const SpanBreakdown &b)
 {
     w.key(key);
     w.begin_object();
-    w.field("total_us", b.total_us);
-    w.field("admission_us", b.admission_us);
-    w.field("queue_us", b.queue_us);
-    w.field("batch_wait_us", b.batch_wait_us);
-    w.field("pad_us", b.pad_us);
-    w.field("device_us", b.device_us);
+    for (const auto &[name, c] : kComponents) {
+        w.field(name, b.*c);
+    }
     w.end_object();
 }
 
@@ -595,14 +481,15 @@ build_trace_report(const TraceLog &log, const ServeReport &report,
     tr.incidents = log.incidents();
     Mismatches m{"trace", "ServeReport", {}};
 
-    const std::vector<RequestSpans> spans =
-        spans_from_events(log.events());
+    ServeFold fold({});
+    for (const TraceEvent &e : log.events()) {
+        fold.apply(e);
+    }
+    const std::vector<RequestSpans> &spans = fold.spans();
     tr.requests = spans.size();
 
     std::vector<const RequestSpans *> completed[kNumSloClasses];
     std::vector<const RequestSpans *> all_completed;
-    double first_arrival = kInf;
-    double last_finish = -kInf;
     for (const RequestSpans &s : spans) {
         // Boundary chaining: consecutive timestamps, so the components
         // telescope to the latency exactly. A violation means the
@@ -629,26 +516,20 @@ build_trace_report(const TraceLog &log, const ServeReport &report,
             if (!s.deadline_met) {
                 ++tr.deadline_miss;
             }
-            MG_CHECK(s.slo >= 0 && s.slo < kNumSloClasses)
-                << "span with unknown SLO class " << s.slo;
-            completed[s.slo].push_back(&s);
+            completed[s.slo].push_back(&s);  // The fold checked the class.
             all_completed.push_back(&s);
-            first_arrival = std::min(first_arrival, s.arrive_us);
-            last_finish = std::max(last_finish, s.finish_us);
         }
     }
     tr.rounds = report.rounds;
 
-    // ---- Counters must reconcile exactly (they are integers) ----------
+    // ---- Counters against the admission queue's own (exact) -----------
     const AdmissionStats &adm = report.admission;
     m.exact("offered requests", tr.requests, adm.offered);
     m.exact("shed requests", tr.shed + tr.rate_limited, adm.rejected);
     m.exact("rate-limited requests", tr.rate_limited, adm.shed_ratelimit);
     m.exact("aged-out requests", tr.aged_out, adm.timed_out);
-    m.exact("completed requests", tr.completed, report.completed);
-    m.exact("deadline misses", tr.deadline_miss, report.deadline_miss);
 
-    // ---- Latency figures within tolerance -----------------------------
+    // ---- Latency figures: a second formula, within tolerance ----------
     const auto sort_by_latency =
         [](std::vector<const RequestSpans *> &v) {
             std::sort(v.begin(), v.end(),
@@ -666,9 +547,6 @@ build_trace_report(const TraceLog &log, const ServeReport &report,
             report.latency.p95);
     m.close("p99", breakdown_at(all_completed, 99).total_us,
             report.latency.p99);
-    if (tr.completed > 0) {
-        m.close("makespan", last_finish - first_arrival, report.makespan_us);
-    }
 
     for (int c = 0; c < kNumSloClasses; ++c) {
         ClassAttribution &attr = tr.classes[c];
@@ -683,7 +561,6 @@ build_trace_report(const TraceLog &log, const ServeReport &report,
         const prof::LatencySummary &want = report.latency_by_class[c];
         const std::string cls =
             std::string(to_string(static_cast<SloClass>(c)));
-        m.exact(cls + " count", attr.count, want.count);
         m.close(cls + " mean", attr.mean.total_us, want.mean);
         m.close(cls + " p50", attr.p50.total_us, want.p50);
         m.close(cls + " p95", attr.p95.total_us, want.p95);
@@ -786,9 +663,11 @@ meta_name(JsonWriter &w, int pid, int tid, const char *what,
     w.end_object();
 }
 
+/// One async request-track event; `args`, when set, writes its args.
 void
 async_event(JsonWriter &w, const TrackIds &ids, const char *ph,
-            std::int64_t id, const std::string &name, double ts)
+            std::int64_t id, const std::string &name, double ts,
+            const std::function<void()> &args = {})
 {
     w.begin_object();
     w.field("ph", ph);
@@ -798,6 +677,12 @@ async_event(JsonWriter &w, const TrackIds &ids, const char *ph,
     w.field("id", id);
     w.field("name", name);
     w.field("ts", ts);
+    if (args) {
+        w.key("args");
+        w.begin_object();
+        args();
+        w.end_object();
+    }
     w.end_object();
 }
 
@@ -818,6 +703,31 @@ counter_event(JsonWriter &w, const TrackIds &ids, const std::string &name,
     w.end_object();
 }
 
+struct CounterPoint {
+    const char *name;
+    double t_us;
+    double value;
+};
+
+/// A slice of a batch-slot lane (with the batch's kBatchForm event) or
+/// of the round lane.
+struct LaneSlice {
+    int tid;
+    std::string name;
+    double ts;
+    double dur;
+    std::optional<TraceEvent> form;
+};
+
+/// The event-edge counter tracks, each a live count of the fold.
+constexpr std::pair<const char *, std::size_t ServeFold::Live::*>
+    kEdgeCounters[] = {
+        {"queue_depth", &ServeFold::Live::queued},
+        {"in_flight", &ServeFold::Live::in_flight},
+        {"sheds", &ServeFold::Live::sheds},
+        {"ratelimit_sheds", &ServeFold::Live::ratelimit_sheds},
+};
+
 /// Emits one replica's complete track set into an open traceEvents
 /// array — the whole single-server export body, parameterized by where
 /// the tracks land.
@@ -825,8 +735,45 @@ void
 append_serve_tracks(JsonWriter &w, const TraceLog &log,
                     const TelemetryRecorder *telemetry, const TrackIds &ids)
 {
-    const std::vector<TraceEvent> &events = log.events();
-    const std::vector<RequestSpans> spans = spans_from_events(events);
+    // One fold reads the log: the request spans, a lane slice for each
+    // batch and round that ends, and a counter point wherever one of the
+    // live counts moved.
+    ServeFold fold({});
+    std::vector<LaneSlice> lanes;
+    int max_slot = -1;
+    std::vector<CounterPoint> edges;
+    for (const TraceEvent &e : log.events()) {
+        const ServeFold::Live was = fold.live();
+        fold.apply(e);
+        if (e.kind == TraceEventKind::kBatchDone) {
+            const auto &batches = fold.round_batches();
+            const auto b = batches.find(e.batch);
+            const TraceEvent &form = b->second.form;
+            const int slot =
+                static_cast<int>(std::distance(batches.begin(), b));
+            max_slot = std::max(max_slot, slot);
+            std::ostringstream name;
+            name << "B" << e.batch << " " << form.model << " b"
+                 << form.bucket << " x" << form.planned_batch;
+            lanes.push_back({kBatchLaneBase + slot, name.str(), form.t_us,
+                             e.t_us - form.t_us, form});
+        } else if (e.kind == TraceEventKind::kRoundDone) {
+            const double start = fold.round_dispatch_us();
+            lanes.push_back({kRoundLane, "round " + std::to_string(e.round),
+                             start, e.t_us - start, std::nullopt});
+        }
+        for (const auto &[name, count] : kEdgeCounters) {
+            if (fold.live().*count != was.*count) {
+                edges.push_back(
+                    {name, e.t_us, static_cast<double>(fold.live().*count)});
+            }
+        }
+    }
+    std::vector<RequestSpans> spans = fold.spans();
+    std::stable_sort(spans.begin(), spans.end(),
+                     [](const RequestSpans &a, const RequestSpans &b) {
+                         return a.request < b.request;
+                     });
 
     meta_name(w, ids.serve_pid, 0, "process_name",
               ids.prefix + "serving");
@@ -839,29 +786,19 @@ append_serve_tracks(JsonWriter &w, const TraceLog &log,
              << to_string(static_cast<SloClass>(
                     std::max(0, std::min(s.slo, kNumSloClasses - 1))))
              << ")";
-        w.begin_object();
-        w.field("ph", "b");
-        w.field("pid", ids.serve_pid);
-        w.field("tid", 0);
-        w.field("cat", ids.prefix + "request");
-        w.field("id", s.request);
-        w.field("name", name.str());
-        w.field("ts", s.arrive_us);
-        w.key("args");
-        w.begin_object();
-        w.field("tenant", s.tenant);
-        w.field("model", s.model);
-        w.field("outcome", s.outcome);
-        w.field("valid_len", static_cast<std::int64_t>(s.valid_len));
-        w.field("bucket", static_cast<std::int64_t>(s.bucket));
-        w.field("batch", s.batch);
-        w.field("round", s.round);
-        w.field("deadline_met", s.deadline_met);
-        w.field("queue_us", s.queue_us());
-        w.field("pad_us", s.pad_us);
-        w.field("device_us", s.device_us());
-        w.end_object();
-        w.end_object();
+        async_event(w, ids, "b", s.request, name.str(), s.arrive_us, [&] {
+            w.field("tenant", s.tenant);
+            w.field("model", s.model);
+            w.field("outcome", s.outcome);
+            w.field("valid_len", static_cast<std::int64_t>(s.valid_len));
+            w.field("bucket", static_cast<std::int64_t>(s.bucket));
+            w.field("batch", s.batch);
+            w.field("round", s.round);
+            w.field("deadline_met", s.deadline_met);
+            w.field("queue_us", s.queue_us());
+            w.field("pad_us", s.pad_us);
+            w.field("device_us", s.device_us());
+        });
         if (s.outcome == "completed") {
             async_event(w, ids, "b", s.request, "queue", s.admit_us);
             async_event(w, ids, "e", s.request, "queue", s.dispatched_us);
@@ -872,57 +809,23 @@ append_serve_tracks(JsonWriter &w, const TraceLog &log,
     }
 
     // ---- Batch + round lanes ------------------------------------------
-    /// Batch id -> (slot, the batch's first kBatchForm event).
-    std::map<std::int64_t, std::pair<int, const TraceEvent *>> batch_lanes;
-    std::map<std::int64_t, int> round_batches;  ///< round -> slots used.
-    std::map<std::int64_t, double> round_dispatch_us;
-    int max_slot = -1;
-    for (const TraceEvent &e : events) {
-        if (e.kind == TraceEventKind::kBatchForm) {
-            if (batch_lanes.count(e.batch) == 0) {
-                const int slot = round_batches[e.round]++;
-                max_slot = std::max(max_slot, slot);
-                batch_lanes.emplace(e.batch, std::pair{slot, &e});
-            }
-        } else if (e.kind == TraceEventKind::kRoundDispatch) {
-            round_dispatch_us[e.round] = e.t_us;
-        } else if (e.kind == TraceEventKind::kBatchDone) {
-            const auto it = batch_lanes.find(e.batch);
-            if (it == batch_lanes.end()) {
-                continue;
-            }
-            const auto &[slot, form] = it->second;
-            w.begin_object();
-            w.field("ph", "X");
-            w.field("pid", ids.serve_pid);
-            w.field("tid", kBatchLaneBase + slot);
-            std::ostringstream name;
-            name << "B" << e.batch << " " << form->model << " b"
-                 << form->bucket << " x" << form->planned_batch;
-            w.field("name", name.str());
-            w.field("ts", form->t_us);
-            w.field("dur", e.t_us - form->t_us);
+    for (const LaneSlice &lane : lanes) {
+        w.begin_object();
+        w.field("ph", "X");
+        w.field("pid", ids.serve_pid);
+        w.field("tid", lane.tid);
+        w.field("name", lane.name);
+        w.field("ts", lane.ts);
+        w.field("dur", lane.dur);
+        if (lane.form) {
             w.key("args");
             w.begin_object();
-            w.field("round", form->round);
-            w.field("actual_batch", form->actual_batch);
-            w.field("planned_batch", form->planned_batch);
-            w.end_object();
-            w.end_object();
-        } else if (e.kind == TraceEventKind::kRoundDone) {
-            const auto it = round_dispatch_us.find(e.round);
-            if (it == round_dispatch_us.end()) {
-                continue;
-            }
-            w.begin_object();
-            w.field("ph", "X");
-            w.field("pid", ids.serve_pid);
-            w.field("tid", kRoundLane);
-            w.field("name", "round " + std::to_string(e.round));
-            w.field("ts", it->second);
-            w.field("dur", e.t_us - it->second);
+            w.field("round", lane.form->round);
+            w.field("actual_batch", lane.form->actual_batch);
+            w.field("planned_batch", lane.form->planned_batch);
             w.end_object();
         }
+        w.end_object();
     }
     for (int slot = 0; slot <= max_slot; ++slot) {
         meta_name(w, ids.serve_pid, kBatchLaneBase + slot, "thread_name",
@@ -930,38 +833,8 @@ append_serve_tracks(JsonWriter &w, const TraceLog &log,
     }
 
     // ---- Serving counter tracks ---------------------------------------
-    double queue_depth = 0;
-    double in_flight = 0;
-    double sheds = 0;
-    double ratelimit_sheds = 0;
-    for (const TraceEvent &e : events) {
-        switch (e.kind) {
-          case TraceEventKind::kAdmit:
-            counter_event(w, ids, "queue_depth", e.t_us, ++queue_depth);
-            break;
-          case TraceEventKind::kAgeOut:
-          case TraceEventKind::kDrain:
-            counter_event(w, ids, "queue_depth", e.t_us, --queue_depth);
-            break;
-          case TraceEventKind::kBatchForm:
-            counter_event(w, ids, "queue_depth", e.t_us, --queue_depth);
-            counter_event(w, ids, "in_flight", e.t_us, ++in_flight);
-            break;
-          case TraceEventKind::kComplete:
-          case TraceEventKind::kLost:
-            counter_event(w, ids, "in_flight", e.t_us, --in_flight);
-            break;
-          case TraceEventKind::kShed:
-            counter_event(w, ids, "sheds", e.t_us, ++sheds);
-            break;
-          case TraceEventKind::kShedRateLimit:
-            counter_event(w, ids, "sheds", e.t_us, ++sheds);
-            counter_event(w, ids, "ratelimit_sheds", e.t_us,
-                          ++ratelimit_sheds);
-            break;
-          default:
-            break;
-        }
+    for (const CounterPoint &p : edges) {
+        counter_event(w, ids, p.name, p.t_us, p.value);
     }
 
     // ---- Telemetry time-series counter tracks -------------------------

@@ -23,29 +23,31 @@
 /// each stamped with the virtual serving clock and the stable
 /// request/tenant/batch/round ids the rest of the system already uses.
 /// The ServeReport and CostReport are folds over that stream (ServeFold
-/// in serve/server.h), and so is everything here:
+/// in serve/server.h). Everything here that interprets a TraceLog runs a
+/// ServeFold of its own over log.events(); a log holds exactly the
+/// events its Server's fold applied, so the two folds agree:
 ///
-///  * spans_from_events() folds the log into per-request span timelines
-///    whose boundary timestamps chain exactly (admission → queue →
-///    batch-wait → device), so the components telescope to the
-///    end-to-end latency by construction;
+///  * the fold's spans() are per-request timelines whose boundary
+///    timestamps chain exactly (admission → queue → batch-wait →
+///    device), so the components telescope to the end-to-end latency by
+///    construction;
 ///  * build_trace_report() decomposes each SLO class's latency
 ///    percentiles into queue / batch-wait / pad / device components and
-///    reconciles every derived number against the ServeReport the same
-///    run produced — a disagreement means the instrumentation lies and
-///    is reported as a validation failure (mgserve exits 2);
+///    checks the spans against what the fold does not compute: their
+///    chaining, the admission queue's counters, and the percentiles and
+///    class means of prof::summarize_latencies — a disagreement is
+///    reported as a validation failure (mgserve exits 2);
 ///  * TraceLog's flight recorder keeps a bounded ring of the last N
 ///    rounds of events and, on an anomaly trigger (shed burst,
 ///    deadline-miss streak, empty-round stall), freezes it into a
-///    self-contained incident that serializes to JSON and replays —
-///    parse the dump, rebuild the spans, get byte-for-byte the same
-///    answer the live log gives;
+///    self-contained incident that serializes to JSON and parses back
+///    to the ring's events, field for field;
 ///  * serve_trace_json() renders the run as one correlated Perfetto
 ///    timeline: async request spans per tenant, batch-slot and round
-///    lanes, serving counter tracks (queue depth, in-flight, sheds),
-///    and — when per-round simulator capture is on — every round's
-///    gpusim kernel replay overlaid at its dispatch offset via
-///    sim::append_kernel_slices.
+///    lanes, serving counter tracks (queue depth, in-flight, sheds) at
+///    every change of the fold's live counts, and — when per-round
+///    simulator capture is on — every round's gpusim kernel replay
+///    overlaid at its dispatch offset via sim::append_kernel_slices.
 ///
 /// The Server always emits; a TraceLog is optional and only records
 /// what it is handed, so a run with a log attached produces the same
@@ -106,6 +108,11 @@ struct TraceEvent {
     /// kComplete: deadline met. kShed: shed by the byte budget (false:
     /// by the depth bound).
     bool flag = false;
+    /// kAdmit, kShed, kShedRateLimit: the tenant's token-bucket fill
+    /// after the admission decision, tokens.
+    double fill = 0;
+
+    bool operator==(const TraceEvent &) const = default;
 };
 
 /// One line of the JSONL event log (no trailing newline).
@@ -113,7 +120,6 @@ std::string event_to_json(const TraceEvent &event);
 TraceEvent event_from_json(const JsonValue &doc);
 void write_events_jsonl(const std::vector<TraceEvent> &events,
                         std::ostream &os);
-std::vector<TraceEvent> events_from_jsonl(const std::string &text);
 
 // ---- The log + flight recorder ------------------------------------------
 
@@ -214,7 +220,8 @@ class TraceLog {
 
 // ---- Spans --------------------------------------------------------------
 
-/// One request's reconstructed timeline. The five boundaries are taken
+/// One request's visit to a replica, built by ServeFold (serve/server.h)
+/// when the visit ends. The five boundaries are taken
 /// verbatim from event timestamps (arrive <= admit <= batched <=
 /// dispatched <= finish), so the four boundary components plus the
 /// pad/compute split of device time telescope to latency_us() exactly.
@@ -230,7 +237,7 @@ struct RequestSpans {
     /// "completed" | "shed" | "rate_limited" | "aged_out" | "lost" |
     /// "drained".
     std::string outcome;
-    bool deadline_met = true;
+    bool deadline_met = false;  ///< Completed by its deadline.
     index_t valid_len = 0;
     index_t bucket = 0;
     int planned_batch = 0;
@@ -254,14 +261,6 @@ struct RequestSpans {
     double compute_us() const { return device_us() - pad_us; }
     double latency_us() const { return finish_us - arrive_us; }
 };
-
-/// Folds an event stream into per-request spans, sorted by request id.
-/// Requests whose arrival lies outside the stream (possible in a
-/// flight-recorder window) are skipped — a span without its arrival has
-/// no defined latency. Throws Error on a malformed stream (e.g. a
-/// completion for a request that was never batched).
-std::vector<RequestSpans> spans_from_events(
-    const std::vector<TraceEvent> &events);
 
 // ---- SLO attribution report ---------------------------------------------
 
@@ -302,7 +301,7 @@ struct TraceReport {
     /// Trigger summaries of every incident the run froze (the event
     /// windows live in the separate incident documents).
     std::vector<Incident> incidents;
-    /// Empty iff every span chains exactly and every derived figure
+    /// Empty iff every span chains exactly and every checked figure
     /// matches the ServeReport. mgserve turns a non-empty list into a
     /// ValidationError (exit 2).
     std::vector<std::string> reconcile_errors;
@@ -311,10 +310,9 @@ struct TraceReport {
 };
 
 /// Builds the attribution report from a finished run's log + report and
-/// cross-checks every figure (span chaining, admission counters, class
-/// counts, p50/p95/p99/mean/makespan). Never throws on mismatch — the
-/// failures are collected in reconcile_errors so the CLI and tests can
-/// show all of them.
+/// cross-checks it (span chaining, admission counters, p50/p95/p99 and
+/// class means). Never throws on mismatch — the failures are collected
+/// in reconcile_errors so the CLI and tests can show all of them.
 TraceReport build_trace_report(const TraceLog &log,
                                const ServeReport &report,
                                const TraceRunInfo &info);

@@ -260,7 +260,7 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(ReplayPhaseTest, CoScheduledPhasesMatchDirectPath)
 {
     // Two engines with different metadata, each phase of both followed
-    // by one barrier, the way the heterogeneous-batch runner does it.
+    // by one barrier, the way two batches co-schedule in one round.
     const AttentionEngine e1(compound(64), small_config(true),
                              SliceMode::kMultigrain);
     CompoundPattern other = compound(64);
@@ -737,16 +737,15 @@ TEST(ServeExportDigestTest, TimelinesAndTelemetryKeepTheirDigests)
             serve::TraceConfig trace_config;
             trace_config.capture_sim = true;
             serve::TraceLog log(trace_config);
-            std::vector<std::string> tenants;
-            for (const serve::TenantSpec &t : config.traffic.tenants) {
-                tenants.push_back(t.name);
-            }
-            serve::TelemetryRecorder telemetry({}, tenants);
             serve::Server server(config,
                                  sim::device_spec_by_name(devices[d]));
             server.set_trace(&log);
-            server.set_telemetry(&telemetry);
             server.run();
+            serve::TelemetryRecorder telemetry({}, config.traffic.tenants);
+            for (const serve::TraceEvent &e : log.events()) {
+                telemetry.apply(e);
+            }
+            telemetry.finish(log.events().back().t_us);
             EXPECT_EQ(text_digest(serve::serve_trace_json(log, &telemetry)),
                       kTraceDigests[p * 2 + d]);
             if (std::string(presets[p]) == "noisy") {

@@ -209,17 +209,22 @@ TEST(ReaderRobustnessTest, IncidentFromJson)
     });
     EXPECT_GE(o.rejected, static_cast<int>(doc.size()));
 
-    // The failover kinds and fields read back, and so do their spans;
+    // The failover kinds and fields read back and fold into their spans;
     // their mutations fail with Error like any other.
     const std::string failover = failover_incident_document();
-    const std::vector<serve::RequestSpans> spans = serve::spans_from_events(
-        serve::incident_from_json(failover).events);
+    const auto fold = [](const std::string &text) {
+        serve::ServeFold fold({});
+        for (const serve::TraceEvent &e :
+             serve::incident_from_json(text).events) {
+            fold.apply(e);
+        }
+        return fold.spans();
+    };
+    const std::vector<serve::RequestSpans> spans = fold(failover);
     ASSERT_EQ(spans.size(), 2u);
     EXPECT_EQ(spans[0].outcome, "lost");
     EXPECT_EQ(spans[1].outcome, "drained");
-    const Outcome f = feed(failover, 5, [](const std::string &text) {
-        serve::spans_from_events(serve::incident_from_json(text).events);
-    });
+    const Outcome f = feed(failover, 5, fold);
     EXPECT_GE(f.rejected, static_cast<int>(failover.size()));
 }
 

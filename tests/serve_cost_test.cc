@@ -26,24 +26,22 @@ namespace {
 
 ServeReport
 run_preset(const std::string &preset, const std::string &device,
-           TelemetryRecorder *telemetry = nullptr)
+           TraceLog *log = nullptr)
 {
     Server server(serve_preset_by_name(preset),
                   sim::device_spec_by_name(device));
-    if (telemetry != nullptr) {
-        server.set_telemetry(telemetry);
-    }
+    server.set_trace(log);
     return server.run();
 }
 
-std::vector<std::string>
-tenant_names(const ServeConfig &config)
+/// The telemetry series folded from `log`, flushed to its last event.
+void
+fold_telemetry(TelemetryRecorder &recorder, const TraceLog &log)
 {
-    std::vector<std::string> names;
-    for (const TenantSpec &t : config.traffic.tenants) {
-        names.push_back(t.name);
+    for (const TraceEvent &e : log.events()) {
+        recorder.apply(e);
     }
-    return names;
+    recorder.finish(log.events().back().t_us);
 }
 
 // ---- Reconciliation -----------------------------------------------------
@@ -255,28 +253,48 @@ TEST(CostReportJsonTest, SameSeedRunsAreByteIdentical)
 
 TEST(TelemetryRecorderTest, EmitsAStepFunctionOnTheGrid)
 {
-    TelemetryRecorder recorder({/*interval_us=*/10}, {"a"});
-    TelemetrySample s1;
-    s1.in_flight = 3;
-    s1.queue_depth = {2};
-    s1.bucket_fill = {0.5};
-    // Grid points 0, 10, 20 elapse before the first transition and carry
-    // the initial (empty) state.
-    recorder.observe(25, s1);
-    TelemetrySample s2 = s1;
-    s2.in_flight = 1;
-    recorder.observe(35, s2);  // t=30 carries s1.
-    recorder.finish(50);       // t=40, 50 carry s2.
+    TenantSpec a;
+    a.name = "a";
+    TelemetryRecorder recorder({/*interval_us=*/10}, {a});
+    const auto event = [&recorder](TraceEventKind kind, double t_us,
+                                   std::int64_t request) {
+        TraceEvent e;
+        e.kind = kind;
+        e.t_us = t_us;
+        e.request = request;
+        e.tenant = "a";
+        e.model = "tiny";
+        e.slo = 1;
+        e.batch = 0;
+        e.round = 0;
+        e.fill = 0.5;
+        e.hbm_bytes = 100;
+        recorder.apply(e);
+    };
+    // Grid points 0, 10, 20 elapse before the first event and carry the
+    // initial state: empty, with a fresh bucket's fill.
+    event(TraceEventKind::kArrive, 25, 1);
+    event(TraceEventKind::kAdmit, 25, 1);
+    event(TraceEventKind::kArrive, 25, 2);
+    event(TraceEventKind::kAdmit, 25, 2);
+    // t=30 carries the two queued requests; 40 and 50 the round.
+    event(TraceEventKind::kBatchForm, 35, 1);
+    event(TraceEventKind::kBatchForm, 35, 2);
+    event(TraceEventKind::kRoundDispatch, 35, -1);
+    recorder.finish(50);
 
     const std::vector<TelemetrySample> &samples = recorder.samples();
     ASSERT_EQ(samples.size(), 6u);
     const double expected_t[] = {0, 10, 20, 30, 40, 50};
-    const int expected_in_flight[] = {0, 0, 0, 3, 1, 1};
+    const int expected_in_flight[] = {0, 0, 0, 0, 2, 2};
+    const std::size_t expected_depth[] = {0, 0, 0, 2, 0, 0};
     for (std::size_t i = 0; i < samples.size(); ++i) {
         EXPECT_DOUBLE_EQ(samples[i].t_us, expected_t[i]) << i;
         EXPECT_EQ(samples[i].in_flight, expected_in_flight[i]) << i;
+        EXPECT_EQ(samples[i].queue_depth[0], expected_depth[i]) << i;
+        EXPECT_EQ(samples[i].round_hbm_bytes, i < 4 ? 0u : 100u) << i;
     }
-    EXPECT_EQ(samples[3].queue_depth[0], 2u);
+    EXPECT_DOUBLE_EQ(samples[0].bucket_fill[0], 1.0);
     EXPECT_DOUBLE_EQ(samples[3].bucket_fill[0], 0.5);
 }
 
@@ -285,9 +303,11 @@ TEST(TelemetryRecorderTest, CsvIsByteIdenticalAcrossSameSeedRuns)
     const ServeConfig config = serve_preset_by_name("noisy");
     std::string csv[2];
     for (int i = 0; i < 2; ++i) {
+        TraceLog log;
+        run_preset("noisy", "a100", &log);
         TelemetryRecorder recorder({/*interval_us=*/50},
-                                   tenant_names(config));
-        run_preset("noisy", "a100", &recorder);
+                                   config.traffic.tenants);
+        fold_telemetry(recorder, log);
         EXPECT_FALSE(recorder.samples().empty());
         csv[i] = telemetry_csv(recorder);
     }
@@ -304,16 +324,23 @@ TEST(TelemetryRecorderTest, CsvIsByteIdenticalAcrossSameSeedRuns)
 
 TEST(TelemetryRecorderTest, ObserverDoesNotPerturbTheRun)
 {
+    // The series is folded from the run's event log afterwards, so the
+    // logged run is the bare run, and the grid covers it to the end.
     const ServeConfig config = serve_preset_by_name("noisy");
+    TraceLog log;
+    const ServeReport watched = run_preset("noisy", "a100", &log);
     TelemetryRecorder recorder({/*interval_us=*/25},
-                               tenant_names(config));
-    const ServeReport watched = run_preset("noisy", "a100", &recorder);
+                               config.traffic.tenants);
+    fold_telemetry(recorder, log);
     const ServeReport bare = run_preset("noisy", "a100");
     EXPECT_DOUBLE_EQ(watched.busy_us, bare.busy_us);
     EXPECT_DOUBLE_EQ(watched.makespan_us, bare.makespan_us);
     EXPECT_EQ(watched.completed, bare.completed);
     EXPECT_EQ(watched.admission.shed_ratelimit,
               bare.admission.shed_ratelimit);
+    ASSERT_FALSE(recorder.samples().empty());
+    EXPECT_GT(recorder.samples().back().t_us + 25,
+              log.events().back().t_us);
 }
 
 }  // namespace

@@ -1,10 +1,10 @@
-// Tests for mgtrace: span reconstruction, and the trace report
+// Tests for mgtrace: the fold's request spans, and the trace report
 // reconciled against ServeReport across every preset x device,
 // byte-identical same-seed event logs, zero-perturbation of
 // untraced runs, the anomaly flight recorder (triggers, ring bounds,
 // incident JSON round-trip and replay), the correlated Perfetto export,
 // and a failover replica's log accounting for every request it was
-// offered.
+// offered, including one drained and re-offered to it.
 
 #include <gtest/gtest.h>
 
@@ -46,6 +46,17 @@ traced_run(const std::string &preset, const std::string &device,
     return out;
 }
 
+/// The spans a ServeFold builds from `events`.
+std::vector<RequestSpans>
+spans_of(const std::vector<TraceEvent> &events)
+{
+    ServeFold fold({});
+    for (const TraceEvent &e : events) {
+        fold.apply(e);
+    }
+    return fold.spans();
+}
+
 TraceRunInfo
 run_info(const std::string &preset, const std::string &device)
 {
@@ -84,7 +95,7 @@ TEST(TraceSpanTest, ComponentsTelescopeToLatency)
 {
     TracedRun run = traced_run("tiny", "a100");
     const std::vector<RequestSpans> spans =
-        spans_from_events(run.log.events());
+        spans_of(run.log.events());
     ASSERT_FALSE(spans.empty());
     for (const RequestSpans &s : spans) {
         SCOPED_TRACE("request " + std::to_string(s.request));
@@ -115,7 +126,7 @@ TEST(TraceSpanTest, OutcomeCensusMatchesAdmissionCounters)
 {
     TracedRun run = traced_run("overload", "a100");
     const std::vector<RequestSpans> spans =
-        spans_from_events(run.log.events());
+        spans_of(run.log.events());
     std::size_t completed = 0, shed = 0, aged = 0;
     for (const RequestSpans &s : spans) {
         if (s.outcome == "completed") {
@@ -197,31 +208,14 @@ expect_jsonl_round_trip(const std::vector<TraceEvent> &events)
 {
     std::ostringstream os;
     write_events_jsonl(events, os);
-    const std::vector<TraceEvent> parsed = events_from_jsonl(os.str());
+    std::istringstream lines(os.str());
+    std::vector<TraceEvent> parsed;
+    for (std::string line; std::getline(lines, line);) {
+        parsed.push_back(event_from_json(json_parse(line)));
+    }
     ASSERT_EQ(parsed.size(), events.size());
     for (std::size_t i = 0; i < parsed.size(); ++i) {
-        const TraceEvent &x = events[i];
-        const TraceEvent &y = parsed[i];
-        EXPECT_EQ(x.seq, y.seq);
-        EXPECT_EQ(x.kind, y.kind);
-        EXPECT_EQ(x.t_us, y.t_us);
-        EXPECT_EQ(x.request, y.request);
-        EXPECT_EQ(x.batch, y.batch);
-        EXPECT_EQ(x.round, y.round);
-        EXPECT_EQ(x.tenant, y.tenant);
-        EXPECT_EQ(x.model, y.model);
-        EXPECT_EQ(x.slo, y.slo);
-        EXPECT_EQ(x.valid_len, y.valid_len);
-        EXPECT_EQ(x.deadline_us, y.deadline_us);
-        if (x.kind == TraceEventKind::kArrive) {
-            EXPECT_EQ(x.arrival_us, y.arrival_us);
-        }
-        EXPECT_EQ(x.bucket, y.bucket);
-        EXPECT_EQ(x.planned_batch, y.planned_batch);
-        EXPECT_EQ(x.actual_batch, y.actual_batch);
-        EXPECT_EQ(x.hbm_bytes, y.hbm_bytes);
-        EXPECT_EQ(x.footprint_bytes, y.footprint_bytes);
-        EXPECT_EQ(x.flag, y.flag);
+        EXPECT_TRUE(parsed[i] == events[i]) << event_to_json(events[i]);
     }
 }
 
@@ -446,7 +440,7 @@ TEST(FlightRecorderTest, OverloadPresetDeterministicallyTriggers)
     }
 }
 
-TEST(FlightRecorderTest, IncidentJsonReplaysToTheSameSpans)
+TEST(FlightRecorderTest, IncidentJsonReplaysToTheSameEvents)
 {
     TracedRun run = traced_run("overload", "a100");
     ASSERT_FALSE(run.log.incidents().empty());
@@ -460,18 +454,9 @@ TEST(FlightRecorderTest, IncidentJsonReplaysToTheSameSpans)
     EXPECT_EQ(parsed.first_seq, live.first_seq);
     EXPECT_EQ(parsed.last_seq, live.last_seq);
     ASSERT_EQ(parsed.events.size(), live.events.size());
-
-    const std::vector<RequestSpans> live_spans =
-        spans_from_events(live.events);
-    const std::vector<RequestSpans> replayed =
-        spans_from_events(parsed.events);
-    ASSERT_EQ(replayed.size(), live_spans.size());
-    for (std::size_t i = 0; i < replayed.size(); ++i) {
-        EXPECT_EQ(replayed[i].request, live_spans[i].request);
-        EXPECT_EQ(replayed[i].outcome, live_spans[i].outcome);
-        EXPECT_EQ(replayed[i].arrive_us, live_spans[i].arrive_us);
-        EXPECT_EQ(replayed[i].finish_us, live_spans[i].finish_us);
-        EXPECT_EQ(replayed[i].pad_us, live_spans[i].pad_us);
+    for (std::size_t i = 0; i < parsed.events.size(); ++i) {
+        EXPECT_TRUE(parsed.events[i] == live.events[i])
+            << event_to_json(live.events[i]);
     }
 }
 
@@ -562,7 +547,7 @@ TEST(FleetTraceTest, FailoverReplicaLogsAccountForEveryOffer)
         SCOPED_TRACE("replica " + std::to_string(k));
         const ServeReport &rep = fleet.report.replicas[k];
         const std::vector<RequestSpans> spans =
-            spans_from_events(fleet.logs[k].events());
+            spans_of(fleet.logs[k].events());
         // Every request the replica was offered has a span with an
         // outcome: lost and drained ones included.
         EXPECT_EQ(spans.size(), rep.admission.offered);
@@ -595,6 +580,47 @@ TEST(FleetTraceTest, FailoverReplicaLogsAccountForEveryOffer)
             EXPECT_EQ(last[name], 0) << name;
         }
     }
+}
+
+TEST(FleetTraceTest, DrainedAndReofferedRequestKeepsBothSpans)
+{
+    // A replica killed with a request queued drains it; revived, it
+    // takes the same request back. Its timeline shows both visits: one
+    // span that ends "drained" and one that ends "completed".
+    const ServeConfig config = serve_preset_by_name("tiny");
+    TraceLog log;
+    Server server(config, sim::device_spec_by_name("a100"));
+    server.set_trace(&log);
+    server.begin();
+    Request r;
+    r.id = 7;
+    r.tenant = "alice";
+    r.model = "tiny";
+    r.slo = SloClass::kInteractive;
+    r.valid_len = 32;
+    r.deadline_us = kInf;
+    server.ingest(r, 0);
+    const std::vector<Request> drained = server.kill(10);
+    ASSERT_EQ(drained.size(), 1u);
+    server.revive();
+    ASSERT_TRUE(server.reingest(drained.front(), 20));
+    server.dispatch(20);
+    TrafficSource source(config.traffic);
+    const double done = server.busy_until();
+    server.complete(source);
+    EXPECT_EQ(server.finish(done).completed, 1u);
+
+    std::vector<std::string> outcomes;
+    const JsonValue doc = json_parse(serve_trace_json(log));
+    for (const JsonValue &e : doc.at("traceEvents").array) {
+        const JsonValue *args = e.find("args");
+        if (e.at("ph").as_string() == "b" && args != nullptr &&
+            e.at("id").as_number() == 7) {
+            outcomes.push_back(args->at("outcome").as_string());
+        }
+    }
+    EXPECT_EQ(outcomes,
+              (std::vector<std::string>{"drained", "completed"}));
 }
 
 }  // namespace

@@ -10,10 +10,11 @@
 //     optional scripted failover (src/serve/cluster.h).
 //
 // Every run is gated. A serve run attaches the request event log
-// (src/serve/trace.h) and the telemetry sampler (src/serve/cost.h), then
-// requires the trace's per-class latency attribution and the per-tenant
-// ledger to reconcile with the ServeReport, and every flight-recorder
-// incident dump to round-trip. A fleet run requires fleet-wide
+// (src/serve/trace.h) and folds the telemetry time series from it
+// (src/serve/cost.h), then requires the trace's per-class latency
+// attribution and the per-tenant ledger to reconcile with the
+// ServeReport, and every flight-recorder incident dump to parse back to
+// the events it froze. A fleet run requires fleet-wide
 // conservation (reconcile_cluster). Any disagreement exits 2.
 //
 // Artifacts, under --out-dir (or $MULTIGRAIN_BENCH_DIR when --out-dir is
@@ -202,33 +203,24 @@ require_clean(const std::string &what, const std::vector<std::string> &errors)
     throw ValidationError(message);
 }
 
-/// The incident dump must replay: parsed back, it must rebuild exactly
-/// the spans of the in-memory ring copy it froze.
+/// The incident dump must replay: parsed back, it must hold exactly the
+/// events of the in-memory ring copy it froze, field for field.
 void
 verify_incident_replay(const serve::Incident &incident,
                        const std::string &json)
 {
-    const std::vector<serve::RequestSpans> live =
-        serve::spans_from_events(incident.events);
-    const std::vector<serve::RequestSpans> replayed =
-        serve::spans_from_events(serve::incident_from_json(json).events);
-    if (live.size() != replayed.size()) {
+    const std::vector<serve::TraceEvent> replayed =
+        serve::incident_from_json(json).events;
+    if (replayed.size() != incident.events.size()) {
         throw ValidationError(
-            "incident replay span count mismatch: live " +
-            std::to_string(live.size()) + " vs replayed " +
+            "incident replay event count mismatch: live " +
+            std::to_string(incident.events.size()) + " vs replayed " +
             std::to_string(replayed.size()));
     }
-    for (std::size_t i = 0; i < live.size(); ++i) {
-        const serve::RequestSpans &a = live[i];
-        const serve::RequestSpans &b = replayed[i];
-        if (a.request != b.request || a.outcome != b.outcome ||
-            a.arrive_us != b.arrive_us || a.admit_us != b.admit_us ||
-            a.batched_us != b.batched_us ||
-            a.dispatched_us != b.dispatched_us ||
-            a.finish_us != b.finish_us || a.pad_us != b.pad_us ||
-            a.batch != b.batch || a.round != b.round) {
-            throw ValidationError("incident replay diverged on request " +
-                                  std::to_string(a.request));
+    for (std::size_t i = 0; i < replayed.size(); ++i) {
+        if (!(replayed[i] == incident.events[i])) {
+            throw ValidationError("incident replay diverged on event seq " +
+                                  std::to_string(incident.events[i].seq));
         }
     }
 }
@@ -328,15 +320,16 @@ run_serve(const Options &opt, const std::string &preset)
     serve::TraceConfig trace_config;
     trace_config.capture_sim = !opt.trace_path.empty();
     serve::TraceLog log(trace_config);
-    std::vector<std::string> tenants;
-    for (const serve::TenantSpec &t : config.traffic.tenants) {
-        tenants.push_back(t.name);
-    }
-    serve::TelemetryRecorder telemetry({}, std::move(tenants));
     serve::Server server(config, device);
     server.set_trace(&log);
-    server.set_telemetry(&telemetry);
     serve::ServeReport report = server.run();
+    serve::TelemetryRecorder telemetry({}, config.traffic.tenants);
+    for (const serve::TraceEvent &e : log.events()) {
+        telemetry.apply(e);
+    }
+    if (!log.events().empty()) {
+        telemetry.finish(log.events().back().t_us);
+    }
 
     const serve::TraceRunInfo info{preset, opt.device, config.traffic.seed};
     const serve::TraceReport trace =
