@@ -8,7 +8,6 @@
 
 #include "common/error.h"
 #include "common/gitinfo.h"
-#include "common/logging.h"
 #include "profiler/export.h"
 
 namespace multigrain::prof {
@@ -221,34 +220,6 @@ append_history(const std::string &path, const BenchRun &run)
     file << run.to_json() << "\n";
     file.flush();
     MG_CHECK(file.good()) << "failed appending to " << path;
-}
-
-HistoryLoad
-load_history(const std::string &path)
-{
-    HistoryLoad load;
-    std::ifstream file(path);
-    if (!file.good()) {
-        return load;  // No corpus yet.
-    }
-    std::string line;
-    int lineno = 0;
-    while (std::getline(file, line)) {
-        ++lineno;
-        if (line.find_first_not_of(" \t\r") == std::string::npos) {
-            continue;
-        }
-        try {
-            load.runs.push_back(bench_run_from_json(line));
-        } catch (const Error &e) {
-            ++load.corrupt_lines;
-            log_message(LogLevel::kWarn,
-                        path + ":" + std::to_string(lineno) +
-                            ": skipping corrupt history line (" +
-                            e.what() + ")");
-        }
-    }
-    return load;
 }
 
 std::vector<BenchRun>

@@ -85,17 +85,6 @@ BenchRun bench_run_from_json(const std::string &text);
 /// missing). Throws Error on I/O failure.
 void append_history(const std::string &path, const BenchRun &run);
 
-struct HistoryLoad {
-    std::vector<BenchRun> runs;
-    /// Lines that failed to parse (truncated writes, merge debris). They
-    /// are skipped with a warning — one bad line must not take out the
-    /// corpus.
-    int corrupt_lines = 0;
-};
-
-/// Loads the corpus; a missing file is an empty history, not an error.
-HistoryLoad load_history(const std::string &path);
-
 // ---- Committed baselines ------------------------------------------------
 
 /// Loads every `*.json` under `dir` as a BenchRun (sorted by file name).

@@ -15,7 +15,6 @@
 #include "common/error.h"
 #include "common/half.h"
 #include "common/json.h"
-#include "common/logging.h"
 #include "common/rng.h"
 #include "common/timer.h"
 #include "common/util.h"
@@ -293,31 +292,6 @@ TEST(UtilTest, RoundUp)
     EXPECT_EQ(round_up(1, 8), 8);
     EXPECT_EQ(round_up(8, 8), 8);
     EXPECT_EQ(round_up(9, 8), 16);
-}
-
-// ------------------------------------------------------------- logging ----
-
-TEST(LoggingTest, SinkCapturesAndRestores)
-{
-    std::vector<std::pair<LogLevel, std::string>> captured;
-    const LogSink previous = set_log_sink(
-        [&captured](LogLevel level, const std::string &message) {
-            captured.emplace_back(level, message);
-        });
-    EXPECT_FALSE(previous);  // Default stderr sink is the empty function.
-
-    log_message(LogLevel::kWarn, "captured line");
-    log_message(LogLevel::kDebug, "below threshold");
-
-    ASSERT_EQ(captured.size(), 1u);
-    EXPECT_EQ(captured[0].first, LogLevel::kWarn);
-    EXPECT_EQ(captured[0].second, "captured line");
-
-    // Restoring must hand back our sink and detach it.
-    const LogSink mine = set_log_sink(previous);
-    EXPECT_TRUE(mine);
-    log_message(LogLevel::kWarn, "after restore");
-    EXPECT_EQ(captured.size(), 1u);
 }
 
 // ---------------------------------------------------------------- json ----

@@ -128,25 +128,6 @@ TEST(ReaderRobustnessTest, BenchRunFromJson)
     EXPECT_GE(o.rejected, static_cast<int>(doc.size()));
 }
 
-TEST(ReaderRobustnessTest, LoadHistory)
-{
-    // Two lines; a bad line is skipped and counted, not thrown, so this
-    // reader is only held to "Error or nothing".
-    const std::string line = bench_document();
-    const std::string doc = line + "\n" + line + "\n";
-    const std::string path = ::testing::TempDir() + "robust_history.jsonl";
-    int corrupt = 0;
-    feed(doc, 3, [&](const std::string &text) {
-        std::FILE *f = std::fopen(path.c_str(), "wb");
-        ASSERT_NE(f, nullptr);
-        std::fwrite(text.data(), 1, text.size(), f);
-        std::fclose(f);
-        corrupt += prof::load_history(path).corrupt_lines;
-    });
-    std::remove(path.c_str());
-    EXPECT_GT(corrupt, 0);
-}
-
 /// A hand-built incident holding what a replica kill logs: a
 /// re-arrival whose arrival_us predates its t_us, a batch with its
 /// footprint, a request lost on the device and one drained from the
