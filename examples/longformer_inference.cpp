@@ -44,29 +44,31 @@ main(int argc, char **argv)
     for (const sim::DeviceSpec &device :
          {sim::DeviceSpec::a100(), sim::DeviceSpec::rtx3090()}) {
         std::printf("== %s ==\n", device.name.c_str());
-        double mg_total = 0;
-        for (const SliceMode mode :
-             {SliceMode::kCoarseOnly, SliceMode::kFineOnly,
-              SliceMode::kMultigrain}) {
-            const TransformerRunner runner(model, mode, sample, /*batch=*/1);
-            const EndToEndResult r = runner.simulate(device);
-            if (mode == SliceMode::kMultigrain) {
-                mg_total = r.total_us;
-            }
+        // Multigrain runs first, so each baseline's line can say how much
+        // slower it is.
+        const EndToEndResult r =
+            TransformerRunner(model, SliceMode::kMultigrain, sample,
+                              /*batch=*/1)
+                .simulate(device);
+        const auto print = [](SliceMode mode, const EndToEndResult &m) {
             std::printf("  %-12s total %8.2f ms   attention %7.2f ms   "
-                        "DRAM %6.2f GB%s\n",
-                        to_string(mode), r.total_us / 1000.0,
-                        r.attention_us / 1000.0, r.dram_bytes / 1e9,
-                        mg_total > 0 && mode != SliceMode::kMultigrain
-                            ? ""
-                            : "");
+                        "DRAM %6.2f GB",
+                        to_string(mode), m.total_us / 1000.0,
+                        m.attention_us / 1000.0, m.dram_bytes / 1e9);
+        };
+        for (const SliceMode mode :
+             {SliceMode::kCoarseOnly, SliceMode::kFineOnly}) {
+            const EndToEndResult base =
+                TransformerRunner(model, mode, sample, 1).simulate(device);
+            print(mode, base);
+            std::printf("   (%.2fx vs Multigrain)\n",
+                        base.total_us / r.total_us);
         }
+        print(SliceMode::kMultigrain, r);
+        std::printf("\n");
 
         // Per-phase view of Multigrain's first layer: the coarse, fine and
         // global parts of SDDMM/SpMM run concurrently on separate streams.
-        const TransformerRunner runner(model, SliceMode::kMultigrain,
-                                       sample, 1);
-        const EndToEndResult r = runner.simulate(device);
         if (argc > 2 && device.name == "A100") {
             sim::TraceOptions options;
             options.device = &device;
