@@ -309,8 +309,6 @@ ServeFold::leave(std::int64_t id, const char *outcome, double t_us,
     if (batch != nullptr) {
         const TraceEvent &form = batch->form;
         s.bucket = form.bucket;
-        s.planned_batch = form.planned_batch;
-        s.actual_batch = form.actual_batch;
         s.batch = form.batch;
         s.round = form.round;
         s.batched_us = form.t_us;
@@ -427,8 +425,9 @@ ServeFold::apply(const TraceEvent &e)
         // Padding share of the batch's device time: the plan ran
         // planned_batch × bucket tokens, the members brought the
         // useful ones.
-        const double planned_tokens = static_cast<double>(s.planned_batch) *
-                                      static_cast<double>(s.bucket);
+        const double planned_tokens =
+            static_cast<double>(b->second.form.planned_batch) *
+            static_cast<double>(s.bucket);
         if (done && planned_tokens > 0) {
             s.pad_us = s.device_us() *
                        std::max(0.0, 1.0 - b->second.useful_tokens /

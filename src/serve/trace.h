@@ -240,8 +240,6 @@ struct RequestSpans {
     bool deadline_met = false;  ///< Completed by its deadline.
     index_t valid_len = 0;
     index_t bucket = 0;
-    int planned_batch = 0;
-    int actual_batch = 0;
     std::int64_t batch = -1;
     std::int64_t round = -1;
 
@@ -321,8 +319,6 @@ TraceReport build_trace_report(const TraceLog &log,
 std::string trace_report_json(const TraceReport &report);
 
 // ---- Perfetto export ----------------------------------------------------
-
-class TelemetryRecorder;  // serve/cost.h
 
 /// Renders the traced run as one Chrome/Perfetto timeline: async
 /// request spans (grouped per tenant), batch-slot and round lanes, the
