@@ -435,7 +435,9 @@ ServeFold::apply(const TraceEvent &e)
         }
         CostCell &c = cell(rec.request);
         ++(done ? c.completed : c.lost_in_flight);
-        c.deadline_miss += done && !e.flag;
+        if (done && !e.flag) {
+            ++c.deadline_miss;
+        }
         c.queue_us += rec.queue_us();
         state_.cost.charged_queue_us += rec.queue_us();
         break;
