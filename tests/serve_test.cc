@@ -428,6 +428,28 @@ TEST(ServerTest, OverloadPresetShedsAndRespectsQueueBound)
               static_cast<std::size_t>(config.traffic.num_requests));
 }
 
+TEST(ServerTest, OnlyCompletedRecordsCanMeetTheirDeadline)
+{
+    // A shed, rate-limited, aged-out or lost request was never served,
+    // so its record reports a missed deadline whatever its budget.
+    ::unsetenv("MULTIGRAIN_PERTURB");
+    for (const char *preset : {"overload", "noisy"}) {
+        SCOPED_TRACE(preset);
+        serve::Server server(serve::serve_preset_by_name(preset),
+                             sim::device_spec_by_name("a100"));
+        const serve::ServeReport report = server.run();
+        std::size_t unserved = 0;
+        for (const serve::RequestRecord &rec : report.records) {
+            if (rec.outcome != serve::RequestRecord::Outcome::kCompleted) {
+                ++unserved;
+                EXPECT_FALSE(rec.deadline_met)
+                    << "request " << rec.request.id;
+            }
+        }
+        EXPECT_GT(unserved, 0u);
+    }
+}
+
 TEST(ServerTest, TinyPresetReusesPlansAndMeetsDeadlines)
 {
     ::unsetenv("MULTIGRAIN_PERTURB");
