@@ -385,29 +385,24 @@ backward_phases(const PartTable &t, const sim::DeviceSpec &dev)
     return phases;
 }
 
-/// Opens the table's streams on a fresh graph, eagerly in coarse → fine
-/// → special order. Creation order is part of the replay contract: every
-/// graph of one engine numbers its logical streams alike, so one binding
-/// or stream map serves all of them. Each engine gets its own streams so
-/// several engines' plans can co-schedule (serving replays one runner per
-/// batch into the same simulator).
-std::vector<int>
-open_streams(LaunchGraph &graph, const PartTable &t)
+/// Records `phases` on a fresh graph, a join after each. The table's
+/// streams open eagerly in coarse → fine → special order, so an engine's
+/// forward and backward graphs number their logical streams alike.
+LaunchGraph
+record_phases(const PartTable &t, const std::array<Phase, 3> &phases)
 {
+    LaunchGraph graph;
     std::vector<int> streams;
     for (int slot = 0; slot < t.streams; ++slot) {
         streams.push_back(graph.create_stream());
     }
-    return streams;
-}
-
-void
-record(LaunchGraph &graph, const std::vector<int> &streams,
-       const Phase &phase)
-{
-    for (const auto &[slot, launch] : phase) {
-        graph.launch(streams[static_cast<std::size_t>(slot)], launch);
+    for (const Phase &phase : phases) {
+        for (const auto &[slot, launch] : phase) {
+            graph.launch(streams[static_cast<std::size_t>(slot)], launch);
+        }
+        graph.join_streams();
     }
+    return graph;
 }
 
 /// a·bᵀ sampled over every part's layout, and the CPU kernels that read
@@ -533,33 +528,19 @@ AttentionEngine::run(const HalfMatrix &q, const HalfMatrix &k,
 // ---------------------------------------------------------------------------
 // Capture: graphs built once per (plan key, device), served from the cache.
 
-std::shared_ptr<const AttentionEngine::AttentionGraphs>
-AttentionEngine::forward_graphs(const sim::DeviceSpec &device) const
+std::shared_ptr<const LaunchGraph>
+AttentionEngine::forward_graph(const sim::DeviceSpec &device) const
 {
     const std::string key = meta_key_ + "|fwd|" + device_plan_key(device);
-    return PlanCache::instance().get_or_build<AttentionGraphs>(key, [&] {
+    return PlanCache::instance().get_or_build<LaunchGraph>(key, [&] {
         const ScopedTimer timer("plan.capture");
         const PartTable table = part_table(*state_, config_);
-        auto graphs = std::make_shared<AttentionGraphs>();
-        LaunchGraph *fragments[] = {&graphs->sddmm, &graphs->softmax,
-                                    &graphs->spmm};
-        const std::vector<int> streams =
-            open_streams(graphs->forward, table);
-        const std::array<Phase, 3> phases = forward_phases(table, device);
-        for (std::size_t i = 0; i < phases.size(); ++i) {
-            record(*fragments[i], open_streams(*fragments[i], table),
-                   phases[i]);
-            record(graphs->forward, streams, phases[i]);
-            graphs->forward.join_streams();
-        }
-        // Hazards, memory plan and definedness of the composed graph
-        // (core/check.h); throwing keeps a racy plan out of the cache. The
-        // fragments launch the same kernels in the same stream order, so
-        // a race inside one surfaces here; standalone, a fragment
-        // legitimately reads scores a sibling fragment writes, and
-        // composers account them through the graph they append into.
-        verify_capture(graphs->forward, device, key);
-        return graphs;
+        auto graph = std::make_shared<LaunchGraph>(
+            record_phases(table, forward_phases(table, device)));
+        // Hazards, memory plan and definedness (core/check.h); throwing
+        // keeps a racy plan out of the cache.
+        verify_capture(*graph, device, key);
+        return graph;
     });
 }
 
@@ -567,7 +548,7 @@ std::shared_ptr<const MemPlan>
 AttentionEngine::forward_memplan(const sim::DeviceSpec &device) const
 {
     const std::string key = meta_key_ + "|fwd|" + device_plan_key(device);
-    return memplan_for(key, forward_graphs(device)->forward);
+    return memplan_for(key, *forward_graph(device));
 }
 
 std::shared_ptr<const MemPlan>
@@ -584,12 +565,8 @@ AttentionEngine::backward_graph(const sim::DeviceSpec &device) const
     return PlanCache::instance().get_or_build<LaunchGraph>(key, [&] {
         const ScopedTimer timer("plan.capture");
         const PartTable table = part_table(*state_, config_);
-        auto graph = std::make_shared<LaunchGraph>();
-        const std::vector<int> streams = open_streams(*graph, table);
-        for (const Phase &phase : backward_phases(table, device)) {
-            record(*graph, streams, phase);
-            graph->join_streams();
-        }
+        auto graph = std::make_shared<LaunchGraph>(
+            record_phases(table, backward_phases(table, device)));
         verify_capture(*graph, device, key);
         return graph;
     });
@@ -646,7 +623,7 @@ AttentionEngine::run_backward(const HalfMatrix &q, const HalfMatrix &k,
 sim::SimResult
 AttentionEngine::simulate(const sim::DeviceSpec &device) const
 {
-    return sim::simulate(device, forward_graphs(device)->forward);
+    return sim::simulate(device, *forward_graph(device));
 }
 
 }  // namespace multigrain

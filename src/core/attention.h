@@ -28,7 +28,7 @@
 ///    All four methods produce the same result (up to FP16
 ///    accumulation-order noise); tests pin this against an FP64 dense
 ///    reference.
-///  * forward_graphs() / backward_graph(): the method's exact kernel
+///  * forward_graph() / backward_graph(): the method's exact kernel
 ///    sequence — including the multi-stream coarse ∥ fine ∥ special
 ///    overlap — captured into LaunchGraphs, which callers replay into a
 ///    GpuSim for timing and DRAM-traffic measurement.
@@ -110,22 +110,12 @@ class AttentionEngine {
     Grads run_backward(const HalfMatrix &q, const HalfMatrix &k,
                        const HalfMatrix &v, const HalfMatrix &d_out) const;
 
-    /// The captured forward plans for `device`, built (and PlanCache'd)
-    /// on first use: one attention over batch x num_heads replicas, on up
-    /// to three streams for Multigrain and one for the baselines. Callers
-    /// that compose several engines into one graph (TransformerRunner)
-    /// append the phases with per-engine stream maps, launching one phase
-    /// of every engine and then joining once; all of one engine's graphs
-    /// share a logical-stream numbering, so one map serves them all.
-    struct AttentionGraphs {
-        LaunchGraph sddmm;    ///< One phase, no trailing join.
-        LaunchGraph softmax;  ///< One phase, no trailing join.
-        LaunchGraph spmm;     ///< One phase, no trailing join.
-        /// sddmm; join; softmax; join; spmm; join — one whole attention.
-        LaunchGraph forward;
-    };
-    std::shared_ptr<const AttentionGraphs>
-    forward_graphs(const sim::DeviceSpec &device) const;
+    /// The captured forward plan for `device`, built (and PlanCache'd)
+    /// on first use: one attention over batch x num_heads replicas —
+    /// SDDMM, softmax and SpMM, a join after each — on up to three
+    /// streams for Multigrain and one for the baselines.
+    std::shared_ptr<const LaunchGraph>
+    forward_graph(const sim::DeviceSpec &device) const;
     /// The captured backward plan: dP SDDMMs and the dV transposed SpMMs,
     /// then the fused softmax backward, then the dQ/dK SpMMs — each phase
     /// with the method's coarse ∥ fine ∥ special streams over metadata

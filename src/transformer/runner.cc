@@ -86,32 +86,13 @@ TransformerRunner::build_layer_graph(const sim::DeviceSpec &device,
 
     LaunchGraph graph;
 
-    // The engine's streams are allocated upfront, so stream numbering
-    // never depends on which phase first touches a stream. One map serves
-    // all of the engine's phase graphs (and its backward graph): the
-    // engine opens their streams in one order, so they share a logical
-    // numbering.
-    const std::shared_ptr<const AttentionEngine::AttentionGraphs> attn =
-        engine_.forward_graphs(device);
-    const std::shared_ptr<const LaunchGraph> bwd =
+    // The engine's graphs open their streams upfront and append onto
+    // fresh streams after the dense ops' stream 0, under one buffer
+    // namespace (its name reaches mgplan's report).
+    const std::shared_ptr<const LaunchGraph> attn =
         kind == LayerKind::kTrainBackward ? engine_.backward_graph(device)
-                                          : nullptr;
-    const int streams =
-        bwd ? bwd->num_streams() : attn->sddmm.num_streams();
-    std::vector<int> map = {0};
-    while (static_cast<int>(map.size()) < streams) {
-        map.push_back(graph.create_stream());
-    }
-
-    // One buffer namespace shared by all of the engine's phase appends:
-    // its softmax must see the very %s.* scores its sddmm wrote.
+                                          : engine_.forward_graph(device);
     const std::string ns = "e0";
-
-    const auto append_phase =
-        [&](const LaunchGraph AttentionEngine::AttentionGraphs::*phase) {
-            graph.append((*attn).*phase, "attn.", &map, &ns);
-            graph.join_streams();
-        };
 
     // The training dense block: flop_scale 1 = forward; 2 = backward
     // (dX and dW GEMMs).
@@ -232,9 +213,7 @@ TransformerRunner::build_layer_graph(const sim::DeviceSpec &device,
                             {{"x", act_d}, {"w.qkv", w_qkv}},
                             {{"q", act_d}, {"k", act_d}, {"v", act_d}}));
         graph.join_streams();
-        append_phase(&AttentionEngine::AttentionGraphs::sddmm);
-        append_phase(&AttentionEngine::AttentionGraphs::softmax);
-        append_phase(&AttentionEngine::AttentionGraphs::spmm);
+        graph.append(*attn, "attn.", nullptr, &ns);
         graph.launch(0, sim::annotate(
                             kernels::plan_dense_gemm(device, seq, d, d,
                                                      batch_,
@@ -272,14 +251,11 @@ TransformerRunner::build_layer_graph(const sim::DeviceSpec &device,
       case LayerKind::kTrainForward:
         dense_layer(1.0);
         graph.join_streams();
-        append_phase(&AttentionEngine::AttentionGraphs::sddmm);
-        append_phase(&AttentionEngine::AttentionGraphs::softmax);
-        append_phase(&AttentionEngine::AttentionGraphs::spmm);
+        graph.append(*attn, "attn.", nullptr, &ns);
         break;
 
       case LayerKind::kTrainBackward:
-        // The backward graph joins internally after each of its phases.
-        graph.append(*bwd, "attn.", &map, &ns);
+        graph.append(*attn, "attn.", nullptr, &ns);
         dense_layer(2.0);
         graph.join_streams();
         break;

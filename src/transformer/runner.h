@@ -32,9 +32,9 @@ struct EndToEndResult {
 class TransformerRunner {
   public:
     /// A batch of `batch` samples that share `sample`'s metadata, fused
-    /// into batch-replicated kernel launches. The serving layer runs a
-    /// heterogeneous batch as one runner per sample bucket, co-scheduled
-    /// through plan_inference_into.
+    /// into batch-replicated kernel launches. The serving layer builds
+    /// one runner per batch over its bucket's canonical sample and
+    /// co-schedules a round's batches through plan_inference_into.
     TransformerRunner(const ModelConfig &model, SliceMode mode,
                       const WorkloadSample &sample, index_t batch,
                       const AttentionConfig *attention_overrides = nullptr);
@@ -67,8 +67,8 @@ class TransformerRunner {
     /// The three per-layer op streams a pass is assembled from. A layer's
     /// kernel sequence is identical across layers up to its name prefix,
     /// so each kind is captured once per device — dense ops on logical
-    /// stream 0, the engine's phase graphs appended on the streams after
-    /// it — PlanCache'd, and replayed once per layer
+    /// stream 0, the engine's forward or backward graph appended on the
+    /// streams after it — PlanCache'd, and replayed once per layer
     /// with the "L%02d."/"F%02d."/"B%02d." prefix. Public so mgplan can
     /// analyze the exact composed plans the runner replays.
     enum class LayerKind { kInference, kTrainForward, kTrainBackward };

@@ -447,7 +447,7 @@ TEST(CheckSpecificity, ShippedPlansAreClean)
                         : report.findings.front().message);
         };
         check_clean("forward",
-                    runner.attention().forward_graphs(device)->forward);
+                    *runner.attention().forward_graph(device));
         check_clean("backward",
                     *runner.attention().backward_graph(device));
         check_clean(

@@ -204,7 +204,7 @@ TEST(EdgeTest, EmptyPatternLaunchesNoEmptyKernel)
           SliceMode::kFineOnly, SliceMode::kDense}) {
         SCOPED_TRACE(to_string(mode));
         const AttentionEngine engine(p, config, mode);
-        const LaunchGraph &forward = engine.forward_graphs(device)->forward;
+        const LaunchGraph &forward = *engine.forward_graph(device);
         const LaunchGraph &backward = *engine.backward_graph(device);
         for (const LaunchGraph *graph : {&forward, &backward}) {
             for (const LaunchGraphNode &node : graph->nodes()) {

@@ -161,10 +161,9 @@ TEST(LintHazards, HazardsComeOutInBufferNameOrder)
 
 TEST(LintHazards, FragmentHazardSurfacesOnComposedLayer)
 {
-    // A race between two streams of one phase fragment survives
-    // composition: layer.infer appends the fragments stream-for-stream,
-    // so linting the composed plan finds it. This is why the standalone
-    // fragments need no lint run of their own beyond capture's.
+    // A race between two streams of the engine's forward plan survives
+    // composition: layer.infer appends the forward stream-for-stream, so
+    // linting the composed plan finds it.
     const ScopedLintEnv env("0");
     const fixtures::ScopedEnv check_env("MULTIGRAIN_CHECK", "0");
     const sim::DeviceSpec device = sim::DeviceSpec::a100();
@@ -175,44 +174,43 @@ TEST(LintHazards, FragmentHazardSurfacesOnComposedLayer)
                                    /*batch=*/1);
     const AttentionEngine &engine = runner.attention();
 
-    // Make the first kernel accumulating into "o" in the SpMM fragment
-    // also write it: it now races the other streams' accumulations.
-    auto corrupted = std::make_shared<AttentionEngine::AttentionGraphs>(
-        *engine.forward_graphs(device));
+    // Make the first SpMM accumulating into "o" also write it: it now
+    // races the other streams' accumulations.
+    auto corrupted =
+        std::make_shared<LaunchGraph>(*engine.forward_graph(device));
     const sim::BufferId o = sim::intern_buffer("o");
     std::string writer;
-    for (std::size_t n = 0; n < corrupted->spmm.size() && writer.empty();
-         ++n) {
+    for (std::size_t n = 0; n < corrupted->size() && writer.empty(); ++n) {
         sim::KernelLaunch &l =
-            corrupted->spmm.launch_for_test(static_cast<int>(n));
+            corrupted->launch_for_test(static_cast<int>(n));
         if (std::find(l.accums.begin(), l.accums.end(), o) !=
             l.accums.end()) {
             l.writes.push_back(o);
             writer = l.name;
         }
     }
-    ASSERT_FALSE(writer.empty()) << "no accumulation of o in the fragment";
-    const LintReport fragment = lint_graph(corrupted->spmm);
-    ASSERT_GT(fragment.hazards(), 0u);
-    EXPECT_EQ(fragment.findings.front().buffer, "o");
+    ASSERT_FALSE(writer.empty()) << "no accumulation of o in the forward";
+    const LintReport forward = lint_graph(*corrupted);
+    ASSERT_GT(forward.hazards(), 0u);
+    EXPECT_EQ(forward.findings.front().buffer, "o");
 
-    // Serve the corrupted fragments from the cache, then compose.
+    // Serve the corrupted forward from the cache, then compose.
     PlanCache::instance().clear();
     const std::string key =
         engine.plan_key() + "|fwd|" + device_plan_key(device);
-    PlanCache::instance().get_or_build<AttentionEngine::AttentionGraphs>(
+    PlanCache::instance().get_or_build<LaunchGraph>(
         key, [&] { return corrupted; });
-    ASSERT_EQ(engine.forward_graphs(device).get(), corrupted.get());
+    ASSERT_EQ(engine.forward_graph(device).get(), corrupted.get());
     const LintReport layer = lint_graph(*runner.layer_graph(
         device, TransformerRunner::LayerKind::kInference));
-    EXPECT_EQ(layer.hazards(), fragment.hazards());
+    EXPECT_EQ(layer.hazards(), forward.hazards());
     bool found = false;
     for (const LintFinding &f : layer.findings) {
         found = found || (is_hazard(f.kind) && f.buffer == "o" &&
                           f.message.find("attn." + writer) !=
                               std::string::npos);
     }
-    EXPECT_TRUE(found) << "the fragment's race on o is missing from"
+    EXPECT_TRUE(found) << "the forward's race on o is missing from"
                           " layer.infer";
     PlanCache::instance().clear();
 }
@@ -244,8 +242,6 @@ TEST(LintPresets, AllPresetPlansAreHazardFree)
 
                 LintOptions options;
                 options.device = &device;
-                const auto graphs =
-                    runner.attention().forward_graphs(device);
                 const auto check = [&](const LaunchGraph &graph,
                                        const char *what) {
                     SCOPED_TRACE(what);
@@ -270,10 +266,8 @@ TEST(LintPresets, AllPresetPlansAreHazardFree)
                             << node.launch.name << " is unannotated";
                     }
                 };
-                check(graphs->sddmm, "engine.sddmm");
-                check(graphs->softmax, "engine.softmax");
-                check(graphs->spmm, "engine.spmm");
-                check(graphs->forward, "engine.forward");
+                check(*runner.attention().forward_graph(device),
+                      "engine.forward");
                 check(*runner.attention().backward_graph(device),
                       "engine.backward");
                 check(*runner.layer_graph(

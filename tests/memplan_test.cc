@@ -413,7 +413,7 @@ TEST(MemPlanShipped, EngineMemplansValidateAndAccountEveryBuffer)
 
     const std::shared_ptr<const MemPlan> fwd =
         engine.forward_memplan(device);
-    validate_memplan(engine.forward_graphs(device)->forward, *fwd);
+    validate_memplan(*engine.forward_graph(device), *fwd);
     EXPECT_GT(fwd->naive_hbm_bytes(), 0u);
     for (const MemPlanBuffer &buf : fwd->buffers) {
         EXPECT_GT(buf.bytes, 0u) << buf.name;

@@ -239,8 +239,8 @@ TEST(PlanCacheIntegrationTest, IdenticalEnginesShareMetadataAndGraphs)
 
     // Same plan key + device -> the same captured graph object.
     const sim::DeviceSpec device = sim::DeviceSpec::a100();
-    const auto g1 = first.forward_graphs(device);
-    const auto g2 = second.forward_graphs(device);
+    const auto g1 = first.forward_graph(device);
+    const auto g2 = second.forward_graph(device);
     EXPECT_EQ(g1.get(), g2.get());
 }
 
@@ -262,8 +262,8 @@ TEST(PlanCacheIntegrationTest, MissOnChangedBlockSizeOrDevice)
     EXPECT_EQ(stats.misses, 2u);
 
     // Same engine, different device -> separate graph entries.
-    const auto on_a100 = base.forward_graphs(sim::DeviceSpec::a100());
-    const auto on_3090 = base.forward_graphs(sim::DeviceSpec::rtx3090());
+    const auto on_a100 = base.forward_graph(sim::DeviceSpec::a100());
+    const auto on_3090 = base.forward_graph(sim::DeviceSpec::rtx3090());
     EXPECT_NE(on_a100.get(), on_3090.get());
     EXPECT_EQ(cache.stats().hits, 0u);
 }

@@ -42,7 +42,7 @@ tiny_forward_graph(const sim::DeviceSpec &device)
     const WorkloadSample sample = sample_for_model(rng, model);
     const TransformerRunner runner(model, SliceMode::kMultigrain, sample,
                                    /*batch=*/1);
-    return runner.attention().forward_graphs(device)->forward;
+    return *runner.attention().forward_graph(device);
 }
 
 /// Pins one environment variable for a scope and restores its previous

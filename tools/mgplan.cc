@@ -219,8 +219,7 @@ for_each_plan_unit(
     // Attention-engine units: a forward+backward step sharing one
     // namespace (backward consumes the stashed probabilities), and a
     // double forward.
-    const auto graphs = runner.attention().forward_graphs(device);
-    const LaunchGraph &fwd = graphs->forward;
+    const LaunchGraph &fwd = *runner.attention().forward_graph(device);
     const LaunchGraph &bwd = *runner.attention().backward_graph(device);
     fn("engine.step.b1", compose(fwd, "F00.", bwd, "B00.", &step_ns));
     fn("engine.fwd.x2.b1", compose(fwd, "L00.", fwd, "L01.", nullptr));
