@@ -1204,7 +1204,6 @@ build_cluster_tiny(const sim::DeviceSpec &device)
     config.serve.admission.hbm_budget_bytes = 1ull << 30;
     config.devices = {device, device};
     config.device_names = {"dev", "dev"};
-    config.router_seed = config.serve.traffic.seed;
     serve::Cluster cluster(std::move(config));
     const serve::ClusterReport report = cluster.run();
     MG_CHECK(serve::reconcile_cluster(report).empty())

@@ -70,9 +70,7 @@ main(int argc, char **argv)
         // Per-phase view of Multigrain's first layer: the coarse, fine and
         // global parts of SDDMM/SpMM run concurrently on separate streams.
         if (argc > 2 && device.name == "A100") {
-            sim::TraceOptions options;
-            options.device = &device;
-            sim::write_chrome_trace_file(r.sim, argv[2], options);
+            sim::write_chrome_trace_file(r.sim, argv[2], device);
             std::printf("  wrote Chrome trace to %s\n", argv[2]);
         }
         std::printf("  layer 0 Multigrain attention kernels:\n");

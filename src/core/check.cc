@@ -271,8 +271,7 @@ check_graph(const PlanFacts &facts, const CheckOptions &options)
             if (ratio > report.max_size_ratio) {
                 report.max_size_ratio = ratio;
             }
-            if (ratio <= options.size_tol_over &&
-                ratio >= 1.0 / options.size_tol_under) {
+            if (ratio <= kSizeTolOver && ratio >= 1.0 / kSizeTolUnder) {
                 continue;
             }
             std::ostringstream os;
@@ -280,8 +279,8 @@ check_graph(const PlanFacts &facts, const CheckOptions &options)
                << human_bytes(annotated) << " of buffers but models "
                << human_bytes(static_cast<std::uint64_t>(modeled))
                << " of memory traffic (ratio " << ratio
-               << ", tolerance [" << 1.0 / options.size_tol_under << ", "
-               << options.size_tol_over
+               << ", tolerance [" << 1.0 / kSizeTolUnder << ", "
+               << kSizeTolOver
                << "]) — the annotated sizes no longer describe the"
                   " kernel";
             emit(CheckKind::kSizeMismatch, static_cast<int>(n), -1,

@@ -89,21 +89,23 @@ struct CheckFinding {
     std::string message;
 };
 
+/// The size-check band: Σ annotated bytes / modeled mem_bytes must lie in
+/// [1/kSizeTolUnder, kSizeTolOver]. Calibrated against the full preset
+/// matrix, whose observed ratios span 0.094..1.5 (cache-reuse models
+/// undercount against annotations; perturbed replicas overcount) — the
+/// band keeps an order of magnitude of margin on either side, wide enough
+/// for any legitimate plan and tight enough that a buffer mis-sized by
+/// two orders of magnitude cannot hide.
+constexpr double kSizeTolUnder = 128.0;
+constexpr double kSizeTolOver = 16.0;
+
 struct CheckOptions {
     /// When set, runs the arena-aliasing soundness proof against this
     /// plan (typically the memory plan of the same graph).
     const MemPlan *memplan = nullptr;
-    /// Per-kernel modeled-vs-annotated byte reconciliation.
+    /// Per-kernel modeled-vs-annotated byte reconciliation, against the
+    /// band [1/kSizeTolUnder, kSizeTolOver].
     bool size_check = true;
-    /// Tolerance band: Σ annotated bytes / modeled mem_bytes must lie in
-    /// [1/size_tol_under, size_tol_over]. Calibrated against the full
-    /// preset matrix, whose observed ratios span 0.094..1.5 (cache-reuse
-    /// models undercount against annotations; perturbed replicas
-    /// overcount) — the defaults keep an order of magnitude of margin on
-    /// either side, wide enough for any legitimate plan and tight enough
-    /// that a buffer mis-sized by two orders of magnitude cannot hide.
-    double size_tol_under = 128.0;
-    double size_tol_over = 16.0;
     /// Dead-store / leaked-temp liveness warnings.
     bool liveness_lints = true;
 };

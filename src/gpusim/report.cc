@@ -30,7 +30,7 @@ to_string(Bound bound)
 
 Roofline
 classify_roofline(const TbWork &work, double span_us,
-                  const DeviceSpec &device, double bound_threshold)
+                  const DeviceSpec &device)
 {
     Roofline r;
     if (span_us > 0) {
@@ -55,14 +55,13 @@ classify_roofline(const TbWork &work, double span_us,
             best = i;
         }
     }
-    r.bound = utils[best] >= bound_threshold ? bounds[best]
+    r.bound = utils[best] >= kBoundThreshold ? bounds[best]
                                              : Bound::kLatency;
     return r;
 }
 
 WorkloadReport
-characterize(const SimResult &result, const DeviceSpec &device,
-             double bound_threshold)
+characterize(const SimResult &result, const DeviceSpec &device)
 {
     WorkloadReport report;
     report.total_us = result.total_us;
@@ -76,8 +75,7 @@ characterize(const SimResult &result, const DeviceSpec &device,
         c.arithmetic_intensity =
             dram > 0 ? flops / dram
                      : std::numeric_limits<double>::infinity();
-        const Roofline r =
-            classify_roofline(k.work, c.duration_us, device, bound_threshold);
+        const Roofline r = classify_roofline(k.work, c.duration_us, device);
         c.tensor_util = r.tensor_util;
         c.cuda_util = r.cuda_util;
         c.dram_util = r.dram_util;

@@ -34,13 +34,16 @@ struct Roofline {
     Bound bound = Bound::kLatency;
 };
 
+/// The utilization at which the busiest resource bounds the work.
+constexpr double kBoundThreshold = 0.6;
+
 /// Classifies `work` done over `span_us` on `device`: each utilization is
 /// the work over peak × span (all zero when span_us <= 0), and the bound
 /// is the resource with the highest utilization if that reaches
-/// `bound_threshold`, else latency. The one classifier behind
+/// kBoundThreshold, else latency. The one classifier behind
 /// characterize()'s kernels and the profiler's phases.
 Roofline classify_roofline(const TbWork &work, double span_us,
-                           const DeviceSpec &device, double bound_threshold);
+                           const DeviceSpec &device);
 
 struct KernelCharacterization {
     std::string name;
@@ -70,13 +73,10 @@ struct WorkloadReport {
     }
 };
 
-/// Characterizes every kernel of `result` against `device`. A kernel is
-/// classified as bound by the resource with the highest utilization if
-/// that utilization exceeds `bound_threshold` (default 60 %), else
-/// latency-bound.
+/// Characterizes every kernel of `result` against `device`, each
+/// classified by classify_roofline over its own duration.
 WorkloadReport characterize(const SimResult &result,
-                            const DeviceSpec &device,
-                            double bound_threshold = 0.6);
+                            const DeviceSpec &device);
 
 /// Prints the report as a fixed-width table (top `max_kernels` kernels by
 /// duration, plus totals).

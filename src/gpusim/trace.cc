@@ -27,7 +27,7 @@ event_header(JsonWriter &w, const char *ph, int tid, int pid = 0)
 
 void
 emit_lane_names(JsonWriter &w, const SimResult &result,
-                const TraceOptions &options)
+                const std::vector<PhaseMark> &phases)
 {
     std::set<int> streams;
     for (const auto &k : result.kernels) {
@@ -42,7 +42,7 @@ emit_lane_names(JsonWriter &w, const SimResult &result,
         w.end_object();
         w.end_object();
     }
-    if (!options.phases.empty()) {
+    if (!phases.empty()) {
         event_header(w, "M", kPhaseLane);
         w.field("name", "thread_name");
         w.key("args");
@@ -166,9 +166,9 @@ emit_counter_tracks(JsonWriter &w, const SimResult &result,
 }
 
 void
-emit_phase_marks(JsonWriter &w, const TraceOptions &options)
+emit_phase_marks(JsonWriter &w, const std::vector<PhaseMark> &phases)
 {
-    for (const PhaseMark &mark : options.phases) {
+    for (const PhaseMark &mark : phases) {
         event_header(w, "X", kPhaseLane);
         w.field("name", mark.name);
         w.field("ts", mark.start_us);
@@ -181,7 +181,8 @@ emit_phase_marks(JsonWriter &w, const TraceOptions &options)
 
 void
 write_chrome_trace_file(const SimResult &result, const std::string &path,
-                        const TraceOptions &options)
+                        const DeviceSpec &device,
+                        const std::vector<PhaseMark> &phases)
 {
     std::ofstream file(path);
     MG_CHECK(file.good()) << "cannot open trace file " << path;
@@ -191,15 +192,11 @@ write_chrome_trace_file(const SimResult &result, const std::string &path,
         w.field("displayTimeUnit", "ns");
         w.key("traceEvents");
         w.begin_array();
-        emit_lane_names(w, result, options);
+        emit_lane_names(w, result, phases);
         emit_kernel_slices(w, result);
-        if (options.flows) {
-            emit_flow_events(w, result);
-        }
-        if (options.device != nullptr) {
-            emit_counter_tracks(w, result, *options.device);
-        }
-        emit_phase_marks(w, options);
+        emit_flow_events(w, result);
+        emit_counter_tracks(w, result, device);
+        emit_phase_marks(w, phases);
         w.end_array();
         w.end_object();
     }

@@ -12,7 +12,7 @@
 /// per CUDA stream. The multi-stream overlap of Multigrain's coarse ∥ fine
 /// ∥ special parts is directly visible this way.
 ///
-/// Beyond the per-kernel slices, the exporter can emit the Nsight-style
+/// Beyond the per-kernel slices, the exporter emits the Nsight-style
 /// context the paper reads off its profiles:
 ///  * counter tracks — DRAM bandwidth utilization and resident thread
 ///    blocks over time (piecewise-constant, sampled at kernel
@@ -31,22 +31,14 @@ struct PhaseMark {
     double end_us = 0;
 };
 
-struct TraceOptions {
-    /// Enables the counter tracks; utilization needs the device peaks.
-    /// When null, counters are omitted.
-    const DeviceSpec *device = nullptr;
-    /// Flow arrows for cross-stream dependencies (joins).
-    bool flows = true;
-    /// Marker slices drawn on a separate lane; the mgprof CLI fills this
-    /// from the profiler's carved phases.
-    std::vector<PhaseMark> phases;
-};
-
-/// Writes the trace JSON to `path`; throws Error on I/O failure. Default
-/// options emit slices and flow arrows only (no device — no counters).
+/// Writes the trace JSON to `path`: slices, flow arrows, counter tracks
+/// against `device`'s peaks, and `phases` as marker slices on their own
+/// lane (mgprof passes the profiler's carved ops). Throws Error on I/O
+/// failure.
 void write_chrome_trace_file(const SimResult &result,
                              const std::string &path,
-                             const TraceOptions &options = {});
+                             const DeviceSpec &device,
+                             const std::vector<PhaseMark> &phases = {});
 
 /// Appends `result`'s per-kernel slices to an already-open
 /// "traceEvents" array, shifted forward by `offset_us` and placed under

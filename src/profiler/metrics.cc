@@ -96,8 +96,7 @@ struct Accum {
         weighted_occupancy += frac * k.duration_us();
     }
 
-    PhaseStats finish(const sim::DeviceSpec &device,
-                      double bound_threshold) const
+    PhaseStats finish(const sim::DeviceSpec &device) const
     {
         PhaseStats out = stats;
         if (out.kernel_count == 0) {
@@ -110,8 +109,8 @@ struct Accum {
         out.achieved_occupancy =
             out.busy_us > 0 ? weighted_occupancy / out.busy_us : 0;
 
-        const sim::Roofline r = sim::classify_roofline(
-            out.work, out.span_us, device, bound_threshold);
+        const sim::Roofline r =
+            sim::classify_roofline(out.work, out.span_us, device);
         out.tensor_util = r.tensor_util;
         out.cuda_util = r.cuda_util;
         out.dram_util = r.dram_util;
@@ -123,12 +122,12 @@ struct Accum {
 
 std::vector<PhaseStats>
 finish_groups(const std::map<std::string, Accum> &groups,
-              const sim::DeviceSpec &device, double bound_threshold)
+              const sim::DeviceSpec &device)
 {
     std::vector<PhaseStats> out;
     out.reserve(groups.size());
     for (const auto &[name, accum] : groups) {
-        PhaseStats stats = accum.finish(device, bound_threshold);
+        PhaseStats stats = accum.finish(device);
         stats.name = name;
         out.push_back(std::move(stats));
     }
@@ -172,7 +171,7 @@ ProfiledRun::find_layer(const std::string &name) const
 
 PhaseStats
 carve_prefix(const sim::SimResult &result, const sim::DeviceSpec &device,
-             const std::string &prefix, double bound_threshold)
+             const std::string &prefix)
 {
     Accum accum;
     for (const auto &k : result.kernels) {
@@ -180,21 +179,20 @@ carve_prefix(const sim::SimResult &result, const sim::DeviceSpec &device,
             accum.add(k, device);
         }
     }
-    PhaseStats stats = accum.finish(device, bound_threshold);
+    PhaseStats stats = accum.finish(device);
     stats.name = prefix;
     return stats;
 }
 
 ProfiledRun
-profile(const sim::SimResult &result, const sim::DeviceSpec &device,
-        const ProfileOptions &options)
+profile(const sim::SimResult &result, const sim::DeviceSpec &device)
 {
     ProfiledRun run;
     run.device = device.name;
     run.total_us = result.total_us;
     run.work = result.work;
     run.engine = result.engine;
-    run.report = sim::characterize(result, device, options.bound_threshold);
+    run.report = sim::characterize(result, device);
 
     std::map<std::string, Accum> by_op;
     std::map<std::string, Accum> by_subphase;
@@ -207,14 +205,10 @@ profile(const sim::SimResult &result, const sim::DeviceSpec &device,
             by_layer[parts.layer].add(k, device);
         }
     }
-    run.ops = finish_groups(by_op, device, options.bound_threshold);
-    run.subphases =
-        finish_groups(by_subphase, device, options.bound_threshold);
-    run.layers = finish_groups(by_layer, device, options.bound_threshold);
-
-    if (options.include_host_timers) {
-        run.host_timers = host_timer_stats();
-    }
+    run.ops = finish_groups(by_op, device);
+    run.subphases = finish_groups(by_subphase, device);
+    run.layers = finish_groups(by_layer, device);
+    run.host_timers = host_timer_stats();
     return run;
 }
 

@@ -92,19 +92,11 @@ struct ProfiledRun {
     const PhaseStats *find_layer(const std::string &name) const;
 };
 
-struct ProfileOptions {
-    /// A phase is bound by its highest-utilization resource when that
-    /// utilization exceeds this, else latency-bound (matches
-    /// sim::characterize).
-    double bound_threshold = 0.6;
-    /// Capture host_timer_stats() into the run.
-    bool include_host_timers = true;
-};
-
-/// Profiles `result` against `device`.
+/// Profiles `result` against `device`, with host_timer_stats() as its
+/// host timers. A phase is bound the way sim::classify_roofline bounds a
+/// kernel.
 ProfiledRun profile(const sim::SimResult &result,
-                    const sim::DeviceSpec &device,
-                    const ProfileOptions &options = {});
+                    const sim::DeviceSpec &device);
 
 /// Aggregates the kernels of `result` whose name starts with `prefix`
 /// (empty prefix = whole timeline) with the same math profile() uses for
@@ -112,8 +104,7 @@ ProfiledRun profile(const sim::SimResult &result,
 /// when nothing matches — every other field stays zero then.
 PhaseStats carve_prefix(const sim::SimResult &result,
                         const sim::DeviceSpec &device,
-                        const std::string &prefix,
-                        double bound_threshold = 0.6);
+                        const std::string &prefix);
 
 /// One registered phase metric: how exporters and tables enumerate the
 /// columns of a PhaseStats without hand-maintaining parallel lists.

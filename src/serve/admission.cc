@@ -47,12 +47,9 @@ AdmissionQueue::AdmissionQueue(const AdmissionConfig &config,
     MG_CHECK(config_.max_queue_wait_us >= 0)
         << "max queue wait must be non-negative";
     for (const TenantSpec &t : tenants) {
-        MG_CHECK(t.weight > 0) << "tenant weight must be positive";
         tenant_names_.push_back(t.name);
         queues_.emplace_back();
         buckets_.emplace_back(t);
-        weights_.push_back(t.weight);
-        charged_us_.push_back(0.0);
     }
 }
 
@@ -67,15 +64,7 @@ AdmissionQueue::tenant_index(const std::string &name)
     tenant_names_.push_back(name);
     queues_.emplace_back();
     buckets_.emplace_back();  // Unknown tenants are never rate-limited.
-    weights_.push_back(1.0);
-    charged_us_.push_back(0.0);
     return tenant_names_.size() - 1;
-}
-
-void
-AdmissionQueue::set_charged(const std::string &tenant, double device_us)
-{
-    charged_us_[tenant_index(tenant)] = device_us;
 }
 
 void
@@ -188,23 +177,17 @@ AdmissionQueue::pop_seed()
 {
     std::size_t best = tenant_names_.size();
     double best_deadline = 0;
-    double best_debt = 0;
-    // Visit tenants from the cursor so equal keys rotate fairly; strict
-    // < keeps the first (cursor-closest) head on ties. Under WFQ the
-    // primary key is the tenant's charged device time per weight (its
-    // ledger debt), with EDF breaking debt ties; otherwise pure EDF.
+    // Visit tenants from the cursor so equal deadlines rotate fairly;
+    // strict < keeps the first (cursor-closest) head on ties.
     for (std::size_t step = 0; step < queues_.size(); ++step) {
         const std::size_t i = (cursor_ + step) % queues_.size();
         if (queues_[i].empty()) {
             continue;
         }
         const double deadline = queues_[i].front().deadline_us;
-        const double debt = config_.wfq ? charged_us_[i] / weights_[i] : 0;
-        if (best == tenant_names_.size() || debt < best_debt ||
-            (debt == best_debt && deadline < best_deadline)) {
+        if (best == tenant_names_.size() || deadline < best_deadline) {
             best = i;
             best_deadline = deadline;
-            best_debt = debt;
         }
     }
     if (best == tenant_names_.size()) {

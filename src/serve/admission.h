@@ -48,15 +48,6 @@ struct AdmissionConfig {
     /// an exact counter (shed_memory) — the byte-budget analogue of the
     /// depth bound above.
     std::uint64_t hbm_budget_bytes = 0;
-    /// Burst-aware weighted fair queueing (ISSUE 9): when enabled,
-    /// pop_seed picks the tenant head with the smallest charged device
-    /// time per TenantSpec::weight (fed back from the Server's cost fold
-    /// via set_charged) instead of pure EDF — a tenant that already burned
-    /// its share of the device waits behind tenants that have not, even
-    /// if its deadlines are tighter. Deadlines still break debt ties, so
-    /// the policy degrades to EDF while charges are equal (e.g. at the
-    /// start of a run).
-    bool wfq = false;
 };
 
 struct AdmissionStats {
@@ -189,12 +180,6 @@ class AdmissionQueue {
     /// footprint_bytes).
     std::uint64_t queued_bytes() const { return queued_bytes_; }
 
-    /// WFQ feedback: the tenant's cumulative charged device time from
-    /// the Server's cost fold (absolute, not a delta — the Server pushes
-    /// the running totals after every completed or killed round).
-    /// Ignored unless AdmissionConfig::wfq is set.
-    void set_charged(const std::string &tenant, double device_us);
-
     const AdmissionStats &stats() const { return stats_; }
 
   private:
@@ -208,8 +193,6 @@ class AdmissionQueue {
     std::vector<std::string> tenant_names_;
     std::vector<std::deque<Request>> queues_;  ///< Parallel to names.
     std::vector<TokenBucket> buckets_;         ///< Parallel to names.
-    std::vector<double> weights_;              ///< WFQ weights, parallel.
-    std::vector<double> charged_us_;           ///< WFQ debt, parallel.
     std::size_t cursor_ = 0;
     std::uint64_t queued_bytes_ = 0;
     AdmissionStats stats_;

@@ -94,7 +94,6 @@ cluster_base(const char *name, std::size_t replicas,
         c.devices.push_back(device);
         c.device_names.push_back(device_cli_name);
     }
-    c.router_seed = c.serve.traffic.seed;
     return c;
 }
 
@@ -156,7 +155,7 @@ cluster_preset_by_name(const std::string &name,
 Cluster::Cluster(ClusterConfig config)
     : config_(std::move(config)),
       router_(config_.policy, config_.devices.size(),
-              config_.router_seed)
+              config_.serve.traffic.seed)
 {
     MG_CHECK(!config_.devices.empty())
         << "a cluster needs at least one replica";

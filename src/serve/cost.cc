@@ -225,12 +225,9 @@ cost_report_json(const CostReport &cost, const CostRunInfo &info,
 
 // ---- Time-series telemetry ----------------------------------------------
 
-TelemetryRecorder::TelemetryRecorder(TelemetryConfig config,
-                                     const std::vector<TenantSpec> &tenants)
-    : config_(config), fold_(std::make_unique<ServeFold>(tenants))
+TelemetryRecorder::TelemetryRecorder(const std::vector<TenantSpec> &tenants)
+    : fold_(std::make_unique<ServeFold>(tenants))
 {
-    MG_CHECK(config_.interval_us > 0)
-        << "telemetry interval must be positive";
     for (const TenantSpec &t : tenants) {
         tenants_.push_back(t.name);
     }
@@ -254,7 +251,7 @@ TelemetryRecorder::emit_through(double limit_us, bool inclusive)
             s.bucket_fill.push_back(fold_->tenant(t).fill);
         }
         samples_.push_back(std::move(s));
-        next_grid_us_ += config_.interval_us;
+        next_grid_us_ += kTelemetryIntervalUs;
     }
 }
 

@@ -196,10 +196,8 @@ std::string cost_report_json(const CostReport &cost,
 
 // ---- Time-series telemetry ----------------------------------------------
 
-struct TelemetryConfig {
-    /// Sampling grid spacing on the virtual serving clock, microseconds.
-    double interval_us = 50;
-};
+/// Sampling grid spacing on the virtual serving clock, microseconds.
+constexpr double kTelemetryIntervalUs = 50;
 
 /// One grid sample. The per-tenant vectors are parallel to
 /// TelemetryRecorder::tenants().
@@ -223,8 +221,7 @@ class TelemetryRecorder {
   public:
     /// `tenants` fixes the per-tenant columns and each tenant's starting
     /// bucket fill (a fresh TokenBucket of its spec).
-    TelemetryRecorder(TelemetryConfig config,
-                      const std::vector<TenantSpec> &tenants);
+    explicit TelemetryRecorder(const std::vector<TenantSpec> &tenants);
     ~TelemetryRecorder();
 
     const std::vector<std::string> &tenants() const { return tenants_; }
@@ -242,7 +239,6 @@ class TelemetryRecorder {
   private:
     void emit_through(double limit_us, bool inclusive);
 
-    TelemetryConfig config_;
     std::vector<std::string> tenants_;
     std::unique_ptr<ServeFold> fold_;
     double next_grid_us_ = 0;

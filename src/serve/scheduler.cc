@@ -52,9 +52,6 @@ int
 Scheduler::planned_batch(int actual) const
 {
     MG_CHECK(actual > 0) << "batch must hold at least one request";
-    if (!config_.pad_batch_pow2) {
-        return actual;
-    }
     int padded = 1;
     while (padded < actual) {
         padded *= 2;

@@ -42,9 +42,6 @@ struct SchedulerConfig {
     index_t bucket_granularity = 256;
     /// Batches co-scheduled (on separate stream groups) per round.
     int max_concurrent_batches = 2;
-    /// Pad the planned batch size to the next power of two so plan-cache
-    /// keys repeat across nearby batch sizes.
-    bool pad_batch_pow2 = true;
     /// Per-round projected HBM budget, bytes; 0 disables byte packing.
     /// When set (and a footprint callback is installed), round formation
     /// packs batches to this byte budget instead of a pure request
@@ -91,7 +88,9 @@ class Scheduler {
     /// The bucket `r` pads to: valid_len rounded up to the granularity,
     /// clamped to its model's cap.
     index_t bucket_of(const Request &r) const;
-    /// The padded batch size a batch of `actual` requests plans with.
+    /// The padded batch size a batch of `actual` requests plans with:
+    /// the next power of two, capped at max_batch, so plan-cache keys
+    /// repeat across nearby batch sizes.
     int planned_batch(int actual) const;
 
     /// Forms the next round of batches from `queue` (empty result iff

@@ -211,11 +211,7 @@ write_events_jsonl(const std::vector<TraceEvent> &events, std::ostream &os)
 
 // ---- TraceLog + flight recorder -----------------------------------------
 
-TraceLog::TraceLog(TraceConfig config) : config_(config)
-{
-    MG_CHECK(config_.ring_rounds > 0)
-        << "flight recorder needs at least one round of window";
-}
+TraceLog::TraceLog(TraceConfig config) : config_(config) {}
 
 void
 TraceLog::record(TraceEvent event, const sim::SimResult *round_sim)
@@ -230,8 +226,8 @@ TraceLog::record(TraceEvent event, const sim::SimResult *round_sim)
     ring_.push_back(event);
     if (event.kind == TraceEventKind::kRoundDispatch) {
         round_start_seqs_.push_back(event.seq);
-        if (round_start_seqs_.size() > config_.ring_rounds) {
-            // The ring keeps the last ring_rounds rounds: drop the
+        if (round_start_seqs_.size() > kRingRounds) {
+            // The ring keeps the last kRingRounds rounds: drop the
             // oldest retained round and every event before the new
             // oldest round's dispatch.
             round_start_seqs_.pop_front();
@@ -253,8 +249,7 @@ TraceLog::detect(const TraceEvent &event)
         break;
       case TraceEventKind::kShedRateLimit: {
         ++ratelimit_run_;
-        if (config_.ratelimit_streak > 0 &&
-            ratelimit_run_ >= config_.ratelimit_streak) {
+        if (ratelimit_run_ >= kRatelimitStreak) {
             std::ostringstream os;
             os << ratelimit_run_
                << " consecutive token-bucket sheds";
@@ -268,15 +263,13 @@ TraceLog::detect(const TraceEvent &event)
         recent_shed_us_.push_back(event.t_us);
         while (!recent_shed_us_.empty() &&
                recent_shed_us_.front() <
-                   event.t_us - config_.shed_window_us) {
+                   event.t_us - kShedWindowUs) {
             recent_shed_us_.pop_front();
         }
-        if (config_.shed_burst > 0 &&
-            recent_shed_us_.size() >=
-                static_cast<std::size_t>(config_.shed_burst)) {
+        if (recent_shed_us_.size() >= static_cast<std::size_t>(kShedBurst)) {
             std::ostringstream os;
-            os << recent_shed_us_.size() << " sheds within "
-               << config_.shed_window_us << " us";
+            os << recent_shed_us_.size() << " sheds within " << kShedWindowUs
+               << " us";
             fire("shed_burst", event.t_us, os.str());
             recent_shed_us_.clear();  // Re-arm from an empty window.
         }
@@ -288,7 +281,7 @@ TraceLog::detect(const TraceEvent &event)
             break;
         }
         ++miss_run_;
-        if (config_.miss_streak > 0 && miss_run_ >= config_.miss_streak) {
+        if (miss_run_ >= kMissStreak) {
             std::ostringstream os;
             os << miss_run_ << " consecutive deadline misses";
             fire("deadline_miss_streak", event.t_us, os.str());
@@ -296,19 +289,6 @@ TraceLog::detect(const TraceEvent &event)
         }
         break;
       }
-      case TraceEventKind::kRoundDispatch: {
-        if (config_.stall_us > 0 && last_round_done_us_ >= 0 &&
-            event.t_us - last_round_done_us_ > config_.stall_us) {
-            std::ostringstream os;
-            os << "device idle " << event.t_us - last_round_done_us_
-               << " us between rounds";
-            fire("empty_round_stall", event.t_us, os.str());
-        }
-        break;
-      }
-      case TraceEventKind::kRoundDone:
-        last_round_done_us_ = event.t_us;
-        break;
       default:
         break;
     }
@@ -331,8 +311,7 @@ TraceLog::fire(const char *trigger, double t_us, std::string detail)
 // ---- Incident serialization ---------------------------------------------
 
 std::string
-incident_to_json(const Incident &incident, const TraceRunInfo &info,
-                 const TraceConfig &config)
+incident_to_json(const Incident &incident, const TraceRunInfo &info)
 {
     std::ostringstream os;
     {
@@ -350,12 +329,11 @@ incident_to_json(const Incident &incident, const TraceRunInfo &info,
         w.field("last_seq", static_cast<std::int64_t>(incident.last_seq));
         w.key("thresholds");
         w.begin_object();
-        w.field("ring_rounds", static_cast<std::int64_t>(config.ring_rounds));
-        w.field("shed_burst", config.shed_burst);
-        w.field("shed_window_us", config.shed_window_us);
-        w.field("miss_streak", config.miss_streak);
-        w.field("stall_us", config.stall_us);
-        w.field("ratelimit_streak", config.ratelimit_streak);
+        w.field("ring_rounds", static_cast<std::int64_t>(kRingRounds));
+        w.field("shed_burst", kShedBurst);
+        w.field("shed_window_us", kShedWindowUs);
+        w.field("miss_streak", kMissStreak);
+        w.field("ratelimit_streak", kRatelimitStreak);
         w.end_object();
         w.key("events");
         w.begin_array();

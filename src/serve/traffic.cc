@@ -104,9 +104,7 @@ TrafficSource::make_request(double arrival_us)
         rng_.next_below(config_.models.size()));
     r.model = config_.models[m];
 
-    const index_t cap =
-        config_.max_len > 0 ? std::min(config_.max_len, model_caps_[m])
-                            : model_caps_[m];
+    const index_t cap = model_caps_[m];
     const index_t lo = std::clamp<index_t>(config_.min_len, 1, cap);
     r.valid_len = rng_.next_range(lo, cap);
 

@@ -82,9 +82,8 @@ struct TrafficConfig {
     /// Uniform model mix; every entry must resolve via
     /// model_config_by_name.
     std::vector<std::string> models = {"tiny"};
-    /// Sequence-length range; max_len == 0 means the model's cap.
+    /// Shortest sequence length drawn; the longest is the model's cap.
     index_t min_len = 1;
-    index_t max_len = 0;
     std::vector<TenantSpec> tenants = {{"default", 1.0,
                                         SloClass::kStandard}};
     /// Latency budget per SLO class (indexed by SloClass), microseconds;

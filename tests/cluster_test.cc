@@ -121,79 +121,6 @@ TEST(RouterTest, TenantAffinityPinsAreSeededAndSticky)
     EXPECT_EQ(router.stats().affinity_repins, 1u);
 }
 
-// ---- Burst-aware WFQ in admission ---------------------------------------
-
-serve::AdmissionConfig
-wfq_config(bool wfq)
-{
-    serve::AdmissionConfig config;
-    config.queue_capacity = 16;
-    config.wfq = wfq;
-    return config;
-}
-
-const std::vector<serve::TenantSpec> kTwoTenants = {
-    {"alice", 2.0, serve::SloClass::kInteractive},
-    {"bob", 1.0, serve::SloClass::kStandard}};
-
-TEST(WfqTest, DisabledTogglePreservesEdfOrder)
-{
-    // With the toggle off — and with it on but all charges equal — the
-    // dequeue order is exactly the old EDF-with-rotation policy.
-    for (const bool wfq : {false, true}) {
-        serve::AdmissionQueue queue(wfq_config(wfq), kTwoTenants);
-        ASSERT_TRUE(queue.offer(make_request(0, "alice", 900), 0));
-        ASSERT_TRUE(queue.offer(make_request(1, "bob", 500), 0));
-        ASSERT_TRUE(queue.offer(make_request(2, "alice", 700), 0));
-        if (wfq) {
-            queue.set_charged("alice", 0);
-            queue.set_charged("bob", 0);
-        }
-        // EDF across tenant heads, FIFO within a tenant: bob's 500
-        // first, then alice's queue in arrival order.
-        EXPECT_EQ(queue.pop_seed()->id, 1u) << "wfq=" << wfq;
-        EXPECT_EQ(queue.pop_seed()->id, 0u) << "wfq=" << wfq;
-        EXPECT_EQ(queue.pop_seed()->id, 2u) << "wfq=" << wfq;
-    }
-}
-
-TEST(WfqTest, ChargedTenantWaitsBehindUnchargedOne)
-{
-    serve::AdmissionQueue queue(wfq_config(true), kTwoTenants);
-    ASSERT_TRUE(queue.offer(make_request(0, "alice", 500), 0));
-    ASSERT_TRUE(queue.offer(make_request(1, "bob", 900), 0));
-    // Alice burned device time; EDF would pick her tighter deadline,
-    // WFQ makes her wait behind the tenant that has not spent yet.
-    queue.set_charged("alice", 1000);
-    EXPECT_EQ(queue.pop_seed()->id, 1);
-    EXPECT_EQ(queue.pop_seed()->id, 0);
-}
-
-TEST(WfqTest, DebtIsChargePerWeight)
-{
-    // alice (weight 2) charged 1000 → debt 500; bob (weight 1) charged
-    // 600 → debt 600. The *weighted* debt decides, not the raw charge.
-    serve::AdmissionQueue queue(wfq_config(true), kTwoTenants);
-    ASSERT_TRUE(queue.offer(make_request(0, "alice", 900), 0));
-    ASSERT_TRUE(queue.offer(make_request(1, "bob", 500), 0));
-    queue.set_charged("alice", 1000);
-    queue.set_charged("bob", 600);
-    EXPECT_EQ(queue.pop_seed()->id, 0);
-    EXPECT_EQ(queue.pop_seed()->id, 1);
-}
-
-TEST(WfqTest, TinyPresetRunReconcilesWithWfqEnabled)
-{
-    serve::ServeConfig config = serve::serve_preset_by_name("tiny");
-    config.admission.wfq = true;
-    serve::Server server(config, sim::DeviceSpec::a100());
-    const serve::ServeReport report = server.run();
-    EXPECT_GT(report.completed, 0u);
-    // The ledger feedback loop (charges → debt → dequeue order) must
-    // not break conservation.
-    EXPECT_TRUE(serve::reconcile_cost(report.cost, report).empty());
-}
-
 // ---- Fleet conservation -------------------------------------------------
 
 serve::ClusterReport

@@ -649,7 +649,7 @@ TEST(TraceTest, ChromeTraceContainsKernelsAndStreams)
     graph.launch(0, one_kernel("kernel_a", w, 2));
     graph.launch(s1, one_kernel("kernel_b", w, 1));
     const SimResult r = simulate(toy_device(), graph);
-    const std::string json = chrome_trace_json(r);
+    const std::string json = chrome_trace_json(r, toy_device());
 
     EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
     EXPECT_NE(json.find("kernel_a"), std::string::npos);
@@ -675,7 +675,8 @@ TEST(TraceTest, EscapesSpecialCharactersInNames)
     TbWork w;
     w.cuda_flops = 1;
     graph.launch(0, one_kernel("weird\"name\\with\nstuff", w, 1));
-    const std::string json = chrome_trace_json(simulate(toy_device(), graph));
+    const std::string json =
+        chrome_trace_json(simulate(toy_device(), graph), toy_device());
     EXPECT_NE(json.find("weird\\\"name\\\\with\\nstuff"),
               std::string::npos);
 }

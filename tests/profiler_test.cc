@@ -235,13 +235,11 @@ TEST(ProfilerTest, PhaseCsvHasRegistryColumnsAndAllGroups)
 
 TEST(ProfilerTest, ProfileOfEmptyResultIsEmptyButValid)
 {
-    const ProfiledRun run = profile(sim::SimResult{},
-                                    sim::DeviceSpec::rtx3090(),
-                                    {0.6, /*include_host_timers=*/false});
+    const ProfiledRun run =
+        profile(sim::SimResult{}, sim::DeviceSpec::rtx3090());
     EXPECT_TRUE(run.ops.empty());
     EXPECT_TRUE(run.subphases.empty());
     EXPECT_TRUE(run.layers.empty());
-    EXPECT_TRUE(run.host_timers.empty());
     const JsonValue doc = json_parse(to_json(run));
     EXPECT_EQ(doc.at("schema").as_string(), kProfileSchema);
     EXPECT_TRUE(doc.at("ops").array.empty());

@@ -3,7 +3,9 @@
 // document must be either accepted or rejected with multigrain::Error —
 // never another exception type, never a crash (run it under ASan/UBSan).
 
+#include <algorithm>
 #include <functional>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -71,28 +73,18 @@ feed(const std::string &doc, std::uint64_t seed,
 }
 
 /// A memtight serving run — the source of the bench document and of
-/// flight-recorder incidents (it sheds on memory; the ring keeps one
-/// round so the dump stays small).
+/// flight-recorder incidents (it sheds on memory).
 struct ServedMemtight {
-    serve::TraceConfig trace_config;
     serve::TraceLog log;
     serve::ServeReport report;
 
-    ServedMemtight() : trace_config(make_trace_config()), log(trace_config)
+    ServedMemtight()
     {
         const serve::ServeConfig config =
             serve::serve_preset_by_name("memtight");
         serve::Server server(config, sim::DeviceSpec::a100());
         server.set_trace(&log);
         report = server.run();
-    }
-
-    static serve::TraceConfig
-    make_trace_config()
-    {
-        serve::TraceConfig c;
-        c.ring_rounds = 1;
-        return c;
     }
 };
 
@@ -175,16 +167,27 @@ failover_incident_document()
     incident.t_us = 20;
     incident.last_seq = log.events().back().seq;
     incident.events = log.events();
-    return serve::incident_to_json(incident, {"failover", "a100", 0},
-                                   log.config());
+    return serve::incident_to_json(incident, {"failover", "a100", 0});
 }
 
 TEST(ReaderRobustnessTest, IncidentFromJson)
 {
     const ServedMemtight &run = served_memtight();
     ASSERT_FALSE(run.log.incidents().empty());
-    const std::string doc = serve::incident_to_json(
-        run.log.incidents().front(), {"memtight", "a100", 0}, run.trace_config);
+    // The first incident's last round keeps the dump small.
+    serve::Incident incident = run.log.incidents().front();
+    const auto dispatch = std::find_if(
+        incident.events.rbegin(), incident.events.rend(),
+        [](const serve::TraceEvent &e) {
+            return e.kind == serve::TraceEventKind::kRoundDispatch;
+        });
+    if (dispatch != incident.events.rend()) {
+        incident.events.erase(incident.events.begin(),
+                              std::prev(dispatch.base()));
+    }
+    incident.first_seq = incident.events.front().seq;
+    const std::string doc =
+        serve::incident_to_json(incident, {"memtight", "a100", 0});
     const Outcome o = feed(doc, 4, [](const std::string &text) {
         serve::incident_from_json(text);
     });

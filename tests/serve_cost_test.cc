@@ -255,7 +255,8 @@ TEST(TelemetryRecorderTest, EmitsAStepFunctionOnTheGrid)
 {
     TenantSpec a;
     a.name = "a";
-    TelemetryRecorder recorder({/*interval_us=*/10}, {a});
+    TelemetryRecorder recorder({a});
+    const double dt = kTelemetryIntervalUs;
     const auto event = [&recorder](TraceEventKind kind, double t_us,
                                    std::int64_t request) {
         TraceEvent e;
@@ -271,21 +272,21 @@ TEST(TelemetryRecorderTest, EmitsAStepFunctionOnTheGrid)
         e.hbm_bytes = 100;
         recorder.apply(e);
     };
-    // Grid points 0, 10, 20 elapse before the first event and carry the
-    // initial state: empty, with a fresh bucket's fill.
-    event(TraceEventKind::kArrive, 25, 1);
-    event(TraceEventKind::kAdmit, 25, 1);
-    event(TraceEventKind::kArrive, 25, 2);
-    event(TraceEventKind::kAdmit, 25, 2);
-    // t=30 carries the two queued requests; 40 and 50 the round.
-    event(TraceEventKind::kBatchForm, 35, 1);
-    event(TraceEventKind::kBatchForm, 35, 2);
-    event(TraceEventKind::kRoundDispatch, 35, -1);
-    recorder.finish(50);
+    // Grid points 0, 1, 2 (in intervals) elapse before the first event
+    // and carry the initial state: empty, with a fresh bucket's fill.
+    event(TraceEventKind::kArrive, 2.5 * dt, 1);
+    event(TraceEventKind::kAdmit, 2.5 * dt, 1);
+    event(TraceEventKind::kArrive, 2.5 * dt, 2);
+    event(TraceEventKind::kAdmit, 2.5 * dt, 2);
+    // Point 3 carries the two queued requests; 4 and 5 the round.
+    event(TraceEventKind::kBatchForm, 3.5 * dt, 1);
+    event(TraceEventKind::kBatchForm, 3.5 * dt, 2);
+    event(TraceEventKind::kRoundDispatch, 3.5 * dt, -1);
+    recorder.finish(5 * dt);
 
     const std::vector<TelemetrySample> &samples = recorder.samples();
     ASSERT_EQ(samples.size(), 6u);
-    const double expected_t[] = {0, 10, 20, 30, 40, 50};
+    const double expected_t[] = {0, dt, 2 * dt, 3 * dt, 4 * dt, 5 * dt};
     const int expected_in_flight[] = {0, 0, 0, 0, 2, 2};
     const std::size_t expected_depth[] = {0, 0, 0, 2, 0, 0};
     for (std::size_t i = 0; i < samples.size(); ++i) {
@@ -305,8 +306,7 @@ TEST(TelemetryRecorderTest, CsvIsByteIdenticalAcrossSameSeedRuns)
     for (int i = 0; i < 2; ++i) {
         TraceLog log;
         run_preset("noisy", "a100", &log);
-        TelemetryRecorder recorder({/*interval_us=*/50},
-                                   config.traffic.tenants);
+        TelemetryRecorder recorder(config.traffic.tenants);
         fold_telemetry(recorder, log);
         EXPECT_FALSE(recorder.samples().empty());
         csv[i] = telemetry_csv(recorder);
@@ -329,8 +329,7 @@ TEST(TelemetryRecorderTest, ObserverDoesNotPerturbTheRun)
     const ServeConfig config = serve_preset_by_name("noisy");
     TraceLog log;
     const ServeReport watched = run_preset("noisy", "a100", &log);
-    TelemetryRecorder recorder({/*interval_us=*/25},
-                               config.traffic.tenants);
+    TelemetryRecorder recorder(config.traffic.tenants);
     fold_telemetry(recorder, log);
     const ServeReport bare = run_preset("noisy", "a100");
     EXPECT_DOUBLE_EQ(watched.busy_us, bare.busy_us);
@@ -339,7 +338,7 @@ TEST(TelemetryRecorderTest, ObserverDoesNotPerturbTheRun)
     EXPECT_EQ(watched.admission.shed_ratelimit,
               bare.admission.shed_ratelimit);
     ASSERT_FALSE(recorder.samples().empty());
-    EXPECT_GT(recorder.samples().back().t_us + 25,
+    EXPECT_GT(recorder.samples().back().t_us + kTelemetryIntervalUs,
               log.events().back().t_us);
 }
 

@@ -275,31 +275,28 @@ shed_at(double t_us, std::int64_t request)
 
 TEST(FlightRecorderTest, ShedBurstFiresInsideTheWindowOnly)
 {
-    TraceConfig config;
-    config.shed_burst = 3;
-    config.shed_window_us = 100;
-    config.miss_streak = 0;
-    TraceLog log(config);
-    // Two sheds 200us apart never fire; three within 100us do.
-    log.record(shed_at(0, 0));
-    log.record(shed_at(200, 1));
+    TraceLog log;
+    // Sheds two windows apart never fire; kShedBurst within one do.
+    std::int64_t id = 0;
+    for (int i = 0; i + 1 < kShedBurst; ++i) {
+        log.record(shed_at(2 * kShedWindowUs * i, id++));
+    }
     EXPECT_TRUE(log.incidents().empty());
-    log.record(shed_at(250, 2));
-    log.record(shed_at(260, 3));
+    const double t0 = 2 * kShedWindowUs * kShedBurst;
+    for (int i = 0; i < kShedBurst; ++i) {
+        log.record(shed_at(t0 + i, id++));
+    }
     ASSERT_EQ(log.incidents().size(), 1u);
     EXPECT_EQ(log.incidents()[0].trigger, "shed_burst");
-    EXPECT_EQ(log.incidents()[0].t_us, 260);
+    EXPECT_EQ(log.incidents()[0].t_us, t0 + kShedBurst - 1);
     // The window clears on firing: the next shed alone cannot re-fire.
-    log.record(shed_at(261, 4));
+    log.record(shed_at(t0 + kShedBurst, id++));
     EXPECT_EQ(log.incidents().size(), 1u);
 }
 
 TEST(FlightRecorderTest, DeadlineMissStreakFiresAndResets)
 {
-    TraceConfig config;
-    config.shed_burst = 0;
-    config.miss_streak = 2;
-    TraceLog log(config);
+    TraceLog log;
     TraceEvent miss;
     miss.kind = TraceEventKind::kComplete;
     miss.flag = false;  // deadline missed
@@ -308,7 +305,9 @@ TEST(FlightRecorderTest, DeadlineMissStreakFiresAndResets)
 
     log.record(miss);
     log.record(hit);  // streak broken
-    log.record(miss);
+    for (int i = 0; i + 1 < kMissStreak; ++i) {
+        log.record(miss);
+    }
     EXPECT_TRUE(log.incidents().empty());
     log.record(miss);
     ASSERT_EQ(log.incidents().size(), 1u);
@@ -318,67 +317,34 @@ TEST(FlightRecorderTest, DeadlineMissStreakFiresAndResets)
     EXPECT_EQ(log.incidents().size(), 1u);
 }
 
-TEST(FlightRecorderTest, EmptyRoundStallFires)
-{
-    TraceConfig config;
-    config.shed_burst = 0;
-    config.miss_streak = 0;
-    config.stall_us = 50;
-    TraceLog log(config);
-    TraceEvent done;
-    done.kind = TraceEventKind::kRoundDone;
-    done.t_us = 100;
-    done.round = 0;
-    TraceEvent dispatch;
-    dispatch.kind = TraceEventKind::kRoundDispatch;
-    dispatch.round = 1;
-
-    log.record(done);
-    dispatch.t_us = 120;  // 20us idle: fine
-    log.record(dispatch);
-    EXPECT_TRUE(log.incidents().empty());
-
-    done.t_us = 200;
-    done.round = 1;
-    log.record(done);
-    dispatch.round = 2;
-    dispatch.t_us = 300;  // 100us idle > 50us stall bound
-    log.record(dispatch);
-    ASSERT_EQ(log.incidents().size(), 1u);
-    EXPECT_EQ(log.incidents()[0].trigger, "empty_round_stall");
-}
-
 TEST(FlightRecorderTest, RateLimitBurstFiresAfterAnUnbrokenStreak)
 {
-    TraceConfig config;
-    config.shed_burst = 0;
-    config.miss_streak = 0;
-    config.ratelimit_streak = 3;
-    TraceLog log(config);
+    TraceLog log;
     TraceEvent rl;
     rl.kind = TraceEventKind::kShedRateLimit;
     TraceEvent admit;
     admit.kind = TraceEventKind::kAdmit;
 
-    rl.t_us = 10;
-    log.record(rl);
-    rl.t_us = 20;
-    log.record(rl);
-    admit.t_us = 25;
+    double t_us = 0;
+    const auto shed = [&] {
+        rl.t_us = t_us += 10;
+        log.record(rl);
+    };
+    for (int i = 0; i + 1 < kRatelimitStreak; ++i) {
+        shed();
+    }
+    admit.t_us = t_us += 5;
     log.record(admit);  // An admit breaks the streak.
-    rl.t_us = 30;
-    log.record(rl);
-    rl.t_us = 40;
-    log.record(rl);
+    for (int i = 0; i + 1 < kRatelimitStreak; ++i) {
+        shed();
+    }
     EXPECT_TRUE(log.incidents().empty());
-    rl.t_us = 50;
-    log.record(rl);
+    shed();
     ASSERT_EQ(log.incidents().size(), 1u);
     EXPECT_EQ(log.incidents()[0].trigger, "ratelimit_burst");
-    EXPECT_EQ(log.incidents()[0].t_us, 50);
+    EXPECT_EQ(log.incidents()[0].t_us, t_us);
     // The streak resets when it fires: one more shed cannot re-fire.
-    rl.t_us = 60;
-    log.record(rl);
+    shed();
     EXPECT_EQ(log.incidents().size(), 1u);
 }
 
@@ -399,12 +365,9 @@ TEST(TraceReportTest, NoisyPresetCountsRateLimitShedsApart)
 
 TEST(FlightRecorderTest, RingIsBoundedToTheConfiguredRounds)
 {
-    TraceConfig config;
-    config.ring_rounds = 2;
-    config.shed_burst = 0;
-    config.miss_streak = 0;
-    TraceLog log(config);
-    for (std::int64_t round = 0; round < 5; ++round) {
+    TraceLog log;
+    const auto rounds = static_cast<std::int64_t>(kRingRounds) + 3;
+    for (std::int64_t round = 0; round < rounds; ++round) {
         TraceEvent dispatch;
         dispatch.kind = TraceEventKind::kRoundDispatch;
         dispatch.round = round;
@@ -415,11 +378,11 @@ TEST(FlightRecorderTest, RingIsBoundedToTheConfiguredRounds)
         done.t_us += 50;
         log.record(done);
     }
-    // Only the last two rounds' events remain in the ring; the full log
-    // still has everything.
-    EXPECT_EQ(log.ring().size(), 4u);
+    // Only the last kRingRounds rounds' events remain in the ring; the
+    // full log still has everything.
+    EXPECT_EQ(log.ring().size(), 2 * kRingRounds);
     EXPECT_EQ(log.ring().front().round, 3);
-    EXPECT_EQ(log.events().size(), 10u);
+    EXPECT_EQ(log.events().size(), static_cast<std::size_t>(2 * rounds));
 }
 
 TEST(FlightRecorderTest, OverloadPresetDeterministicallyTriggers)
@@ -433,10 +396,8 @@ TEST(FlightRecorderTest, OverloadPresetDeterministicallyTriggers)
     for (std::size_t i = 0; i < first.log.incidents().size(); ++i) {
         EXPECT_EQ(first.log.incidents()[i].trigger, "shed_burst");
         // Byte-identical incident documents across same-seed runs.
-        EXPECT_EQ(incident_to_json(first.log.incidents()[i], info,
-                                   first.log.config()),
-                  incident_to_json(second.log.incidents()[i], info,
-                                   second.log.config()));
+        EXPECT_EQ(incident_to_json(first.log.incidents()[i], info),
+                  incident_to_json(second.log.incidents()[i], info));
     }
 }
 
@@ -448,7 +409,7 @@ TEST(FlightRecorderTest, IncidentJsonReplaysToTheSameEvents)
     const TraceRunInfo info = run_info("overload", "a100");
 
     const Incident parsed = incident_from_json(
-        incident_to_json(live, info, run.log.config()));
+        incident_to_json(live, info));
     EXPECT_EQ(parsed.trigger, live.trigger);
     EXPECT_EQ(parsed.t_us, live.t_us);
     EXPECT_EQ(parsed.first_seq, live.first_seq);

@@ -61,7 +61,8 @@ events_of_type(const JsonValue &doc, const std::string &ph)
 TEST(TraceTest, EmitsValidJson)
 {
     const SimResult result = simulate_joined_program();
-    const JsonValue doc = json_parse(chrome_trace_json(result));
+    const JsonValue doc =
+        json_parse(chrome_trace_json(result, DeviceSpec::a100()));
     ASSERT_TRUE(doc.is_object());
     ASSERT_TRUE(doc.at("traceEvents").is_array());
     EXPECT_FALSE(doc.at("traceEvents").array.empty());
@@ -76,7 +77,8 @@ TEST(TraceTest, OneNamedLanePerStream)
     }
     ASSERT_EQ(streams.size(), 2u);
 
-    const JsonValue doc = json_parse(chrome_trace_json(result));
+    const JsonValue doc =
+        json_parse(chrome_trace_json(result, DeviceSpec::a100()));
     std::map<int, std::string> lane_names;
     for (const JsonValue *e : events_of_type(doc, "M")) {
         ASSERT_EQ(e->at("name").as_string(), "thread_name");
@@ -93,7 +95,8 @@ TEST(TraceTest, OneNamedLanePerStream)
 TEST(TraceTest, SliceTimestampsMonotonicPerLane)
 {
     const SimResult result = simulate_joined_program();
-    const JsonValue doc = json_parse(chrome_trace_json(result));
+    const JsonValue doc =
+        json_parse(chrome_trace_json(result, DeviceSpec::a100()));
     std::map<int, double> last_ts;
     int slices = 0;
     for (const JsonValue *e : events_of_type(doc, "X")) {
@@ -128,7 +131,8 @@ TEST(TraceTest, FlowEventsMatchCrossStreamJoins)
     }
     ASSERT_GT(expected_edges, 0) << "program must exercise a join";
 
-    const JsonValue doc = json_parse(chrome_trace_json(result));
+    const JsonValue doc =
+        json_parse(chrome_trace_json(result, DeviceSpec::a100()));
     const auto starts = events_of_type(doc, "s");
     const auto finishes = events_of_type(doc, "f");
     EXPECT_EQ(static_cast<int>(starts.size()), expected_edges);
@@ -152,28 +156,11 @@ TEST(TraceTest, FlowEventsMatchCrossStreamJoins)
     }
 }
 
-TEST(TraceTest, FlowsCanBeDisabled)
-{
-    const SimResult result = simulate_joined_program();
-    TraceOptions options;
-    options.flows = false;
-    const JsonValue doc = json_parse(chrome_trace_json(result, options));
-    EXPECT_TRUE(events_of_type(doc, "s").empty());
-    EXPECT_TRUE(events_of_type(doc, "f").empty());
-}
-
 TEST(TraceTest, CounterTracksNeedDeviceAndStayInRange)
 {
     const SimResult result = simulate_joined_program();
-
-    // No device -> no counters.
-    const JsonValue bare = json_parse(chrome_trace_json(result));
-    EXPECT_TRUE(events_of_type(bare, "C").empty());
-
-    const DeviceSpec device = DeviceSpec::a100();
-    TraceOptions options;
-    options.device = &device;
-    const JsonValue doc = json_parse(chrome_trace_json(result, options));
+    const JsonValue doc =
+        json_parse(chrome_trace_json(result, DeviceSpec::a100()));
     const auto counters = events_of_type(doc, "C");
     ASSERT_FALSE(counters.empty());
     double last_ts = 0;
@@ -194,10 +181,9 @@ TEST(TraceTest, CounterTracksNeedDeviceAndStayInRange)
 TEST(TraceTest, PhaseMarksLandOnTheirOwnLane)
 {
     const SimResult result = simulate_joined_program();
-    TraceOptions options;
-    options.phases.push_back({"sddmm", 0.0, 10.0});
-    options.phases.push_back({"softmax", 10.0, 25.0});
-    const JsonValue doc = json_parse(chrome_trace_json(result, options));
+    const JsonValue doc = json_parse(chrome_trace_json(
+        result, DeviceSpec::a100(),
+        {{"sddmm", 0.0, 10.0}, {"softmax", 10.0, 25.0}}));
 
     std::set<int> kernel_lanes;
     for (const auto &k : result.kernels) {
@@ -227,7 +213,8 @@ TEST(TraceTest, PhaseMarksLandOnTheirOwnLane)
 TEST(TraceTest, EmptyResultStillParses)
 {
     const SimResult empty;
-    const JsonValue doc = json_parse(chrome_trace_json(empty));
+    const JsonValue doc =
+        json_parse(chrome_trace_json(empty, DeviceSpec::a100()));
     EXPECT_TRUE(doc.at("traceEvents").array.empty());
 }
 

@@ -248,11 +248,8 @@ run(Options opt)
         }
     }
     if (!opt.trace_path.empty()) {
-        sim::TraceOptions trace_options;
-        trace_options.device = &device;
-        trace_options.phases = phase_marks(profiled);
-        sim::write_chrome_trace_file(result.sim, opt.trace_path,
-                                     trace_options);
+        sim::write_chrome_trace_file(result.sim, opt.trace_path, device,
+                                     phase_marks(profiled));
         validate_json_file(opt.trace_path);
         if (!opt.quiet) {
             std::fprintf(stderr,

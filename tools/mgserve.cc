@@ -323,7 +323,7 @@ run_serve(const Options &opt, const std::string &preset)
     serve::Server server(config, device);
     server.set_trace(&log);
     serve::ServeReport report = server.run();
-    serve::TelemetryRecorder telemetry({}, config.traffic.tenants);
+    serve::TelemetryRecorder telemetry(config.traffic.tenants);
     for (const serve::TraceEvent &e : log.events()) {
         telemetry.apply(e);
     }
@@ -379,7 +379,7 @@ run_serve(const Options &opt, const std::string &preset)
     }
     for (std::size_t k = 0; k < log.incidents().size(); ++k) {
         const std::string json =
-            serve::incident_to_json(log.incidents()[k], info, trace_config);
+            serve::incident_to_json(log.incidents()[k], info);
         verify_incident_replay(log.incidents()[k], json);
         write_json(opt,
                    dir + "/incident_" + tag + "_" + std::to_string(k) +
@@ -450,7 +450,6 @@ run_fleet(const Options &opt, const std::string &preset)
     }
     if (opt.seed != 0) {
         config.serve.traffic.seed = opt.seed;
-        config.router_seed = opt.seed;
     }
     // The hetero preset pins its own device pair: label it "mixed".
     const std::string device = preset == "hetero" ? "mixed" : opt.device;
