@@ -40,8 +40,24 @@
 /// superseded predictions and non-final deadlines; popping one changed no
 /// state except `now`, and only to a time no later than the next event
 /// that does. Results are therefore bit-identical to that queue's.
-/// Simulation cost is O(blocks · log), independent of how long blocks
-/// overlap.
+///
+/// Segments. A quiescent point is an instant with no unit resident and
+/// nothing left to issue, so only kernel-ready events are queued. There
+/// the segment origin moves to `now` (a rebase): every clock's value and
+/// last update restart at 0, the unit pool and issue cursor reset, and
+/// each queued ready event is re-timed from the finish that released it.
+/// A segment's timing is thus a function of its entry (the pending
+/// kernels, their origins and pop order) and of the kernels it runs, not
+/// of when it starts; KernelStats report the segment's start plus the
+/// local time. Within one run() every simulated segment is recorded. A
+/// later segment whose entry and kernels equal a record's at a
+/// kernel-index offset (launch content, real stream and dep offsets;
+/// every dep outside it done; no outside kernel released before its end)
+/// is spliced: the record's local stats are copied and children are
+/// released in its finish order, so the result is bit-identical to
+/// simulating it. Nothing outlives run().
+/// Simulation cost is O(blocks · log) per distinct segment, independent
+/// of how long blocks overlap or how often a segment repeats.
 namespace multigrain::sim {
 
 struct KernelStats {
@@ -78,6 +94,9 @@ struct EngineCounters {
     std::int64_t predictions = 0;
     /// Peak of queued events plus live clock predictions.
     std::int64_t peak_queue = 0;
+    std::int64_t segments = 0;         ///< Quiescent segments simulated.
+    std::int64_t segment_hits = 0;     ///< Segments spliced from a record.
+    std::int64_t spliced_kernels = 0;  ///< Kernels those splices covered.
 };
 
 struct SimResult {

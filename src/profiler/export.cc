@@ -130,6 +130,9 @@ write_json(const ProfiledRun &run, std::ostream &os)
     w.field("deadline_events", e.deadline_events);
     w.field("predictions", e.predictions);
     w.field("peak_queue", e.peak_queue);
+    w.field("segments", e.segments);
+    w.field("segment_hits", e.segment_hits);
+    w.field("spliced_kernels", e.spliced_kernels);
     w.end_object();
 
     w.key("counters");
