@@ -152,11 +152,7 @@ KernelLaunch::add_tb(const TbWork &work, index_t count)
     }
     if (!tbs.empty()) {
         TbGroup &tail = tbs.back();
-        if (tail.work.tensor_flops == work.tensor_flops &&
-            tail.work.cuda_flops == work.cuda_flops &&
-            tail.work.dram_read_bytes == work.dram_read_bytes &&
-            tail.work.dram_write_bytes == work.dram_write_bytes &&
-            tail.work.l2_bytes == work.l2_bytes) {
+        if (tail.work == work) {
             tail.count += count;
             return;
         }

@@ -22,6 +22,8 @@ struct TbShape {
     int threads = 128;
     int smem_bytes = 0;
     int regs_per_thread = 32;
+
+    bool operator==(const TbShape &) const = default;
 };
 
 /// Work carried by one thread block. DRAM bytes are *actual* device-memory
@@ -52,12 +54,15 @@ struct TbWork {
     {
         return tensor_flops == 0 && cuda_flops == 0 && mem_bytes() == 0;
     }
+    bool operator==(const TbWork &) const = default;
 };
 
 /// `count` thread blocks with identical work.
 struct TbGroup {
     TbWork work;
     index_t count = 1;
+
+    bool operator==(const TbGroup &) const = default;
 };
 
 // ---- Dataflow annotations (the plan lint hazard model's vocabulary) -----
